@@ -14,10 +14,12 @@ test:
 # Unchecked-error lint over the durability layers, where a dropped
 # error result means silent data loss, plus the server and jobs
 # packages, where a dropped error can lose an ingest batch or a job
-# journal entry. vet plus the repo's own errcheck-style checker
-# (cmd/errlint); assign to _ to mark a deliberately best-effort call.
+# journal entry, and the shard coordinator and request contract that
+# every mine runs through. vet plus the repo's own errcheck-style
+# checker (cmd/errlint); assign to _ to mark a deliberately best-effort
+# call.
 lint: vet
-	$(GO) run ./cmd/errlint ./internal/persist ./internal/blob ./internal/server ./internal/jobs ./internal/remote
+	$(GO) run ./cmd/errlint ./internal/persist ./internal/blob ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api
 
 # Race-enabled run; the cancellation/backpressure tests exercise real
 # concurrency, so this is the form CI should run.

@@ -2,8 +2,8 @@
 //
 //	tpmd -addr :8080 -max-mines 8 -mine-timeout 30s
 //
-// Endpoints, all under /v1 (see internal/server for the full API; the
-// unversioned paths remain as deprecated aliases):
+// Endpoints, all under /v1 — nothing is served outside it (see
+// internal/server for the full API):
 //
 //	PUT    /v1/datasets/{name}         upload a dataset (csv/lines/json body)
 //	POST   /v1/datasets/{name}/events  stream NDJSON event intervals (batched appends)
@@ -31,9 +31,11 @@
 // finish within their deadline — for up to -grace before exiting.
 //
 // Sharded mining: -shards partitions each dataset into that many
-// size-balanced sequence shards (0 = GOMAXPROCS, 1 = unsharded) and
-// mines them scatter-gather with an exact merge, so responses, cache
-// keys, and ETags are byte-identical to unsharded mining.
+// size-balanced sequence shards (0 = GOMAXPROCS, 1 = unsharded). Every
+// mine runs through one shard coordinator: a single shard mines
+// serially, two or more mine scatter-gather with an exact merge, so
+// responses, cache keys, and ETags are byte-identical to unsharded
+// mining.
 // -shard-min-seqs keeps small datasets on fewer shards (no fan-out
 // overhead below ~16 sequences per shard by default). Per-shard
 // timings, fan-out counts, and partition skew appear as tpmd_shard_*
@@ -52,7 +54,7 @@
 // GET /v1/readyz; per-dataset placement appears on
 // GET /v1/datasets/{name}/shards and traffic as tpmd_remote_* metrics.
 //
-// Complete mine/rules results are memoized in a byte-budgeted LRU and
+// Complete mine results (patterns or rules) are memoized in a byte-budgeted LRU and
 // concurrent identical requests collapse into one miner run
 // (single-flight); -cache-budget sizes the cache and -no-cache disables
 // both. Responses carry strong ETags and honor If-None-Match with 304.

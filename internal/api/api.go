@@ -2,17 +2,11 @@
 // request shapes shared by the batch mine family and the continuous
 // mining jobs, with one validation surface for both.
 //
-// Historically the server carried two request structs — MineRequest
-// (POST /v1/datasets/{name}/mine) and RulesRequest
-// (POST /v1/datasets/{name}/rules) — that duplicated the shared option
-// block and validated separately. MineSpec folds them into a single
-// struct with an explicit Mode field ("temporal", "coincidence", or
-// "rules") and a single Validate method; job specs (JobSpec) embed the
-// exact same struct, so batch and continuous mining share one options
-// surface by construction. The legacy shapes remain accepted on the
-// wire: the old "type" field is an alias of Mode (flagged deprecated in
-// the response headers by the server), and a body without a mode posted
-// to the rules route still reads as a rules request.
+// MineSpec is the one request shape of the mine family: an explicit Mode
+// field ("temporal", "coincidence", or "rules") selects what is mined,
+// and a single Validate method checks every field. Job specs (JobSpec)
+// embed the exact same struct, so batch and continuous mining share one
+// options surface by construction.
 //
 // The package is deliberately free of HTTP: it depends only on
 // internal/core (to convert a spec into miner options), so the jobs
@@ -134,19 +128,13 @@ func (w WindowSpec) key() string {
 	return fmt.Sprintf("%s:%d", w.Kind, w.Count)
 }
 
-// MineSpec is the one request shape of the mine family: the bodies of
-// POST /v1/datasets/{name}/mine and POST /v1/datasets/{name}/rules, and
-// the mining half of a job spec. Mode selects what is mined; fields
-// that only apply to one mode are rejected in the others, so the
-// validation is exactly as strict as the two structs it replaced.
+// MineSpec is the one request shape of the mine family: the body of
+// POST /v1/datasets/{name}/mine and the mining half of a job spec. Mode
+// selects what is mined; fields that only apply to one mode are
+// rejected in the others.
 type MineSpec struct {
 	// Mode is "temporal" (default), "coincidence", or "rules".
 	Mode string `json:"mode,omitempty"`
-	// Type is accepted as an alias of Mode for older clients; responses
-	// carry a Deprecation header when it is used.
-	//
-	// Deprecated: set Mode instead.
-	Type string `json:"type,omitempty"`
 
 	MiningOptions
 
@@ -175,23 +163,13 @@ type MineSpec struct {
 	MinLift       float64 `json:"min_lift,omitempty"`
 }
 
-// ResolvedMode returns the spec's effective mode: Mode, else the legacy
-// Type alias, else "temporal".
-func (req MineSpec) ResolvedMode() string {
-	switch {
-	case req.Mode != "":
-		return req.Mode
-	case req.Type != "":
-		return req.Type
-	default:
+// mode returns the spec's mode, defaulting to temporal.
+func (req MineSpec) mode() string {
+	if req.Mode == "" {
 		return ModeTemporal
 	}
+	return req.Mode
 }
-
-// LegacyShape reports whether the request used a deprecated wire shape
-// (the old "type" field); the server flags such responses with a
-// Deprecation header.
-func (req MineSpec) LegacyShape() bool { return req.Type != "" }
 
 // Validate rejects malformed requests up front — before a mining slot
 // is claimed — so garbage input can never occupy a slot or flow into
@@ -203,18 +181,11 @@ func (req MineSpec) Validate() error {
 	if err := req.MiningOptions.validate(); err != nil {
 		return err
 	}
-	if req.Mode != "" && req.Type != "" && req.Mode != req.Type {
-		return fieldErrf("type", "legacy type %q conflicts with mode %q", req.Type, req.Mode)
-	}
-	mode := req.ResolvedMode()
+	mode := req.mode()
 	switch mode {
 	case ModeTemporal, ModeCoincidence, ModeRules:
 	default:
-		field := "mode"
-		if req.Mode == "" && req.Type != "" {
-			field = "type"
-		}
-		return fieldErrf(field, "unknown mode %q (want temporal, coincidence, or rules)", mode)
+		return fieldErrf("mode", "unknown mode %q (want temporal, coincidence, or rules)", mode)
 	}
 	if err := req.Window.Validate(); err != nil {
 		return err
@@ -252,8 +223,7 @@ func (req MineSpec) Validate() error {
 			return fieldErrf(f.name, "%s must not be negative, got %v", f.name, f.v)
 		}
 	}
-	// Mode-foreign fields are rejected, keeping the unified struct as
-	// strict as the two it replaced.
+	// Mode-foreign fields are rejected rather than silently ignored.
 	if mode == ModeRules {
 		for _, f := range []struct {
 			name string
@@ -293,7 +263,7 @@ func (req MineSpec) Validate() error {
 // uncapped one at the same cap. The window is included: a windowed mine
 // is a different result than a whole-dataset one at the same version.
 func (req MineSpec) ResultOptions() string {
-	mode := req.ResolvedMode()
+	mode := req.mode()
 	if mode == ModeRules {
 		return fmt.Sprintf("rules|sup=%v|cnt=%d|ivs=%d|conf=%v|lift=%v|win=%s",
 			req.MinSupport, req.MinCount, req.MaxIntervals, req.MinConfidence,
@@ -324,12 +294,6 @@ func (req MineSpec) Options(maxParallel int) core.Options {
 		MaxPatterns:        req.MaxPatterns,
 		TimeBudget:         time.Duration(req.TimeBudgetMillis) * time.Millisecond,
 	}
-}
-
-// RulesOptions converts the rules-mode thresholds for the rules
-// deriver. Only meaningful when ResolvedMode() == ModeRules.
-func (req MineSpec) RulesOptions() (minConfidence, minLift float64) {
-	return req.MinConfidence, req.MinLift
 }
 
 // JobSpec is the body of POST /v1/jobs: a continuous mining job that
@@ -371,7 +335,7 @@ func (js JobSpec) Validate() error {
 	if err := js.Mine.Validate(); err != nil {
 		return err
 	}
-	if js.Mine.ResolvedMode() == ModeRules {
+	if js.Mine.Mode == ModeRules {
 		return fieldErrf("mine.mode", "continuous jobs support temporal and coincidence modes only")
 	}
 	return nil

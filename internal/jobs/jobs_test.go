@@ -505,6 +505,33 @@ func TestRestoreSeedsStateAndSkipsStaleRun(t *testing.T) {
 	}
 }
 
+// TestRestoreSkipsSpecWithUnknownField: a spec journaled with the
+// removed "type" mode alias must not come back as a job mining the
+// default (temporal) mode; it is skipped like any undecodable spec,
+// while its well-formed neighbours restore.
+func TestRestoreSkipsSpecWithUnknownField(t *testing.T) {
+	r := &fakeRunner{}
+	r.set("d", 1, pat("a", 3))
+	m := newTestManager(t, r, newMemJournal(), nil)
+	m.Restore([]StoredJob{
+		{ID: "legacy", Spec: []byte(`{"id":"legacy","dataset":"d","mine":{"type":"coincidence","min_count":1}}`)},
+		{ID: "current", Spec: []byte(`{"id":"current","dataset":"d","mine":{"mode":"coincidence","min_count":1}}`)},
+	})
+	if _, err := m.Get("legacy"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job restored from a spec carrying \"type\": Get = %v, want ErrNotFound", err)
+	}
+	if m.Count() != 1 {
+		t.Fatalf("%d jobs restored, want only the well-formed one", m.Count())
+	}
+	st, err := m.Get("current")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spec.Mine.Mode != api.ModeCoincidence {
+		t.Fatalf("restored job mines %q, want coincidence", st.Spec.Mine.Mode)
+	}
+}
+
 func TestCreateValidatesAndJournals(t *testing.T) {
 	r := &fakeRunner{}
 	jn := newMemJournal()

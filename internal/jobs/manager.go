@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -248,11 +250,16 @@ func New(cfg Config) (*Manager, error) {
 // seeded with their last results so the first post-restart run diffs
 // against pre-restart state instead of re-announcing everything. An
 // undecodable spec is logged and skipped — one corrupt job must not
-// take down boot. Call once, before the first Create/Notify.
+// take down boot. Specs decode as strictly as a create request: an
+// unknown field makes a spec undecodable, because dropping it could
+// restore a different job (a spec spelling its mode as "type" would
+// mine temporal patterns). Call once, before the first Create/Notify.
 func (m *Manager) Restore(stored []StoredJob) {
 	for _, sj := range stored {
 		var spec api.JobSpec
-		if err := json.Unmarshal(sj.Spec, &spec); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(sj.Spec))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			m.logger.Warn("jobs: skipping job with undecodable journaled spec", "job", sj.ID, "error", err)
 			continue
 		}
@@ -343,7 +350,7 @@ func (m *Manager) Create(spec api.JobSpec) (Status, error) {
 	m.mu.Unlock()
 	m.met.JobCount(n)
 	m.logger.Info("job created", "job", spec.ID, "dataset", spec.Dataset,
-		"mode", spec.Mine.ResolvedMode(), "window", spec.Mine.Window.Kind)
+		"mode", cmp.Or(spec.Mine.Mode, api.ModeTemporal), "window", spec.Mine.Window.Kind)
 	go m.runLoop(j)
 	j.notify(0) // first run: mine whatever is there now
 	return j.status(), nil

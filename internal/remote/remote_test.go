@@ -244,36 +244,26 @@ func TestPoolCoordinatorEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		run  func(co *shard.Coordinator) (any, core.Stats, error)
+		kind shard.Kind
+		topK int
+		opt  core.Options
 	}{
-		{"temporal", func(co *shard.Coordinator) (any, core.Stats, error) {
-			rs, st, err := co.MineTemporal(ctx, core.Options{MinCount: 2})
-			return rs, st, err
-		}},
-		{"coincidence", func(co *shard.Coordinator) (any, core.Stats, error) {
-			rs, st, err := co.MineCoincidence(ctx, core.Options{MinCount: 2})
-			return rs, st, err
-		}},
-		{"temporal-topk", func(co *shard.Coordinator) (any, core.Stats, error) {
-			rs, st, err := co.MineTemporalTopK(ctx, 3, core.Options{MinCount: 1})
-			return rs, st, err
-		}},
+		{"temporal", shard.KindTemporal, 0, core.Options{MinCount: 2}},
+		{"coincidence", shard.KindCoincidence, 0, core.Options{MinCount: 2}},
+		{"temporal-topk", shard.KindTemporal, 3, core.Options{MinCount: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotStats, err := tc.run(pool.Coordinator("d", 1, db, part))
+			got, err := pool.Coordinator("d", 1, db, part).Mine(ctx, tc.kind, tc.topK, tc.opt)
 			if err != nil {
 				t.Fatalf("remote: %v", err)
 			}
-			want, wantStats, err := tc.run(shard.NewLocal(db, part))
+			want, err := shard.NewLocal(db, part).Mine(ctx, tc.kind, tc.topK, tc.opt)
 			if err != nil {
 				t.Fatalf("local: %v", err)
 			}
+			got.Stats.Elapsed, want.Stats.Elapsed = 0, 0
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("results differ:\nremote: %+v\nlocal:  %+v", got, want)
-			}
-			gotStats.Elapsed, wantStats.Elapsed = 0, 0
-			if !reflect.DeepEqual(gotStats, wantStats) {
-				t.Errorf("stats differ:\nremote: %+v\nlocal:  %+v", gotStats, wantStats)
 			}
 		})
 	}

@@ -244,9 +244,9 @@ func TestRulesCached(t *testing.T) {
 	t.Cleanup(ts.Close)
 	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	req := `{"min_count":2,"min_confidence":0.5}`
-	resp1, body1 := do(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req)
-	resp2, body2 := do(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req)
+	req := `{"mode":"rules","min_count":2,"min_confidence":0.5}`
+	resp1, body1 := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req)
+	resp2, body2 := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req)
 	if resp1.StatusCode != http.StatusOK || resp2.StatusCode != http.StatusOK {
 		t.Fatalf("rules: %d / %d", resp1.StatusCode, resp2.StatusCode)
 	}
@@ -261,7 +261,7 @@ func TestRulesCached(t *testing.T) {
 	}
 	// 304 with the returned ETag.
 	etag := resp1.Header.Get("ETag")
-	resp3, _ := doHdr(t, "POST", ts.URL+"/v1/datasets/demo/rules", "application/json", req,
+	resp3, _ := doHdr(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req,
 		map[string]string{"If-None-Match": etag})
 	if resp3.StatusCode != http.StatusNotModified {
 		t.Errorf("rules If-None-Match: %d, want 304", resp3.StatusCode)
@@ -434,53 +434,6 @@ func TestDeleteDuringInflightMine(t *testing.T) {
 	}
 }
 
-// TestV1DropsLegacyElapsed: /v1 stats omit the deprecated "elapsed"
-// duration string; the legacy alias keeps it. Both carry elapsed_ms.
-func TestV1DropsLegacyElapsed(t *testing.T) {
-	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/v1/datasets/e", "text/csv", csvBody)
-
-	_, v1Body := do(t, "POST", ts.URL+"/v1/datasets/e/mine", "application/json", `{"min_count":2}`)
-	if strings.Contains(v1Body, `"elapsed":`) {
-		t.Errorf("/v1 response still carries legacy elapsed: %q", v1Body)
-	}
-	if !strings.Contains(v1Body, `"elapsed_ms"`) {
-		t.Errorf("/v1 response missing elapsed_ms: %q", v1Body)
-	}
-
-	// Same request via the legacy alias — even served from cache, the
-	// legacy field must reappear.
-	_, legacyBody := do(t, "POST", ts.URL+"/datasets/e/mine", "application/json", `{"min_count":2}`)
-	if !strings.Contains(legacyBody, `"elapsed":`) {
-		t.Errorf("legacy response lost the elapsed field: %q", legacyBody)
-	}
-}
-
-// TestLegacyAliasDeprecationHeaders: unversioned routes serve identically
-// but mark themselves deprecated and point at the /v1 successor.
-func TestLegacyAliasDeprecationHeaders(t *testing.T) {
-	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/d", "text/csv", csvBody)
-
-	resp, _ := do(t, "GET", ts.URL+"/datasets/d", "", "")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/datasets/d") ||
-		!strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link header %q", link)
-	}
-
-	respV1, _ := do(t, "GET", ts.URL+"/v1/datasets/d", "", "")
-	if respV1.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
-	}
-	// Same resource through both surfaces: same ETag.
-	if a, b := resp.Header.Get("ETag"), respV1.Header.Get("ETag"); a != b {
-		t.Errorf("legacy and v1 ETags differ: %q vs %q", a, b)
-	}
-}
-
 // TestV1ErrorEnvelopeShape: every error class carries the uniform
 // envelope with a stable code on the /v1 surface.
 func TestV1ErrorEnvelopeShape(t *testing.T) {
@@ -497,8 +450,8 @@ func TestV1ErrorEnvelopeShape(t *testing.T) {
 	}{
 		{"not found", "GET", "/v1/datasets/nope", "", 404, "not_found", ""},
 		{"bad field", "POST", "/v1/datasets/demo/mine", `{"min_support":-1}`, 400, "invalid_request", "min_support"},
-		{"bad type", "POST", "/v1/datasets/demo/mine", `{"type":"x","min_count":1}`, 400, "invalid_request", "type"},
-		{"rules field", "POST", "/v1/datasets/demo/rules", `{"min_count":1,"min_lift":-1}`, 400, "invalid_request", "min_lift"},
+		{"bad mode", "POST", "/v1/datasets/demo/mine", `{"mode":"x","min_count":1}`, 400, "invalid_request", "mode"},
+		{"rules field", "POST", "/v1/datasets/demo/mine", `{"mode":"rules","min_count":1,"min_lift":-1}`, 400, "invalid_request", "min_lift"},
 	}
 	for _, c := range cases {
 		ctype := ""

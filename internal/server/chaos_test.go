@@ -444,15 +444,15 @@ func TestChaosDegradedLifecycle(t *testing.T) {
 // parks one whose deadline can — and hands it the slot when it frees.
 func TestChaosAdmissionShed(t *testing.T) {
 	s, ts := newHardenedServer(t, Config{MaxConcurrentMines: 1})
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	s.mineSem <- struct{}{} // occupy the only slot
-	resp, _ := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, _ := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"timeout_ms":1}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("doomed-deadline mine: %d, want 429 shed", resp.StatusCode)
 	}
-	_, mbody := do(t, "GET", ts.URL+"/metrics", "", "")
+	_, mbody := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	if parseMetrics(t, mbody)[`tpmd_resilience_shed_total`] < 1 {
 		t.Error("shed not counted in tpmd_resilience_shed_total")
 	}
@@ -462,7 +462,7 @@ func TestChaosAdmissionShed(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		<-s.mineSem
 	}()
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"timeout_ms":10000}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("parked mine after slot freed: %d %q, want 200", resp.StatusCode, body)
@@ -476,12 +476,12 @@ func TestChaosAdmissionShed(t *testing.T) {
 // caching on, parking is bounded by the job deadline instead.)
 func TestChaosParkedDisconnectNoLeak(t *testing.T) {
 	s, ts := newHardenedServer(t, Config{MaxConcurrentMines: 1, CacheBudgetBytes: -1})
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 	baseline := runtime.NumGoroutine()
 
 	s.mineSem <- struct{}{} // occupy the only slot: the next mine parks
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/datasets/demo/mine",
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/datasets/demo/mine",
 		strings.NewReader(`{"min_count":2}`))
 	if err != nil {
 		t.Fatal(err)

@@ -81,45 +81,38 @@ func TestRouteTableMatchesServer(t *testing.T) {
 }
 
 // TestRouteTableIsServed proves the route table is not aspirational:
-// every listed route resolves to a handler (no 404/405 from the mux) on
-// /v1, and — unless flagged v1-only — on the legacy surface too; and
-// unlisted paths still 404.
+// every listed route resolves to a handler (no 404/405 from the mux)
+// under /v1, and unlisted paths still 404.
 func TestRouteTableIsServed(t *testing.T) {
 	ts := newTestServer(t)
 
 	for _, rt := range fetchRouteTable(t, ts.URL) {
-		path := strings.ReplaceAll(rt.Pattern, "{name}", "x")
-		path = strings.ReplaceAll(path, "{id}", "j1")
-		surfaces := []string{"/v1" + path}
-		if !rt.V1Only {
-			surfaces = append(surfaces, path)
-		}
-		for _, p := range surfaces {
-			// Recreate the dataset and job each time so earlier DELETE
-			// iterations cannot turn a served route into a spurious 404.
-			do(t, "PUT", ts.URL+"/v1/datasets/x", "text/csv", csvBody)
-			do(t, "POST", ts.URL+"/v1/jobs", "application/json", `{"id":"j1","dataset":"x"}`)
-			body, ctype := "", ""
-			if rt.Method == "POST" || rt.Method == "PUT" {
-				body, ctype = "s9: A[0,4]\n", "text/plain"
-				switch {
-				case strings.HasSuffix(p, "/mine") || strings.HasSuffix(p, "/rules"):
-					body, ctype = `{"min_count":2}`, "application/json"
-				case strings.HasSuffix(p, "/events"):
-					body, ctype = `{"seq":"s9","symbol":"A","start":0,"end":4}`+"\n", "application/x-ndjson"
-				case p == "/v1/jobs":
-					body, ctype = `{"id":"j2","dataset":"x"}`, "application/json"
-				}
+		p := "/v1" + strings.ReplaceAll(rt.Pattern, "{name}", "x")
+		p = strings.ReplaceAll(p, "{id}", "j1")
+		// Recreate the dataset and job each time so earlier DELETE
+		// iterations cannot turn a served route into a spurious 404.
+		do(t, "PUT", ts.URL+"/v1/datasets/x", "text/csv", csvBody)
+		do(t, "POST", ts.URL+"/v1/jobs", "application/json", `{"id":"j1","dataset":"x"}`)
+		body, ctype := "", ""
+		if rt.Method == "POST" || rt.Method == "PUT" {
+			body, ctype = "s9: A[0,4]\n", "text/plain"
+			switch {
+			case strings.HasSuffix(p, "/mine"):
+				body, ctype = `{"min_count":2}`, "application/json"
+			case strings.HasSuffix(p, "/events"):
+				body, ctype = `{"seq":"s9","symbol":"A","start":0,"end":4}`+"\n", "application/x-ndjson"
+			case p == "/v1/jobs":
+				body, ctype = `{"id":"j2","dataset":"x"}`, "application/json"
 			}
-			status, respBody := doRoute(t, rt.Method, ts.URL+p, ctype, body)
-			// A handler's own 404 (uniform error envelope) still proves the
-			// route resolved; the mux's plain-text 404 means it did not.
-			handlerNotFound := status == http.StatusNotFound && strings.Contains(respBody, `"error"`)
-			if (status == http.StatusNotFound && !handlerNotFound) || status == http.StatusMethodNotAllowed {
-				t.Errorf("listed route %s %s not served: %d %q", rt.Method, p, status, respBody)
-			}
-			do(t, "DELETE", ts.URL+"/v1/jobs/j2", "", "")
 		}
+		status, respBody := doRoute(t, rt.Method, ts.URL+p, ctype, body)
+		// A handler's own 404 (uniform error envelope) still proves the
+		// route resolved; the mux's plain-text 404 means it did not.
+		handlerNotFound := status == http.StatusNotFound && strings.Contains(respBody, `"error"`)
+		if (status == http.StatusNotFound && !handlerNotFound) || status == http.StatusMethodNotAllowed {
+			t.Errorf("listed route %s %s not served: %d %q", rt.Method, p, status, respBody)
+		}
+		do(t, "DELETE", ts.URL+"/v1/jobs/j2", "", "")
 	}
 
 	resp, _ := do(t, "GET", ts.URL+"/v1/unknown", "", "")
@@ -155,33 +148,66 @@ func doRoute(t *testing.T, method, url, contentType, body string) (int, string) 
 	return resp.StatusCode, string(buf[:n])
 }
 
-// TestDeprecatedAliasForEveryRoute: the mux registers a legacy alias for
-// each non-v1-only route and the alias flags itself deprecated; v1-only
-// routes have no legacy alias at all.
-func TestDeprecatedAliasForEveryRoute(t *testing.T) {
+// TestRemovedSurfaceAnswers pins how the server answers clients of
+// surface it no longer has: paths outside /v1 and the old rules route
+// are 404s from the mux, a request spelling the mode as "type" is a 400,
+// and no response, stats object, metric, or route-table row carries the
+// old deprecation markers.
+func TestRemovedSurfaceAnswers(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
+	do(t, "PUT", ts.URL+"/v1/datasets/x", "text/csv", csvBody)
 
-	resp, _ := do(t, "GET", ts.URL+"/healthz", "", "")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /healthz not marked deprecated")
+	for _, rq := range []struct{ method, path, ctype, body string }{
+		{"GET", "/healthz", "", ""},
+		{"GET", "/datasets", "", ""},
+		{"GET", "/datasets/x", "", ""},
+		{"POST", "/datasets/x/mine", "application/json", `{"min_count":2}`},
+		{"POST", "/datasets/x/rules", "application/json", `{"min_count":2}`},
+		{"POST", "/v1/datasets/x/rules", "application/json", `{"min_count":2}`},
+	} {
+		resp, body := do(t, rq.method, ts.URL+rq.path, rq.ctype, rq.body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %d %q, want 404", rq.method, rq.path, resp.StatusCode, body)
+		}
 	}
-	resp, _ = do(t, "GET", ts.URL+"/v1/healthz", "", "")
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/healthz marked deprecated")
+	for _, rq := range []struct{ path, body string }{
+		{"/v1/datasets/x/mine", `{"type":"coincidence","min_count":2}`},
+		{"/v1/jobs", `{"dataset":"x","mine":{"type":"coincidence","min_count":2}}`},
+	} {
+		resp, body := do(t, "POST", ts.URL+rq.path, "application/json", rq.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, `unknown field \"type\"`) {
+			t.Errorf("POST %s with type: %d %q, want 400 naming the field", rq.path, resp.StatusCode, body)
+		}
 	}
-	// v1-only routes must not leak onto the legacy surface.
-	resp, _ = do(t, "GET", ts.URL+"/routes", "", "")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("v1-only /routes served on the legacy surface: %d", resp.StatusCode)
+
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/x/mine", "application/json", `{"min_count":2}`)
+	if resp.StatusCode != http.StatusOK || strings.Contains(body, `"elapsed":`) {
+		t.Errorf("mine: %d %q, want 200 without a stats.elapsed field", resp.StatusCode, body)
 	}
-	// A deprecated route with a successor advertises it via Link.
-	resp, _ = do(t, "POST", ts.URL+"/v1/datasets/x/rules", "application/json", `{}`)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("/v1/datasets/{name}/rules not marked deprecated")
+	if h := resp.Header.Get("Deprecation"); h != "" {
+		t.Errorf("mine response carries Deprecation %q", h)
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-		t.Errorf("deprecated rules route has no successor Link header: %q", link)
+	_, metrics := do(t, "GET", ts.URL+"/v1/metrics", "", "")
+	if strings.Contains(metrics, `api="`) {
+		t.Error("metrics still carry the api label")
+	}
+	if !strings.Contains(metrics, `tpmd_http_requests_total{route="/datasets/{name}/mine",class="2xx"} 1`) ||
+		!strings.Contains(metrics, `tpmd_http_requests_total{route="other",class="4xx"} 6`) {
+		t.Error("route labels: want the mine route counted once and the six 404s as other")
+	}
+
+	_, body = do(t, "GET", ts.URL+"/v1/routes", "", "")
+	var payload struct {
+		Routes []map[string]any `json:"routes"`
+	}
+	if err := json.Unmarshal([]byte(body), &payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range payload.Routes {
+		if len(row) != 3 || row["method"] == nil || row["pattern"] == nil || row["summary"] == nil {
+			t.Errorf("route row %v, want exactly method, pattern, and summary", row)
+		}
 	}
 }

@@ -40,13 +40,13 @@ func explosiveCSV(nSeq, nSym int) string {
 
 func TestMineBackpressure429(t *testing.T) {
 	s, ts := newHardenedServer(t, Config{MaxConcurrentMines: 1})
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	// Occupy the only mining slot. The tight timeout_ms keeps the
 	// deadline-aware admission from parking the request: with ~no
 	// deadline left it is shed immediately.
 	s.mineSem <- struct{}{}
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"timeout_ms":1}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("busy mine: %d %q, want 429", resp.StatusCode, body)
@@ -62,16 +62,16 @@ func TestMineBackpressure429(t *testing.T) {
 		t.Errorf("429 error code = %q, want rate_limited", eb.Error.Code)
 	}
 
-	// The rules endpoint shares the semaphore.
-	resp, _ = do(t, "POST", ts.URL+"/datasets/demo/rules", "application/json",
-		`{"min_count":2,"timeout_ms":1}`)
+	// Rules mode shares the semaphore.
+	resp, _ = do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
+		`{"mode":"rules","min_count":2,"timeout_ms":1}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("busy rules: %d, want 429", resp.StatusCode)
 	}
 
 	// Releasing the slot restores service.
 	<-s.mineSem
-	resp, body = do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("mine after release: %d %q", resp.StatusCode, body)
@@ -106,7 +106,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	_, ts := newHardenedServer(t, Config{})
 
 	// Client-supplied IDs are honored and echoed.
-	req, err := http.NewRequest("GET", ts.URL+"/healthz", nil)
+	req, err := http.NewRequest("GET", ts.URL+"/v1/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// Generated IDs land in error envelopes.
-	resp2, body := do(t, "GET", ts.URL+"/datasets/nope", "", "")
+	resp2, body := do(t, "GET", ts.URL+"/v1/datasets/nope", "", "")
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("get missing: %d", resp2.StatusCode)
 	}
@@ -141,7 +141,7 @@ func TestBodyTooLarge413(t *testing.T) {
 	_, ts := newHardenedServer(t, Config{MaxBodyBytes: 64})
 
 	big := explosiveCSV(4, 8) // well over 64 bytes
-	resp, body := do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", big)
+	resp, body := do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upload: %d %q, want 413", resp.StatusCode, body)
 	}
@@ -154,7 +154,7 @@ func TestBodyTooLarge413(t *testing.T) {
 	}
 
 	// JSON request bodies are bounded the same way.
-	resp, body = do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"max_elements":1,"max_intervals":1,"max_patterns":100000}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized mine request: %d %q, want 413", resp.StatusCode, body)
@@ -163,10 +163,10 @@ func TestBodyTooLarge413(t *testing.T) {
 
 func TestMineTimeout504(t *testing.T) {
 	_, ts := newHardenedServer(t, Config{})
-	do(t, "PUT", ts.URL+"/datasets/big", "text/csv", explosiveCSV(3, 16))
+	do(t, "PUT", ts.URL+"/v1/datasets/big", "text/csv", explosiveCSV(3, 16))
 
 	start := time.Now()
-	resp, body := do(t, "POST", ts.URL+"/datasets/big/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/big/mine", "application/json",
 		`{"min_count":3,"timeout_ms":50}`)
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -183,9 +183,9 @@ func TestMineTimeout504(t *testing.T) {
 func TestServerCeilingCapsTimeout(t *testing.T) {
 	// The per-request timeout can never raise the server ceiling.
 	_, ts := newHardenedServer(t, Config{MaxMineDuration: 50 * time.Millisecond})
-	do(t, "PUT", ts.URL+"/datasets/big", "text/csv", explosiveCSV(3, 16))
+	do(t, "PUT", ts.URL+"/v1/datasets/big", "text/csv", explosiveCSV(3, 16))
 
-	resp, body := do(t, "POST", ts.URL+"/datasets/big/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/big/mine", "application/json",
 		`{"min_count":3,"timeout_ms":600000}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("ceiling-capped mine: %d %q, want 504", resp.StatusCode, body)
@@ -194,10 +194,10 @@ func TestServerCeilingCapsTimeout(t *testing.T) {
 
 func TestMineSoftBudgetsOnWire(t *testing.T) {
 	_, ts := newHardenedServer(t, Config{})
-	do(t, "PUT", ts.URL+"/datasets/big", "text/csv", explosiveCSV(3, 10))
+	do(t, "PUT", ts.URL+"/v1/datasets/big", "text/csv", explosiveCSV(3, 10))
 
 	// max_patterns: partial results, 200, truncation flagged.
-	resp, body := do(t, "POST", ts.URL+"/datasets/big/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/big/mine", "application/json",
 		`{"min_count":3,"max_patterns":5}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("max_patterns mine: %d %q", resp.StatusCode, body)
@@ -214,8 +214,8 @@ func TestMineSoftBudgetsOnWire(t *testing.T) {
 	}
 
 	// time_budget_ms on an explosive dataset: 200 with truncation.
-	do(t, "PUT", ts.URL+"/datasets/huge", "text/csv", explosiveCSV(3, 16))
-	resp, body = do(t, "POST", ts.URL+"/datasets/huge/mine", "application/json",
+	do(t, "PUT", ts.URL+"/v1/datasets/huge", "text/csv", explosiveCSV(3, 16))
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/huge/mine", "application/json",
 		`{"min_count":3,"time_budget_ms":50}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("time_budget mine: %d %q", resp.StatusCode, body)
@@ -232,7 +232,7 @@ func TestShutdownDrainsInflightMine(t *testing.T) {
 	s := NewWithConfig(nil, Config{MaxConcurrentMines: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	do(t, "PUT", ts.URL+"/datasets/big", "text/csv", explosiveCSV(3, 16))
+	do(t, "PUT", ts.URL+"/v1/datasets/big", "text/csv", explosiveCSV(3, 16))
 
 	type result struct {
 		status int
@@ -243,7 +243,7 @@ func TestShutdownDrainsInflightMine(t *testing.T) {
 	go func() {
 		// A mine that runs ~400ms, then completes normally (soft
 		// budget). No t helpers here: this is not the test goroutine.
-		resp, err := http.Post(ts.URL+"/datasets/big/mine", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/datasets/big/mine", "application/json",
 			strings.NewReader(`{"min_count":3,"time_budget_ms":400}`))
 		if err != nil {
 			ch <- result{err: err}

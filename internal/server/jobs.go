@@ -31,32 +31,14 @@ func (jr jobRunner) RunJob(ctx context.Context, spec api.JobSpec) (jobs.RunOutpu
 	if !ok {
 		return jobs.RunOutput{}, jobs.ErrDatasetMissing
 	}
-	mode := spec.Mine.ResolvedMode()
 	// Identical key to a batch mine with this spec: a job run right after
 	// a client's own mine (or vice versa) is a cache hit, not a re-mine.
 	key := cache.Key{Dataset: spec.Dataset, Version: ver, Options: spec.Mine.ResultOptions()}
-	wdb, wpart := s.windowed(db, part, spec.Mine.Window)
-	tgt := mineTarget{db: wdb, part: wpart, name: spec.Dataset, ver: ver, whole: wdb == db}
-	compute := func() (any, int64, bool, error) {
-		resp, complete, err := s.runMine(ctx, tgt, mode, spec.Mine)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return resp, approxJSONSize(resp), complete, nil
-	}
-	var (
-		v   any
-		err error
-	)
-	if s.results != nil {
-		v, _, err = s.results.Do(ctx, key, compute)
-	} else {
-		v, _, _, err = compute()
-	}
+	v, _, err := s.cachedMine(ctx, key, db, part, spec.Mine)
 	if err != nil {
 		return jobs.RunOutput{}, err
 	}
-	resp := v.(*MineResponse)
+	resp := v.(*MineResponse) // job specs never select rules mode
 	out := jobs.RunOutput{Version: ver, Patterns: make([]jobs.Pattern, 0, len(resp.Patterns))}
 	for _, mp := range resp.Patterns {
 		body, merr := json.Marshal(mp)

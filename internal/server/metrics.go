@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"tpminer/internal/core"
@@ -14,9 +13,9 @@ import (
 // on one obs.Registry served at GET /v1/metrics. Four groups:
 //
 //   - tpmd_http_*: per-route request counters and latency histograms
-//     recorded by the middleware for every request — labelled by route
-//     pattern and API version (v1 vs legacy alias) — plus in-flight and
-//     backpressure (429) counters.
+//     recorded by the middleware for every request — labelled by the
+//     route-table pattern — plus in-flight and backpressure (429)
+//     counters.
 //   - tpmd_cache_*: the mine-result cache — hits, misses, coalesced
 //     (single-flight) waiters, evictions, and resident bytes.
 //   - tpmd_mine_*: mining-job telemetry — runs by type and outcome,
@@ -55,7 +54,7 @@ import (
 //     overflow while the store was unavailable, or dropped at
 //     shutdown).
 type serverMetrics struct {
-	reqTotal  *obs.CounterVec // route, api, class
+	reqTotal  *obs.CounterVec // route, class
 	reqDur    *obs.HistogramVec
 	reqBytes  *obs.CounterVec
 	inFlight  *obs.Gauge
@@ -249,11 +248,11 @@ func (m *cacheMetrics) DegradedHit()     { m.degradedHits.Inc() }
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		reqTotal: reg.NewCounterVec("tpmd_http_requests_total",
-			"HTTP requests served, by route, API version, and status class.", "route", "api", "class"),
+			"HTTP requests served, by route and status class.", "route", "class"),
 		reqDur: reg.NewHistogramVec("tpmd_http_request_duration_seconds",
-			"HTTP request latency by route and API version.", nil, "route", "api"),
+			"HTTP request latency by route.", nil, "route"),
 		reqBytes: reg.NewCounterVec("tpmd_http_response_bytes_total",
-			"Response body bytes written, by route and API version.", "route", "api"),
+			"Response body bytes written, by route.", "route"),
 		inFlight: reg.NewGauge("tpmd_http_requests_in_flight",
 			"Requests currently being handled."),
 		throttled: reg.NewCounter("tpmd_http_throttled_total",
@@ -417,48 +416,6 @@ func (m *serverMetrics) recordMinerStats(st core.Stats) {
 	m.schedMaxQueue.SetMax(st.MaxQueueDepth)
 }
 
-// apiLabel reports which API surface served the request: "v1" for the
-// versioned routes, "legacy" for the deprecated unversioned aliases.
-func apiLabel(r *http.Request) string {
-	if isV1(r) {
-		return "v1"
-	}
-	return "legacy"
-}
-
-// routeLabel maps a request path onto its route pattern so metric
-// cardinality stays bounded no matter what dataset names clients send.
-// The /v1 prefix is stripped — the API version is its own label — so a
-// route's time series stay comparable across versions.
-func routeLabel(r *http.Request) string {
-	p := strings.TrimPrefix(r.URL.Path, "/v1")
-	switch p {
-	case "/healthz", "/readyz", "/metrics", "/datasets", "/routes", "/jobs":
-		return p
-	}
-	if rest, ok := strings.CutPrefix(p, "/datasets/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch suffix := rest[i:]; suffix {
-			case "/mine", "/rules", "/append", "/events", "/shards":
-				return "/datasets/{name}" + suffix
-			}
-			return "other"
-		}
-		return "/datasets/{name}"
-	}
-	if rest, ok := strings.CutPrefix(p, "/jobs/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			switch suffix := rest[i:]; suffix {
-			case "/result", "/events":
-				return "/jobs/{id}" + suffix
-			}
-			return "other"
-		}
-		return "/jobs/{id}"
-	}
-	return "other"
-}
-
 // statusClass buckets a status code into "2xx".."5xx" for the low-
 // cardinality class label.
 func statusClass(code int) string {
@@ -475,9 +432,11 @@ func statusClass(code int) string {
 }
 
 // statusWriter records the status code and body bytes a handler wrote,
-// so the middleware can label metrics and logs after the fact.
+// plus the route label the mux's handler set (see labeled), so the
+// middleware can label metrics and logs after the fact.
 type statusWriter struct {
 	http.ResponseWriter
+	route  string
 	status int
 	bytes  int64
 }

@@ -15,7 +15,7 @@ import (
 // the miner unchecked is now rejected with 400 naming the field.
 func TestMineRequestValidation(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/v", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/v", "text/csv", csvBody)
 
 	cases := []struct {
 		name string
@@ -36,7 +36,7 @@ func TestMineRequestValidation(t *testing.T) {
 		{"parallel", `{"min_count":2,"parallel":-4}`},
 	}
 	for _, c := range cases {
-		resp, body := do(t, "POST", ts.URL+"/datasets/v/mine", "application/json", c.body)
+		resp, body := do(t, "POST", ts.URL+"/v1/datasets/v/mine", "application/json", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d %q, want 400", c.name, resp.StatusCode, body)
 			continue
@@ -47,33 +47,33 @@ func TestMineRequestValidation(t *testing.T) {
 	}
 
 	// A well-formed request still mines.
-	resp, body := do(t, "POST", ts.URL+"/datasets/v/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/v/mine", "application/json",
 		`{"min_count":2,"timeout_ms":5000,"max_patterns":100,"parallel":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("valid request: %d %q", resp.StatusCode, body)
 	}
 }
 
-// TestRulesRequestValidation: the rules endpoint applies the same
-// negative-field screening.
+// TestRulesRequestValidation: rules mode applies the same negative-field
+// screening.
 func TestRulesRequestValidation(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/v", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/v", "text/csv", csvBody)
 
 	for _, c := range []struct{ name, body string }{
-		{"min_support", `{"min_support":2}`},
-		{"min_count", `{"min_count":-1}`},
-		{"max_intervals", `{"min_count":2,"max_intervals":-1}`},
-		{"min_confidence", `{"min_count":2,"min_confidence":-0.5}`},
-		{"min_lift", `{"min_count":2,"min_lift":-1}`},
-		{"timeout_ms", `{"min_count":2,"timeout_ms":-1}`},
+		{"min_support", `{"mode":"rules","min_support":2}`},
+		{"min_count", `{"mode":"rules","min_count":-1}`},
+		{"max_intervals", `{"mode":"rules","min_count":2,"max_intervals":-1}`},
+		{"min_confidence", `{"mode":"rules","min_count":2,"min_confidence":-0.5}`},
+		{"min_lift", `{"mode":"rules","min_count":2,"min_lift":-1}`},
+		{"timeout_ms", `{"mode":"rules","min_count":2,"timeout_ms":-1}`},
 	} {
-		resp, body := do(t, "POST", ts.URL+"/datasets/v/rules", "application/json", c.body)
+		resp, body := do(t, "POST", ts.URL+"/v1/datasets/v/mine", "application/json", c.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, c.name) {
 			t.Errorf("%s: %d %q, want 400 naming the field", c.name, resp.StatusCode, body)
 		}
 	}
-	resp, body := do(t, "POST", ts.URL+"/datasets/v/rules", "application/json", `{"min_count":2}`)
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/v/mine", "application/json", `{"mode":"rules","min_count":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("valid rules request: %d %q", resp.StatusCode, body)
 	}
@@ -92,17 +92,17 @@ func TestMinePanicReleasesSlot(t *testing.T) {
 			panic("injected mine failure")
 		}
 	}
-	do(t, "PUT", ts.URL+"/datasets/p", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/p", "text/csv", csvBody)
 	baseline := runtime.NumGoroutine()
 
-	resp, _ := do(t, "POST", ts.URL+"/datasets/p/mine", "application/json", `{"min_count":2}`)
+	resp, _ := do(t, "POST", ts.URL+"/v1/datasets/p/mine", "application/json", `{"min_count":2}`)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking mine: %d, want 500", resp.StatusCode)
 	}
 
 	// Every subsequent mine must get the slot back, not a 429.
 	for i := 0; i < 4; i++ {
-		resp, body := do(t, "POST", ts.URL+"/datasets/p/mine", "application/json", `{"min_count":2}`)
+		resp, body := do(t, "POST", ts.URL+"/v1/datasets/p/mine", "application/json", `{"min_count":2}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mine %d after panic: %d %q, want 200", i, resp.StatusCode, body)
 		}
@@ -151,10 +151,10 @@ func parseMetrics(t *testing.T, body string) map[string]float64 {
 // after traffic, and no counter ever goes backwards between scrapes.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/m", "text/csv", csvBody)
-	do(t, "POST", ts.URL+"/datasets/m/mine", "application/json", `{"min_count":2}`)
+	do(t, "PUT", ts.URL+"/v1/datasets/m", "text/csv", csvBody)
+	do(t, "POST", ts.URL+"/v1/datasets/m/mine", "application/json", `{"min_count":2}`)
 
-	resp, body := do(t, "GET", ts.URL+"/metrics", "", "")
+	resp, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: %d", resp.StatusCode)
 	}
@@ -164,8 +164,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	first := parseMetrics(t, body)
 
 	for _, want := range []string{
-		`tpmd_http_requests_total{route="/datasets/{name}/mine",api="legacy",class="2xx"}`,
-		`tpmd_http_request_duration_seconds_bucket{route="/datasets/{name}/mine",api="legacy",le="+Inf"}`,
+		`tpmd_http_requests_total{route="/datasets/{name}/mine",class="2xx"}`,
+		`tpmd_http_request_duration_seconds_bucket{route="/datasets/{name}/mine",le="+Inf"}`,
 		`tpmd_cache_misses_total`,
 		`tpmd_cache_resident_bytes`,
 		`tpmd_mine_runs_total{type="temporal",outcome="ok"}`,
@@ -186,10 +186,10 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// More traffic, including an error path, then rescrape: cumulative
 	// series must be monotone.
-	do(t, "POST", ts.URL+"/datasets/m/mine", "application/json", `{"min_count":2}`)
-	do(t, "POST", ts.URL+"/datasets/m/mine", "application/json", `{"min_count":-1}`)
-	do(t, "POST", ts.URL+"/datasets/m/rules", "application/json", `{"min_count":2}`)
-	_, body2 := do(t, "GET", ts.URL+"/metrics", "", "")
+	do(t, "POST", ts.URL+"/v1/datasets/m/mine", "application/json", `{"min_count":2}`)
+	do(t, "POST", ts.URL+"/v1/datasets/m/mine", "application/json", `{"min_count":-1}`)
+	do(t, "POST", ts.URL+"/v1/datasets/m/mine", "application/json", `{"mode":"rules","min_count":2}`)
+	_, body2 := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	second := parseMetrics(t, body2)
 
 	for name, v1 := range first {
@@ -205,7 +205,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("counter %s regressed: %v -> %v", name, v1, v2)
 		}
 	}
-	if second[`tpmd_http_requests_total{route="/datasets/{name}/mine",api="legacy",class="4xx"}`] < 1 {
+	if second[`tpmd_http_requests_total{route="/datasets/{name}/mine",class="4xx"}`] < 1 {
 		t.Error("invalid mine request not counted as 4xx")
 	}
 	if second[`tpmd_mine_runs_total{type="rules",outcome="ok"}`] < 1 {
@@ -217,17 +217,17 @@ func TestMetricsEndpoint(t *testing.T) {
 // of seconds within [1, 30], derived from the mine-duration histogram.
 func TestRetryAfterDerived(t *testing.T) {
 	s, ts := newHardenedServer(t, Config{MaxConcurrentMines: 1})
-	do(t, "PUT", ts.URL+"/datasets/r", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/r", "text/csv", csvBody)
 	// Seed the duration histogram with real (fast) mines.
 	for i := 0; i < 3; i++ {
-		do(t, "POST", ts.URL+"/datasets/r/mine", "application/json", `{"min_count":2}`)
+		do(t, "POST", ts.URL+"/v1/datasets/r/mine", "application/json", `{"min_count":2}`)
 	}
 
 	s.mineSem <- struct{}{} // occupy the only slot
 	// Different options from the seeding mines, so this cannot be served
 	// from the result cache and must contend for the slot; the tight
 	// timeout_ms makes deadline-aware admission shed it immediately.
-	resp, _ := do(t, "POST", ts.URL+"/datasets/r/mine", "application/json", `{"min_count":1,"timeout_ms":1}`)
+	resp, _ := do(t, "POST", ts.URL+"/v1/datasets/r/mine", "application/json", `{"min_count":1,"timeout_ms":1}`)
 	<-s.mineSem
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("busy mine: %d, want 429", resp.StatusCode)
@@ -246,11 +246,11 @@ func TestRetryAfterDerived(t *testing.T) {
 }
 
 // TestElapsedMillisWireFormat: stats carry the machine-readable
-// elapsed_ms integer alongside the legacy "elapsed" duration string.
+// elapsed_ms integer.
 func TestElapsedMillisWireFormat(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/e", "text/csv", csvBody)
-	resp, body := do(t, "POST", ts.URL+"/datasets/e/mine", "application/json", `{"min_count":2}`)
+	do(t, "PUT", ts.URL+"/v1/datasets/e", "text/csv", csvBody)
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/e/mine", "application/json", `{"min_count":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine: %d %q", resp.StatusCode, body)
 	}
@@ -267,16 +267,5 @@ func TestElapsedMillisWireFormat(t *testing.T) {
 	var ms int64
 	if err := json.Unmarshal(rawMs, &ms); err != nil || ms < 0 {
 		t.Errorf("elapsed_ms %s is not a non-negative integer (err=%v)", rawMs, err)
-	}
-	rawLegacy, ok := mr.Stats["elapsed"]
-	if !ok {
-		t.Fatal("stats missing legacy elapsed field")
-	}
-	var legacy string
-	if err := json.Unmarshal(rawLegacy, &legacy); err != nil || legacy == "" {
-		t.Errorf("legacy elapsed %s is not a duration string (err=%v)", rawLegacy, err)
-	}
-	if _, err := time.ParseDuration(legacy); err != nil {
-		t.Errorf("legacy elapsed %q does not parse as a duration: %v", legacy, err)
 	}
 }

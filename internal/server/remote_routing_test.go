@@ -108,7 +108,7 @@ func TestRemoteMineMatchesLocal(t *testing.T) {
 		{"/v1/datasets/d/mine", `{"min_count":3}`},
 		{"/v1/datasets/d/mine", `{"min_count":2,"max_span":20,"max_gap":10}`},
 		{"/v1/datasets/d/mine", `{"min_count":2,"top_k":10}`},
-		{"/v1/datasets/d/mine", `{"type":"coincidence","min_count":3}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":3}`},
 		{"/v1/datasets/d/mine", `{"mode":"rules","min_count":2,"min_confidence":0.2}`},
 	}
 	compare := func(rq struct{ path, body string }) {
@@ -178,7 +178,7 @@ func TestRemoteMineMatchesLocal(t *testing.T) {
 	// still be byte-identical to the serial server's.
 	killer.kill.Store(true)
 	compare(struct{ path, body string }{"/v1/datasets/d/mine", `{"min_count":4}`})
-	compare(struct{ path, body string }{"/v1/datasets/d/mine", `{"type":"coincidence","min_count":4}`})
+	compare(struct{ path, body string }{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":4}`})
 
 	// The failover is observable: metrics count it, and readyz demotes
 	// the dead worker.

@@ -5,12 +5,8 @@
 //
 // # API (v1)
 //
-// All routes are mounted under /v1; pre-existing routes keep
-// unversioned paths as deprecated aliases (they behave identically,
-// carry a "Deprecation: true" header and a Link to their /v1
-// successor, and keep the legacy "elapsed" stats field that /v1
-// drops), while routes added after the v1 cut are v1-only. The table
-// below is also served machine-readably at GET /v1/routes. JSON
+// Every route is mounted under /v1; nothing is served outside it. The
+// table below is also served machine-readably at GET /v1/routes. JSON
 // in/out unless noted:
 //
 //	GET    /v1/healthz                      liveness (200 even when degraded)
@@ -25,12 +21,11 @@
 //	POST   /v1/datasets/{name}/append       append sequences (same formats)
 //	POST   /v1/datasets/{name}/events       NDJSON event stream; batched
 //	                                        into versioned appends; 202 ack
+//	GET    /v1/datasets/{name}/shards       shard layout and placement
 //	POST   /v1/datasets/{name}/mine         body: MineSpec (mode temporal|
 //	                                        coincidence|rules, optional
 //	                                        window); patterns or rules with
 //	                                        supports (ETag, 304)
-//	POST   /v1/datasets/{name}/rules        deprecated alias for mine with
-//	                                        mode "rules"
 //	POST   /v1/jobs                         create a continuous mining job
 //	GET    /v1/jobs                         list jobs
 //	GET    /v1/jobs/{id}                    job status
@@ -47,17 +42,17 @@
 // # Result caching and request coalescing
 //
 // Mining is deterministic for a fixed (dataset, options) pair, so
-// complete mine/rules results are memoized in a byte-budgeted LRU
-// (internal/cache) keyed by (dataset name, dataset version, canonical
-// options). Every dataset mutation (PUT, append, DELETE) bumps the
-// dataset's version, which changes the key — invalidation is exact, not
-// TTL-guessed. Concurrent identical requests collapse into a single
-// miner run via a single-flight group; the one result fans out to every
-// waiter. Responses expose how they were served: a "cache" field
-// (hit|miss|coalesced) plus an X-Cache header, and a strong ETag derived
-// from (dataset, version, options) that clients may return via
-// If-None-Match for a 304 without any mining. Truncated results and
-// failed runs are never cached and carry no ETag.
+// complete mine results (patterns or rules) are memoized in a
+// byte-budgeted LRU (internal/cache) keyed by (dataset name, dataset
+// version, canonical options). Every dataset mutation (PUT, append,
+// DELETE) bumps the dataset's version, which changes the key —
+// invalidation is exact, not TTL-guessed. Concurrent identical requests
+// collapse into a single miner run via a single-flight group; the one
+// result fans out to every waiter. Responses expose how they were
+// served: a "cache" field (hit|miss|coalesced) plus an X-Cache header,
+// and a strong ETag derived from (dataset, version, options) that
+// clients may return via If-None-Match for a 304 without any mining.
+// Truncated results and failed runs are never cached and carry no ETag.
 //
 // # Operational hardening
 //
@@ -94,10 +89,10 @@
 // The server logs structured records via log/slog (one "request" record
 // per request with route, status, duration, and request ID) and exposes
 // a Prometheus registry at GET /v1/metrics: per-route request counters
-// and latency histograms (labelled by API version), in-flight and
-// backpressure gauges, cache hit/miss/coalesced/eviction counters with a
-// resident-bytes gauge, mining-run outcomes, and the miner's own
-// node/scan/P1–P4-pruning/work-stealing counters. The Retry-After hint
+// and latency histograms, in-flight and backpressure gauges, cache
+// hit/miss/coalesced/eviction counters with a resident-bytes gauge,
+// mining-run outcomes, and the miner's own node/scan/P1–P4-pruning/
+// work-stealing counters. The Retry-After hint
 // on 429 responses is derived from the observed mine-duration histogram.
 // See internal/server/metrics.go for the metric inventory.
 //
@@ -105,15 +100,18 @@
 //
 // Each stored dataset carries a size-balanced partition of its
 // sequences into disjoint shards (internal/shard), computed at mutation
-// time so shard IDs stay stable across mines. When a dataset holds at
-// least two shards, mine and rules requests fan out through the
-// scatter-gather coordinator: every shard runs the dense-index miner at
-// a relaxed partition-aware support bound, and the coordinator merges
-// per-shard supports exactly, so results — and therefore cache keys,
-// ETags, and response bytes — are identical to serial mining. The
-// -shards / -shard-min-seqs flags on cmd/tpmd (Config.Shards /
-// Config.ShardMinSeqs here) size the partition; tpmd_shard_* metrics
-// expose fan-outs, per-shard durations, and partition skew.
+// time so shard IDs stay stable across mines. Every mine — temporal,
+// coincidence, or rules, batch or job run — goes through one
+// shard.Coordinator over that partition. A single-shard partition mines
+// serially inside its one worker with the request's options unchanged.
+// With two or more shards the coordinator fans out: every shard runs
+// the dense-index miner at a relaxed partition-aware support bound, and
+// the coordinator merges per-shard supports exactly, so results — and
+// therefore cache keys, ETags, and response bytes — are identical to
+// serial mining. The -shards / -shard-min-seqs flags on cmd/tpmd
+// (Config.Shards / Config.ShardMinSeqs here) size the partition;
+// tpmd_shard_* metrics expose fan-outs, per-shard durations, and
+// partition skew.
 //
 // # Streaming and continuous jobs
 //
@@ -132,6 +130,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -215,7 +214,7 @@ type Config struct {
 	// GOMAXPROCS.
 	MaxParallel int
 
-	// CacheBudgetBytes caps the resident bytes of memoized mine/rules
+	// CacheBudgetBytes caps the resident bytes of memoized mine
 	// results. 0 means DefaultCacheBudgetBytes; a negative value
 	// disables result caching and single-flight deduplication entirely.
 	CacheBudgetBytes int64
@@ -239,11 +238,10 @@ type Config struct {
 	// first success restores read-write automatically. 0 means 1s.
 	RecoveryProbeInterval time.Duration
 
-	// Shards is the target number of mining shards per dataset. Datasets
-	// holding at least two shards route mine/rules requests through the
-	// scatter-gather coordinator (internal/shard); results, cache keys,
-	// and ETags are identical to unsharded mining. 0 means GOMAXPROCS;
-	// 1 disables sharding.
+	// Shards is the target number of mining shards per dataset. Mines of
+	// datasets holding at least two shards fan out across them
+	// (internal/shard); results, cache keys, and ETags are identical to
+	// unsharded mining. 0 means GOMAXPROCS; 1 disables sharding.
 	Shards int
 
 	// ShardMinSeqs floors the average sequences per shard, capping the
@@ -331,7 +329,7 @@ type Server struct {
 	logger *slog.Logger
 	cfg    Config
 
-	// results memoizes complete mine/rules responses and coalesces
+	// results memoizes complete mine responses and coalesces
 	// concurrent identical requests. nil when disabled by config.
 	results *cache.Cache
 
@@ -492,35 +490,27 @@ type RouteInfo struct {
 	Method  string `json:"method"`
 	Pattern string `json:"pattern"` // path under /v1
 	Summary string `json:"summary"`
-	// V1Only marks routes served only under /v1, with no legacy
-	// unversioned alias (everything added after the /v1 cut).
-	V1Only bool `json:"v1_only,omitempty"`
-	// Deprecated marks a route kept for compatibility; Successor names
-	// where new clients should go instead.
-	Deprecated bool   `json:"deprecated,omitempty"`
-	Successor  string `json:"successor,omitempty"`
 }
 
 var routeTable = []RouteInfo{
 	{Method: "GET", Pattern: "/healthz", Summary: "liveness probe (200 even while degraded)"},
 	{Method: "GET", Pattern: "/readyz", Summary: "readiness probe (503 while persistence is degraded)"},
 	{Method: "GET", Pattern: "/metrics", Summary: "Prometheus text exposition"},
-	{Method: "GET", Pattern: "/routes", Summary: "this machine-readable route table", V1Only: true},
+	{Method: "GET", Pattern: "/routes", Summary: "this machine-readable route table"},
 	{Method: "GET", Pattern: "/datasets", Summary: "list datasets with summaries"},
 	{Method: "PUT", Pattern: "/datasets/{name}", Summary: "create or replace a dataset (csv, lines, or json body)"},
 	{Method: "GET", Pattern: "/datasets/{name}", Summary: "dataset summary (ETag, 304)"},
 	{Method: "DELETE", Pattern: "/datasets/{name}", Summary: "delete a dataset"},
 	{Method: "POST", Pattern: "/datasets/{name}/append", Summary: "append sequences (same body formats as PUT)"},
-	{Method: "POST", Pattern: "/datasets/{name}/events", Summary: "stream NDJSON event intervals; batched into versioned appends", V1Only: true},
-	{Method: "GET", Pattern: "/datasets/{name}/shards", Summary: "shard layout: per-shard load, skew, assigned worker, push state", V1Only: true},
+	{Method: "POST", Pattern: "/datasets/{name}/events", Summary: "stream NDJSON event intervals; batched into versioned appends"},
+	{Method: "GET", Pattern: "/datasets/{name}/shards", Summary: "shard layout: per-shard load, skew, assigned worker, push state"},
 	{Method: "POST", Pattern: "/datasets/{name}/mine", Summary: "mine patterns; mode temporal, coincidence, or rules (ETag, 304)"},
-	{Method: "POST", Pattern: "/datasets/{name}/rules", Summary: "mine association rules", Deprecated: true, Successor: "POST /v1/datasets/{name}/mine"},
-	{Method: "POST", Pattern: "/jobs", Summary: "create a continuous-mining job", V1Only: true},
-	{Method: "GET", Pattern: "/jobs", Summary: "list jobs", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}", Summary: "job status", V1Only: true},
-	{Method: "DELETE", Pattern: "/jobs/{id}", Summary: "delete a job", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}/result", Summary: "latest job result (ETag, 304)", V1Only: true},
-	{Method: "GET", Pattern: "/jobs/{id}/events", Summary: "job delta stream (Server-Sent Events, Last-Event-ID resume)", V1Only: true},
+	{Method: "POST", Pattern: "/jobs", Summary: "create a continuous-mining job"},
+	{Method: "GET", Pattern: "/jobs", Summary: "list jobs"},
+	{Method: "GET", Pattern: "/jobs/{id}", Summary: "job status"},
+	{Method: "DELETE", Pattern: "/jobs/{id}", Summary: "delete a job"},
+	{Method: "GET", Pattern: "/jobs/{id}/result", Summary: "latest job result (ETag, 304)"},
+	{Method: "GET", Pattern: "/jobs/{id}/events", Summary: "job delta stream (Server-Sent Events, Last-Event-ID resume)"},
 }
 
 // Routes returns the canonical route list as "METHOD /v1/path" strings,
@@ -545,9 +535,8 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"routes": routeTable})
 }
 
-// Handler returns the route table — every route under /v1 plus (for
-// pre-/v1 routes) its legacy unversioned alias — wrapped in the
-// request-ID and panic-recovery middleware.
+// Handler returns the route table, every route under /v1, wrapped in
+// the request-ID, panic-recovery, and metrics middleware.
 func (s *Server) Handler() http.Handler {
 	handlers := map[string]http.HandlerFunc{
 		"GET /healthz":                 s.handleHealthz,
@@ -562,7 +551,6 @@ func (s *Server) Handler() http.Handler {
 		"POST /datasets/{name}/events": s.handleIngest,
 		"GET /datasets/{name}/shards":  s.handleShards,
 		"POST /datasets/{name}/mine":   s.handleMine,
-		"POST /datasets/{name}/rules":  s.handleRules,
 		"POST /jobs":                   s.handleJobCreate,
 		"GET /jobs":                    s.handleJobList,
 		"GET /jobs/{id}":               s.handleJobGet,
@@ -577,46 +565,23 @@ func (s *Server) Handler() http.Handler {
 		if !ok {
 			panic("server: route without handler: " + key)
 		}
-		v1h := h
-		if rt.Deprecated {
-			v1h = deprecatedRoute(h, rt.Successor)
-		}
-		mux.HandleFunc(rt.Method+" /v1"+rt.Pattern, v1h)
-		if !rt.V1Only {
-			mux.HandleFunc(key, deprecated(h))
-		}
+		mux.HandleFunc(rt.Method+" /v1"+rt.Pattern, labeled(rt.Pattern, h))
 	}
 	return s.middleware(mux)
 }
 
-// deprecated wraps a handler for a legacy unversioned alias: identical
-// behaviour plus a Deprecation header and a Link to the /v1 successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
+// labeled tags every request the mux routes to h with the route's
+// table pattern, the bounded-cardinality route label the middleware
+// records metrics and logs under. Requests the mux routes to no handler
+// (404, 405) keep the label "other".
+func labeled(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// deprecatedRoute wraps a route that is deprecated even on /v1 (the
-// rules route, superseded by mode=rules on the mine route): identical
-// behaviour plus the Deprecation header and a Link to the successor.
-func deprecatedRoute(h http.HandlerFunc, successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		if successor != "" {
-			if i := strings.IndexByte(successor, ' '); i >= 0 {
-				w.Header().Set("Link", "<"+successor[i+1:]+`>; rel="successor-version"`)
-			}
+		if sw, ok := w.(*statusWriter); ok {
+			sw.route = route
 		}
 		h(w, r)
 	}
 }
-
-// isV1 reports whether the request came in through a /v1 route (as
-// opposed to a legacy alias).
-func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 
 // ctxKey keys middleware values in the request context.
 type ctxKey int
@@ -643,7 +608,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-ID", id)
 		r = r.WithContext(context.WithValue(r.Context(), requestIDKey, id))
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, route: "other"}
 		start := time.Now()
 		s.met.inFlight.Inc()
 		defer func() {
@@ -664,17 +629,16 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			if status == 0 {
 				status = http.StatusOK
 			}
-			route := routeLabel(r)
-			api := apiLabel(r)
+			route := sw.route
 			dur := time.Since(start)
-			s.met.reqTotal.With(route, api, statusClass(status)).Inc()
-			s.met.reqDur.With(route, api).Observe(dur.Seconds())
-			s.met.reqBytes.With(route, api).Add(uint64(sw.bytes))
+			s.met.reqTotal.With(route, statusClass(status)).Inc()
+			s.met.reqDur.With(route).Observe(dur.Seconds())
+			s.met.reqBytes.With(route).Add(uint64(sw.bytes))
 			if status == http.StatusTooManyRequests {
 				s.met.throttled.Inc()
 			}
 			s.logger.Info("request",
-				"request_id", id, "method", r.Method, "route", route, "api", api,
+				"request_id", id, "method", r.Method, "route", route,
 				"path", r.URL.Path, "status", status,
 				"duration_ms", dur.Milliseconds(), "bytes", sw.bytes)
 		}()
@@ -695,7 +659,7 @@ type ErrorDetail struct {
 }
 
 // ErrorEnvelope is the body of every non-2xx JSON response, on every
-// route and API version.
+// route.
 type ErrorEnvelope struct {
 	Error     ErrorDetail `json:"error"`
 	RequestID string      `json:"request_id,omitempty"`
@@ -1284,18 +1248,12 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, err e
 
 // ----------------------------------------------------------- wire types
 
-// The request shapes of the mine family live in internal/api, shared
-// with the jobs subsystem; these aliases keep the server's exported
-// surface intact. MineRequest and RulesRequest are the same struct now —
-// one unified shape with an explicit "mode" field ("temporal",
-// "coincidence", or "rules"); the rules route is a deprecated alias for
-// mode=rules, and the legacy "type" field is accepted with a Deprecation
-// response header.
+// The request shape of the mine family lives in internal/api, shared
+// with the jobs subsystem: one struct with an explicit "mode" field
+// ("temporal", "coincidence", or "rules").
 type (
 	MiningOptions = api.MiningOptions
 	MineSpec      = api.MineSpec
-	MineRequest   = api.MineSpec
-	RulesRequest  = api.MineSpec
 )
 
 // MinedPattern is one result row of the mine endpoint.
@@ -1339,13 +1297,6 @@ type MineStats struct {
 	MaxQueueDepth int64 `json:"max_queue_depth,omitempty"`
 	// ElapsedMillis is the run's wall time in integer milliseconds.
 	ElapsedMillis int64 `json:"elapsed_ms"`
-	// Elapsed is the same duration as a Go duration string.
-	//
-	// Deprecated: the legacy "elapsed" key predates elapsed_ms and held
-	// a duration string under a name that suggested a millisecond
-	// integer. It is emitted only on the legacy unversioned routes; /v1
-	// responses omit it. Read elapsed_ms instead.
-	Elapsed string `json:"elapsed,omitempty"`
 	// Truncated marks a run cut short by a soft budget; TruncatedBy is
 	// "max_patterns" or "time_budget".
 	Truncated   bool   `json:"truncated,omitempty"`
@@ -1387,23 +1338,10 @@ func approxJSONSize(v any) int64 {
 	return int64(len(b))
 }
 
+// handleMine is the one handler behind the mine family: temporal,
+// coincidence, and rules mining, whole-dataset or windowed, cached and
+// coalesced identically.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	s.serveMineFamily(w, r, false)
-}
-
-// handleRules is the deprecated rules route: the same unified handler
-// with the mode defaulted (and pinned) to "rules", so old clients keep
-// working while new ones post mode=rules to the mine route.
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	s.serveMineFamily(w, r, true)
-}
-
-// serveMineFamily is the one handler behind the whole mine family:
-// batch temporal, coincidence, and rules mining, whole-dataset or
-// windowed, cached and coalesced identically. rulesRoute marks requests
-// that came in via the legacy rules route, whose bodies default to
-// rules mode and may not select any other.
-func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRoute bool) {
 	if !s.requireContentType(w, r, "application/json") {
 		return
 	}
@@ -1413,24 +1351,10 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if rulesRoute {
-		if spec.Mode == "" && spec.Type == "" {
-			spec.Mode = api.ModeRules
-		} else if spec.ResolvedMode() != api.ModeRules {
-			s.writeError(w, r, http.StatusBadRequest, &fieldError{"mode", fmt.Sprintf(
-				"mode %q posted to the rules route; use POST /v1/datasets/{name}/mine", spec.ResolvedMode())})
-			return
-		}
-	}
 	if err := spec.Validate(); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if spec.LegacyShape() {
-		// The old "type" field still works, but mode supersedes it.
-		w.Header().Set("Deprecation", "true")
-	}
-	mode := spec.ResolvedMode()
 	db, part, ver, ok := s.store.snapshot(name)
 	if !ok {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
@@ -1447,33 +1371,7 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-
-	wdb, wpart := s.windowed(db, part, spec.Window)
-	tgt := mineTarget{db: wdb, part: wpart, name: name, ver: ver, whole: wdb == db}
-	compute := func() (any, int64, bool, error) {
-		if mode == api.ModeRules {
-			out, err := s.runRules(r.Context(), tgt, spec)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			return out, approxJSONSize(out), true, nil
-		}
-		resp, complete, err := s.runMine(r.Context(), tgt, mode, spec)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return resp, approxJSONSize(resp), complete, nil
-	}
-	var (
-		v       any
-		outcome cache.Outcome
-		err     error
-	)
-	if s.results != nil {
-		v, outcome, err = s.results.Do(r.Context(), key, compute)
-	} else {
-		v, _, _, err = compute()
-	}
+	v, outcome, err := s.cachedMine(r.Context(), key, db, part, spec)
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
@@ -1482,20 +1380,41 @@ func (s *Server) serveMineFamily(w http.ResponseWriter, r *http.Request, rulesRo
 		w.Header().Set("X-Cache", string(outcome))
 	}
 
-	if mode == api.ModeRules {
+	if rs, ok := v.([]WireRule); ok {
 		w.Header().Set("ETag", etag)
-		s.writeJSON(w, http.StatusOK, v.([]WireRule))
+		s.writeJSON(w, http.StatusOK, rs)
 		return
 	}
 	resp := *(v.(*MineResponse)) // shallow copy; per-request fields below
 	resp.Cache = string(outcome)
-	if isV1(r) {
-		resp.Stats.Elapsed = "" // dropped from /v1 responses
-	}
 	if !resp.Stats.Truncated {
 		w.Header().Set("ETag", etag)
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// cachedMine runs spec over one dataset snapshot through the result
+// cache: it cuts the window, builds the mine target, and mines under
+// key in the single-flight cache.Do (or directly with caching
+// disabled). The mine handler and continuous job runs both call it, so
+// a job run and an identical batch mine share one cache entry and one
+// miner execution. The value is a *MineResponse, or []WireRule in rules
+// mode; outcome is "" with caching disabled.
+func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (any, cache.Outcome, error) {
+	wdb, wpart := s.windowed(db, part, spec.Window)
+	tgt := mineTarget{db: wdb, part: wpart, name: key.Dataset, ver: key.Version, whole: wdb == db}
+	compute := func() (any, int64, bool, error) {
+		out, complete, err := s.runMine(ctx, tgt, spec)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return out, approxJSONSize(out), complete, nil
+	}
+	if s.results == nil {
+		v, _, _, err := compute()
+		return v, "", err
+	}
+	return s.results.Do(ctx, key, compute)
 }
 
 // windowed applies a window spec to a dataset snapshot, returning the
@@ -1550,16 +1469,17 @@ type mineTarget struct {
 	whole bool
 }
 
-// mineCoordinator returns the scatter-gather coordinator for the
-// target when its partition holds at least two shards, nil otherwise
-// (serial mining). With a worker pool and a whole-dataset target the
-// shards go to remote workers (each wrapped in exact local failover);
-// either way the coordinator's merge reproduces the serial miner's
-// results exactly, so routing through it never changes a response,
-// cache entry, or ETag.
+// mineCoordinator returns the coordinator every mine of the target
+// runs through. A single-shard partition gets a one-worker coordinator,
+// which hands the request's options verbatim to the serial miner and
+// leaves the tpmd_shard_* metrics alone: only fan-outs report there.
+// With a worker pool and a whole-dataset target the shards go to remote
+// workers (each wrapped in exact local failover). Either way the merge
+// reproduces the serial miner's results exactly, so routing never
+// changes a response, cache entry, or ETag.
 func (s *Server) mineCoordinator(t mineTarget) *shard.Coordinator {
-	if t.part == nil || t.part.NumShards() < 2 {
-		return nil
+	if t.part.NumShards() < 2 {
+		return shard.NewLocal(t.db, t.part)
 	}
 	var co *shard.Coordinator
 	if s.pool != nil && t.whole {
@@ -1572,15 +1492,18 @@ func (s *Server) mineCoordinator(t mineTarget) *shard.Coordinator {
 }
 
 // runMine executes one mining job end to end: claim a slot (errMineBusy
-// when saturated), mine under the job context, record metrics. base is
-// the requester's context (HTTP request or continuous job). complete
+// when saturated), mine through the target's coordinator under the job
+// context, apply the closed/maximal filter, record metrics, and shape
+// the result for the spec's mode — pattern rows (*MineResponse) or
+// rules derived from the temporal patterns ([]WireRule). base is the
+// requester's context (HTTP request or continuous job). complete
 // reports whether the result is the full deterministic answer for
 // (dataset version, options) — truncated runs are not, and must never
 // be cached or carry an ETag.
-func (s *Server) runMine(base context.Context, tgt mineTarget, ptype string, req MineSpec) (resp *MineResponse, complete bool, err error) {
-	ctx, cancel := s.mineContext(base, req.TimeoutMillis)
+func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (out any, complete bool, err error) {
+	ctx, cancel := s.mineContext(base, spec.TimeoutMillis)
 	defer cancel()
-	release, err := s.acquireMineSlot(ctx, req.TimeoutMillis)
+	release, err := s.acquireMineSlot(ctx, spec.TimeoutMillis)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1589,73 +1512,64 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, ptype string, req
 		s.testMineHook()
 	}
 
-	mineStart := time.Now()
-	resp = &MineResponse{Dataset: tgt.name, Type: ptype}
-	db := tgt.db
-	co := s.mineCoordinator(tgt)
-	var st core.Stats
-	switch ptype {
-	case "temporal":
-		var rs []pattern.TemporalResult
-		switch {
-		case co != nil && req.TopK > 0:
-			rs, st, err = co.MineTemporalTopK(ctx, req.TopK, req.Options(s.cfg.MaxParallel))
-		case co != nil:
-			rs, st, err = co.MineTemporal(ctx, req.Options(s.cfg.MaxParallel))
-		case req.TopK > 0:
-			rs, st, err = core.MineTemporalTopKCtx(ctx, db, req.TopK, req.Options(s.cfg.MaxParallel))
-		default:
-			rs, st, err = core.MineTemporalCtx(ctx, db, req.Options(s.cfg.MaxParallel))
-		}
-		if err == nil {
-			switch req.Filter {
-			case "closed":
-				rs, err = core.FilterClosedCtx(ctx, rs)
-			case "maximal":
-				rs, err = core.FilterMaximalCtx(ctx, rs)
-			}
-		}
-		for _, pr := range rs {
-			resp.Patterns = append(resp.Patterns, MinedPattern{
-				Support:   pr.Support,
-				Pattern:   pr.Pattern.String(),
-				Relations: pr.Pattern.RelationSummary(),
-			})
-		}
-	case "coincidence":
-		var rs []pattern.CoincResult
-		switch {
-		case co != nil && req.TopK > 0:
-			rs, st, err = co.MineCoincidenceTopK(ctx, req.TopK, req.Options(s.cfg.MaxParallel))
-		case co != nil:
-			rs, st, err = co.MineCoincidence(ctx, req.Options(s.cfg.MaxParallel))
-		case req.TopK > 0:
-			rs, st, err = core.MineCoincidenceTopKCtx(ctx, db, req.TopK, req.Options(s.cfg.MaxParallel))
-		default:
-			rs, st, err = core.MineCoincidenceCtx(ctx, db, req.Options(s.cfg.MaxParallel))
-		}
-		if err == nil {
-			switch req.Filter {
-			case "closed":
-				rs, err = core.FilterClosedCoincCtx(ctx, rs)
-			case "maximal":
-				rs, err = core.FilterMaximalCoincCtx(ctx, rs)
-			}
-		}
-		for _, pr := range rs {
-			resp.Patterns = append(resp.Patterns, MinedPattern{
-				Support: pr.Support,
-				Pattern: pr.Pattern.String(),
-			})
-		}
+	mode := cmp.Or(spec.Mode, api.ModeTemporal)
+	kind := shard.KindTemporal // rules are derived from temporal patterns
+	if mode == api.ModeCoincidence {
+		kind = shard.KindCoincidence
 	}
-	s.recordMineRun(ptype, st, time.Since(mineStart), err)
+	mineStart := time.Now()
+	res, err := s.mineCoordinator(tgt).Mine(ctx, kind, spec.TopK, spec.Options(s.cfg.MaxParallel))
+	var st core.Stats
+	if err == nil {
+		st = res.Stats
+		err = filterResults(ctx, res, kind, spec.Filter)
+	}
+	s.recordMineRun(mode, st, time.Since(mineStart), err)
 	if err != nil {
 		return nil, false, err
+	}
+
+	if mode == api.ModeRules {
+		rs, err := deriveRules(res.Temporal, tgt.db, spec)
+		if err != nil {
+			return nil, false, err
+		}
+		return rs, true, nil
+	}
+	resp := &MineResponse{Dataset: tgt.name, Type: mode}
+	for _, pr := range res.Temporal {
+		resp.Patterns = append(resp.Patterns, MinedPattern{
+			Support:   pr.Support,
+			Pattern:   pr.Pattern.String(),
+			Relations: pr.Pattern.RelationSummary(),
+		})
+	}
+	for _, pr := range res.Coinc {
+		resp.Patterns = append(resp.Patterns, MinedPattern{
+			Support: pr.Support,
+			Pattern: pr.Pattern.String(),
+		})
 	}
 	resp.Count = len(resp.Patterns)
 	resp.Stats = wireStats(st)
 	return resp, !st.Truncated, nil
+}
+
+// filterResults applies the request's closed or maximal post-filter to
+// a mined response of the given kind in place; the empty filter keeps
+// everything.
+func filterResults(ctx context.Context, res *shard.MineShardResponse, kind shard.Kind, filter string) (err error) {
+	switch {
+	case filter == "closed" && kind == shard.KindTemporal:
+		res.Temporal, err = core.FilterClosedCtx(ctx, res.Temporal)
+	case filter == "maximal" && kind == shard.KindTemporal:
+		res.Temporal, err = core.FilterMaximalCtx(ctx, res.Temporal)
+	case filter == "closed":
+		res.Coinc, err = core.FilterClosedCoincCtx(ctx, res.Coinc)
+	case filter == "maximal":
+		res.Coinc, err = core.FilterMaximalCoincCtx(ctx, res.Coinc)
+	}
+	return err
 }
 
 // WireRule is one derived rule on the wire.
@@ -1668,39 +1582,12 @@ type WireRule struct {
 	Lift       float64 `json:"lift"`
 }
 
-// runRules executes one rules job: mine temporal patterns under a slot
-// and the job context, then derive scored rules.
-func (s *Server) runRules(base context.Context, tgt mineTarget, req MineSpec) ([]WireRule, error) {
-	ctx, cancel := s.mineContext(base, req.TimeoutMillis)
-	defer cancel()
-	release, err := s.acquireMineSlot(ctx, req.TimeoutMillis)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-
-	opt := core.Options{
-		MinSupport:   req.MinSupport,
-		MinCount:     req.MinCount,
-		MaxIntervals: req.MaxIntervals,
-	}
-	mineStart := time.Now()
-	var (
-		rs []pattern.TemporalResult
-		st core.Stats
-	)
-	if co := s.mineCoordinator(tgt); co != nil {
-		rs, st, err = co.MineTemporal(ctx, opt)
-	} else {
-		rs, st, err = core.MineTemporalCtx(ctx, tgt.db, opt)
-	}
-	s.recordMineRun("rules", st, time.Since(mineStart), err)
-	if err != nil {
-		return nil, err
-	}
-	derived, err := rules.Derive(rs, tgt.db, rules.Options{
-		MinConfidence: req.MinConfidence,
-		MinLift:       req.MinLift,
+// deriveRules scores the association rules among mined temporal
+// patterns at the spec's confidence and lift thresholds.
+func deriveRules(rs []pattern.TemporalResult, db *interval.Database, spec MineSpec) ([]WireRule, error) {
+	derived, err := rules.Derive(rs, db, rules.Options{
+		MinConfidence: spec.MinConfidence,
+		MinLift:       spec.MinLift,
 	})
 	if err != nil {
 		return nil, err
@@ -1749,7 +1636,6 @@ func wireStats(st core.Stats) MineStats {
 		StealsTaken:    st.StealsTaken,
 		MaxQueueDepth:  st.MaxQueueDepth,
 		ElapsedMillis:  st.Elapsed.Milliseconds(),
-		Elapsed:        st.Elapsed.String(),
 		Truncated:      st.Truncated,
 		TruncatedBy:    st.TruncatedBy,
 	}

@@ -51,7 +51,7 @@ func do(t *testing.T, method, url, contentType, body string) (*http.Response, st
 
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := do(t, "GET", ts.URL+"/healthz", "", "")
+	resp, body := do(t, "GET", ts.URL+"/v1/healthz", "", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("healthz: %d %q", resp.StatusCode, body)
 	}
@@ -61,7 +61,7 @@ func TestDatasetLifecycle(t *testing.T) {
 	ts := newTestServer(t)
 
 	// Create.
-	resp, body := do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	resp, body := do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %q", resp.StatusCode, body)
 	}
@@ -74,35 +74,35 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 
 	// Replace returns 200.
-	resp, _ = do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	resp, _ = do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("replace: %d", resp.StatusCode)
 	}
 
 	// Get.
-	resp, body = do(t, "GET", ts.URL+"/datasets/demo", "", "")
+	resp, body = do(t, "GET", ts.URL+"/v1/datasets/demo", "", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"sequences":3`) {
 		t.Errorf("get: %d %q", resp.StatusCode, body)
 	}
 
 	// List.
-	resp, body = do(t, "GET", ts.URL+"/datasets", "", "")
+	resp, body = do(t, "GET", ts.URL+"/v1/datasets", "", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"name":"demo"`) {
 		t.Errorf("list: %d %q", resp.StatusCode, body)
 	}
 
 	// Append (line format).
-	resp, body = do(t, "POST", ts.URL+"/datasets/demo/append", "text/plain", "s4: A[0,4] B[2,6]\n")
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/demo/append", "text/plain", "s4: A[0,4] B[2,6]\n")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"sequences":4`) {
 		t.Errorf("append: %d %q", resp.StatusCode, body)
 	}
 
 	// Delete.
-	resp, _ = do(t, "DELETE", ts.URL+"/datasets/demo", "", "")
+	resp, _ = do(t, "DELETE", ts.URL+"/v1/datasets/demo", "", "")
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("delete: %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "GET", ts.URL+"/datasets/demo", "", "")
+	resp, _ = do(t, "GET", ts.URL+"/v1/datasets/demo", "", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("get after delete: %d", resp.StatusCode)
 	}
@@ -110,9 +110,9 @@ func TestDatasetLifecycle(t *testing.T) {
 
 func TestMineTemporalEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine: %d %q", resp.StatusCode, body)
@@ -140,17 +140,17 @@ func TestMineTemporalEndpoint(t *testing.T) {
 
 func TestMineVariants(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	// Coincidence.
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
-		`{"type":"coincidence","min_count":2}`)
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
+		`{"mode":"coincidence","min_count":2}`)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "{A B}") {
 		t.Errorf("coincidence: %d %q", resp.StatusCode, body)
 	}
 
 	// Top-k.
-	resp, body = do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"top_k":2}`)
 	var mr MineResponse
 	if err := json.Unmarshal([]byte(body), &mr); err != nil {
@@ -161,7 +161,7 @@ func TestMineVariants(t *testing.T) {
 	}
 
 	// Maximal filter removes subsumed single intervals.
-	resp, body = do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body = do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"filter":"maximal"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("maximal: %d %q", resp.StatusCode, body)
@@ -178,9 +178,9 @@ func TestMineParallelField(t *testing.T) {
 	srv := NewWithConfig(nil, Config{MaxConcurrentMines: 32, MaxParallel: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	_, serialBody := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	_, serialBody := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2}`)
 	var serial MineResponse
 	if err := json.Unmarshal([]byte(serialBody), &serial); err != nil {
@@ -190,7 +190,7 @@ func TestMineParallelField(t *testing.T) {
 		`{"min_count":2,"parallel":2}`,
 		`{"min_count":2,"parallel":64}`, // above the ceiling: capped, not rejected
 	} {
-		resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json", req)
+		resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("parallel mine %s: %d %q", req, resp.StatusCode, body)
 		}
@@ -204,7 +204,7 @@ func TestMineParallelField(t *testing.T) {
 	}
 
 	// Negative worker counts are invalid options.
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json",
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
 		`{"min_count":2,"parallel":-1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative parallel: %d %q", resp.StatusCode, body)
@@ -218,7 +218,7 @@ func TestMineRequestParallelCap(t *testing.T) {
 		{0, 4, 0}, {3, 4, 3}, {4, 4, 4}, {9, 4, 4},
 	}
 	for _, c := range cases {
-		opt := MineRequest{MiningOptions: MiningOptions{MinCount: 1}, Parallel: c.req}.Options(c.ceil)
+		opt := MineSpec{MiningOptions: MiningOptions{MinCount: 1}, Parallel: c.req}.Options(c.ceil)
 		if opt.Parallel != c.want {
 			t.Errorf("options(%d) with ceiling %d: Parallel = %d, want %d", c.req, c.ceil, opt.Parallel, c.want)
 		}
@@ -227,10 +227,10 @@ func TestMineRequestParallelCap(t *testing.T) {
 
 func TestRulesEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
-	resp, body := do(t, "POST", ts.URL+"/datasets/demo/rules", "application/json",
-		`{"min_count":2,"min_confidence":0.5}`)
+	resp, body := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
+		`{"mode":"rules","min_count":2,"min_confidence":0.5}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rules: %d %q", resp.StatusCode, body)
 	}
@@ -250,7 +250,7 @@ func TestRulesEndpoint(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	cases := []struct {
 		name         string
@@ -258,16 +258,16 @@ func TestErrorPaths(t *testing.T) {
 		ctype, body  string
 		wantStatus   int
 	}{
-		{"mine missing dataset", "POST", "/datasets/nope/mine", "application/json", `{"min_count":1}`, 404},
-		{"append missing dataset", "POST", "/datasets/nope/append", "text/plain", "A[1,2]\n", 404},
-		{"delete missing dataset", "DELETE", "/datasets/nope", "", "", 404},
-		{"bad upload format", "PUT", "/datasets/x", "application/xml", "<x/>", 415},
-		{"bad csv", "PUT", "/datasets/x", "text/csv", "a,b\n", 400},
-		{"mine no threshold", "POST", "/datasets/demo/mine", "application/json", `{}`, 400},
-		{"mine bad type", "POST", "/datasets/demo/mine", "application/json", `{"type":"x","min_count":1}`, 400},
-		{"mine bad filter", "POST", "/datasets/demo/mine", "application/json", `{"min_count":1,"filter":"x"}`, 400},
-		{"mine unknown field", "POST", "/datasets/demo/mine", "application/json", `{"bogus":1}`, 400},
-		{"rules bad confidence", "POST", "/datasets/demo/rules", "application/json", `{"min_count":1,"min_confidence":3}`, 400},
+		{"mine missing dataset", "POST", "/v1/datasets/nope/mine", "application/json", `{"min_count":1}`, 404},
+		{"append missing dataset", "POST", "/v1/datasets/nope/append", "text/plain", "A[1,2]\n", 404},
+		{"delete missing dataset", "DELETE", "/v1/datasets/nope", "", "", 404},
+		{"bad upload format", "PUT", "/v1/datasets/x", "application/xml", "<x/>", 415},
+		{"bad csv", "PUT", "/v1/datasets/x", "text/csv", "a,b\n", 400},
+		{"mine no threshold", "POST", "/v1/datasets/demo/mine", "application/json", `{}`, 400},
+		{"mine bad mode", "POST", "/v1/datasets/demo/mine", "application/json", `{"mode":"x","min_count":1}`, 400},
+		{"mine bad filter", "POST", "/v1/datasets/demo/mine", "application/json", `{"min_count":1,"filter":"x"}`, 400},
+		{"mine unknown field", "POST", "/v1/datasets/demo/mine", "application/json", `{"bogus":1}`, 400},
+		{"rules bad confidence", "POST", "/v1/datasets/demo/mine", "application/json", `{"mode":"rules","min_count":1,"min_confidence":3}`, 400},
 	}
 	for _, c := range cases {
 		resp, body := do(t, c.method, ts.URL+c.path, c.ctype, c.body)
@@ -282,12 +282,12 @@ func TestErrorPaths(t *testing.T) {
 
 func TestConcurrentMineAndAppend(t *testing.T) {
 	ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/datasets/demo", "text/csv", csvBody)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	done := make(chan error, 20)
 	for i := 0; i < 10; i++ {
 		go func() {
-			resp, _ := do(t, "POST", ts.URL+"/datasets/demo/mine", "application/json", `{"min_count":1}`)
+			resp, _ := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json", `{"min_count":1}`)
 			if resp.StatusCode != http.StatusOK {
 				done <- fmt.Errorf("mine status %d", resp.StatusCode)
 				return
@@ -295,7 +295,7 @@ func TestConcurrentMineAndAppend(t *testing.T) {
 			done <- nil
 		}()
 		go func(i int) {
-			resp, _ := do(t, "POST", ts.URL+"/datasets/demo/append", "text/plain",
+			resp, _ := do(t, "POST", ts.URL+"/v1/datasets/demo/append", "text/plain",
 				fmt.Sprintf("x%d: A[0,4]\n", i))
 			if resp.StatusCode != http.StatusOK {
 				done <- fmt.Errorf("append status %d", resp.StatusCode)

@@ -57,9 +57,21 @@ func TestShardedMineMatchesUnsharded(t *testing.T) {
 		{"/v1/datasets/d/mine", `{"min_count":2,"max_span":20,"max_gap":10}`},
 		{"/v1/datasets/d/mine", `{"min_count":2,"top_k":10}`},
 		{"/v1/datasets/d/mine", `{"min_count":3,"filter":"closed"}`},
-		{"/v1/datasets/d/mine", `{"type":"coincidence","min_count":3}`},
-		{"/v1/datasets/d/mine", `{"type":"coincidence","min_count":2,"top_k":8}`},
-		{"/v1/datasets/d/rules", `{"min_count":3,"min_confidence":0.5}`},
+		{"/v1/datasets/d/mine", `{"min_count":3,"filter":"maximal"}`},
+		{"/v1/datasets/d/mine", `{"min_count":2,"top_k":10,"filter":"closed"}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":3}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":3,"filter":"closed"}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":3,"filter":"maximal"}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":2,"top_k":8}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":2,"top_k":8,"filter":"maximal"}`},
+		{"/v1/datasets/d/mine", `{"mode":"rules","min_count":3,"min_confidence":0.5}`},
+		{"/v1/datasets/d/mine", `{"mode":"rules","min_count":2,"min_confidence":0.3}`},
+		{"/v1/datasets/d/mine", `{"min_count":2,"window":{"kind":"sliding","count":30}}`},
+		{"/v1/datasets/d/mine", `{"min_count":2,"window":{"kind":"tumbling","count":20}}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":2,"window":{"kind":"sliding","count":30}}`},
+		{"/v1/datasets/d/mine", `{"mode":"coincidence","min_count":2,"window":{"kind":"tumbling","count":20}}`},
+		{"/v1/datasets/d/mine", `{"mode":"rules","min_count":2,"min_confidence":0.3,"window":{"kind":"sliding","count":30}}`},
+		{"/v1/datasets/d/mine", `{"mode":"rules","min_count":2,"min_confidence":0.3,"window":{"kind":"tumbling","count":20}}`},
 	}
 	for _, rq := range requests {
 		respA, bodyA := do(t, "POST", tsSerial.URL+rq.path, "application/json", rq.body)
@@ -71,7 +83,7 @@ func TestShardedMineMatchesUnsharded(t *testing.T) {
 		if a, b := respA.Header.Get("ETag"), respB.Header.Get("ETag"); a == "" || a != b {
 			t.Errorf("%s %s: ETag mismatch: serial %q, sharded %q", rq.path, rq.body, a, b)
 		}
-		if strings.HasSuffix(rq.path, "/rules") {
+		if strings.Contains(rq.body, `"mode":"rules"`) {
 			if bodyA != bodyB {
 				t.Errorf("%s %s: rules bodies differ:\nserial:  %s\nsharded: %s", rq.path, rq.body, bodyA, bodyB)
 			}

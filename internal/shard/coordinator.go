@@ -153,39 +153,6 @@ func (c *Coordinator) fanOut(ctx context.Context, f func(ctx context.Context, i 
 	return first
 }
 
-// mineAll fans one mine request out to every shard at the given local
-// bounds and folds the per-shard stats into agg.
-func (c *Coordinator) mineAll(ctx context.Context, kind Kind, topK, minCount int, opt core.Options, agg *core.Stats) ([]*MineShardResponse, error) {
-	if c.Met != nil {
-		c.Met.FanOut(len(c.Workers))
-	}
-	resps := make([]*MineShardResponse, len(c.Workers))
-	err := c.fanOut(ctx, func(ctx context.Context, i int) error {
-		t0 := time.Now()
-		resp, err := c.Workers[i].Mine(ctx, &MineShardRequest{
-			Shard: i,
-			Kind:  kind,
-			TopK:  topK,
-			Opt:   c.shardOpt(opt, kind, LocalBound(minCount, c.Sizes[i], c.totalSeqs())),
-		})
-		if c.Met != nil {
-			c.Met.ShardDone(i, time.Since(t0))
-		}
-		if err != nil {
-			return err
-		}
-		resps[i] = resp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range resps {
-		foldStats(agg, r.Stats)
-	}
-	return resps, nil
-}
-
 // foldStats accumulates one shard's search counters into the aggregate.
 // Sequences and MinCount stay global (set by the caller); Truncated
 // propagates because a truncated shard makes the merged result
@@ -209,137 +176,142 @@ func foldStats(agg *core.Stats, s core.Stats) {
 	}
 }
 
-// tAcc accumulates one raw temporal pattern's global support.
-type tAcc struct {
-	pat   pattern.Temporal
+// keyed is the pattern types the merge handles: it tallies supports by
+// pattern key.
+type keyed interface{ Key() string }
+
+// family is what the merge needs to know about one pattern kind. The
+// scatter, the support tally, the count round, and the top-k threshold
+// are the same for both kinds; only these three steps differ.
+type family[P keyed] struct {
+	kind Kind
+	// each calls f with every pattern and support a shard reported.
+	each func(r *MineShardResponse, f func(P, int))
+	// count asks one shard for the supports of patterns it did not report,
+	// under the request's span and gap constraints.
+	count func(shard int, ps []P, opt core.Options) *CountRequest
+	// sorted builds the merged response in the serial miner's order.
+	sorted func(ts []*tally[P], opt core.Options) *MineShardResponse
+}
+
+var temporalFamily = family[pattern.Temporal]{
+	kind: KindTemporal,
+	each: func(r *MineShardResponse, f func(pattern.Temporal, int)) {
+		for _, x := range r.Temporal {
+			f(x.Pattern, x.Support)
+		}
+	},
+	count: func(shard int, ps []pattern.Temporal, opt core.Options) *CountRequest {
+		return &CountRequest{Shard: shard, Kind: KindTemporal, Temporal: ps, MaxSpan: opt.MaxSpan, MaxGap: opt.MaxGap}
+	},
+	// Shards report raw occurrence-labeled patterns so supports add up;
+	// normalization, which max-merges duplicates, happens once, here.
+	sorted: func(ts []*tally[pattern.Temporal], opt core.Options) *MineShardResponse {
+		rs := make([]pattern.TemporalResult, len(ts))
+		for i, t := range ts {
+			rs[i] = pattern.TemporalResult{Pattern: t.pat, Support: t.total}
+		}
+		if opt.KeepOccurrences {
+			pattern.SortTemporalResults(rs)
+		} else {
+			rs = pattern.NormalizeTemporalResults(rs)
+		}
+		return &MineShardResponse{Temporal: rs}
+	},
+}
+
+var coincFamily = family[pattern.Coinc]{
+	kind: KindCoincidence,
+	each: func(r *MineShardResponse, f func(pattern.Coinc, int)) {
+		for _, x := range r.Coinc {
+			f(x.Pattern, x.Support)
+		}
+	},
+	count: func(shard int, ps []pattern.Coinc, _ core.Options) *CountRequest {
+		return &CountRequest{Shard: shard, Kind: KindCoincidence, Coinc: ps}
+	},
+	sorted: func(ts []*tally[pattern.Coinc], _ core.Options) *MineShardResponse {
+		rs := make([]pattern.CoincResult, len(ts))
+		for i, t := range ts {
+			rs[i] = pattern.CoincResult{Pattern: t.pat, Support: t.total}
+		}
+		pattern.SortCoincResults(rs)
+		return &MineShardResponse{Coinc: rs}
+	},
+}
+
+// tally accumulates one pattern's global support across shards.
+type tally[P any] struct {
+	pat   P
 	total int
 	seen  []bool // which shards reported it
 }
 
-// mergeTemporal merges per-shard raw results: sum reported supports,
-// fetch exact supports from the shards that stayed below their local
-// bound (support completion), and keep patterns whose global support
-// reaches minCount. Returned results are raw and unsorted; counted is
-// the number of completion counts issued.
-func (c *Coordinator) mergeTemporal(ctx context.Context, resps []*MineShardResponse, opt core.Options, minCount int) ([]pattern.TemporalResult, int, error) {
+// round is one scatter-gather pass: every shard mines at the local bound
+// derived from bound (its local top-k when topK > 0), the coordinator
+// sums the reported supports, fetches exact supports from the shards
+// that stayed below their local bound (support completion), and keeps
+// the patterns whose global support reaches keep. Tallies come back
+// unsorted, in first-report order; counted is the number of completion
+// counts issued. Per-shard stats are folded into agg.
+func round[P keyed](ctx context.Context, c *Coordinator, f family[P], topK, bound, keep int, opt core.Options, agg *core.Stats) (kept []*tally[P], counted int, err error) {
+	if c.Met != nil {
+		c.Met.FanOut(len(c.Workers))
+	}
 	k := len(c.Workers)
-	accs := make(map[string]*tAcc)
-	var order []string
-	for i, resp := range resps {
-		for _, r := range resp.Temporal {
-			key := r.Pattern.Key()
-			a := accs[key]
-			if a == nil {
-				a = &tAcc{pat: r.Pattern, seen: make([]bool, k)}
-				accs[key] = a
-				order = append(order, key)
-			}
-			a.total += r.Support
-			a.seen[i] = true
-		}
-	}
-
-	missing := make([][]pattern.Temporal, k)
-	missingAcc := make([][]*tAcc, k)
-	counted := 0
-	for _, key := range order {
-		a := accs[key]
-		for i := 0; i < k; i++ {
-			if !a.seen[i] {
-				missing[i] = append(missing[i], a.pat)
-				missingAcc[i] = append(missingAcc[i], a)
-				counted++
-			}
-		}
-	}
-	counts := make([][]int, k)
-	err := c.fanOut(ctx, func(ctx context.Context, i int) error {
-		if len(missing[i]) == 0 {
-			return nil
-		}
-		resp, err := c.Workers[i].Count(ctx, &CountRequest{
-			Shard:    i,
-			Kind:     KindTemporal,
-			Temporal: missing[i],
-			MaxSpan:  opt.MaxSpan,
-			MaxGap:   opt.MaxGap,
-		})
-		if err != nil {
-			return err
-		}
-		if len(resp.Supports) != len(missing[i]) {
-			return fmt.Errorf("count returned %d supports for %d patterns", len(resp.Supports), len(missing[i]))
-		}
-		counts[i] = resp.Supports
-		return nil
-	})
-	if err != nil {
-		return nil, counted, err
-	}
-	for i := 0; i < k; i++ {
-		for j, s := range counts[i] {
-			missingAcc[i][j].total += s
-		}
-	}
-
-	out := make([]pattern.TemporalResult, 0, len(order))
-	for _, key := range order {
-		if a := accs[key]; a.total >= minCount {
-			out = append(out, pattern.TemporalResult{Pattern: a.pat, Support: a.total})
-		}
-	}
-	return out, counted, nil
-}
-
-// cAcc accumulates one coincidence pattern's global support.
-type cAcc struct {
-	pat   pattern.Coinc
-	total int
-	seen  []bool
-}
-
-// mergeCoinc is the coincidence analogue of mergeTemporal.
-func (c *Coordinator) mergeCoinc(ctx context.Context, resps []*MineShardResponse, minCount int) ([]pattern.CoincResult, int, error) {
-	k := len(c.Workers)
-	accs := make(map[string]*cAcc)
-	var order []string
-	for i, resp := range resps {
-		for _, r := range resp.Coinc {
-			key := r.Pattern.Key()
-			a := accs[key]
-			if a == nil {
-				a = &cAcc{pat: r.Pattern, seen: make([]bool, k)}
-				accs[key] = a
-				order = append(order, key)
-			}
-			a.total += r.Support
-			a.seen[i] = true
-		}
-	}
-
-	missing := make([][]pattern.Coinc, k)
-	missingAcc := make([][]*cAcc, k)
-	counted := 0
-	for _, key := range order {
-		a := accs[key]
-		for i := 0; i < k; i++ {
-			if !a.seen[i] {
-				missing[i] = append(missing[i], a.pat)
-				missingAcc[i] = append(missingAcc[i], a)
-				counted++
-			}
-		}
-	}
-	counts := make([][]int, k)
-	err := c.fanOut(ctx, func(ctx context.Context, i int) error {
-		if len(missing[i]) == 0 {
-			return nil
-		}
-		resp, err := c.Workers[i].Count(ctx, &CountRequest{
+	resps := make([]*MineShardResponse, k)
+	err = c.fanOut(ctx, func(ctx context.Context, i int) error {
+		t0 := time.Now()
+		resp, err := c.Workers[i].Mine(ctx, &MineShardRequest{
 			Shard: i,
-			Kind:  KindCoincidence,
-			Coinc: missing[i],
+			Kind:  f.kind,
+			TopK:  topK,
+			Opt:   c.shardOpt(opt, f.kind, LocalBound(bound, c.Sizes[i], c.totalSeqs())),
 		})
+		if c.Met != nil {
+			c.Met.ShardDone(i, time.Since(t0))
+		}
+		resps[i] = resp
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+
+	accs := make(map[string]*tally[P])
+	var order []*tally[P]
+	for i, resp := range resps {
+		foldStats(agg, resp.Stats)
+		f.each(resp, func(p P, sup int) {
+			key := p.Key()
+			a := accs[key]
+			if a == nil {
+				a = &tally[P]{pat: p, seen: make([]bool, k)}
+				accs[key] = a
+				order = append(order, a)
+			}
+			a.total += sup
+			a.seen[i] = true
+		})
+	}
+
+	missing := make([][]P, k)
+	missingAcc := make([][]*tally[P], k)
+	for _, a := range order {
+		for i := 0; i < k; i++ {
+			if !a.seen[i] {
+				missing[i] = append(missing[i], a.pat)
+				missingAcc[i] = append(missingAcc[i], a)
+				counted++
+			}
+		}
+	}
+	counts := make([][]int, k)
+	err = c.fanOut(ctx, func(ctx context.Context, i int) error {
+		if len(missing[i]) == 0 {
+			return nil
+		}
+		resp, err := c.Workers[i].Count(ctx, f.count(i, missing[i], opt))
 		if err != nil {
 			return err
 		}
@@ -352,23 +324,76 @@ func (c *Coordinator) mergeCoinc(ctx context.Context, resps []*MineShardResponse
 	if err != nil {
 		return nil, counted, err
 	}
+	// Summed after the join: one pattern may be missing on several shards.
 	for i := 0; i < k; i++ {
 		for j, s := range counts[i] {
 			missingAcc[i][j].total += s
 		}
 	}
 
-	out := make([]pattern.CoincResult, 0, len(order))
-	for _, key := range order {
-		if a := accs[key]; a.total >= minCount {
-			out = append(out, pattern.CoincResult{Pattern: a.pat, Support: a.total})
+	kept = order[:0]
+	for _, a := range order {
+		if a.total >= keep {
+			kept = append(kept, a)
 		}
 	}
-	return out, counted, nil
+	return kept, counted, nil
+}
+
+// mine is Mine for one pattern family over two or more shards. A plain
+// mine is one round at the global threshold. Top-k takes two rounds, in
+// the spirit of the TPUT threshold algorithm: round one takes each
+// shard's local top-k (at the floor's local bound), completes the
+// candidates' exact global supports, and derives a sound global
+// threshold τ — the candidate kth-best is a lower bound on the true
+// kth-best because every one of the true top-k patterns is some shard's
+// local top-k candidate or beaten by k candidates. Round two is a
+// complete mine at max(τ, floor), which the merge filters exactly; the
+// first k of the deterministic order is then the serial answer.
+func mine[P keyed](ctx context.Context, c *Coordinator, f family[P], topK int, opt core.Options) (*MineShardResponse, error) {
+	start := time.Now()
+	if topK > 0 && opt.MinCount == 0 && opt.MinSupport == 0 {
+		opt.MinCount = 1
+	}
+	n := c.totalSeqs()
+	floor, err := core.ResolveMinCount(opt, n)
+	if err != nil {
+		return nil, err
+	}
+	stats := core.Stats{Sequences: n, MinCount: floor}
+	threshold, counted := floor, 0
+	if topK > 0 {
+		cands, cnt, err := round(ctx, c, f, topK, floor, 1, opt, &stats)
+		if err != nil {
+			return nil, err
+		}
+		counted += cnt
+		// Candidates are ordered (for temporal, normalized) like the final
+		// result, so the kth-best stays a lower bound on the true one.
+		if cand := f.sorted(cands, opt); cand.size() >= topK {
+			threshold = max(threshold, cand.support(topK-1))
+		}
+	}
+	merged, cnt, err := round(ctx, c, f, 0, threshold, threshold, opt, &stats)
+	if err != nil {
+		return nil, err
+	}
+	counted += cnt
+	resp := f.sorted(merged, opt)
+	if topK > 0 {
+		resp.truncate(topK)
+	}
+	resp.truncate(capPatterns(resp.size(), opt.MaxPatterns, &stats))
+	if c.Met != nil {
+		c.Met.Merged(resp.size(), counted)
+	}
+	stats.Elapsed = time.Since(start)
+	resp.Stats = stats
+	return resp, nil
 }
 
 // capPatterns applies the global MaxPatterns cap to a sorted result
-// slice, mirroring the serial miner's truncation marker.
+// count, mirroring the serial miner's truncation marker.
 func capPatterns(n int, max int, stats *core.Stats) int {
 	if max > 0 && n > max {
 		stats.Truncated = true
@@ -396,245 +421,40 @@ func (c *Coordinator) soloMine(ctx context.Context, kind Kind, topK int, opt cor
 	}
 	if c.Met != nil {
 		c.Met.ShardDone(0, time.Since(start))
-		if kind == KindTemporal {
-			c.Met.Merged(len(resp.Temporal), 0)
-		} else {
-			c.Met.Merged(len(resp.Coinc), 0)
-		}
+		c.Met.Merged(resp.size(), 0)
 	}
 	return resp, nil
 }
 
-// MineTemporal mines temporal patterns across all shards. Output —
-// patterns, supports, ordering — is identical to core.MineTemporalCtx on
-// the unpartitioned database, unless a shard's TimeBudget ran out
-// (Stats.Truncated then reports the incomplete result, as serially).
+// Mine mines kind patterns across all shards — the topK best-supported
+// ones when topK > 0 — and returns them in the worker response shape.
+// Output — patterns, supports, ordering — is identical to the serial
+// miner (core.Mine{Temporal,Coincidence}[TopK]Ctx) on the unpartitioned
+// database, unless a shard's TimeBudget ran out (Stats.Truncated then
+// reports the incomplete result, as serially). Stats aggregate the
+// shards' search counters.
+func (c *Coordinator) Mine(ctx context.Context, kind Kind, topK int, opt core.Options) (*MineShardResponse, error) {
+	if topK < 0 {
+		return nil, fmt.Errorf("shard: top-k requires k >= 0, got %d", topK)
+	}
+	if len(c.Workers) == 1 {
+		return c.soloMine(ctx, kind, topK, opt)
+	}
+	switch kind {
+	case KindTemporal:
+		return mine(ctx, c, temporalFamily, topK, opt)
+	case KindCoincidence:
+		return mine(ctx, c, coincFamily, topK, opt)
+	}
+	return nil, fmt.Errorf("shard: unknown kind %q", kind)
+}
+
+// MineTemporal mines temporal patterns across all shards: Mine for
+// plain temporal mining, with the results unwrapped.
 func (c *Coordinator) MineTemporal(ctx context.Context, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
-	if len(c.Workers) == 1 {
-		resp, err := c.soloMine(ctx, KindTemporal, 0, opt)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		return resp.Temporal, resp.Stats, nil
-	}
-	start := time.Now()
-	n := c.totalSeqs()
-	minCount, err := core.ResolveMinCount(opt, n)
+	resp, err := c.Mine(ctx, KindTemporal, 0, opt)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	stats := core.Stats{Sequences: n, MinCount: minCount}
-	resps, err := c.mineAll(ctx, KindTemporal, 0, minCount, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	merged, counted, err := c.mergeTemporal(ctx, resps, opt, minCount)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	if !opt.KeepOccurrences {
-		merged = pattern.NormalizeTemporalResults(merged)
-	} else {
-		pattern.SortTemporalResults(merged)
-	}
-	merged = merged[:capPatterns(len(merged), opt.MaxPatterns, &stats)]
-	if c.Met != nil {
-		c.Met.Merged(len(merged), counted)
-	}
-	stats.Elapsed = time.Since(start)
-	return merged, stats, nil
-}
-
-// MineCoincidence mines coincidence patterns across all shards with the
-// same exactness contract as MineTemporal.
-func (c *Coordinator) MineCoincidence(ctx context.Context, opt core.Options) ([]pattern.CoincResult, core.Stats, error) {
-	if len(c.Workers) == 1 {
-		resp, err := c.soloMine(ctx, KindCoincidence, 0, opt)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		return resp.Coinc, resp.Stats, nil
-	}
-	start := time.Now()
-	n := c.totalSeqs()
-	minCount, err := core.ResolveMinCount(opt, n)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats := core.Stats{Sequences: n, MinCount: minCount}
-	resps, err := c.mineAll(ctx, KindCoincidence, 0, minCount, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	merged, counted, err := c.mergeCoinc(ctx, resps, minCount)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	pattern.SortCoincResults(merged)
-	merged = merged[:capPatterns(len(merged), opt.MaxPatterns, &stats)]
-	if c.Met != nil {
-		c.Met.Merged(len(merged), counted)
-	}
-	stats.Elapsed = time.Since(start)
-	return merged, stats, nil
-}
-
-// MineTemporalTopK mines the k best-supported temporal patterns across
-// all shards, identical to core.MineTemporalTopKCtx. Two phases, in the
-// spirit of the TPUT threshold algorithm: phase one takes each shard's
-// local top-k (at the floor's local bound), completes the candidates'
-// exact global supports, and derives a sound global threshold τ — the
-// candidate kth-best is a lower bound on the true kth-best because every
-// one of the true top-k patterns is some shard's local top-k candidate
-// or beaten by k candidates. Phase two is a complete mine at
-// max(τ, floor), which the merge filters exactly; the first k of the
-// deterministic order is then the serial answer.
-func (c *Coordinator) MineTemporalTopK(ctx context.Context, k int, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
-	start := time.Now()
-	if k <= 0 {
-		return nil, core.Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	if len(c.Workers) == 1 {
-		resp, err := c.soloMine(ctx, KindTemporal, k, opt)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		return resp.Temporal, resp.Stats, nil
-	}
-	if opt.MinCount == 0 && opt.MinSupport == 0 {
-		opt.MinCount = 1
-	}
-	n := c.totalSeqs()
-	floor, err := core.ResolveMinCount(opt, n)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats := core.Stats{Sequences: n, MinCount: floor}
-
-	respA, err := c.mineAll(ctx, KindTemporal, k, floor, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	candidates, countedA, err := c.mergeTemporal(ctx, respA, opt, 1)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	threshold := floor
-	if t := kthBestTemporal(candidates, k, opt.KeepOccurrences); t > threshold {
-		threshold = t
-	}
-
-	respB, err := c.mineAll(ctx, KindTemporal, 0, threshold, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	merged, countedB, err := c.mergeTemporal(ctx, respB, opt, threshold)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	if !opt.KeepOccurrences {
-		merged = pattern.NormalizeTemporalResults(merged)
-	} else {
-		pattern.SortTemporalResults(merged)
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	merged = merged[:capPatterns(len(merged), opt.MaxPatterns, &stats)]
-	if c.Met != nil {
-		c.Met.Merged(len(merged), countedA+countedB)
-	}
-	stats.Elapsed = time.Since(start)
-	return merged, stats, nil
-}
-
-// kthBestTemporal returns the kth-best exact support among the phase-one
-// candidates under the request's distinctness mode, or 0 when fewer than
-// k distinct candidates exist. Normalized supports are max-merged like
-// the final result, so the value stays a lower bound on the true
-// kth-best.
-func kthBestTemporal(candidates []pattern.TemporalResult, k int, keepOccurrences bool) int {
-	var rs []pattern.TemporalResult
-	if !keepOccurrences {
-		rs = pattern.NormalizeTemporalResults(candidates)
-	} else {
-		rs = append([]pattern.TemporalResult(nil), candidates...)
-		pattern.SortTemporalResults(rs)
-	}
-	if len(rs) < k {
-		return 0
-	}
-	return rs[k-1].Support
-}
-
-// MineCoincidenceTopK is the coincidence analogue of MineTemporalTopK.
-func (c *Coordinator) MineCoincidenceTopK(ctx context.Context, k int, opt core.Options) ([]pattern.CoincResult, core.Stats, error) {
-	start := time.Now()
-	if k <= 0 {
-		return nil, core.Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	if len(c.Workers) == 1 {
-		resp, err := c.soloMine(ctx, KindCoincidence, k, opt)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		return resp.Coinc, resp.Stats, nil
-	}
-	if opt.MinCount == 0 && opt.MinSupport == 0 {
-		opt.MinCount = 1
-	}
-	n := c.totalSeqs()
-	floor, err := core.ResolveMinCount(opt, n)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	stats := core.Stats{Sequences: n, MinCount: floor}
-
-	respA, err := c.mineAll(ctx, KindCoincidence, k, floor, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	candidates, countedA, err := c.mergeCoinc(ctx, respA, 1)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	threshold := floor
-	if len(candidates) >= k {
-		sorted := append([]pattern.CoincResult(nil), candidates...)
-		pattern.SortCoincResults(sorted)
-		if t := sorted[k-1].Support; t > threshold {
-			threshold = t
-		}
-	}
-
-	respB, err := c.mineAll(ctx, KindCoincidence, 0, threshold, opt, &stats)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	merged, countedB, err := c.mergeCoinc(ctx, respB, threshold)
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-	pattern.SortCoincResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	merged = merged[:capPatterns(len(merged), opt.MaxPatterns, &stats)]
-	if c.Met != nil {
-		c.Met.Merged(len(merged), countedA+countedB)
-	}
-	stats.Elapsed = time.Since(start)
-	return merged, stats, nil
+	return resp.Temporal, resp.Stats, nil
 }

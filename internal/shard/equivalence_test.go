@@ -45,9 +45,39 @@ func coordinatorFor(db *interval.Database, shards int) *shard.Coordinator {
 // heavily-loaded sequences).
 var shardCounts = []int{1, 2, 3, 8}
 
-// sameTemporal asserts exact equality including ordering — the issue
-// requires the sharded output to be byte-identical to the serial miner,
-// not merely set-equal.
+// kinds are the two pattern families every equivalence case covers.
+var kinds = []shard.Kind{shard.KindTemporal, shard.KindCoincidence}
+
+// serialMine is the reference for one kind × top-k case: the serial
+// miner on the unpartitioned database, in the coordinator's response
+// shape.
+func serialMine(db *interval.Database, kind shard.Kind, topK int, opt core.Options) (*shard.MineShardResponse, error) {
+	var (
+		r   shard.MineShardResponse
+		err error
+	)
+	switch {
+	case kind == shard.KindTemporal && topK > 0:
+		r.Temporal, _, err = core.MineTemporalTopK(db, topK, opt)
+	case kind == shard.KindTemporal:
+		r.Temporal, _, err = core.MineTemporal(db, opt)
+	case topK > 0:
+		r.Coinc, _, err = core.MineCoincidenceTopK(db, topK, opt)
+	default:
+		r.Coinc, _, err = core.MineCoincidence(db, opt)
+	}
+	return &r, err
+}
+
+// sameResponse asserts exact equality including ordering — the sharded
+// output must be byte-identical to the serial miner, not merely
+// set-equal.
+func sameResponse(t *testing.T, label string, got, want *shard.MineShardResponse) {
+	t.Helper()
+	sameTemporal(t, label+" temporal", got.Temporal, want.Temporal)
+	sameCoinc(t, label+" coincidence", got.Coinc, want.Coinc)
+}
+
 func sameTemporal(t *testing.T, label string, got, want []pattern.TemporalResult) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -75,10 +105,11 @@ func sameCoinc(t *testing.T, label string, got, want []pattern.CoincResult) {
 }
 
 // TestShardedMatchesSerial mirrors TestParallelMatchesSerial: for every
-// shard count the coordinator's output must be identical — patterns,
-// supports, and ordering — to the serial miner, in both raw and
-// normalized semantics and across threshold styles and span/gap/shape
-// constraints (the constraints exercise the support-completion matcher).
+// shard count — the one-shard short-circuit included — Coordinator.Mine
+// must be identical — patterns, supports, and ordering — to the serial
+// miner for both kinds, in both raw and normalized semantics and across
+// threshold styles and span/gap/shape constraints (the constraints
+// exercise the support-completion matcher).
 func TestShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	optionSets := []core.Options{
@@ -93,29 +124,19 @@ func TestShardedMatchesSerial(t *testing.T) {
 			for _, keepOcc := range []bool{true, false} {
 				serial := base
 				serial.KeepOccurrences = keepOcc
-				wantT, _, err := core.MineTemporal(db, serial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantC, _, err := core.MineCoincidence(db, serial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, shards := range shardCounts {
-					co := coordinatorFor(db, shards)
-					label := fmt.Sprintf("trial %d opts %d keepOcc=%v shards=%d", trial, oi, keepOcc, shards)
-
-					gotT, _, err := co.MineTemporal(context.Background(), serial)
+				for _, kind := range kinds {
+					want, err := serialMine(db, kind, 0, serial)
 					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+						t.Fatal(err)
 					}
-					sameTemporal(t, label+" temporal", gotT, wantT)
-
-					gotC, _, err := co.MineCoincidence(context.Background(), serial)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+					for _, shards := range shardCounts {
+						label := fmt.Sprintf("trial %d opts %d keepOcc=%v shards=%d %s", trial, oi, keepOcc, shards, kind)
+						got, err := coordinatorFor(db, shards).Mine(context.Background(), kind, 0, serial)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameResponse(t, label, got, want)
 					}
-					sameCoinc(t, label+" coincidence", gotC, wantC)
 				}
 			}
 		}
@@ -150,8 +171,9 @@ func TestShardedClosedMaximal(t *testing.T) {
 	}
 }
 
-// TestShardedTopKMatchesSerial: the two-phase sharded top-k must return
-// exactly the serial top-k result for every shard count and k.
+// TestShardedTopKMatchesSerial: the two-round sharded top-k must return
+// exactly the serial top-k result for both kinds, every shard count, and
+// every k.
 func TestShardedTopKMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 3; trial++ {
@@ -159,29 +181,19 @@ func TestShardedTopKMatchesSerial(t *testing.T) {
 		for _, k := range []int{1, 5, 25} {
 			for _, keepOcc := range []bool{true, false} {
 				serial := core.Options{MinCount: 2, KeepOccurrences: keepOcc}
-				wantT, _, err := core.MineTemporalTopK(db, k, serial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantC, _, err := core.MineCoincidenceTopK(db, k, serial)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, shards := range shardCounts {
-					co := coordinatorFor(db, shards)
-					label := fmt.Sprintf("trial %d k=%d keepOcc=%v shards=%d", trial, k, keepOcc, shards)
-
-					gotT, _, err := co.MineTemporalTopK(context.Background(), k, serial)
+				for _, kind := range kinds {
+					want, err := serialMine(db, kind, k, serial)
 					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+						t.Fatal(err)
 					}
-					sameTemporal(t, label+" temporal", gotT, wantT)
-
-					gotC, _, err := co.MineCoincidenceTopK(context.Background(), k, serial)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+					for _, shards := range shardCounts {
+						label := fmt.Sprintf("trial %d k=%d keepOcc=%v shards=%d %s", trial, k, keepOcc, shards, kind)
+						got, err := coordinatorFor(db, shards).Mine(context.Background(), kind, k, serial)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameResponse(t, label, got, want)
 					}
-					sameCoinc(t, label+" coincidence", gotC, wantC)
 				}
 			}
 		}

@@ -37,6 +37,28 @@ type MineShardResponse struct {
 	Stats    core.Stats
 }
 
+// size is the number of results the response carries (only one of
+// Temporal and Coinc is ever set).
+func (r *MineShardResponse) size() int { return len(r.Temporal) + len(r.Coinc) }
+
+// support is the support of result i.
+func (r *MineShardResponse) support(i int) int {
+	if r.Temporal != nil {
+		return r.Temporal[i].Support
+	}
+	return r.Coinc[i].Support
+}
+
+// truncate keeps at most the first n results.
+func (r *MineShardResponse) truncate(n int) {
+	if len(r.Temporal) > n {
+		r.Temporal = r.Temporal[:n]
+	}
+	if len(r.Coinc) > n {
+		r.Coinc = r.Coinc[:n]
+	}
+}
+
 // CountRequest asks a worker for the exact local support of patterns it
 // did not report (they fell below its relaxed local bound). MaxSpan and
 // MaxGap replicate the mining constraints so the counted support equals
