@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build vet test race lint contract recovery chaos stream dist verify bench bench-all profile
+.PHONY: build fmt vet test race lint contract recovery chaos stream dist perfbench verify bench bench-all profile
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every tracked Go file is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -69,15 +73,22 @@ dist:
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
 	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal' -count=1
 
-# The full pre-merge gate. vet and race cover every package, including
-# internal/obs and the instrumented server/scheduler paths; lint fails
-# on unchecked errors in the durability, server, and jobs layers;
-# contract keeps the README API table in lockstep with the served
-# routes; recovery re-runs the persist crash-recovery suite by name;
-# chaos re-rolls the randomized fault schedule with a fresh seed;
-# stream re-runs the streaming/SSE/job-durability suite by name; dist
-# re-runs the remote-worker/failover suite by name.
-verify: build vet lint race contract recovery chaos stream dist
+# perfbench is its own Go module that imports internal/ APIs, so the
+# root build never sees a change that breaks it; vet and test it here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The full pre-merge gate. fmt keeps every tracked Go file gofmt-clean;
+# vet and race cover every package, including internal/obs and the
+# instrumented server/scheduler paths; lint fails on unchecked errors in
+# the durability, server, and jobs layers; contract keeps the README API
+# table in lockstep with the served routes; recovery re-runs the persist
+# crash-recovery suite by name; chaos re-rolls the randomized fault
+# schedule with a fresh seed; stream re-runs the streaming/SSE/
+# job-durability suite by name; dist re-runs the remote-worker/failover
+# suite by name; perfbench vets and tests the benchmark module against
+# the current internal/ APIs.
+verify: build fmt vet lint race contract recovery chaos stream dist perfbench
 
 # Runs the Fig-1 workload (at GOMAXPROCS=1 and =NumCPU), the sharded
 # Fig-1a series, the remote-worker Fig-1a series over loopback HTTP,

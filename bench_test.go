@@ -384,7 +384,7 @@ func BenchmarkCoreMicro(b *testing.B) {
 	ixs := pattern.BuildIndexes(enc)
 	b.Run("SupportIndexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pattern.SupportIndexed(ixs, p)
+			pattern.SupportIndexed(ixs, p, 0, 0)
 		}
 	})
 }

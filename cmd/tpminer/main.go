@@ -146,9 +146,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			st core.Stats
 		)
 		if *topk > 0 {
-			if opt.MinCount == 0 && opt.MinSupport == 0 {
-				opt.MinCount = 1
-			}
 			rs, st, err = core.MineTemporalTopKCtx(ctx, db, *topk, opt)
 		} else {
 			rs, st, err = miner(db, opt)
@@ -206,9 +203,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			st core.Stats
 		)
 		if *topk > 0 {
-			if opt.MinCount == 0 && opt.MinSupport == 0 {
-				opt.MinCount = 1
-			}
 			rs, st, err = core.MineCoincidenceTopKCtx(ctx, db, *topk, opt)
 		} else {
 			rs, st, err = miner(db, opt)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"tpminer/internal/core"
@@ -68,6 +69,31 @@ func TestAllMinersRejectBadOptions(t *testing.T) {
 	}
 	if _, _, err := AprioriCoincidence(db, bad); err == nil {
 		t.Error("apriori coincidence accepted empty options")
+	}
+
+	// The comparators reject the span and gap bounds instead of silently
+	// mining without them, which on four copies of A[0,2] B[30,40] reports
+	// three patterns where the bounded core miner and the oracle report one.
+	far := []interval.Interval{{Symbol: "A", Start: 0, End: 2}, {Symbol: "B", Start: 30, End: 40}}
+	farDB := interval.NewDatabase(far, far, far, far)
+	for _, c := range []struct {
+		opt  core.Options
+		name string
+	}{
+		{core.Options{MinCount: 2, MaxSpan: 5, MaxGap: 3}, "MaxSpan"},
+		{core.Options{MinCount: 2, MaxGap: 3}, "MaxGap"},
+	} {
+		for miner, mine := range map[string]func(*interval.Database, core.Options) ([]pattern.TemporalResult, core.Stats, error){
+			"tprefixspan": TPrefixSpan,
+			"apriori":     AprioriTemporal,
+		} {
+			if _, _, err := mine(farDB, c.opt); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%s with %+v: err = %v, want an error naming %s", miner, c.opt, err, c.name)
+			}
+		}
+	}
+	if rs, _, err := BruteForceTemporal(farDB, core.Options{MinCount: 2, MaxSpan: 5, MaxGap: 3}); err != nil || len(rs) != 1 || rs[0].Pattern.String() != "A+ A-" {
+		t.Errorf("brute force under bounds: %v, %v; want only A+ A-", rs, err)
 	}
 }
 

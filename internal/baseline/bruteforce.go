@@ -19,9 +19,19 @@
 // All miners use the same occurrence-aligned containment semantics as
 // the core miner (see DESIGN.md), so their result sets are comparable
 // element-wise.
+//
+// Of the time bounds (core.Options MaxSpan and MaxGap, temporal mining
+// only), BruteForceTemporal honors both: it counts support with
+// pattern.Index.Contains, the matcher the shard count round and the
+// incremental miner use. TPrefixSpan and AprioriTemporal, the
+// evaluation's unconstrained comparators, reject either bound: their
+// candidate pruning assumes every sub-pattern of a frequent pattern is
+// frequent, which a gap bound breaks. The coincidence miners ignore the
+// bounds, as the core coincidence miner does.
 package baseline
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -35,9 +45,12 @@ import (
 // BruteForceTemporal enumerates every frequent complete temporal pattern
 // by canonical depth-first extension, counting support with full scans
 // of the endpoint-encoded database. Pruning options in opt are ignored;
-// size constraints (MaxElements, MaxIntervals, MaxItemsPerElement) and
-// KeepOccurrences are honoured. Intended as a test oracle on small
-// inputs.
+// size constraints (MaxElements, MaxIntervals, MaxItemsPerElement), the
+// span and gap bounds (MaxSpan, MaxGap) and KeepOccurrences are
+// honoured. Extending a pattern at its end never shrinks its span or
+// changes its earlier gaps, so a pattern below the threshold has no
+// frequent extension even under the bounds. Intended as a test oracle
+// on small inputs.
 func BruteForceTemporal(db *interval.Database, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
 	start := time.Now()
 	minCount, err := resolveMinCount(opt, db.Len())
@@ -151,7 +164,7 @@ func (e *bruteEnum) recurse(p pattern.Temporal) {
 }
 
 func (e *bruteEnum) try(q pattern.Temporal) {
-	sup := pattern.SupportIndexed(e.ixs, q)
+	sup := pattern.SupportIndexed(e.ixs, q, e.opt.MaxSpan, e.opt.MaxGap)
 	e.stats.CandidateScans += int64(len(e.ixs))
 	if sup < e.minCount {
 		return
@@ -183,6 +196,18 @@ func resolveMinCount(opt core.Options, n int) (int, error) {
 	// Delegate threshold semantics to the core package so every miner
 	// agrees on the absolute count.
 	return core.ResolveMinCount(opt, n)
+}
+
+// rejectTimeBounds fails, naming the option, when opt sets MaxSpan or
+// MaxGap, which the named comparator does not implement.
+func rejectTimeBounds(miner string, opt core.Options) error {
+	if opt.MaxSpan != 0 {
+		return fmt.Errorf("baseline: %s does not support MaxSpan", miner)
+	}
+	if opt.MaxGap != 0 {
+		return fmt.Errorf("baseline: %s does not support MaxGap", miner)
+	}
+	return nil
 }
 
 // BruteForceCoincidence is the coincidence-pattern oracle: canonical

@@ -25,11 +25,15 @@ import (
 //
 // Supported options: MinSupport/MinCount, MaxElements, MaxIntervals,
 // MaxItemsPerElement, KeepOccurrences. Pruning switches are ignored
-// (this algorithm has none of P1–P4 beyond its support threshold).
+// (this algorithm has none of P1–P4 beyond its support threshold);
+// MaxSpan and MaxGap are rejected (see the package doc).
 func TPrefixSpan(db *interval.Database, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
 	startT := time.Now()
 	minCount, err := resolveMinCount(opt, db.Len())
 	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	if err := rejectTimeBounds("TPrefixSpan", opt); err != nil {
 		return nil, core.Stats{}, err
 	}
 	enc, err := pattern.EncodeDatabase(db)
@@ -103,7 +107,7 @@ func (m *tpsMiner) recurse(p pattern.Temporal, tids []int) {
 			m.stats.CandidateScans += int64(len(tids))
 			var sup []int
 			for _, t := range tids {
-				if m.ixs[t].Contains(cand) {
+				if m.ixs[t].Contains(cand, 0, 0) {
 					sup = append(sup, t)
 				}
 			}

@@ -23,6 +23,12 @@ func MineCoincidence(db *interval.Database, opt Options) ([]pattern.CoincResult,
 // MineCoincidenceCtx is MineCoincidence with cooperative cancellation
 // and resource budgets; see MineTemporalCtx for the contract.
 func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.CoincResult, Stats, error) {
+	return mineCoincidence(ctx, db, 0, opt)
+}
+
+// mineCoincidence is the one coincidence mining routine behind
+// MineCoincidenceCtx and MineCoincidenceTopKCtx; see mineTemporal.
+func mineCoincidence(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
 	start := time.Now()
 	if err := opt.validate(); err != nil {
 		return nil, Stats{}, err
@@ -42,13 +48,15 @@ func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options)
 		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
 	}
 
+	tk := newTopKState(k, false)
 	var results []pattern.CoincResult
 	if opt.Parallel > 1 {
-		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, nil)
+		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, tk)
 	} else {
 		m := newCoincMiner(enc, opt, minCount, ctl)
+		m.topk = tk
 		m.mine(initialCoincProjection(enc), 0)
-		stats.add(m.stats)
+		stats.Add(m.stats)
 		results = m.results
 	}
 
@@ -59,9 +67,7 @@ func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options)
 	}
 
 	pattern.SortCoincResults(results)
-	if opt.MaxPatterns > 0 && len(results) > opt.MaxPatterns {
-		results = results[:opt.MaxPatterns]
-	}
+	results = capResults(results, k, opt.MaxPatterns)
 	stats.Elapsed = time.Since(start)
 	return results, stats, nil
 }
@@ -476,9 +482,10 @@ func mineCoincParallel(db *seqdb.CoincDB, opt Options, minCount int, stats *Stat
 
 	var out []pattern.CoincResult
 	for _, m := range miners {
-		stats.add(m.stats)
+		stats.Add(m.stats)
 		out = append(out, m.results...)
 	}
-	stats.addSched(s.counters())
+	spawned, steals, depth := s.counters()
+	stats.Add(Stats{JobsSpawned: spawned, StealsTaken: steals, MaxQueueDepth: depth})
 	return out
 }

@@ -49,26 +49,30 @@ func pruningConfigs(base core.Options) []core.Options {
 
 // TestTemporalMinerMatchesOracle cross-checks P-TPMiner against the
 // brute-force oracle on randomized databases, for every combination of
-// pruning switches, under raw occurrence-labelled semantics.
+// pruning switches, under raw occurrence-labelled semantics — without
+// time bounds and under span and gap bounds, which the oracle counts
+// through the same matcher as the shard count round.
 func TestTemporalMinerMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		db := randomDB(rng, 4+rng.Intn(5), 5, 3, 20)
 		minCount := 2
-		base := core.Options{MinCount: minCount, KeepOccurrences: true}
+		for _, bounds := range []core.Options{{}, {MaxSpan: 8}, {MaxGap: 4}, {MaxSpan: 12, MaxGap: 3}} {
+			base := core.Options{MinCount: minCount, KeepOccurrences: true, MaxSpan: bounds.MaxSpan, MaxGap: bounds.MaxGap}
 
-		want, _, err := baseline.BruteForceTemporal(db, base)
-		if err != nil {
-			t.Fatalf("trial %d: oracle: %v", trial, err)
-		}
-		for _, opt := range pruningConfigs(base) {
-			got, _, err := core.MineTemporal(db, opt)
+			want, _, err := baseline.BruteForceTemporal(db, base)
 			if err != nil {
-				t.Fatalf("trial %d: miner: %v", trial, err)
+				t.Fatalf("trial %d: oracle: %v", trial, err)
 			}
-			if !pattern.TemporalResultsEqual(got, want) {
-				t.Fatalf("trial %d (opts %+v): miner and oracle disagree:\nminer: %d patterns %v\noracle: %d patterns %v\ndb: %v",
-					trial, opt, len(got), got, len(want), want, db.Sequences)
+			for _, opt := range pruningConfigs(base) {
+				got, _, err := core.MineTemporal(db, opt)
+				if err != nil {
+					t.Fatalf("trial %d: miner: %v", trial, err)
+				}
+				if !pattern.TemporalResultsEqual(got, want) {
+					t.Fatalf("trial %d (opts %+v): miner and oracle disagree:\nminer: %d patterns %v\noracle: %d patterns %v\ndb: %v",
+						trial, opt, len(got), got, len(want), want, db.Sequences)
+				}
 			}
 		}
 	}

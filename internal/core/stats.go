@@ -45,21 +45,25 @@ type Stats struct {
 	TruncatedBy string
 }
 
-// add accumulates worker-local stats into s (used by the parallel miner).
-// Scheduler counters are run-global — they live on the shared queue, not
-// per worker — and are copied in once by addSched.
-func (s *Stats) add(w Stats) {
+// Add folds the search counters of one part of a run — a parallel
+// worker, a scheduler, or a shard of a sharded mine — into s. Sequences,
+// MinCount and Elapsed describe the whole run and are left to the caller;
+// MaxQueueDepth keeps the maximum; a truncated part marks s truncated
+// too, keeping the first reason, because the combined result is then
+// incomplete as well.
+func (s *Stats) Add(w Stats) {
+	s.ItemsRemoved += w.ItemsRemoved
 	s.Nodes += w.Nodes
 	s.Emitted += w.Emitted
 	s.CandidateScans += w.CandidateScans
 	s.PairPruned += w.PairPruned
 	s.PostfixPruned += w.PostfixPruned
 	s.SizePruned += w.SizePruned
-}
-
-// addSched copies a finished run's scheduler counters into s.
-func (s *Stats) addSched(spawned, steals, maxDepth int64) {
-	s.JobsSpawned = spawned
-	s.StealsTaken = steals
-	s.MaxQueueDepth = maxDepth
+	s.JobsSpawned += w.JobsSpawned
+	s.StealsTaken += w.StealsTaken
+	s.MaxQueueDepth = max(s.MaxQueueDepth, w.MaxQueueDepth)
+	if w.Truncated && !s.Truncated {
+		s.Truncated = true
+		s.TruncatedBy = w.TruncatedBy
+	}
 }

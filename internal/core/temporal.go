@@ -26,6 +26,15 @@ func MineTemporal(db *interval.Database, opt Options) ([]pattern.TemporalResult,
 // errors — they return the patterns found so far with Stats.Truncated
 // set.
 func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.TemporalResult, Stats, error) {
+	return mineTemporal(ctx, db, 0, opt)
+}
+
+// mineTemporal is the one temporal mining routine behind
+// MineTemporalCtx and MineTemporalTopKCtx: validate, encode, P1, serial
+// or parallel search, then normalize (or sort) and cap the results.
+// k > 0 mines the k best-supported patterns, raising the threshold as
+// the search finds them; k == 0 is a plain mine.
+func mineTemporal(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
 	start := time.Now()
 	if err := opt.validate(); err != nil {
 		return nil, Stats{}, err
@@ -45,13 +54,15 @@ func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([
 		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
 	}
 
+	tk := newTopKState(k, !opt.KeepOccurrences)
 	var results []pattern.TemporalResult
 	if opt.Parallel > 1 {
-		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, nil)
+		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, tk)
 	} else {
 		m := newTemporalMiner(enc, opt, minCount, ctl)
+		m.topk = tk
 		m.mine(initialTemporalProjection(enc), 0)
-		stats.add(m.stats)
+		stats.Add(m.stats)
 		results = m.results
 	}
 
@@ -66,9 +77,7 @@ func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([
 	} else {
 		pattern.SortTemporalResults(results)
 	}
-	if opt.MaxPatterns > 0 && len(results) > opt.MaxPatterns {
-		results = results[:opt.MaxPatterns]
-	}
+	results = capResults(results, k, opt.MaxPatterns)
 	stats.Elapsed = time.Since(start)
 	return results, stats, nil
 }
@@ -528,9 +537,10 @@ func mineTemporalParallel(db *seqdb.EndpointDB, opt Options, minCount int, stats
 
 	var out []pattern.TemporalResult
 	for _, m := range miners {
-		stats.add(m.stats)
+		stats.Add(m.stats)
 		out = append(out, m.results...)
 	}
-	stats.addSched(s.counters())
+	spawned, steals, depth := s.counters()
+	stats.Add(Stats{JobsSpawned: spawned, StealsTaken: steals, MaxQueueDepth: depth})
 	return out
 }

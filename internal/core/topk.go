@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
-	"tpminer/internal/seqdb"
 )
 
 // Top-k mining (extension beyond the two-page paper): instead of a fixed
@@ -36,59 +34,11 @@ func MineTemporalTopK(db *interval.Database, k int, opt Options) ([]pattern.Temp
 // MineTemporalTopKCtx is MineTemporalTopK with cooperative cancellation
 // and resource budgets; see MineTemporalCtx for the contract.
 func MineTemporalTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	start := time.Now()
-	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	if opt.MinCount == 0 && opt.MinSupport == 0 {
-		opt.MinCount = 1
-	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
+	opt, err := topKOptions(k, opt)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	enc, err := seqdb.EncodeEndpointDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount)
-	}
-
-	tk := newTopKState(k, !opt.KeepOccurrences)
-	var results []pattern.TemporalResult
-	if opt.Parallel > 1 {
-		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newTemporalMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialTemporalProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
-	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	if !opt.KeepOccurrences {
-		results = pattern.NormalizeTemporalResults(results)
-	} else {
-		pattern.SortTemporalResults(results)
-	}
-	if len(results) > k {
-		results = results[:k]
-	}
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return mineTemporal(ctx, db, k, opt)
 }
 
 // MineCoincidenceTopK returns the k best-supported coincidence patterns.
@@ -100,55 +50,38 @@ func MineCoincidenceTopK(db *interval.Database, k int, opt Options) ([]pattern.C
 // cancellation and resource budgets; see MineTemporalCtx for the
 // contract.
 func MineCoincidenceTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	start := time.Now()
+	opt, err := topKOptions(k, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return mineCoincidence(ctx, db, k, opt)
+}
+
+// topKOptions checks a top-k request's k and makes the options'
+// threshold a floor that defaults to 1 when neither MinCount nor
+// MinSupport is set.
+func topKOptions(k int, opt Options) (Options, error) {
 	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
+		return opt, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
 	if opt.MinCount == 0 && opt.MinSupport == 0 {
 		opt.MinCount = 1
 	}
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	enc, err := seqdb.EncodeCoincidenceDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	return opt, nil
+}
 
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount)
+// capResults applies both result caps to sorted results: a top-k mine
+// (k > 0) keeps its k best, and MaxPatterns bounds every mine (parallel
+// workers can emit a few patterns past the cap before they see the
+// stop).
+func capResults[R any](rs []R, k, maxPatterns int) []R {
+	if k > 0 && len(rs) > k {
+		rs = rs[:k]
 	}
-
-	tk := newTopKState(k, false)
-	var results []pattern.CoincResult
-	if opt.Parallel > 1 {
-		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newCoincMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialCoincProjection(enc), 0)
-		stats.add(m.stats)
-		results = m.results
+	if maxPatterns > 0 && len(rs) > maxPatterns {
+		rs = rs[:maxPatterns]
 	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	pattern.SortCoincResults(results)
-	if len(results) > k {
-		results = results[:k]
-	}
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return rs
 }
 
 // topKState drives dynamic threshold raising. It tracks the supports of
@@ -178,7 +111,12 @@ type topKState struct {
 	floor atomic.Int64 // current threshold; 0 until k patterns are known
 }
 
+// newTopKState returns the shared state of a k-best mine, or nil for a
+// plain mine (k == 0).
 func newTopKState(k int, normalize bool) *topKState {
+	if k == 0 {
+		return nil
+	}
 	return &topKState{k: k, normalize: normalize, seen: make(map[string]struct{}, k)}
 }
 

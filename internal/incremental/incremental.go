@@ -12,7 +12,10 @@
 //
 //   - Each append only updates the buffered supports by matching the
 //     new sequences (one indexed containment test per buffered pattern
-//     per new sequence) — no mining at all.
+//     per new sequence) — no mining at all. The test is
+//     pattern.Index.Contains under the options' MaxSpan and MaxGap, the
+//     matcher the shard count round and the brute-force oracle use, so
+//     appends honor both bounds exactly as a full mine does.
 //   - A pattern absent from the buffer had support ≤ B-1 at the last
 //     full mine and can have gained at most one per appended sequence
 //     since, so its support is ≤ B-1+k after k appended sequences. As
@@ -181,7 +184,7 @@ func (m *Miner) AppendCtx(ctx context.Context, seqs ...interval.Sequence) (incre
 
 	for _, e := range m.buffer {
 		for _, ix := range newIdx {
-			if ix.Contains(e.pat) {
+			if ix.Contains(e.pat, m.opt.MaxSpan, m.opt.MaxGap) {
 				e.support++
 			}
 		}

@@ -85,38 +85,48 @@ func TestValidateSequences(t *testing.T) {
 
 // TestMatchesFromScratch is the central equivalence property: after
 // every append, Patterns() equals a from-scratch core.MineTemporal run
-// on the accumulated database.
+// on the accumulated database — also under the span and gap bounds,
+// which an append's containment test must honor like the miner does.
 func TestMatchesFromScratch(t *testing.T) {
-	for _, ratio := range []float64{0.3, 0.5, 1.0} {
-		for _, batch := range []int{1, 3, 7} {
-			t.Run(fmt.Sprintf("ratio=%v/batch=%d", ratio, batch), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(batch)*100 + int64(ratio*10)))
-				opt := core.Options{MinSupport: 0.25, MaxIntervals: 3}
-				m, err := NewMiner(opt, ratio)
-				if err != nil {
-					t.Fatal(err)
-				}
-				id := 0
-				for round := 0; round < 12; round++ {
-					seqs := make([]interval.Sequence, batch)
-					for i := range seqs {
-						seqs[i] = randomSeq(rng, id)
-						id++
-					}
-					if _, err := m.Append(seqs...); err != nil {
-						t.Fatal(err)
-					}
-					got := m.Patterns()
-					want, _, err := core.MineTemporal(m.Database(), opt)
+	for _, bounds := range []struct {
+		name      string
+		span, gap interval.Time
+	}{
+		{"", 0, 0},
+		{"/max_span=8", 8, 0},
+		{"/max_gap=5", 0, 5},
+	} {
+		for _, ratio := range []float64{0.3, 0.5, 1.0} {
+			for _, batch := range []int{1, 3, 7} {
+				t.Run(fmt.Sprintf("ratio=%v/batch=%d%s", ratio, batch, bounds.name), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(batch)*100 + int64(ratio*10)))
+					opt := core.Options{MinSupport: 0.25, MaxIntervals: 3, MaxSpan: bounds.span, MaxGap: bounds.gap}
+					m, err := NewMiner(opt, ratio)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !pattern.TemporalResultsEqual(got, want) {
-						t.Fatalf("round %d: incremental %d patterns, scratch %d patterns\ninc: %v\nscratch: %v",
-							round, len(got), len(want), got, want)
+					id := 0
+					for round := 0; round < 12; round++ {
+						seqs := make([]interval.Sequence, batch)
+						for i := range seqs {
+							seqs[i] = randomSeq(rng, id)
+							id++
+						}
+						if _, err := m.Append(seqs...); err != nil {
+							t.Fatal(err)
+						}
+						got := m.Patterns()
+						want, _, err := core.MineTemporal(m.Database(), opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !pattern.TemporalResultsEqual(got, want) {
+							t.Fatalf("round %d: incremental %d patterns, fresh mine %d patterns\ninc: %v\nfresh: %v",
+								round, len(got), len(want), got, want)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

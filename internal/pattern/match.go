@@ -16,20 +16,28 @@ import (
 // This is the semantics mined by P-TPMiner and all baselines; see
 // DESIGN.md "Duplicate-symbol semantics".
 func ContainsAligned(slices []endpoint.Slice, p Temporal) bool {
-	return BuildIndex(slices).Contains(p)
+	return BuildIndex(slices).Contains(p, 0, 0)
 }
 
-// Index precomputes the slice position of every endpoint of one encoded
-// sequence, for repeated aligned matching (every endpoint occurs at most
-// once per sequence, so the position is unique).
-type Index map[endpoint.Endpoint]int
+// Index is one endpoint-encoded sequence prepared for repeated aligned
+// matching: the slice position of every endpoint (every endpoint occurs
+// at most once per sequence, so the position is unique) plus each
+// slice's time, for the span and gap bounds.
+type Index struct {
+	pos   map[endpoint.Endpoint]int32
+	times []interval.Time
+}
 
 // BuildIndex indexes one endpoint-encoded sequence.
 func BuildIndex(slices []endpoint.Slice) Index {
-	ix := make(Index, 2*len(slices))
+	ix := Index{
+		pos:   make(map[endpoint.Endpoint]int32, 2*len(slices)),
+		times: make([]interval.Time, len(slices)),
+	}
 	for i, sl := range slices {
+		ix.times[i] = sl.Time
 		for _, e := range sl.Points {
-			ix[e] = i
+			ix.pos[e] = int32(i)
 		}
 	}
 	return ix
@@ -44,28 +52,44 @@ func BuildIndexes(db [][]endpoint.Slice) []Index {
 	return out
 }
 
-// Contains reports whether the indexed sequence contains p under aligned
-// semantics: all endpoints of one pattern element must share a slice,
-// and element slices must strictly increase.
-func (ix Index) Contains(p Temporal) bool {
+// Contains reports whether the indexed sequence supports p the way the
+// miner counts it: all endpoints of one element share a slice, element
+// slices strictly increase, the first→last element time span is at most
+// maxSpan, and each consecutive-element time gap is at most maxGap (0
+// disables either check; these are core.Options.MaxSpan and MaxGap).
+// Because endpoints are occurrence-labeled, the embedding is unique, so
+// there is nothing to search — just verify. Every support count outside
+// the miner's own projection (the shard count round, the incremental
+// miner's appends, the brute-force oracle) goes through this method.
+func (ix Index) Contains(p Temporal, maxSpan, maxGap interval.Time) bool {
 	if len(p.Elements) == 0 {
 		return false
 	}
-	prev := -1
-	for _, el := range p.Elements {
-		at := -2
-		for _, e := range el {
-			i, ok := ix[e]
+	prev := int32(-1)
+	var first interval.Time
+	for ei, el := range p.Elements {
+		at := int32(-1)
+		for j, e := range el {
+			i, ok := ix.pos[e]
 			if !ok {
 				return false
 			}
-			if at == -2 {
+			if j == 0 {
 				at = i
 			} else if at != i {
 				return false
 			}
 		}
 		if at <= prev {
+			return false
+		}
+		t := ix.times[at]
+		if ei == 0 {
+			first = t
+		} else if maxGap > 0 && t-ix.times[prev] > maxGap {
+			return false
+		}
+		if maxSpan > 0 && t-first > maxSpan {
 			return false
 		}
 		prev = at
@@ -85,11 +109,12 @@ func SupportAligned(db [][]endpoint.Slice, p Temporal) int {
 	return n
 }
 
-// SupportIndexed counts the indexed sequences containing p.
-func SupportIndexed(ixs []Index, p Temporal) int {
+// SupportIndexed counts the indexed sequences containing p within the
+// span and gap bounds (see Index.Contains).
+func SupportIndexed(ixs []Index, p Temporal, maxSpan, maxGap interval.Time) int {
 	n := 0
 	for _, ix := range ixs {
-		if ix.Contains(p) {
+		if ix.Contains(p, maxSpan, maxGap) {
 			n++
 		}
 	}

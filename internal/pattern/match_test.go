@@ -209,8 +209,56 @@ func TestSupportCounting(t *testing.T) {
 		t.Errorf("SupportAny = %d, want 1", got)
 	}
 	ixs := BuildIndexes(enc)
-	if got := SupportIndexed(ixs, q); got != 1 {
+	if got := SupportIndexed(ixs, q, 0, 0); got != 1 {
 		t.Errorf("SupportIndexed = %d, want 1", got)
+	}
+}
+
+// TestIndexContainsBounds pins the span and gap checks of the one
+// support matcher: span runs from the first to the last element's time,
+// gaps between consecutive elements only (an I-extension shares its
+// element's time), and 0 disables either bound.
+func TestIndexContainsBounds(t *testing.T) {
+	// Slices at times 0, 3, 10, 12: A+, B+, A-, B-.
+	ix := BuildIndex(encode(t,
+		interval.Interval{Symbol: "A", Start: 0, End: 10},
+		interval.Interval{Symbol: "B", Start: 3, End: 12},
+	))
+	p, err := ParseTemporal("A+ B+ A- B-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		span, gap interval.Time
+		want      bool
+	}{
+		{0, 0, true},
+		{12, 0, true},  // span exactly 12
+		{11, 0, false}, // span 12 > 11
+		{0, 7, true},   // widest gap 3→10
+		{0, 6, false},
+		{12, 7, true},
+		{12, 6, false},
+	} {
+		if got := ix.Contains(p, c.span, c.gap); got != c.want {
+			t.Errorf("Contains(%v, span %d, gap %d) = %v, want %v", p, c.span, c.gap, got, c.want)
+		}
+	}
+	// Endpoints sharing an element share its time: (A+ B+) (A- B-) over
+	// [0,5] has one gap of 5 and a span of 5.
+	q, err := ParseTemporal("(A+ B+) (A- B-)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := BuildIndex(encode(t,
+		interval.Interval{Symbol: "A", Start: 0, End: 5},
+		interval.Interval{Symbol: "B", Start: 0, End: 5},
+	))
+	if !co.Contains(q, 5, 5) || co.Contains(q, 4, 0) || co.Contains(q, 0, 4) {
+		t.Errorf("co-occurring pair: span and gap 5 must hold, 4 must fail")
+	}
+	if got := SupportIndexed([]Index{ix, co}, p, 12, 7); got != 1 {
+		t.Errorf("SupportIndexed with bounds = %d, want 1", got)
 	}
 }
 

@@ -36,9 +36,9 @@ type mineWire struct {
 	// reproduced in the worker's responses and error attributions. It can
 	// differ from Key.Shard only in hand-built requests; the client always
 	// sends them equal.
-	Shard int        `json:"shard"`
-	Kind  shard.Kind `json:"kind"`
-	TopK  int        `json:"topk,omitempty"`
+	Shard int          `json:"shard"`
+	Kind  shard.Kind   `json:"kind"`
+	TopK  int          `json:"topk,omitempty"`
 	Opt   core.Options `json:"opt"`
 	// TimeoutMillis is the client's remaining deadline budget; the worker
 	// bounds its mine by it so an abandoned request cannot hold the shard

@@ -153,29 +153,6 @@ func (c *Coordinator) fanOut(ctx context.Context, f func(ctx context.Context, i 
 	return first
 }
 
-// foldStats accumulates one shard's search counters into the aggregate.
-// Sequences and MinCount stay global (set by the caller); Truncated
-// propagates because a truncated shard makes the merged result
-// incomplete too.
-func foldStats(agg *core.Stats, s core.Stats) {
-	agg.ItemsRemoved += s.ItemsRemoved
-	agg.Nodes += s.Nodes
-	agg.Emitted += s.Emitted
-	agg.CandidateScans += s.CandidateScans
-	agg.PairPruned += s.PairPruned
-	agg.PostfixPruned += s.PostfixPruned
-	agg.SizePruned += s.SizePruned
-	agg.JobsSpawned += s.JobsSpawned
-	agg.StealsTaken += s.StealsTaken
-	if s.MaxQueueDepth > agg.MaxQueueDepth {
-		agg.MaxQueueDepth = s.MaxQueueDepth
-	}
-	if s.Truncated && !agg.Truncated {
-		agg.Truncated = true
-		agg.TruncatedBy = s.TruncatedBy
-	}
-}
-
 // keyed is the pattern types the merge handles: it tallies supports by
 // pattern key.
 type keyed interface{ Key() string }
@@ -281,7 +258,7 @@ func round[P keyed](ctx context.Context, c *Coordinator, f family[P], topK, boun
 	accs := make(map[string]*tally[P])
 	var order []*tally[P]
 	for i, resp := range resps {
-		foldStats(agg, resp.Stats)
+		agg.Add(resp.Stats)
 		f.each(resp, func(p P, sup int) {
 			key := p.Key()
 			a := accs[key]

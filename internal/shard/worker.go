@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tpminer/internal/coincidence"
 	"tpminer/internal/core"
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
@@ -96,11 +97,11 @@ type LocalWorker struct {
 
 	tempOnce sync.Once
 	tempErr  error
-	tempIdx  []seqIndex
+	tempIdx  []pattern.Index
 
 	coOnce sync.Once
 	coErr  error
-	coDB   [][]coincSegment
+	coDB   [][]coincidence.Coincidence
 }
 
 // NewLocalWorker wraps db, which the worker treats as immutable.
@@ -150,8 +151,10 @@ func (w *LocalWorker) Mine(ctx context.Context, req *MineShardRequest) (*MineSha
 // context checks, so cancellation propagates promptly on large shards.
 const countPollEvery = 64
 
-// Count computes exact local supports for the requested patterns using
-// the constrained matchers in match.go.
+// Count computes exact local supports for the requested patterns with
+// pattern's matchers — the ones the oracle and the incremental miner
+// use — so a counted support equals what the miner would have emitted,
+// span and gap constraints included.
 func (w *LocalWorker) Count(ctx context.Context, req *CountRequest) (*CountResponse, error) {
 	switch req.Kind {
 	case KindTemporal:
@@ -161,50 +164,42 @@ func (w *LocalWorker) Count(ctx context.Context, req *CountRequest) (*CountRespo
 				w.tempErr = err
 				return
 			}
-			w.tempIdx = make([]seqIndex, len(slices))
-			for i, s := range slices {
-				w.tempIdx[i] = buildSeqIndex(s)
-			}
+			w.tempIdx = pattern.BuildIndexes(slices)
 		})
 		if w.tempErr != nil {
 			return nil, w.tempErr
 		}
-		sup := make([]int, len(req.Temporal))
-		for si, ix := range w.tempIdx {
-			if si%countPollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			for pi := range req.Temporal {
-				if ix.supports(req.Temporal[pi], req.MaxSpan, req.MaxGap) {
-					sup[pi]++
-				}
-			}
-		}
-		return &CountResponse{Supports: sup}, nil
+		return countSupports(ctx, w.tempIdx, req.Temporal, func(ix pattern.Index, p pattern.Temporal) bool {
+			return ix.Contains(p, req.MaxSpan, req.MaxGap)
+		})
 	case KindCoincidence:
 		w.coOnce.Do(func() {
-			w.coDB, w.coErr = transformForCount(w.db)
+			w.coDB, w.coErr = pattern.TransformDatabase(w.db)
 		})
 		if w.coErr != nil {
 			return nil, w.coErr
 		}
-		sup := make([]int, len(req.Coinc))
-		for si, segs := range w.coDB {
-			if si%countPollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			for pi := range req.Coinc {
-				if containsCoinc(segs, req.Coinc[pi]) {
-					sup[pi]++
-				}
-			}
-		}
-		return &CountResponse{Supports: sup}, nil
+		return countSupports(ctx, w.coDB, req.Coinc, pattern.ContainsCoinc)
 	default:
 		return nil, fmt.Errorf("shard: unknown kind %q", req.Kind)
 	}
+}
+
+// countSupports counts, for each pattern, the sequences that contain it,
+// checking ctx every countPollEvery sequences.
+func countSupports[S, P any](ctx context.Context, seqs []S, ps []P, contains func(S, P) bool) (*CountResponse, error) {
+	sup := make([]int, len(ps))
+	for si, s := range seqs {
+		if si%countPollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		for pi := range ps {
+			if contains(s, ps[pi]) {
+				sup[pi]++
+			}
+		}
+	}
+	return &CountResponse{Supports: sup}, nil
 }
