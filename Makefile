@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint contract recovery chaos stream dist perfbench verify bench bench-all profile
+.PHONY: build fmt vet test race lint contract recovery chaos stream dist perfbench verify fuzz bench bench-all profile
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,18 @@ perfbench:
 # suite by name; perfbench vets and tests the benchmark module against
 # the current internal/ APIs.
 verify: build fmt vet lint race contract recovery chaos stream dist perfbench
+
+# Runs every Fuzz* target in the module for FUZZTIME each, one at a time
+# (go test -fuzz takes a single target per run). Not part of verify:
+# plain `go test` already replays each target's seed corpus.
+FUZZTIME ?= 15s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t ./$$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f); \
+		done; \
+	done
 
 # Runs the Fig-1 workload (at GOMAXPROCS=1 and =NumCPU), the sharded
 # Fig-1a series, the remote-worker Fig-1a series over loopback HTTP,

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "ptpminer", "algorithm: ptpminer, tprefixspan, apriori")
 		minsup    = fs.Float64("minsup", 0, "relative minimum support in (0,1]")
 		mincount  = fs.Int("mincount", 0, "absolute minimum support (overrides -minsup)")
-		maxIvs    = fs.Int("max-intervals", 0, "max interval instances per pattern (0 = unlimited)")
+		maxIvs    = fs.Int("max-intervals", 0, "max interval instances per pattern, temporal only (0 = unlimited)")
 		maxElems  = fs.Int("max-elements", 0, "max elements per pattern (0 = unlimited)")
 		maxSpan   = fs.Int64("max-span", 0, "max embedding time span, temporal only (0 = unlimited)")
 		maxGap    = fs.Int64("max-gap", 0, "max time gap between consecutive elements, temporal only (0 = unlimited)")
@@ -86,6 +86,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer cancel()
 		return followJob(ctx, stdout, stderr, *follow)
+	}
+
+	if *ptype == "coincidence" {
+		// The coincidence miner honours none of the temporal-only bounds.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"max-intervals", *maxIvs != 0}, {"max-span", *maxSpan != 0}, {"max-gap", *maxGap != 0}} {
+			if f.set {
+				return fmt.Errorf("-%s does not apply to -type coincidence", f.name)
+			}
+		}
 	}
 
 	db, err := readDatabase(*in, *format)

@@ -118,6 +118,7 @@ func TestRunErrors(t *testing.T) {
 		{"-in", filepath.Join(t.TempDir(), "missing.csv"), "-mincount", "2"},
 		{"-in", in, "-type", "coincidence", "-algo", "tprefixspan", "-mincount", "2"}, // tps is temporal-only
 		{"-in", in, "-mincount", "2", "-algo", "tprefixspan", "-max-span", "5"},       // span/gap bounds are ptpminer-only
+		{"-in", in, "-mincount", "2", "-type", "coincidence", "-max-intervals", "1"},  // temporal-only bound
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

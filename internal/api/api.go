@@ -55,7 +55,8 @@ type MiningOptions struct {
 	// MinSupport in (0,1], or MinCount >= 1 (one required).
 	MinSupport float64 `json:"min_support,omitempty"`
 	MinCount   int     `json:"min_count,omitempty"`
-	// MaxIntervals caps pattern size in intervals.
+	// MaxIntervals caps pattern size in intervals (not in coincidence
+	// mode, whose patterns have no interval instances).
 	MaxIntervals int `json:"max_intervals,omitempty"`
 	// TimeoutMillis lowers the server's hard deadline for this job (it
 	// can never raise it); hitting the deadline aborts with 504.
@@ -141,7 +142,8 @@ type MineSpec struct {
 	// Window bounds the mine to a slice of the dataset; see WindowSpec.
 	Window WindowSpec `json:"window,omitzero"`
 
-	// Pattern-shape constraints and modes (temporal/coincidence only).
+	// Pattern-shape constraints and modes (temporal/coincidence only;
+	// max_span and max_gap, like max_intervals, are temporal-only).
 	MaxElements        int    `json:"max_elements,omitempty"`
 	MaxItemsPerElement int    `json:"max_items_per_element,omitempty"`
 	MaxSpan            int64  `json:"max_span,omitempty"`
@@ -224,11 +226,14 @@ func (req MineSpec) Validate() error {
 		}
 	}
 	// Mode-foreign fields are rejected rather than silently ignored.
-	if mode == ModeRules {
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
+	type field struct {
+		name string
+		set  bool
+	}
+	var foreign []field
+	switch mode {
+	case ModeRules:
+		foreign = []field{
 			{"max_elements", req.MaxElements != 0},
 			{"max_items_per_element", req.MaxItemsPerElement != 0},
 			{"max_span", req.MaxSpan != 0},
@@ -238,12 +243,22 @@ func (req MineSpec) Validate() error {
 			{"time_budget_ms", req.TimeBudgetMillis != 0},
 			{"max_patterns", req.MaxPatterns != 0},
 			{"parallel", req.Parallel != 0},
-		} {
-			if f.set {
-				return fieldErrf(f.name, "%s does not apply to rules mode", f.name)
-			}
 		}
-	} else if req.MinConfidence != 0 || req.MinLift != 0 {
+	case ModeCoincidence:
+		// The coincidence miner honours none of the temporal-only
+		// constraints.
+		foreign = []field{
+			{"max_intervals", req.MaxIntervals != 0},
+			{"max_span", req.MaxSpan != 0},
+			{"max_gap", req.MaxGap != 0},
+		}
+	}
+	for _, f := range foreign {
+		if f.set {
+			return fieldErrf(f.name, "%s does not apply to %s mode", f.name, mode)
+		}
+	}
+	if mode != ModeRules && (req.MinConfidence != 0 || req.MinLift != 0) {
 		field := "min_confidence"
 		if req.MinConfidence == 0 {
 			field = "min_lift"

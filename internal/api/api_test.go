@@ -100,6 +100,10 @@ func TestValidateNamesField(t *testing.T) {
 		{`{"mode":"rules","min_count":2,"time_budget_ms":100}`, "time_budget_ms"},
 		{`{"mode":"rules","min_count":2,"max_patterns":10}`, "max_patterns"},
 		{`{"mode":"rules","min_count":2,"parallel":2}`, "parallel"},
+		// Temporal-only constraints in coincidence mode.
+		{`{"mode":"coincidence","min_count":2,"max_intervals":1}`, "max_intervals"},
+		{`{"mode":"coincidence","min_count":2,"max_span":5}`, "max_span"},
+		{`{"mode":"coincidence","min_count":2,"max_gap":3}`, "max_gap"},
 	}
 	for _, c := range cases {
 		spec, err := decodeSpec(t, c.body)

@@ -198,7 +198,7 @@ func TestAprioriCoincidenceTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pattern.CoincResultsEqual(got, want) {
+	if !pattern.ResultsEqual(got, want) {
 		t.Errorf("apriori %v != oracle %v", got, want)
 	}
 }

@@ -77,7 +77,7 @@ func BruteForceTemporal(db *interval.Database, opt core.Options) ([]pattern.Temp
 	if !opt.KeepOccurrences {
 		results = pattern.NormalizeTemporalResults(results)
 	} else {
-		pattern.SortTemporalResults(results)
+		pattern.SortResults(results)
 	}
 	st.Elapsed = time.Since(start)
 	return results, st, nil
@@ -262,7 +262,7 @@ func BruteForceCoincidence(db *interval.Database, opt core.Options) ([]pattern.C
 	}
 	recurse(pattern.Coinc{})
 
-	pattern.SortCoincResults(results)
+	pattern.SortResults(results)
 	st.Elapsed = time.Since(start)
 	return results, st, nil
 }

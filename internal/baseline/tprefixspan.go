@@ -67,7 +67,7 @@ func TPrefixSpan(db *interval.Database, opt core.Options) ([]pattern.TemporalRes
 	if !opt.KeepOccurrences {
 		results = pattern.NormalizeTemporalResults(results)
 	} else {
-		pattern.SortTemporalResults(results)
+		pattern.SortResults(results)
 	}
 	st.Elapsed = time.Since(startT)
 	return results, st, nil

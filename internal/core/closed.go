@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"tpminer/internal/coincidence"
 	"tpminer/internal/endpoint"
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
@@ -14,11 +15,14 @@ import (
 // arrangements, and the standard condensed representations apply to
 // temporal patterns exactly as to classic sequences.
 //
-// Sub-pattern subsumption uses any-binding semantics: p ⊑ q when p's
+// Temporal subsumption uses any-binding semantics: p ⊑ q when p's
 // arrangement embeds into q's arrangement (each p-interval mapped
 // injectively to a same-symbol q-interval, preserving the element
 // structure). This is checked by materializing q as a concrete interval
 // sequence over element indices and reusing pattern.ContainsAny.
+// Coincidence subsumption is sequence-of-sets containment: p ⊑ q when
+// p's elements map order-preservingly onto q's elements with set
+// inclusion.
 
 // patternAsSequence materializes a complete temporal pattern as the
 // concrete interval sequence in which element index serves as time.
@@ -87,9 +91,7 @@ func FilterClosed(rs []pattern.TemporalResult) []pattern.TemporalResult {
 // quadratic subsumption scan polls ctx and aborts with ctx.Err() and a
 // nil result when it is cancelled.
 func FilterClosedCtx(ctx context.Context, rs []pattern.TemporalResult) ([]pattern.TemporalResult, error) {
-	return filterSubsumed(ctx, rs, func(sub, super pattern.TemporalResult) bool {
-		return sub.Support == super.Support
-	})
+	return filterSubsumed(ctx, rs, true, patternAsSequence, pattern.ContainsAny)
 }
 
 // FilterMaximal keeps only maximal patterns: those with no proper
@@ -103,24 +105,69 @@ func FilterMaximal(rs []pattern.TemporalResult) []pattern.TemporalResult {
 // FilterMaximalCtx is FilterMaximal with cooperative cancellation; see
 // FilterClosedCtx.
 func FilterMaximalCtx(ctx context.Context, rs []pattern.TemporalResult) ([]pattern.TemporalResult, error) {
-	return filterSubsumed(ctx, rs, func(sub, super pattern.TemporalResult) bool {
-		return true
-	})
+	return filterSubsumed(ctx, rs, false, patternAsSequence, pattern.ContainsAny)
 }
 
-// filterSubsumed drops every result subsumed by a strictly larger result
-// for which admits returns true.
-func filterSubsumed(ctx context.Context, rs []pattern.TemporalResult, admits func(sub, super pattern.TemporalResult) bool) ([]pattern.TemporalResult, error) {
+// SubCoincPattern reports whether p is contained in q. Every pattern
+// subsumes itself.
+func SubCoincPattern(p, q pattern.Coinc) bool {
+	if p.Size() > q.Size() || p.Len() > q.Len() {
+		return false
+	}
+	return pattern.ContainsCoinc(coincElements(q), p)
+}
+
+// coincElements views a coincidence pattern's elements as a coincidence
+// sequence so the standard matcher applies.
+func coincElements(q pattern.Coinc) []coincidence.Coincidence {
+	out := make([]coincidence.Coincidence, len(q.Elements))
+	for i, el := range q.Elements {
+		out[i] = coincidence.Coincidence{Symbols: el}
+	}
+	return out
+}
+
+// FilterClosedCoinc keeps only closed coincidence patterns: those with
+// no proper super-pattern of equal support in rs.
+func FilterClosedCoinc(rs []pattern.CoincResult) []pattern.CoincResult {
+	out, _ := FilterClosedCoincCtx(context.Background(), rs)
+	return out
+}
+
+// FilterClosedCoincCtx is FilterClosedCoinc with cooperative
+// cancellation; see FilterClosedCtx.
+func FilterClosedCoincCtx(ctx context.Context, rs []pattern.CoincResult) ([]pattern.CoincResult, error) {
+	return filterSubsumed(ctx, rs, true, coincElements, pattern.ContainsCoinc)
+}
+
+// FilterMaximalCoinc keeps only maximal coincidence patterns: those
+// with no proper frequent super-pattern in rs at all.
+func FilterMaximalCoinc(rs []pattern.CoincResult) []pattern.CoincResult {
+	out, _ := FilterMaximalCoincCtx(context.Background(), rs)
+	return out
+}
+
+// FilterMaximalCoincCtx is FilterMaximalCoinc with cooperative
+// cancellation; see FilterClosedCtx.
+func FilterMaximalCoincCtx(ctx context.Context, rs []pattern.CoincResult) ([]pattern.CoincResult, error) {
+	return filterSubsumed(ctx, rs, false, coincElements, pattern.ContainsCoinc)
+}
+
+// filterSubsumed drops every result that a strictly larger result of rs
+// subsumes — of equal support only, when closed — and returns the rest
+// sorted. materialize builds a super-pattern's matchable form once, and
+// contains tests a pattern against that form.
+func filterSubsumed[P pattern.Pattern, S any](ctx context.Context, rs []pattern.Result[P], closed bool,
+	materialize func(P) S, contains func(S, P) bool) ([]pattern.Result[P], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Pre-materialize super-pattern sequences once.
-	seqs := make([]interval.Sequence, len(rs))
+	supers := make([]S, len(rs))
 	for i := range rs {
-		seqs[i] = patternAsSequence(rs[i].Pattern)
+		supers[i] = materialize(rs[i].Pattern)
 	}
 	var ops int64
-	out := make([]pattern.TemporalResult, 0, len(rs))
+	out := make([]pattern.Result[P], 0, len(rs))
 	for i := range rs {
 		subsumed := false
 		for j := range rs {
@@ -133,11 +180,11 @@ func filterSubsumed(ctx context.Context, rs []pattern.TemporalResult, admits fun
 				continue
 			}
 			// Supports are anti-monotone, so a super-pattern never has
-			// higher support; admits refines which supers count.
-			if !admits(rs[i], rs[j]) {
+			// higher support; a closed filter counts only equal ones.
+			if closed && rs[j].Support != rs[i].Support {
 				continue
 			}
-			if pattern.ContainsAny(seqs[j], rs[i].Pattern) {
+			if contains(supers[j], rs[i].Pattern) {
 				subsumed = true
 				break
 			}
@@ -146,6 +193,5 @@ func filterSubsumed(ctx context.Context, rs []pattern.TemporalResult, admits fun
 			out = append(out, rs[i])
 		}
 	}
-	pattern.SortTemporalResults(out)
-	return out, nil
+	return pattern.SortResults(out), nil
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
-	"time"
 
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
@@ -26,50 +24,10 @@ func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options)
 	return mineCoincidence(ctx, db, 0, opt)
 }
 
-// mineCoincidence is the one coincidence mining routine behind
-// MineCoincidenceCtx and MineCoincidenceTopKCtx; see mineTemporal.
+// mineCoincidence is the coincidence instance of the mining skeleton
+// (see mineKind). Results are sorted.
 func mineCoincidence(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	start := time.Now()
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	enc, err := seqdb.EncodeCoincidenceDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
-	}
-
-	tk := newTopKState(k, false)
-	var results []pattern.CoincResult
-	if opt.Parallel > 1 {
-		results = mineCoincParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newCoincMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialCoincProjection(enc), 0)
-		stats.Add(m.stats)
-		results = m.results
-	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	pattern.SortCoincResults(results)
-	results = capResults(results, k, opt.MaxPatterns)
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return mineKind(ctx, db, k, opt, seqdb.EncodeCoincidenceDB, newCoincMiner, pattern.SortResults[pattern.Coinc])
 }
 
 // coincProjEntry is one sequence of a coincidence pseudo-projection:
@@ -82,98 +40,58 @@ type coincProjEntry struct {
 	loc seqdb.Loc
 }
 
-func initialCoincProjection(db *seqdb.CoincDB) []coincProjEntry {
-	proj := make([]coincProjEntry, len(db.Seqs))
-	for i := range proj {
-		proj[i] = coincProjEntry{seq: int32(i), loc: seqdb.Loc{Slice: -1, Idx: -1}}
-	}
-	return proj
-}
-
+// coincMiner holds the depth-first search state for one worker.
 type coincMiner struct {
-	db       *seqdb.CoincDB
-	opt      Options
-	minCount int
-	stats    Stats
-	results  []pattern.CoincResult
+	dfs
+	db      *seqdb.CoincDB
+	results []pattern.CoincResult
+	// sched is the shared work queue of a parallel run, nil on a serial
+	// one.
+	sched *sched[coincJob]
 
-	elems [][]seqdb.Item
-
-	countsS, countsI   []int32
-	touchedS, touchedI []seqdb.Item
-	stampS, stampI     []int64
-	tok                int64
+	// Per-sequence deduplication stamps of the candidate tally.
+	stampS, stampI []int64
+	tok            int64
 
 	// projPool holds one reusable projection buffer per search depth;
 	// see temporalMiner.projPool.
 	projPool [][]coincProjEntry
-
-	// sched, stealCutoff, and worker are set on parallel runs; see
-	// temporalMiner.
-	sched       *sched[coincJob]
-	stealCutoff int
-	worker      int32
-
-	// ctl is the run-wide cancellation/budget state; ops counts local
-	// work units between polls.
-	ctl *runControl
-	ops int64
-
-	// topk, when non-nil, raises minCount dynamically (top-k mining).
-	topk *topKState
 }
 
-func newCoincMiner(db *seqdb.CoincDB, opt Options, minCount int, ctl *runControl) *coincMiner {
+func newCoincMiner(db *seqdb.CoincDB, d dfs, s *sched[coincJob]) *coincMiner {
 	n := db.Table.Len()
-	return &coincMiner{
-		db:       db,
-		opt:      opt,
-		minCount: minCount,
-		ctl:      ctl,
-		countsS:  make([]int32, n),
-		countsI:  make([]int32, n),
-		stampS:   make([]int64, n),
-		stampI:   make([]int64, n),
-	}
+	d.tally(n)
+	return &coincMiner{dfs: d, db: db, sched: s, stampS: make([]int64, n), stampI: make([]int64, n)}
 }
 
-// tick counts one unit of search work, polls the run control every
-// pollInterval units, and reports whether the search must stop.
-func (m *coincMiner) tick() bool {
-	m.ops++
-	if m.ops&(pollInterval-1) == 0 {
-		m.ctl.poll()
+// root returns the job of the whole search tree: the empty prefix,
+// projected onto every sequence.
+func (m *coincMiner) root() coincJob {
+	proj := make([]coincProjEntry, len(m.db.Seqs))
+	for i := range proj {
+		proj[i] = coincProjEntry{seq: int32(i), loc: seqdb.Loc{Slice: -1, Idx: -1}}
 	}
-	return m.ctl.stop.Load()
+	return coincJob{proj: proj}
 }
+
+// found returns the worker's results and search counters.
+func (m *coincMiner) found() ([]pattern.CoincResult, Stats) { return m.results, m.stats }
 
 func (m *coincMiner) mine(proj []coincProjEntry, depth int) {
-	if m.tick() {
+	if !m.enter() {
 		return
 	}
-	if m.topk != nil {
-		if f := m.topk.threshold(); f > m.minCount {
-			m.minCount = f
-		}
-	}
-	m.stats.Nodes++
 	if len(m.elems) > 0 {
 		m.emit(proj)
 	}
-	if !m.opt.DisableSizePruning && len(proj) < m.minCount { // P4
-		m.stats.SizePruned++
+	if m.sizePruned(len(proj)) {
 		return
 	}
-
-	canS := m.opt.MaxElements == 0 || len(m.elems) < m.opt.MaxElements
-	canI := len(m.elems) > 0 &&
-		(m.opt.MaxItemsPerElement == 0 || len(m.elems[len(m.elems)-1]) < m.opt.MaxItemsPerElement)
+	canS, canI := m.extensible()
 	if !canS && !canI {
 		return
 	}
-
-	cands := m.countCandidates(proj, canS, canI)
-	for _, c := range cands {
+	for _, c := range m.countCandidates(proj, canS, canI) {
 		if m.ctl.stop.Load() {
 			return
 		}
@@ -227,28 +145,7 @@ func (m *coincMiner) countCandidates(proj []coincProjEntry, canS, canI bool) []c
 		}
 	}
 
-	cands := make([]candidate, 0, len(m.touchedS)+len(m.touchedI))
-	for _, it := range m.touchedS {
-		if c := m.countsS[it]; int(c) >= m.minCount {
-			cands = append(cands, candidate{item: it, isI: false, count: c})
-		}
-		m.countsS[it] = 0
-	}
-	for _, it := range m.touchedI {
-		if c := m.countsI[it]; int(c) >= m.minCount {
-			cands = append(cands, candidate{item: it, isI: true, count: c})
-		}
-		m.countsI[it] = 0
-	}
-	m.touchedS = m.touchedS[:0]
-	m.touchedI = m.touchedI[:0]
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].isI != cands[j].isI {
-			return !cands[i].isI
-		}
-		return cands[i].item < cands[j].item
-	})
-	return cands
+	return m.collect()
 }
 
 func (m *coincMiner) countS(it seqdb.Item) {
@@ -293,21 +190,11 @@ func containsItems(haystack, needle []seqdb.Item) bool {
 // (or hands the subtree to the shared queue), and restores the prefix.
 func (m *coincMiner) extend(proj []coincProjEntry, c candidate, depth int) {
 	next := m.project(proj, c, depth)
-	if c.isI {
-		last := len(m.elems) - 1
-		m.elems[last] = append(m.elems[last], c.item)
-	} else {
-		m.elems = append(m.elems, []seqdb.Item{c.item})
-	}
+	m.push(c)
 	if !m.trySteal(next, depth) {
 		m.mine(next, depth+1)
 	}
-	if c.isI {
-		last := len(m.elems) - 1
-		m.elems[last] = m.elems[last][:len(m.elems[last])-1]
-	} else {
-		m.elems = m.elems[:len(m.elems)-1]
-	}
+	m.pop(c)
 }
 
 // project computes the earliest-match projection for prefix + c using
@@ -400,12 +287,8 @@ func (m *coincMiner) trySteal(next []coincProjEntry, depth int) bool {
 	if m.sched == nil || len(next) == 0 || len(next) < m.stealCutoff || m.sched.full() {
 		return false
 	}
-	elems := make([][]seqdb.Item, len(m.elems))
-	for i, el := range m.elems {
-		elems[i] = append([]seqdb.Item(nil), el...)
-	}
 	return m.sched.trySpawn(int(m.worker), coincJob{
-		elems: elems,
+		elems: m.prefix(),
 		proj:  append([]coincProjEntry(nil), next...),
 		depth: depth + 1,
 	})
@@ -436,7 +319,6 @@ func findItem(items []seqdb.Item, it seqdb.Item) int {
 }
 
 func (m *coincMiner) emit(proj []coincProjEntry) {
-	m.stats.Emitted++
 	els := make([][]string, len(m.elems))
 	for i, el := range m.elems {
 		syms := make([]string, len(el))
@@ -445,47 +327,10 @@ func (m *coincMiner) emit(proj []coincProjEntry) {
 		}
 		els[i] = syms
 	}
-	res := pattern.CoincResult{
-		Pattern: pattern.NewCoinc(els...),
-		Support: len(proj),
-	}
-	m.results = append(m.results, res)
-	m.ctl.noteEmit()
+	p := pattern.NewCoinc(els...)
+	m.results = append(m.results, pattern.CoincResult{Pattern: p, Support: len(proj)})
+	m.emitted()
 	if m.topk != nil {
-		m.minCount = m.topk.observe(res.Pattern.Key(), res.Support, m.minCount)
+		m.minCount = m.topk.observe(p.Key(), len(proj), m.minCount)
 	}
-}
-
-// mineCoincParallel runs a work-stealing parallel DFS over the search
-// tree: workers drain a bounded shared queue of subtree jobs, splitting
-// any subtree whose projected database exceeds the steal cutoff. The
-// callers' final sort restores the canonical order, so output is
-// byte-identical to a serial run. tk, when non-nil, is the shared top-k
-// state raising every worker's support threshold.
-func mineCoincParallel(db *seqdb.CoincDB, opt Options, minCount int, stats *Stats, ctl *runControl, tk *topKState) []pattern.CoincResult {
-	workers := opt.Parallel
-	s := newSched[coincJob](workers)
-	cutoff := stealCutoffFor(opt, len(db.Seqs), minCount)
-
-	miners := make([]*coincMiner, workers)
-	for w := range miners {
-		m := newCoincMiner(db, opt, minCount, ctl)
-		m.topk = tk
-		m.sched = s
-		m.stealCutoff = cutoff
-		m.worker = int32(w)
-		miners[w] = m
-	}
-
-	s.trySpawn(rootSpawner, coincJob{proj: initialCoincProjection(db), depth: 0})
-	s.run(workers, func(w int, j coincJob) { miners[w].runJob(j) })
-
-	var out []pattern.CoincResult
-	for _, m := range miners {
-		stats.Add(m.stats)
-		out = append(out, m.results...)
-	}
-	spawned, steals, depth := s.counters()
-	stats.Add(Stats{JobsSpawned: spawned, StealsTaken: steals, MaxQueueDepth: depth})
-	return out
 }

@@ -69,7 +69,7 @@ func TestTemporalMinerMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: miner: %v", trial, err)
 				}
-				if !pattern.TemporalResultsEqual(got, want) {
+				if !pattern.ResultsEqual(got, want) {
 					t.Fatalf("trial %d (opts %+v): miner and oracle disagree:\nminer: %d patterns %v\noracle: %d patterns %v\ndb: %v",
 						trial, opt, len(got), got, len(want), want, db.Sequences)
 				}
@@ -95,7 +95,7 @@ func TestCoincidenceMinerMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: miner: %v", trial, err)
 			}
-			if !pattern.CoincResultsEqual(got, want) {
+			if !pattern.ResultsEqual(got, want) {
 				t.Fatalf("trial %d (opts %+v): miner and oracle disagree:\nminer: %d %v\noracle: %d %v\ndb: %v",
 					trial, opt, len(got), got, len(want), want, db.Sequences)
 			}
@@ -120,7 +120,7 @@ func TestTPrefixSpanMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: tprefixspan: %v", trial, err)
 		}
-		if !pattern.TemporalResultsEqual(got, want) {
+		if !pattern.ResultsEqual(got, want) {
 			t.Fatalf("trial %d: tprefixspan and oracle disagree:\ntps: %d %v\noracle: %d %v\ndb: %v",
 				trial, len(got), got, len(want), want, db.Sequences)
 		}
@@ -142,7 +142,7 @@ func TestAprioriMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: apriori temporal: %v", trial, err)
 		}
-		if !pattern.TemporalResultsEqual(gotT, wantT) {
+		if !pattern.ResultsEqual(gotT, wantT) {
 			t.Fatalf("trial %d: apriori temporal disagrees:\napriori: %d %v\noracle: %d %v\ndb: %v",
 				trial, len(gotT), gotT, len(wantT), wantT, db.Sequences)
 		}
@@ -155,7 +155,7 @@ func TestAprioriMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: apriori coincidence: %v", trial, err)
 		}
-		if !pattern.CoincResultsEqual(gotC, wantC) {
+		if !pattern.ResultsEqual(gotC, wantC) {
 			t.Fatalf("trial %d: apriori coincidence disagrees:\napriori: %d %v\noracle: %d %v\ndb: %v",
 				trial, len(gotC), gotC, len(wantC), wantC, db.Sequences)
 		}
@@ -187,7 +187,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.TemporalResultsEqual(gotT, wantT) {
+				if !pattern.ResultsEqual(gotT, wantT) {
 					t.Fatalf("trial %d (parallel=%d keepOcc=%v): parallel temporal differs: %d vs %d patterns",
 						trial, workers, keepOcc, len(gotT), len(wantT))
 				}
@@ -196,7 +196,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.CoincResultsEqual(gotC, wantC) {
+				if !pattern.ResultsEqual(gotC, wantC) {
 					t.Fatalf("trial %d (parallel=%d keepOcc=%v): parallel coincidence differs: %d vs %d patterns",
 						trial, workers, keepOcc, len(gotC), len(wantC))
 				}
@@ -228,10 +228,10 @@ func TestParallelClosedMaximal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := core.FilterClosed(rsPar); !pattern.TemporalResultsEqual(got, wantClosed) {
+			if got := core.FilterClosed(rsPar); !pattern.ResultsEqual(got, wantClosed) {
 				t.Fatalf("trial %d (parallel=%d): closed filter differs: %d vs %d", trial, workers, len(got), len(wantClosed))
 			}
-			if got := core.FilterMaximal(rsPar); !pattern.TemporalResultsEqual(got, wantMaximal) {
+			if got := core.FilterMaximal(rsPar); !pattern.ResultsEqual(got, wantMaximal) {
 				t.Fatalf("trial %d (parallel=%d): maximal filter differs: %d vs %d", trial, workers, len(got), len(wantMaximal))
 			}
 		}
@@ -261,7 +261,7 @@ func TestParallelTopKMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.TemporalResultsEqual(gotT, wantT) {
+				if !pattern.ResultsEqual(gotT, wantT) {
 					t.Fatalf("trial %d k=%d parallel=%d: temporal top-k differs: %d vs %d",
 						trial, k, workers, len(gotT), len(wantT))
 				}
@@ -269,7 +269,7 @@ func TestParallelTopKMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.CoincResultsEqual(gotC, wantC) {
+				if !pattern.ResultsEqual(gotC, wantC) {
 					t.Fatalf("trial %d k=%d parallel=%d: coincidence top-k differs: %d vs %d",
 						trial, k, workers, len(gotC), len(wantC))
 				}

@@ -47,8 +47,8 @@ func benchTemporalMiner(b *testing.B, opt Options) (*temporalMiner, []projEntry,
 	}
 	enc.FilterInfrequent(minCount)
 	ctl := newRunControl(context.Background(), opt, time.Now())
-	m := newTemporalMiner(enc, opt, minCount, ctl)
-	proj := initialTemporalProjection(enc)
+	m := newTemporalMiner(enc, dfs{opt: opt, minCount: minCount, ctl: ctl}, nil)
+	proj := m.root().proj
 	cands := m.countCandidates(proj, true, false, true)
 	if len(cands) == 0 {
 		b.Fatal("no frequent root candidates")
@@ -93,8 +93,8 @@ func BenchmarkProjectCoinc(b *testing.B) {
 	}
 	enc.FilterInfrequent(minCount)
 	ctl := newRunControl(context.Background(), opt, time.Now())
-	m := newCoincMiner(enc, opt, minCount, ctl)
-	proj := initialCoincProjection(enc)
+	m := newCoincMiner(enc, dfs{opt: opt, minCount: minCount, ctl: ctl}, nil)
+	proj := m.root().proj
 	cands := m.countCandidates(proj, true, false)
 	if len(cands) == 0 {
 		b.Fatal("no frequent root candidates")
@@ -112,8 +112,9 @@ func BenchmarkProjectCoinc(b *testing.B) {
 // workers once, and each subtree is mined serially no matter how skewed
 // the work distribution turns out to be.
 func staticFanoutTemporal(db *seqdb.EndpointDB, opt Options, minCount int, ctl *runControl) []pattern.TemporalResult {
-	root := newTemporalMiner(db, opt, minCount, ctl)
-	proj := initialTemporalProjection(db)
+	base := dfs{opt: opt, minCount: minCount, ctl: ctl}
+	root := newTemporalMiner(db, base, nil)
+	proj := root.root().proj
 	cands := root.countCandidates(proj, true, false, true)
 
 	jobs := make(chan int)
@@ -123,7 +124,7 @@ func staticFanoutTemporal(db *seqdb.EndpointDB, opt Options, minCount int, ctl *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := newTemporalMiner(db, opt, minCount, ctl)
+			m := newTemporalMiner(db, base, nil)
 			for idx := range jobs {
 				m.results = nil
 				m.extend(proj, cands[idx], 0)
@@ -159,12 +160,13 @@ func BenchmarkParallelScheduling(b *testing.B) {
 	}
 	enc.FilterInfrequent(minCount)
 
+	cutoff := stealCutoffFor(opt, len(enc.Seqs), minCount)
 	b.Run("WorkStealing", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ctl := newRunControl(context.Background(), opt, time.Now())
 			var stats Stats
-			mineTemporalParallel(enc, opt, minCount, &stats, ctl, nil)
+			search(enc, dfs{opt: opt, minCount: minCount, ctl: ctl, stealCutoff: cutoff}, newTemporalMiner, &stats)
 		}
 	})
 	b.Run("StaticFanout", func(b *testing.B) {
@@ -174,12 +176,14 @@ func BenchmarkParallelScheduling(b *testing.B) {
 			staticFanoutTemporal(enc, opt, minCount, ctl)
 		}
 	})
+	serial := opt
+	serial.Parallel = 1
 	b.Run("Serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctl := newRunControl(context.Background(), opt, time.Now())
-			m := newTemporalMiner(enc, opt, minCount, ctl)
-			m.mine(initialTemporalProjection(enc), 0)
+			ctl := newRunControl(context.Background(), serial, time.Now())
+			var stats Stats
+			search(enc, dfs{opt: serial, minCount: minCount, ctl: ctl}, newTemporalMiner, &stats)
 		}
 	})
 }

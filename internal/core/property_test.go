@@ -158,7 +158,7 @@ func TestQuickThresholdMonotone(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		return pattern.TemporalResultsEqual(hi, want)
+		return pattern.ResultsEqual(hi, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(74))}); err != nil {
 		t.Error(err)

@@ -7,6 +7,9 @@ import (
 
 // Work-stealing parallel DFS.
 //
+// This is the parallel case of the search loop (search.go), whose serial
+// case is one worker with no queue.
+//
 // A parallel run is a pool of workers draining one bounded shared queue
 // of subtree jobs. The run starts with a single job — the search root —
 // and any worker that projects a subtree bigger than its steal cutoff
@@ -27,10 +30,10 @@ import (
 // Determinism: the complete search visits exactly the same nodes as the
 // serial miner (prunings P1–P4 depend only on per-node state), so the
 // union of per-worker result buffers equals the serial result multiset;
-// the callers' final normalize/sort pass puts it into the canonical
-// order, making output byte-identical to serial runs. Top-k runs share
-// one topKState whose threshold only ever rises toward the true kth-best
-// support, which never prunes a top-k pattern — see topk.go.
+// mineKind's final order (normalize or sort) makes output
+// byte-identical to serial runs. Top-k runs share one topKState whose
+// threshold only ever rises toward the true kth-best support, which
+// never prunes a top-k pattern — see topk.go.
 
 // defaultStealCutoff floors the steal cutoff: subtrees whose projected
 // database is smaller than this are never worth a queue round-trip.
@@ -38,12 +41,12 @@ const defaultStealCutoff = 16
 
 // stealCutoffFor picks the minimum projected-database size at which a
 // subtree is offered to other workers. Options.stealCutoff (tests)
-// overrides it.
+// overrides it. A serial mine has no other workers and never reads it.
 func stealCutoffFor(opt Options, nSeqs, minCount int) int {
 	if opt.stealCutoff > 0 {
 		return opt.stealCutoff
 	}
-	c := nSeqs / (8 * opt.Parallel)
+	c := nSeqs / (8 * max(opt.Parallel, 1))
 	if c < 2*minCount {
 		c = 2 * minCount
 	}

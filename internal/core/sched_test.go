@@ -220,7 +220,7 @@ func TestForcedStealEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pattern.TemporalResultsEqual(gotT, wantT) {
+			if !pattern.ResultsEqual(gotT, wantT) {
 				t.Fatalf("trial %d parallel=%d: forced-steal temporal differs: %d vs %d",
 					trial, workers, len(gotT), len(wantT))
 			}
@@ -228,7 +228,7 @@ func TestForcedStealEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pattern.CoincResultsEqual(gotC, wantC) {
+			if !pattern.ResultsEqual(gotC, wantC) {
 				t.Fatalf("trial %d parallel=%d: forced-steal coincidence differs: %d vs %d",
 					trial, workers, len(gotC), len(wantC))
 			}
@@ -260,14 +260,14 @@ func TestForcedStealTopK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.TemporalResultsEqual(gotT, wantT) {
+				if !pattern.ResultsEqual(gotT, wantT) {
 					t.Fatalf("trial %d k=%d parallel=%d: forced-steal temporal top-k differs", trial, k, workers)
 				}
 				gotC, _, err := MineCoincidenceTopK(db, k, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.CoincResultsEqual(gotC, wantC) {
+				if !pattern.ResultsEqual(gotC, wantC) {
 					t.Fatalf("trial %d k=%d parallel=%d: forced-steal coincidence top-k differs", trial, k, workers)
 				}
 			}

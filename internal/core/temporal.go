@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
-	"time"
+	"slices"
 
 	"tpminer/internal/endpoint"
 	"tpminer/internal/interval"
@@ -29,57 +28,15 @@ func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([
 	return mineTemporal(ctx, db, 0, opt)
 }
 
-// mineTemporal is the one temporal mining routine behind
-// MineTemporalCtx and MineTemporalTopKCtx: validate, encode, P1, serial
-// or parallel search, then normalize (or sort) and cap the results.
-// k > 0 mines the k best-supported patterns, raising the threshold as
-// the search finds them; k == 0 is a plain mine.
+// mineTemporal is the temporal instance of the mining skeleton (see
+// mineKind). Results are normalized, or under KeepOccurrences sorted in
+// their raw occurrence-labelled form.
 func mineTemporal(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	start := time.Now()
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
+	order := pattern.NormalizeTemporalResults
+	if opt.KeepOccurrences {
+		order = pattern.SortResults[pattern.Temporal]
 	}
-	minCount, err := opt.resolveMinCount(db.Len())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	enc, err := seqdb.EncodeEndpointDB(db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	ctl := newRunControl(ctx, opt, start)
-	stats := Stats{Sequences: db.Len(), MinCount: minCount}
-	if !opt.DisableGlobalPruning {
-		stats.ItemsRemoved = enc.FilterInfrequent(minCount) // P1
-	}
-
-	tk := newTopKState(k, !opt.KeepOccurrences)
-	var results []pattern.TemporalResult
-	if opt.Parallel > 1 {
-		results = mineTemporalParallel(enc, opt, minCount, &stats, ctl, tk)
-	} else {
-		m := newTemporalMiner(enc, opt, minCount, ctl)
-		m.topk = tk
-		m.mine(initialTemporalProjection(enc), 0)
-		stats.Add(m.stats)
-		results = m.results
-	}
-
-	err, stats.Truncated, stats.TruncatedBy = ctl.finish()
-	if err != nil {
-		stats.Elapsed = time.Since(start)
-		return nil, stats, err
-	}
-
-	if !opt.KeepOccurrences {
-		results = pattern.NormalizeTemporalResults(results)
-	} else {
-		pattern.SortTemporalResults(results)
-	}
-	results = capResults(results, k, opt.MaxPatterns)
-	stats.Elapsed = time.Since(start)
-	return results, stats, nil
+	return mineKind(ctx, db, k, opt, seqdb.EncodeEndpointDB, newTemporalMiner, order)
 }
 
 // projEntry is one sequence of a pseudo-projected database: the location
@@ -90,14 +47,6 @@ type projEntry struct {
 	seq       int32
 	loc       seqdb.Loc
 	firstTime interval.Time
-}
-
-func initialTemporalProjection(db *seqdb.EndpointDB) []projEntry {
-	proj := make([]projEntry, len(db.Seqs))
-	for i := range proj {
-		proj[i] = projEntry{seq: int32(i), loc: seqdb.Loc{Slice: -1, Idx: -1}}
-	}
-	return proj
 }
 
 // openInterval is one entry of the prefix's open set: the start endpoint
@@ -111,58 +60,43 @@ type openInterval struct {
 
 // temporalMiner holds the depth-first search state for one worker.
 type temporalMiner struct {
-	db       *seqdb.EndpointDB
-	opt      Options
-	minCount int
-	stats    Stats
-	results  []pattern.TemporalResult
+	dfs
+	db      *seqdb.EndpointDB
+	results []pattern.TemporalResult
+	// sched is the shared work queue of a parallel run, nil on a serial
+	// one.
+	sched *sched[temporalJob]
 
-	// ctl is the run-wide cancellation/budget state; ops counts local
-	// work units between polls.
-	ctl *runControl
-	ops int64
-
-	// Current prefix: elements of item ids, the open interval instances
-	// (small slice, iterated by P3 on the hot path), and the number of
-	// interval instances opened so far.
-	elems      [][]seqdb.Item
+	// The prefix's open interval instances (small slice, iterated by P3
+	// on the hot path), and the number of interval instances opened so
+	// far.
 	open       []openInterval
 	nIntervals int
-
-	// Candidate counting scratch, reused across the whole search.
-	countsS, countsI   []int32
-	touchedS, touchedI []seqdb.Item
 
 	// projPool holds one reusable projection buffer per search depth, so
 	// project() allocates only when a depth is first reached (or a buffer
 	// must grow). Buffers are used strictly stack-like: at most one live
 	// projection per depth.
 	projPool [][]projEntry
-
-	// sched and stealCutoff are set on parallel runs: subtrees whose
-	// projected database reaches the cutoff are offered to the shared
-	// queue instead of being recursed into. worker is this miner's index
-	// in the pool, recorded on spawned jobs so the scheduler can count
-	// steals.
-	sched       *sched[temporalJob]
-	stealCutoff int
-	worker      int32
-
-	// topk, when non-nil, raises minCount dynamically (top-k mining).
-	topk *topKState
 }
 
-func newTemporalMiner(db *seqdb.EndpointDB, opt Options, minCount int, ctl *runControl) *temporalMiner {
-	n := db.Table.Len()
-	return &temporalMiner{
-		db:       db,
-		opt:      opt,
-		minCount: minCount,
-		ctl:      ctl,
-		countsS:  make([]int32, n),
-		countsI:  make([]int32, n),
+func newTemporalMiner(db *seqdb.EndpointDB, d dfs, s *sched[temporalJob]) *temporalMiner {
+	d.tally(db.Table.Len())
+	return &temporalMiner{dfs: d, db: db, sched: s}
+}
+
+// root returns the job of the whole search tree: the empty prefix,
+// projected onto every sequence.
+func (m *temporalMiner) root() temporalJob {
+	proj := make([]projEntry, len(m.db.Seqs))
+	for i := range proj {
+		proj[i] = projEntry{seq: int32(i), loc: seqdb.Loc{Slice: -1, Idx: -1}}
 	}
+	return temporalJob{proj: proj}
 }
+
+// found returns the worker's results and search counters.
+func (m *temporalMiner) found() ([]pattern.TemporalResult, Stats) { return m.results, m.stats }
 
 // isOpen reports whether the interval started by item s is open.
 func (m *temporalMiner) isOpen(s seqdb.Item) bool {
@@ -174,62 +108,30 @@ func (m *temporalMiner) isOpen(s seqdb.Item) bool {
 	return false
 }
 
-// tick counts one unit of search work, polls the run control every
-// pollInterval units, and reports whether the search must stop. It sits
-// on the hot path: between polls it costs one increment and one relaxed
-// atomic load.
-func (m *temporalMiner) tick() bool {
-	m.ops++
-	if m.ops&(pollInterval-1) == 0 {
-		m.ctl.poll()
-	}
-	return m.ctl.stop.Load()
-}
-
-// candidate is one frequent extension discovered at a node.
-type candidate struct {
-	item  seqdb.Item
-	isI   bool
-	count int32
-}
-
 // mine explores the search tree rooted at the current prefix, whose
 // projected database is proj. depth is the number of extensions applied
 // to reach the node; it indexes the projection pool for child nodes.
 func (m *temporalMiner) mine(proj []projEntry, depth int) {
-	if m.tick() {
+	if !m.enter() {
 		return
 	}
-	if m.topk != nil {
-		if f := m.topk.threshold(); f > m.minCount {
-			m.minCount = f
-		}
-	}
-	m.stats.Nodes++
 	if len(m.elems) > 0 && len(m.open) == 0 && len(proj) >= m.minCount {
 		m.emit(proj)
 	}
-	if !m.opt.DisableSizePruning && len(proj) < m.minCount { // P4
-		m.stats.SizePruned++
+	if m.sizePruned(len(proj)) {
 		return
 	}
-
-	canS := m.opt.MaxElements == 0 || len(m.elems) < m.opt.MaxElements
-	canI := len(m.elems) > 0 &&
-		(m.opt.MaxItemsPerElement == 0 || len(m.elems[len(m.elems)-1]) < m.opt.MaxItemsPerElement)
-	canStart := m.opt.MaxIntervals == 0 || m.nIntervals < m.opt.MaxIntervals
+	canS, canI := m.extensible()
 	if !canS && !canI {
 		return
 	}
-
-	cands := m.countCandidates(proj, canS, canI, canStart)
-	for _, c := range cands {
+	canStart := m.opt.MaxIntervals == 0 || m.nIntervals < m.opt.MaxIntervals
+	for _, c := range m.countCandidates(proj, canS, canI, canStart) {
 		if m.ctl.stop.Load() {
 			return
 		}
 		m.extend(proj, c, depth)
 	}
-	// Return scratch: countCandidates already reset the touched counters.
 }
 
 // countCandidates scans the projected database once and returns the
@@ -272,27 +174,14 @@ func (m *temporalMiner) countCandidates(proj []projEntry, canS, canI, canStart b
 		}
 	}
 
-	cands := make([]candidate, 0, len(m.touchedS)+len(m.touchedI))
-	for _, it := range m.touchedS {
-		if c := m.countsS[it]; int(c) >= m.minCount && m.valid(it) {
-			cands = append(cands, candidate{item: it, isI: false, count: c})
-		}
-		m.countsS[it] = 0
+	cands := m.collect()
+	if !pairPruning {
+		// Without P2, admit counted finish endpoints of intervals the
+		// prefix has not opened; such an endpoint cannot extend it.
+		cands = slices.DeleteFunc(cands, func(c candidate) bool {
+			return m.db.IsFinish[c.item] && !m.isOpen(m.db.Pair[c.item])
+		})
 	}
-	for _, it := range m.touchedI {
-		if c := m.countsI[it]; int(c) >= m.minCount && m.valid(it) {
-			cands = append(cands, candidate{item: it, isI: true, count: c})
-		}
-		m.countsI[it] = 0
-	}
-	m.touchedS = m.touchedS[:0]
-	m.touchedI = m.touchedI[:0]
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].isI != cands[j].isI {
-			return !cands[i].isI
-		}
-		return cands[i].item < cands[j].item
-	})
 	return cands
 }
 
@@ -300,7 +189,7 @@ func (m *temporalMiner) countCandidates(proj []projEntry, canS, canI, canStart b
 // endpoints are admissible unless the interval cap is reached. Finish
 // endpoints are admissible only when their interval is open; with pair
 // pruning (P2) enabled the check happens here, saving counter work,
-// otherwise the item is counted and filtered later by valid.
+// otherwise countCandidates drops the item after counting it.
 func (m *temporalMiner) admit(it seqdb.Item, canStart, pairPruning bool) bool {
 	if !m.db.IsFinish[it] {
 		return canStart
@@ -314,26 +203,10 @@ func (m *temporalMiner) admit(it seqdb.Item, canStart, pairPruning bool) bool {
 	return true
 }
 
-// valid is the semantic admissibility check applied before recursion:
-// a finish endpoint extends the prefix only if its interval is open.
-// Redundant when P2 is on (admit already filtered), required when off.
-func (m *temporalMiner) valid(it seqdb.Item) bool {
-	if !m.db.IsFinish[it] {
-		return true
-	}
-	return m.isOpen(m.db.Pair[it])
-}
-
 // extend applies candidate c to the prefix, projects, recurses (or hands
 // the subtree to the shared queue), and restores the prefix state.
 func (m *temporalMiner) extend(proj []projEntry, c candidate, depth int) {
-	// Mutate prefix state.
-	if c.isI {
-		last := len(m.elems) - 1
-		m.elems[last] = append(m.elems[last], c.item)
-	} else {
-		m.elems = append(m.elems, []seqdb.Item{c.item})
-	}
+	m.push(c)
 	var closed openInterval
 	closedAt := -1
 	if m.db.IsFinish[c.item] {
@@ -370,12 +243,7 @@ func (m *temporalMiner) extend(proj []projEntry, c candidate, depth int) {
 		m.open = m.open[:len(m.open)-1]
 		m.nIntervals--
 	}
-	if c.isI {
-		last := len(m.elems) - 1
-		m.elems[last] = m.elems[last][:len(m.elems[last])-1]
-	} else {
-		m.elems = m.elems[:len(m.elems)-1]
-	}
+	m.pop(c)
 }
 
 // project builds the pseudo-projected database for prefix + c. It relies
@@ -468,12 +336,8 @@ func (m *temporalMiner) trySteal(next []projEntry, depth int) bool {
 	if m.sched == nil || len(next) < m.stealCutoff || m.sched.full() {
 		return false
 	}
-	elems := make([][]seqdb.Item, len(m.elems))
-	for i, el := range m.elems {
-		elems[i] = append([]seqdb.Item(nil), el...)
-	}
 	return m.sched.trySpawn(int(m.worker), temporalJob{
-		elems:      elems,
+		elems:      m.prefix(),
 		open:       append([]openInterval(nil), m.open...),
 		nIntervals: m.nIntervals,
 		proj:       append([]projEntry(nil), next...),
@@ -492,7 +356,6 @@ func (m *temporalMiner) runJob(j temporalJob) {
 
 // emit records the current (complete) prefix as a result.
 func (m *temporalMiner) emit(proj []projEntry) {
-	m.stats.Emitted++
 	els := make([][]endpoint.Endpoint, len(m.elems))
 	for i, el := range m.elems {
 		eps := make([]endpoint.Endpoint, len(el))
@@ -501,46 +364,14 @@ func (m *temporalMiner) emit(proj []projEntry) {
 		}
 		els[i] = eps
 	}
-	res := pattern.TemporalResult{
-		Pattern: pattern.NewTemporal(els...),
-		Support: len(proj),
-	}
-	m.results = append(m.results, res)
-	m.ctl.noteEmit()
+	p := pattern.NewTemporal(els...)
+	m.results = append(m.results, pattern.TemporalResult{Pattern: p, Support: len(proj)})
+	m.emitted()
 	if m.topk != nil {
-		m.minCount = m.topk.observe(m.topk.key(res.Pattern), res.Support, m.minCount)
+		// Top-k counts distinct patterns as the final order reports them.
+		if !m.opt.KeepOccurrences {
+			p = p.Normalize()
+		}
+		m.minCount = m.topk.observe(p.Key(), len(proj), m.minCount)
 	}
-}
-
-// mineTemporalParallel runs the work-stealing parallel search: workers
-// drain a bounded shared queue seeded with the root subtree, and any
-// worker enqueues a subtree when its projected database reaches the
-// steal cutoff (see sched.go). tk, when non-nil, is the shared top-k
-// threshold state. The callers' final normalize/sort pass makes the
-// merged output byte-identical to a serial run.
-func mineTemporalParallel(db *seqdb.EndpointDB, opt Options, minCount int, stats *Stats, ctl *runControl, tk *topKState) []pattern.TemporalResult {
-	workers := opt.Parallel
-	s := newSched[temporalJob](workers)
-	s.trySpawn(rootSpawner, temporalJob{proj: initialTemporalProjection(db), depth: 0})
-
-	cutoff := stealCutoffFor(opt, len(db.Seqs), minCount)
-	miners := make([]*temporalMiner, workers)
-	for w := range miners {
-		m := newTemporalMiner(db, opt, minCount, ctl)
-		m.topk = tk
-		m.sched = s
-		m.stealCutoff = cutoff
-		m.worker = int32(w)
-		miners[w] = m
-	}
-	s.run(workers, func(w int, j temporalJob) { miners[w].runJob(j) })
-
-	var out []pattern.TemporalResult
-	for _, m := range miners {
-		stats.Add(m.stats)
-		out = append(out, m.results...)
-	}
-	spawned, steals, depth := s.counters()
-	stats.Add(Stats{JobsSpawned: spawned, StealsTaken: steals, MaxQueueDepth: depth})
-	return out
 }

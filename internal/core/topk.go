@@ -101,8 +101,7 @@ func capResults[R any](rs []R, k, maxPatterns int) []R {
 // can never discard a top-k pattern, and the deterministic final
 // sort+truncate makes parallel output identical to serial.
 type topKState struct {
-	k         int
-	normalize bool
+	k int
 
 	mu       sync.Mutex
 	seen     map[string]struct{}
@@ -113,11 +112,11 @@ type topKState struct {
 
 // newTopKState returns the shared state of a k-best mine, or nil for a
 // plain mine (k == 0).
-func newTopKState(k int, normalize bool) *topKState {
+func newTopKState(k int) *topKState {
 	if k == 0 {
 		return nil
 	}
-	return &topKState{k: k, normalize: normalize, seen: make(map[string]struct{}, k)}
+	return &topKState{k: k, seen: make(map[string]struct{}, k)}
 }
 
 // threshold returns the current dynamic support threshold (0 until k
@@ -156,15 +155,6 @@ func (t *topKState) observe(key string, support, minCount int) int {
 		return f
 	}
 	return minCount
-}
-
-// key computes the distinctness key of a temporal pattern under the
-// state's normalization mode.
-func (t *topKState) key(p pattern.Temporal) string {
-	if t.normalize {
-		return p.Normalize().Key()
-	}
-	return p.Key()
 }
 
 // intMinHeap is a minimal min-heap of ints for container/heap.

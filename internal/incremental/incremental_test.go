@@ -120,7 +120,7 @@ func TestMatchesFromScratch(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !pattern.TemporalResultsEqual(got, want) {
+						if !pattern.ResultsEqual(got, want) {
 							t.Fatalf("round %d: incremental %d patterns, fresh mine %d patterns\ninc: %v\nfresh: %v",
 								round, len(got), len(want), got, want)
 						}
@@ -149,7 +149,7 @@ func TestAbsoluteThresholdEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pattern.TemporalResultsEqual(got, want) {
+		if !pattern.ResultsEqual(got, want) {
 			t.Fatalf("round %d: mismatch (%d vs %d patterns)", round, len(got), len(want))
 		}
 	}
@@ -284,7 +284,7 @@ func TestAppendCtxCancelledRollsBack(t *testing.T) {
 	if got := m.Database().Len(); got != beforeLen {
 		t.Errorf("rolled-back database has %d sequences, want %d", got, beforeLen)
 	}
-	if !pattern.TemporalResultsEqual(m.Patterns(), before) {
+	if !pattern.ResultsEqual(m.Patterns(), before) {
 		t.Error("pattern state changed by a cancelled append")
 	}
 
@@ -296,7 +296,7 @@ func TestAppendCtxCancelledRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pattern.TemporalResultsEqual(m.Patterns(), want) {
+	if !pattern.ResultsEqual(m.Patterns(), want) {
 		t.Fatalf("retried append diverged from scratch mine (%d vs %d patterns)",
 			len(m.Patterns()), len(want))
 	}

@@ -2,29 +2,37 @@ package pattern
 
 import "sort"
 
-// TemporalResult pairs a temporal pattern with its support count.
-type TemporalResult struct {
-	Pattern Temporal
+// Pattern is what a mining result holds: a Temporal or a Coinc pattern.
+type Pattern interface {
+	// Size is the pattern's item count, the result order's second key.
+	Size() int
+	// Key is the pattern's canonical string, its identity in result sets.
+	Key() string
+}
+
+// Result pairs a pattern with its support count.
+type Result[P Pattern] struct {
+	Pattern P
 	Support int
 }
+
+// TemporalResult pairs a temporal pattern with its support count.
+type TemporalResult = Result[Temporal]
 
 // CoincResult pairs a coincidence pattern with its support count.
-type CoincResult struct {
-	Pattern Coinc
-	Support int
-}
+type CoincResult = Result[Coinc]
 
 // resultOrder is the precomputed sort rank of one result. Size and Key
-// are not free (Size counts distinct instances, Key allocates), so the
-// sorters compute both once per result instead of once per comparison.
+// are not free (Key allocates), so SortResults computes both once per
+// result instead of once per comparison.
 type resultOrder struct {
-	size int
-	key  string
+	support, size int
+	key           string
 }
 
-func (a resultOrder) less(b resultOrder, supA, supB int) bool {
-	if supA != supB {
-		return supA > supB
+func (a resultOrder) less(b resultOrder) bool {
+	if a.support != b.support {
+		return a.support > b.support
 	}
 	if a.size != b.size {
 		return a.size < b.size
@@ -32,56 +40,30 @@ func (a resultOrder) less(b resultOrder, supA, supB int) bool {
 	return a.key < b.key
 }
 
-// SortTemporalResults orders results deterministically: descending
+// SortResults orders results deterministically, in place: descending
 // support, then ascending size, then lexicographic key. All miners sort
-// their output this way so result sets compare element-wise.
-func SortTemporalResults(rs []TemporalResult) {
+// their output this way so result sets compare element-wise. It returns
+// rs.
+func SortResults[P Pattern](rs []Result[P]) []Result[P] {
 	if len(rs) < 2 {
-		return
+		return rs
 	}
 	ks := make([]resultOrder, len(rs))
 	for i := range rs {
-		ks[i] = resultOrder{rs[i].Pattern.Size(), rs[i].Pattern.Key()}
+		ks[i] = resultOrder{rs[i].Support, rs[i].Pattern.Size(), rs[i].Pattern.Key()}
 	}
-	sort.Sort(&temporalSorter{rs, ks})
+	sort.Sort(&resultSorter[P]{rs, ks})
+	return rs
 }
 
-type temporalSorter struct {
-	rs []TemporalResult
+type resultSorter[P Pattern] struct {
+	rs []Result[P]
 	ks []resultOrder
 }
 
-func (s *temporalSorter) Len() int { return len(s.rs) }
-func (s *temporalSorter) Less(i, j int) bool {
-	return s.ks[i].less(s.ks[j], s.rs[i].Support, s.rs[j].Support)
-}
-func (s *temporalSorter) Swap(i, j int) {
-	s.rs[i], s.rs[j] = s.rs[j], s.rs[i]
-	s.ks[i], s.ks[j] = s.ks[j], s.ks[i]
-}
-
-// SortCoincResults is the coincidence analogue of SortTemporalResults.
-func SortCoincResults(rs []CoincResult) {
-	if len(rs) < 2 {
-		return
-	}
-	ks := make([]resultOrder, len(rs))
-	for i := range rs {
-		ks[i] = resultOrder{rs[i].Pattern.Size(), rs[i].Pattern.Key()}
-	}
-	sort.Sort(&coincSorter{rs, ks})
-}
-
-type coincSorter struct {
-	rs []CoincResult
-	ks []resultOrder
-}
-
-func (s *coincSorter) Len() int { return len(s.rs) }
-func (s *coincSorter) Less(i, j int) bool {
-	return s.ks[i].less(s.ks[j], s.rs[i].Support, s.rs[j].Support)
-}
-func (s *coincSorter) Swap(i, j int) {
+func (s *resultSorter[P]) Len() int           { return len(s.rs) }
+func (s *resultSorter[P]) Less(i, j int) bool { return s.ks[i].less(s.ks[j]) }
+func (s *resultSorter[P]) Swap(i, j int) {
 	s.rs[i], s.rs[j] = s.rs[j], s.rs[i]
 	s.ks[i], s.ks[j] = s.ks[j], s.ks[i]
 }
@@ -102,30 +84,12 @@ func NormalizeTemporalResults(rs []TemporalResult) []TemporalResult {
 	for _, r := range best {
 		out = append(out, r)
 	}
-	SortTemporalResults(out)
-	return out
+	return SortResults(out)
 }
 
-// TemporalResultsEqual reports whether two sorted result sets are
-// identical (same patterns with same supports, order-insensitively).
-func TemporalResultsEqual(a, b []TemporalResult) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	am := make(map[string]int, len(a))
-	for _, r := range a {
-		am[r.Pattern.Key()] = r.Support
-	}
-	for _, r := range b {
-		if sup, ok := am[r.Pattern.Key()]; !ok || sup != r.Support {
-			return false
-		}
-	}
-	return true
-}
-
-// CoincResultsEqual is the coincidence analogue of TemporalResultsEqual.
-func CoincResultsEqual(a, b []CoincResult) bool {
+// ResultsEqual reports whether two result sets are identical: the same
+// patterns with the same supports, in any order.
+func ResultsEqual[P Pattern](a, b []Result[P]) bool {
 	if len(a) != len(b) {
 		return false
 	}

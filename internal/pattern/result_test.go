@@ -11,7 +11,7 @@ func TestSortTemporalResults(t *testing.T) {
 		{Pattern: mustTemporal(t, "A+ A-"), Support: 7},
 		{Pattern: mustTemporal(t, "C+ C-"), Support: 5},
 	}
-	SortTemporalResults(rs)
+	SortResults(rs)
 	// Descending support, then ascending size, then key.
 	if rs[0].Pattern.String() != "A+ A-" {
 		t.Errorf("rs[0] = %v", rs[0].Pattern)
@@ -52,24 +52,24 @@ func TestResultsEqual(t *testing.T) {
 		{Pattern: mustTemporal(t, "B+ B-"), Support: 2},
 		{Pattern: mustTemporal(t, "A+ A-"), Support: 3},
 	}
-	if !TemporalResultsEqual(a, b) {
+	if !ResultsEqual(a, b) {
 		t.Error("order should not matter")
 	}
 	b[0].Support = 1
-	if TemporalResultsEqual(a, b) {
+	if ResultsEqual(a, b) {
 		t.Error("support difference ignored")
 	}
-	if TemporalResultsEqual(a, a[:1]) {
+	if ResultsEqual(a, a[:1]) {
 		t.Error("length difference ignored")
 	}
 
 	ca := []CoincResult{{Pattern: mustCoinc(t, "{A}"), Support: 3}}
 	cb := []CoincResult{{Pattern: mustCoinc(t, "{A}"), Support: 3}}
-	if !CoincResultsEqual(ca, cb) {
+	if !ResultsEqual(ca, cb) {
 		t.Error("equal coinc results differ")
 	}
 	cb[0].Support = 4
-	if CoincResultsEqual(ca, cb) {
+	if ResultsEqual(ca, cb) {
 		t.Error("coinc support difference ignored")
 	}
 }
@@ -80,7 +80,7 @@ func TestSortCoincResults(t *testing.T) {
 		{Pattern: mustCoinc(t, "{A B}"), Support: 3},
 		{Pattern: mustCoinc(t, "{A}"), Support: 3},
 	}
-	SortCoincResults(rs)
+	SortResults(rs)
 	if rs[0].Pattern.String() != "{A}" || rs[1].Pattern.String() != "{A B}" || rs[2].Pattern.String() != "{B}" {
 		t.Errorf("order: %v", rs)
 	}

@@ -1,0 +1,171 @@
+package remote
+
+import (
+	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"tpminer/internal/interval"
+	"tpminer/internal/persist"
+)
+
+// decodeLimit is the worker's MaxShardBytes in these tests: small, so
+// an oversized body and a gzip bomb are cheap to build.
+const decodeLimit = 1 << 10
+
+func decodeTestDB() *interval.Database {
+	return &interval.Database{Sequences: []interval.Sequence{
+		{ID: "s1", Intervals: []interval.Interval{{Symbol: "A", Start: 0, End: 2}, {Symbol: "B", Start: 1, End: 4}}},
+		{ID: "s2", Intervals: []interval.Interval{{Symbol: "A", Start: 3, End: 5}}},
+	}}
+}
+
+func gzipBytes(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func digestOf(raw []byte) string {
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestWorkerRejectsMalformedBodies posts malformed mine, count and push
+// bodies to a worker. Each must get a 400 with the documented error code
+// and leave nothing cached; the well-formed controls at the end must
+// still be served.
+func TestWorkerRejectsMalformedBodies(t *testing.T) {
+	ws := NewWorkerServer(WorkerConfig{MaxShardBytes: decodeLimit})
+	ts := httptest.NewServer(ws.Handler())
+	defer ts.Close()
+
+	key := ShardKey{Dataset: "d", Version: 1, Shard: 0}
+	payload, digest, err := NewShardData(key, decodeTestDB()).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bombRaw := make([]byte, 4*decodeLimit)
+	const (
+		mine  = `{"key":{"dataset":"d","version":1,"shard":0},"shard":0,"kind":"temporal","opt":{"MinCount":1}}`
+		count = `{"key":{"dataset":"d","version":1,"shard":0},"shard":0,"kind":"coincidence","coinc":[{"Elements":[["A"]]}]}`
+	)
+	pad := strings.Repeat(" ", decodeLimit)
+
+	type post struct {
+		name, method, path string
+		body               []byte
+		digest             string
+		code               string
+	}
+	cases := []post{
+		{"mine oversized", "POST", "/v1/worker/mine", []byte(mine[:len(mine)-1] + pad + "}"), "", codeBadRequest},
+		{"mine unknown field", "POST", "/v1/worker/mine", []byte(strings.Replace(mine, `"MinCount":1`, `"MinCount":1,"NewKnob":3`, 1)), "", codeBadRequest},
+		{"mine trailing data", "POST", "/v1/worker/mine", []byte(mine + `{}`), "", codeBadRequest},
+		{"count oversized", "POST", "/v1/worker/count", []byte(count[:len(count)-1] + pad + "}"), "", codeBadRequest},
+		{"count unknown field", "POST", "/v1/worker/count", []byte(count[:len(count)-1] + `,"max_len":3}`), "", codeBadRequest},
+		{"count trailing data", "POST", "/v1/worker/count", []byte(count + ` x`), "", codeBadRequest},
+		{"push without digest", "PUT", key.path(), payload, "", codeBadPayload},
+		{"push digest mismatch", "PUT", key.path(), payload, digestOf([]byte("other")), codeBadPayload},
+		{"push gzip bomb", "PUT", key.path(), gzipBytes(t, bombRaw), digestOf(bombRaw), codeBadPayload},
+	}
+	send := func(c post) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.digest != "" {
+			req.Header.Set(shardDigestHeader, c.digest)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, c := range cases {
+		status, body := send(c)
+		if status != http.StatusBadRequest || !strings.Contains(body, `"code":"`+c.code+`"`) {
+			t.Errorf("%s: %d %s, want 400 %s", c.name, status, body, c.code)
+		}
+		if n := ws.Shards(); n != 0 {
+			t.Fatalf("%s: worker caches %d shards, want 0", c.name, n)
+		}
+	}
+
+	for _, c := range []post{
+		{"push", "PUT", key.path(), payload, digest, ""},
+		{"mine", "POST", "/v1/worker/mine", []byte(mine + "\n"), "", ""},
+		{"count", "POST", "/v1/worker/count", []byte(count), "", ""},
+	} {
+		if status, body := send(c); status >= 300 {
+			t.Errorf("well-formed %s: %d %s", c.name, status, body)
+		}
+	}
+}
+
+// FuzzDecodeShardPayload feeds the worker's shard-push decoder arbitrary
+// bodies and digests. With seal set, the body is taken as the raw
+// encoding and is gzipped and digested here, so the database decoder
+// sees arbitrary bytes too. The decoder must never panic; an accepted
+// payload must inflate to at most the limit and match its digest, and
+// its database must survive a re-encode and decode unchanged.
+func FuzzDecodeShardPayload(f *testing.F) {
+	raw := persist.EncodeDatabase(nil, decodeTestDB())
+	payload := gzipBytes(f, raw)
+	bomb := make([]byte, 4*decodeLimit)
+	f.Add(payload, digestOf(raw), false)
+	f.Add(payload, "", false)
+	f.Add(payload, digestOf(nil), false)
+	f.Add(gzipBytes(f, bomb), digestOf(bomb), false)
+	f.Add([]byte("not gzip"), digestOf(raw), false)
+	f.Add(raw, "", true)
+	f.Add(raw[:len(raw)/2], "", true)
+	f.Fuzz(func(t *testing.T, body []byte, digest string, seal bool) {
+		if seal {
+			body, digest = gzipBytes(t, body), digestOf(body)
+		}
+		db, n, err := decodeShardPayload(bytes.NewReader(body), digest, decodeLimit)
+		if err != nil {
+			return
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("accepted a payload that is not gzip: %v", err)
+		}
+		inflated, err := io.ReadAll(io.LimitReader(zr, decodeLimit+1))
+		if err != nil {
+			t.Fatalf("accepted a payload that does not inflate: %v", err)
+		}
+		if len(inflated) > decodeLimit || int64(len(inflated)) != n {
+			t.Fatalf("accepted %d inflated bytes (reported %d), limit %d", len(inflated), n, decodeLimit)
+		}
+		if got := digestOf(inflated); got != digest {
+			t.Fatalf("accepted digest %q for a payload whose digest is %q", digest, got)
+		}
+		again, err := persist.DecodeDatabase(persist.EncodeDatabase(nil, db))
+		if err != nil {
+			t.Fatalf("accepted database does not re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, db) {
+			t.Fatalf("database changed across re-encode: %+v vs %+v", again, db)
+		}
+	})
+}

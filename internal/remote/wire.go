@@ -128,9 +128,14 @@ func (d *ShardData) Encode() (payload []byte, digest string, err error) {
 }
 
 // decodeShardPayload inflates and decodes one pushed shard body,
-// verifying the declared digest. maxBytes bounds the inflated size so a
-// hostile or corrupt payload cannot balloon worker memory.
+// verifying the declared digest, which it requires: a worker caches a
+// shard under a content address, so it never caches unverified bytes.
+// maxBytes bounds the inflated size so a hostile or corrupt payload
+// cannot balloon worker memory.
 func decodeShardPayload(r io.Reader, wantDigest string, maxBytes int64) (*interval.Database, int64, error) {
+	if wantDigest == "" {
+		return nil, 0, fmt.Errorf("remote: shard push lacks the %s header", shardDigestHeader)
+	}
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("remote: shard payload is not gzip: %w", err)
@@ -143,11 +148,9 @@ func decodeShardPayload(r io.Reader, wantDigest string, maxBytes int64) (*interv
 	if int64(len(raw)) > maxBytes {
 		return nil, 0, fmt.Errorf("remote: shard payload exceeds %d bytes inflated", maxBytes)
 	}
-	if wantDigest != "" {
-		sum := sha256.Sum256(raw)
-		if got := hex.EncodeToString(sum[:]); got != wantDigest {
-			return nil, 0, fmt.Errorf("remote: shard digest mismatch: got %s, want %s", got, wantDigest)
-		}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != wantDigest {
+		return nil, 0, fmt.Errorf("remote: shard digest mismatch: got %s, want %s", got, wantDigest)
 	}
 	db, err := persist.DecodeDatabase(raw)
 	if err != nil {

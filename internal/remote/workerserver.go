@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -254,7 +255,7 @@ func pathShardKey(r *http.Request) (ShardKey, error) {
 
 func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	var req mineWire
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := ws.decodeRPC(w, r, &req); err != nil {
 		ws.rpcs.With(OpMine, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed mine request: "+err.Error())
 		return
@@ -280,7 +281,7 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 
 func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	var req countWire
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := ws.decodeRPC(w, r, &req); err != nil {
 		ws.rpcs.With(OpCount, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
@@ -303,6 +304,22 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.rpcs.With(OpCount, "ok").Inc()
 	ws.writeJSON(w, http.StatusOK, countRespWire{Supports: resp.Supports})
+}
+
+// decodeRPC decodes a mine or count body strictly: at most MaxShardBytes
+// long, no unknown field and nothing after the JSON value. A field the
+// coordinator sends that this build lacks, as during a rolling deploy,
+// is refused rather than silently dropped from the mine.
+func (ws *WorkerServer) decodeRPC(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("unexpected data after the JSON body")
+	}
+	return nil
 }
 
 // workContext bounds one mine/count by the client's declared budget and

@@ -1,5 +1,5 @@
-// Package seqdb provides the integer-encoded sequence databases and the
-// pseudo-projection machinery shared by the projection-based miners.
+// Package seqdb provides the integer-encoded sequence databases, and the
+// position indexes over them, that the projection-based miners search.
 //
 // Both representations mined by P-TPMiner reduce to the same shape: a
 // database of sequences of slices, where each slice is a sorted set of
@@ -55,28 +55,6 @@ func (l Loc) Before(m Loc) bool {
 		return l.Slice < m.Slice
 	}
 	return l.Idx < m.Idx
-}
-
-// ProjPos is one entry of a projected database: the position in sequence
-// Seq at which the current prefix's last item matched. The initial
-// projection uses Slice = -1 ("before the first slice").
-type ProjPos struct {
-	Seq int32
-	Loc
-}
-
-// Projection is a pseudo-projected database: one position per supporting
-// sequence, ordered by sequence index.
-type Projection []ProjPos
-
-// InitialProjection returns the projection representing the empty prefix
-// over n sequences.
-func InitialProjection(n int) Projection {
-	out := make(Projection, n)
-	for i := range out {
-		out[i] = ProjPos{Seq: int32(i), Loc: Loc{Slice: -1, Idx: -1}}
-	}
-	return out
 }
 
 // EndpointTable maps occurrence-indexed endpoints to dense item ids.
@@ -400,9 +378,6 @@ func (o *OccIndex) Slices(s int32, it Item) []int32 {
 type CoincDB struct {
 	Seqs  []Sequence
 	Table *SymbolTable
-	// Durations[s][c] is the time extent of slice c of sequence s
-	// (End - Start of the underlying segment), kept for reporting.
-	Durations [][]interval.Time
 	// Occ locates the slices containing each symbol in each sequence.
 	Occ OccIndex
 }
@@ -455,9 +430,8 @@ func (db *CoincDB) buildOccIndex() error {
 // representation.
 func EncodeCoincidenceDB(db *interval.Database) (*CoincDB, error) {
 	out := &CoincDB{
-		Seqs:      make([]Sequence, len(db.Sequences)),
-		Table:     NewSymbolTable(),
-		Durations: make([][]interval.Time, len(db.Sequences)),
+		Seqs:  make([]Sequence, len(db.Sequences)),
+		Table: NewSymbolTable(),
 	}
 	for si := range db.Sequences {
 		segs, err := coincidence.Transform(db.Sequences[si])
@@ -470,7 +444,6 @@ func EncodeCoincidenceDB(db *interval.Database) (*CoincDB, error) {
 		}
 		backing := make([]Item, total)
 		seq := Sequence{Slices: make([]Slice, len(segs))}
-		durs := make([]interval.Time, len(segs))
 		k := 0
 		for ci, c := range segs {
 			items := backing[k : k+len(c.Symbols) : k+len(c.Symbols)]
@@ -480,10 +453,8 @@ func EncodeCoincidenceDB(db *interval.Database) (*CoincDB, error) {
 			}
 			sortItems(items)
 			seq.Slices[ci] = Slice{Time: c.Start, Items: items}
-			durs[ci] = c.End - c.Start
 		}
 		out.Seqs[si] = seq
-		out.Durations[si] = durs
 	}
 	if err := out.buildOccIndex(); err != nil {
 		return nil, err
@@ -531,8 +502,7 @@ func (db *CoincDB) FilterInfrequent(minCount int) int {
 	for si := range db.Seqs {
 		seq := &db.Seqs[si]
 		outSlices := seq.Slices[:0]
-		outDurs := db.Durations[si][:0]
-		for ci, sl := range seq.Slices {
+		for _, sl := range seq.Slices {
 			// In-place compaction, same as the endpoint filter: writes
 			// trail reads within each slice's own backing segment.
 			items := sl.Items[:0]
@@ -545,10 +515,8 @@ func (db *CoincDB) FilterInfrequent(minCount int) int {
 				continue
 			}
 			outSlices = append(outSlices, Slice{Time: sl.Time, Items: items})
-			outDurs = append(outDurs, db.Durations[si][ci])
 		}
 		seq.Slices = outSlices
-		db.Durations[si] = outDurs
 	}
 	// Slice indices shifted; rebuild the posting lists. The width cannot
 	// have grown, so the size check cannot fail.

@@ -158,12 +158,6 @@ func TestEncodeCoincidenceDB(t *testing.T) {
 	if sup[a] != 3 || sup[b] != 1 {
 		t.Errorf("supports: A=%d B=%d", sup[a], sup[b])
 	}
-	// Durations parallel the slices.
-	for si := range enc.Seqs {
-		if len(enc.Durations[si]) != len(enc.Seqs[si].Slices) {
-			t.Fatalf("durations misaligned for seq %d", si)
-		}
-	}
 	checkOccIndex(t, enc)
 }
 
@@ -208,9 +202,6 @@ func TestCoincFilterInfrequent(t *testing.T) {
 		t.Errorf("removed = %d, want 2", removed)
 	}
 	for si := range enc.Seqs {
-		if len(enc.Durations[si]) != len(enc.Seqs[si].Slices) {
-			t.Fatalf("durations misaligned after filter for seq %d", si)
-		}
 		for _, sl := range enc.Seqs[si].Slices {
 			if len(sl.Items) == 0 {
 				t.Fatal("empty slice survived")
@@ -256,18 +247,6 @@ func TestLocBefore(t *testing.T) {
 	}
 	if a.Before(a) || b.Before(a) {
 		t.Error("Before not strict")
-	}
-}
-
-func TestInitialProjection(t *testing.T) {
-	p := InitialProjection(3)
-	if len(p) != 3 {
-		t.Fatalf("len = %d", len(p))
-	}
-	for i, pe := range p {
-		if pe.Seq != int32(i) || pe.Slice != -1 || pe.Idx != -1 {
-			t.Errorf("entry %d = %+v", i, pe)
-		}
 	}
 }
 

@@ -348,6 +348,8 @@ func TestStreamingEndToEnd(t *testing.T) {
 	// the process, so a resumer behind the current run gets one full
 	// "result" snapshot to rebase on — identical to the stored result.
 	resume := dialSSE(t, ts2.URL+"/v1/jobs/live/events", strconv.FormatUint(lastID-1, 10))
+	// Closed before ts2's cleanup, which waits for the open handler.
+	defer resume.close()
 	id, event, data := resume.next(t, 5*time.Second)
 	if event != jobs.EventResult {
 		t.Fatalf("resume after restart: got %q event, want %q", event, jobs.EventResult)
@@ -361,30 +363,44 @@ func TestStreamingEndToEnd(t *testing.T) {
 	}
 	expectSamePatterns(t, "restart resume snapshot", snap.Patterns, want)
 
-	// New ingest after the restart produces a delta diffed against the
-	// restored state — the stream continues, not restarts.
-	if resp, body := do(t, "POST", ts2.URL+"/v1/datasets/stream/events", "application/x-ndjson",
-		ndjsonWave(60, 20, "E")); resp.StatusCode != http.StatusAccepted {
+	// New ingest after the restart produces deltas diffed against the
+	// restored state — the stream continues, not restarts. The wave is
+	// several inline flushes, and the job's debounce can expire between
+	// them, so read deltas until one reports the ingest's last version.
+	resp, body = do(t, "POST", ts2.URL+"/v1/datasets/stream/events", "application/x-ndjson",
+		ndjsonWave(60, 20, "E"))
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-restart ingest: %d %s", resp.StatusCode, body)
 	}
-	_, event, data = resume.next(t, 5*time.Second)
-	if event != jobs.EventDelta {
-		t.Fatalf("post-restart event: %q, want delta", event)
+	var ack struct {
+		Version uint64 `json:"version"`
 	}
-	var d jobs.Delta
-	if err := json.Unmarshal(data, &d); err != nil {
+	if err := json.Unmarshal([]byte(body), &ack); err != nil {
 		t.Fatal(err)
 	}
-	if d.RunSeq != res.RunSeq+1 {
-		t.Fatalf("post-restart delta run %d, want %d", d.RunSeq, res.RunSeq+1)
+	rebased := snap.Patterns
+	for wantRun := res.RunSeq + 1; ; wantRun++ {
+		_, event, data = resume.next(t, 5*time.Second)
+		if event != jobs.EventDelta {
+			t.Fatalf("post-restart event: %q, want delta", event)
+		}
+		var d jobs.Delta
+		if err := json.Unmarshal(data, &d); err != nil {
+			t.Fatal(err)
+		}
+		if d.RunSeq != wantRun {
+			t.Fatalf("post-restart delta run %d, want %d", d.RunSeq, wantRun)
+		}
+		rebased = jobs.Apply(rebased, d)
+		if d.Version == ack.Version {
+			break
+		}
 	}
-	rebased := jobs.Apply(snap.Patterns, d)
 	mineResp, mineBody = do(t, "POST", ts2.URL+"/v1/datasets/stream/mine", "application/json", streamMineSpec)
 	if mineResp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart batch mine: %d %s", mineResp.StatusCode, mineBody)
 	}
-	expectSamePatterns(t, "post-restart delta vs batch mine", rebased, jobPatternsOf(t, mineBody))
-	resume.close()
+	expectSamePatterns(t, "post-restart deltas vs batch mine", rebased, jobPatternsOf(t, mineBody))
 }
 
 // TestSSEClientDisconnectNoLeak: subscribers that vanish must leave no

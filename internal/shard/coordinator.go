@@ -153,14 +153,10 @@ func (c *Coordinator) fanOut(ctx context.Context, f func(ctx context.Context, i 
 	return first
 }
 
-// keyed is the pattern types the merge handles: it tallies supports by
-// pattern key.
-type keyed interface{ Key() string }
-
 // family is what the merge needs to know about one pattern kind. The
 // scatter, the support tally, the count round, and the top-k threshold
 // are the same for both kinds; only these three steps differ.
-type family[P keyed] struct {
+type family[P pattern.Pattern] struct {
 	kind Kind
 	// each calls f with every pattern and support a shard reported.
 	each func(r *MineShardResponse, f func(P, int))
@@ -189,7 +185,7 @@ var temporalFamily = family[pattern.Temporal]{
 			rs[i] = pattern.TemporalResult{Pattern: t.pat, Support: t.total}
 		}
 		if opt.KeepOccurrences {
-			pattern.SortTemporalResults(rs)
+			pattern.SortResults(rs)
 		} else {
 			rs = pattern.NormalizeTemporalResults(rs)
 		}
@@ -212,7 +208,7 @@ var coincFamily = family[pattern.Coinc]{
 		for i, t := range ts {
 			rs[i] = pattern.CoincResult{Pattern: t.pat, Support: t.total}
 		}
-		pattern.SortCoincResults(rs)
+		pattern.SortResults(rs)
 		return &MineShardResponse{Coinc: rs}
 	},
 }
@@ -231,7 +227,7 @@ type tally[P any] struct {
 // the patterns whose global support reaches keep. Tallies come back
 // unsorted, in first-report order; counted is the number of completion
 // counts issued. Per-shard stats are folded into agg.
-func round[P keyed](ctx context.Context, c *Coordinator, f family[P], topK, bound, keep int, opt core.Options, agg *core.Stats) (kept []*tally[P], counted int, err error) {
+func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], topK, bound, keep int, opt core.Options, agg *core.Stats) (kept []*tally[P], counted int, err error) {
 	if c.Met != nil {
 		c.Met.FanOut(len(c.Workers))
 	}
@@ -327,7 +323,7 @@ func round[P keyed](ctx context.Context, c *Coordinator, f family[P], topK, boun
 // local top-k candidate or beaten by k candidates. Round two is a
 // complete mine at max(τ, floor), which the merge filters exactly; the
 // first k of the deterministic order is then the serial answer.
-func mine[P keyed](ctx context.Context, c *Coordinator, f family[P], topK int, opt core.Options) (*MineShardResponse, error) {
+func mine[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], topK int, opt core.Options) (*MineShardResponse, error) {
 	start := time.Now()
 	if topK > 0 && opt.MinCount == 0 && opt.MinSupport == 0 {
 		opt.MinCount = 1
