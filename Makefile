@@ -32,8 +32,11 @@ race:
 
 # Route contract: every route the server serves must be documented in
 # the README API reference table (and actually resolve on the mux).
+# Byte contract: mine responses (every mode, hit, miss, coalesced and
+# uncached) and a job's stored rows equal an independent encoding/json
+# rendering.
 contract:
-	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed'
+	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle'
 
 # Crash-recovery gate: the persist fault-injection tests (torn tail,
 # corrupt CRC mid-log, partial snapshot, crash during compaction) and
@@ -82,7 +85,8 @@ perfbench:
 # vet and race cover every package, including internal/obs and the
 # instrumented server/scheduler paths; lint fails on unchecked errors in
 # the durability, server, and jobs layers; contract keeps the README API
-# table in lockstep with the served routes; recovery re-runs the persist
+# table in lockstep with the served routes and pins the mine response
+# bytes against an independent encoding; recovery re-runs the persist
 # crash-recovery suite by name; chaos re-rolls the randomized fault
 # schedule with a fresh seed; stream re-runs the streaming/SSE/
 # job-durability suite by name; dist re-runs the remote-worker/failover

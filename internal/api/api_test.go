@@ -1,20 +1,24 @@
 package api
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
+	"io"
+	"strings"
 	"testing"
+
+	"tpminer/internal/dataio"
 )
 
 // decodeSpec decodes a request body the way the server does: strictly,
-// so an unknown field is an error.
+// so an unknown field or data after the JSON value is an error, and an
+// empty body is the all-default spec.
 func decodeSpec(t *testing.T, body string) (MineSpec, error) {
 	t.Helper()
 	var spec MineSpec
-	dec := json.NewDecoder(bytes.NewReader([]byte(body)))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
+	err := dataio.DecodeJSON(strings.NewReader(body), &spec)
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
 	return spec, err
 }
 

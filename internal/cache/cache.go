@@ -9,9 +9,9 @@
 //
 // Two mechanisms share the package:
 //
-//   - A byte-budgeted LRU: entries carry their approximate resident
-//     size; inserting past the budget evicts from the cold end. An entry
-//     larger than the whole budget is not admitted at all.
+//   - A byte-budgeted LRU: entries carry their resident size as the
+//     caller reports it; inserting past the budget evicts from the cold
+//     end. An entry larger than the whole budget is not admitted at all.
 //   - A single-flight group: N concurrent Do calls for the same key
 //     collapse into one compute whose result fans out to all waiters.
 //     Under a thundering herd of identical requests exactly one miner
@@ -162,10 +162,10 @@ func (c *Cache) Get(key Key) (any, bool) {
 //     arrived meanwhile, and — iff err is nil and cacheable is true —
 //     store it under key, evicting cold entries past the byte budget.
 //
-// compute reports the value, its approximate resident size in bytes,
-// whether it may be cached, and an error. Compute errors are returned to
-// every caller of the flight but never cached. ctx only bounds the wait
-// of a coalesced caller; the leader's compute governs its own lifetime.
+// compute reports the value, its resident size in bytes, whether it may
+// be cached, and an error. Compute errors are returned to every caller
+// of the flight but never cached. ctx only bounds the wait of a
+// coalesced caller; the leader's compute governs its own lifetime.
 func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size int64, cacheable bool, err error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -284,7 +284,8 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// ResidentBytes returns the approximate bytes held by cached entries.
+// ResidentBytes returns the bytes held by cached entries: the sizes their
+// computes reported plus the fixed per-entry overhead.
 func (c *Cache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

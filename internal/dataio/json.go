@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -50,12 +51,32 @@ func WriteJSON(w io.Writer, db *interval.Database) error {
 	return nil
 }
 
+// DecodeJSON decodes exactly one JSON value from r into v. It refuses
+// unknown object fields and anything but whitespace after the value, so
+// a second value is an error rather than silently dropped. An input
+// holding no value at all returns io.EOF, and an error reading r is
+// returned as it is.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err != nil && !errors.As(err, &syntax):
+		return err
+	}
+	return errors.New("unexpected data after the JSON value")
+}
+
 // ReadJSON parses the output of WriteJSON, validating every interval.
 func ReadJSON(r io.Reader) (*interval.Database, error) {
 	var in jsonDatabase
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	if err := DecodeJSON(r, &in); err != nil {
 		return nil, fmt.Errorf("dataio: json: %w", err)
 	}
 	db := &interval.Database{Sequences: make([]interval.Sequence, len(in.Sequences))}

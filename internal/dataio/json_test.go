@@ -33,6 +33,7 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"sequences":[{"id":"x","intervals":[{"symbol":"A","start":5,"end":1}]}]}`, // reversed
 		`{"sequences":[{"id":"x","intervals":[{"symbol":"","start":0,"end":1}]}]}`,  // empty symbol
 		`{"bogus":true}`, // unknown field
+		`{"sequences":[]} {"sequences":[{"id":"x","intervals":[{"symbol":"A","start":0,"end":1}]}]}`, // a second database
 	}
 	for _, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {

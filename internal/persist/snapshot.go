@@ -112,7 +112,7 @@ func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobStat
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if uint64(len(payload)-c.off) < n {
+	if !c.fits(n, minDatasetEntryBytes) {
 		return nil, nil, 0, fmt.Errorf("dataset count %d past payload end", n)
 	}
 	state := make(map[string]DatasetState, n)
@@ -173,7 +173,11 @@ func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobStat
 // encodeSnapshotFile frames the encoded state with the magic, length,
 // and CRC header — the exact bytes a snapshot blob holds.
 func encodeSnapshotFile(state map[string]DatasetState, jobs map[string]JobState, verSeq uint64) []byte {
-	payload := encodeSnapshot(state, jobs, verSeq)
+	return frameSnapshot(encodeSnapshot(state, jobs, verSeq))
+}
+
+// frameSnapshot prefixes a snapshot payload with its header.
+func frameSnapshot(payload []byte) []byte {
 	buf := make([]byte, snapshotHeaderLen, snapshotHeaderLen+len(payload))
 	copy(buf[0:8], snapshotMagic[:])
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))

@@ -204,6 +204,24 @@ type byteCursor struct {
 	off int
 }
 
+// The smallest encodings of the repeated elements, in bytes: a sequence
+// is an id length and an interval count, an interval a symbol length and
+// two varint times, and a snapshot dataset entry a name length, a
+// version and a sequence count. A declared count is checked against the
+// bytes left before anything is sized from it, so a hostile or corrupt
+// count fails instead of driving a large allocation.
+const (
+	minSequenceBytes     = 2
+	minIntervalBytes     = 3
+	minDatasetEntryBytes = 3
+)
+
+// fits reports whether n elements of at least size bytes each could
+// still follow in the payload.
+func (c *byteCursor) fits(n uint64, size int) bool {
+	return n <= uint64((len(c.buf)-c.off)/size)
+}
+
 func (c *byteCursor) byte() (byte, error) {
 	if c.off >= len(c.buf) {
 		return 0, errors.New("payload truncated")
@@ -265,7 +283,7 @@ func (c *byteCursor) database() (*interval.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(c.buf)-c.off) < nSeq {
+	if !c.fits(nSeq, minSequenceBytes) {
 		return nil, fmt.Errorf("sequence count %d past payload end", nSeq)
 	}
 	db := &interval.Database{}
@@ -281,7 +299,7 @@ func (c *byteCursor) database() (*interval.Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		if uint64(len(c.buf)-c.off) < nIv {
+		if !c.fits(nIv, minIntervalBytes) {
 			return nil, fmt.Errorf("interval count %d past payload end", nIv)
 		}
 		seq := interval.Sequence{ID: id}

@@ -3,12 +3,12 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
+	"tpminer/internal/dataio"
 	"tpminer/internal/interval"
 )
 
@@ -237,6 +237,23 @@ type ingestResponse struct {
 	Version  uint64 `json:"version,omitempty"`
 }
 
+// decodeIngestLine decodes one NDJSON line, which must hold exactly one
+// event, and validates the event.
+func decodeIngestLine(line []byte) (ingestEvent, error) {
+	var ev ingestEvent
+	if err := dataio.DecodeJSON(bytes.NewReader(line), &ev); err != nil {
+		return ingestEvent{}, err
+	}
+	if ev.Seq == "" {
+		return ingestEvent{}, &fieldError{field: "seq", msg: "missing sequence id"}
+	}
+	iv := interval.Interval{Symbol: ev.Symbol, Start: interval.Time(ev.Start), End: interval.Time(ev.End)}
+	if err := iv.Valid(); err != nil {
+		return ingestEvent{}, err
+	}
+	return ev, nil
+}
+
 // handleIngest streams NDJSON event intervals into a dataset. Each line
 // is validated as it is read — the first bad line fails the whole
 // request with its line number, before anything from the request is
@@ -257,23 +274,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(raw) == 0 {
 			continue
 		}
-		var ev ingestEvent
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
-			s.writeError(w, r, http.StatusBadRequest,
-				fmt.Errorf("line %d: %w", line, err))
-			return
-		}
-		if ev.Seq == "" {
-			s.writeError(w, r, http.StatusBadRequest,
-				&fieldError{field: "seq", msg: fmt.Sprintf("line %d: missing sequence id", line)})
-			return
-		}
-		iv := interval.Interval{Symbol: ev.Symbol, Start: interval.Time(ev.Start), End: interval.Time(ev.End)}
-		if err := iv.Valid(); err != nil {
-			s.writeError(w, r, http.StatusBadRequest,
-				fmt.Errorf("line %d: %w", line, err))
+		ev, err := decodeIngestLine(raw)
+		if err != nil {
+			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
 			return
 		}
 		events = append(events, ev)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,24 +33,13 @@ func (jr jobRunner) RunJob(ctx context.Context, spec api.JobSpec) (jobs.RunOutpu
 	// Identical key to a batch mine with this spec: a job run right after
 	// a client's own mine (or vice versa) is a cache hit, not a re-mine.
 	key := cache.Key{Dataset: spec.Dataset, Version: ver, Options: spec.Mine.ResultOptions()}
-	v, _, err := s.cachedMine(ctx, key, db, part, spec.Mine)
+	e, _, err := s.cachedMine(ctx, key, db, part, spec.Mine)
 	if err != nil {
 		return jobs.RunOutput{}, err
 	}
-	resp := v.(*MineResponse) // job specs never select rules mode
-	out := jobs.RunOutput{Version: ver, Patterns: make([]jobs.Pattern, 0, len(resp.Patterns))}
-	for _, mp := range resp.Patterns {
-		body, merr := json.Marshal(mp)
-		if merr != nil { // unreachable: patterns are plain data
-			return jobs.RunOutput{}, merr
-		}
-		out.Patterns = append(out.Patterns, jobs.Pattern{
-			Key:     minedPatternKey(mp),
-			Support: mp.Support,
-			Body:    body,
-		})
-	}
-	return out, nil
+	// Job specs never select rules mode, so the entry has rows. They are
+	// shared with every hit on the entry, and the manager only reads them.
+	return jobs.RunOutput{Version: ver, Patterns: e.rows}, nil
 }
 
 // minedPatternKey is the stable identity of a mined pattern across

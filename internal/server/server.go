@@ -44,15 +44,18 @@
 // Mining is deterministic for a fixed (dataset, options) pair, so
 // complete mine results (patterns or rules) are memoized in a
 // byte-budgeted LRU (internal/cache) keyed by (dataset name, dataset
-// version, canonical options). Every dataset mutation (PUT, append,
-// DELETE) bumps the dataset's version, which changes the key —
-// invalidation is exact, not TTL-guessed. Concurrent identical requests
-// collapse into a single miner run via a single-flight group; the one
-// result fans out to every waiter. Responses expose how they were
-// served: a "cache" field (hit|miss|coalesced) plus an X-Cache header,
-// and a strong ETag derived from (dataset, version, options) that
-// clients may return via If-None-Match for a 304 without any mining.
-// Truncated results and failed runs are never cached and carry no ETag.
+// version, canonical options). A result is encoded once, by the run
+// that mines it; the entry is those bytes, and a hit writes them with
+// only the per-request "cache" field spliced in. Every dataset mutation
+// (PUT, append, DELETE) bumps the dataset's version, which changes the
+// key — invalidation is exact, not TTL-guessed. Concurrent identical
+// requests collapse into a single miner run via a single-flight group;
+// the one result fans out to every waiter. Responses expose how they
+// were served: a "cache" field (hit|miss|coalesced) plus an X-Cache
+// header, and a strong ETag derived from (dataset, version, options)
+// that clients may return via If-None-Match for a 304 without any
+// mining. Truncated results and failed runs are never cached and carry
+// no ETag.
 //
 // # Operational hardening
 //
@@ -130,6 +133,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"crypto/sha256"
@@ -149,6 +153,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"tpminer/internal/api"
 	"tpminer/internal/cache"
@@ -1328,14 +1333,103 @@ func (s *Server) recordMineRun(ptype string, st core.Stats, dur time.Duration, e
 	s.met.recordMinerStats(st)
 }
 
-// approxJSONSize sizes a response for the cache budget by encoding it
-// once.
-func approxJSONSize(v any) int64 {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 0
+// mineEntry is one mine result as the cache holds it: the response
+// encoded once, plus what a job run needs from each row. Hits,
+// coalesced waiters and job runs all share one entry, so nothing may
+// write to it once runMine returns.
+type mineEntry struct {
+	// body is the response as the handler sends it, minus the per-request
+	// "cache" field and the trailing newline: a MineResponse object in
+	// the pattern modes, a []WireRule array in rules mode.
+	body []byte
+	// rows has one element per pattern row, nil in rules mode and
+	// non-nil when empty (a job result encodes it as []). Each Body is a
+	// sub-slice of body holding exactly json.Marshal of the row.
+	rows []jobs.Pattern
+	// complete reports whether the result is the full deterministic
+	// answer for (dataset version, options); truncated results are never
+	// cached and carry no ETag.
+	complete bool
+}
+
+// size is the entry's resident cost for the cache budget: its bytes,
+// plus each row's key and fixed-size header.
+func (e *mineEntry) size() int64 {
+	n := int64(len(e.body))
+	for _, r := range e.rows {
+		n += int64(len(r.Key)) + int64(unsafe.Sizeof(r))
 	}
-	return int64(len(b))
+	return n
+}
+
+// encodePatterns encodes a pattern-mode response once. The envelope is
+// resp with nil Patterns, rendered from MineResponse's own struct tags;
+// when there are rows, one json.Encoder writes them where
+// "patterns":null stands, and each row's span becomes its job body.
+// resp.Cache must be empty: it is spliced in per request.
+func encodePatterns(resp MineResponse, rows []MinedPattern) (*mineEntry, error) {
+	env, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	e := &mineEntry{body: env, rows: make([]jobs.Pattern, len(rows)), complete: !resp.Stats.Truncated}
+	if len(rows) == 0 {
+		return e, nil
+	}
+	// The dataset name is the only string before the slot, and an
+	// encoded string never holds an unescaped quote, so the first match
+	// is the field itself.
+	at := bytes.Index(env, []byte(`"patterns":null`)) + len(`"patterns":`)
+	grow := len(env)
+	for _, mp := range rows {
+		grow += len(mp.Pattern) + len(mp.Relations) + 48 // field names, support, punctuation
+	}
+	buf := bytes.NewBuffer(append(append(make([]byte, 0, grow), env[:at]...), '['))
+	enc := json.NewEncoder(buf)
+	ends := make([]int, len(rows))
+	for i := range rows {
+		if err := enc.Encode(&rows[i]); err != nil {
+			return nil, err
+		}
+		ends[i] = buf.Len() - 1 // Encode's newline, which becomes the separator
+	}
+	body := buf.Bytes()
+	for _, end := range ends {
+		body[end] = ','
+	}
+	body[ends[len(ends)-1]] = ']'
+	e.body = append(body, env[at+len("null"):]...)
+	start := at + 1
+	for i, mp := range rows {
+		e.rows[i] = jobs.Pattern{Key: minedPatternKey(mp), Support: mp.Support, Body: e.body[start:ends[i]:ends[i]]}
+		start = ends[i] + 1
+	}
+	return e, nil
+}
+
+// writeMineBody sends an entry's body with 200. A non-empty outcome is
+// spliced in as the "cache" field: it is MineResponse's last field and
+// omitempty, so replacing the closing brace with `,"cache":"<outcome>"}`
+// gives the bytes encoding/json would write with the field set. The
+// stored body is shared by concurrent hits, so it is written as it is
+// and never appended to.
+func (s *Server) writeMineBody(w http.ResponseWriter, body []byte, outcome cache.Outcome) {
+	tail := "\n"
+	if outcome != "" {
+		body = body[:len(body)-1]
+		tail = `,"cache":"` + string(outcome) + "\"}\n"
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	_, err := w.Write(body)
+	if err == nil {
+		_, err = io.WriteString(w, tail)
+	}
+	if err != nil {
+		s.logger.Error("write response failed", "error", err)
+	}
 }
 
 // handleMine is the one handler behind the mine family: temporal,
@@ -1371,7 +1465,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	v, outcome, err := s.cachedMine(r.Context(), key, db, part, spec)
+	e, outcome, err := s.cachedMine(r.Context(), key, db, part, spec)
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
@@ -1379,18 +1473,13 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if outcome != "" {
 		w.Header().Set("X-Cache", string(outcome))
 	}
-
-	if rs, ok := v.([]WireRule); ok {
-		w.Header().Set("ETag", etag)
-		s.writeJSON(w, http.StatusOK, rs)
-		return
-	}
-	resp := *(v.(*MineResponse)) // shallow copy; per-request fields below
-	resp.Cache = string(outcome)
-	if !resp.Stats.Truncated {
+	if e.complete {
 		w.Header().Set("ETag", etag)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if spec.Mode == api.ModeRules {
+		outcome = "" // a rules body is a bare array: it has no cache field
+	}
+	s.writeMineBody(w, e.body, outcome)
 }
 
 // cachedMine runs spec over one dataset snapshot through the result
@@ -1398,23 +1487,25 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // key in the single-flight cache.Do (or directly with caching
 // disabled). The mine handler and continuous job runs both call it, so
 // a job run and an identical batch mine share one cache entry and one
-// miner execution. The value is a *MineResponse, or []WireRule in rules
-// mode; outcome is "" with caching disabled.
-func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (any, cache.Outcome, error) {
+// miner execution. outcome is "" with caching disabled.
+func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (*mineEntry, cache.Outcome, error) {
 	wdb, wpart := s.windowed(db, part, spec.Window)
 	tgt := mineTarget{db: wdb, part: wpart, name: key.Dataset, ver: key.Version, whole: wdb == db}
-	compute := func() (any, int64, bool, error) {
-		out, complete, err := s.runMine(ctx, tgt, spec)
+	if s.results == nil {
+		e, err := s.runMine(ctx, tgt, spec)
+		return e, "", err
+	}
+	v, outcome, err := s.results.Do(ctx, key, func() (any, int64, bool, error) {
+		e, err := s.runMine(ctx, tgt, spec)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		return out, approxJSONSize(out), complete, nil
+		return e, e.size(), e.complete, nil
+	})
+	if err != nil {
+		return nil, outcome, err
 	}
-	if s.results == nil {
-		v, _, _, err := compute()
-		return v, "", err
-	}
-	return s.results.Do(ctx, key, compute)
+	return v.(*mineEntry), outcome, nil
 }
 
 // windowed applies a window spec to a dataset snapshot, returning the
@@ -1493,19 +1584,16 @@ func (s *Server) mineCoordinator(t mineTarget) *shard.Coordinator {
 
 // runMine executes one mining job end to end: claim a slot (errMineBusy
 // when saturated), mine through the target's coordinator under the job
-// context, apply the closed/maximal filter, record metrics, and shape
-// the result for the spec's mode — pattern rows (*MineResponse) or
+// context, apply the closed/maximal filter, record metrics, and encode
+// the result for the spec's mode — pattern rows (a MineResponse) or
 // rules derived from the temporal patterns ([]WireRule). base is the
-// requester's context (HTTP request or continuous job). complete
-// reports whether the result is the full deterministic answer for
-// (dataset version, options) — truncated runs are not, and must never
-// be cached or carry an ETag.
-func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (out any, complete bool, err error) {
+// requester's context (HTTP request or continuous job).
+func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (*mineEntry, error) {
 	ctx, cancel := s.mineContext(base, spec.TimeoutMillis)
 	defer cancel()
 	release, err := s.acquireMineSlot(ctx, spec.TimeoutMillis)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer release()
 	if s.testMineHook != nil {
@@ -1526,33 +1614,35 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (o
 	}
 	s.recordMineRun(mode, st, time.Since(mineStart), err)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	if mode == api.ModeRules {
 		rs, err := deriveRules(res.Temporal, tgt.db, spec)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return rs, true, nil
+		body, err := json.Marshal(rs)
+		if err != nil {
+			return nil, err
+		}
+		return &mineEntry{body: body, complete: true}, nil
 	}
-	resp := &MineResponse{Dataset: tgt.name, Type: mode}
+	rows := make([]MinedPattern, 0, len(res.Temporal)+len(res.Coinc))
 	for _, pr := range res.Temporal {
-		resp.Patterns = append(resp.Patterns, MinedPattern{
+		rows = append(rows, MinedPattern{
 			Support:   pr.Support,
 			Pattern:   pr.Pattern.String(),
 			Relations: pr.Pattern.RelationSummary(),
 		})
 	}
 	for _, pr := range res.Coinc {
-		resp.Patterns = append(resp.Patterns, MinedPattern{
+		rows = append(rows, MinedPattern{
 			Support: pr.Support,
 			Pattern: pr.Pattern.String(),
 		})
 	}
-	resp.Count = len(resp.Patterns)
-	resp.Stats = wireStats(st)
-	return resp, !st.Truncated, nil
+	return encodePatterns(MineResponse{Dataset: tgt.name, Type: mode, Count: len(rows), Stats: wireStats(st)}, rows)
 }
 
 // filterResults applies the request's closed or maximal post-filter to
@@ -1606,16 +1696,15 @@ func deriveRules(rs []pattern.TemporalResult, db *interval.Database, spec MineSp
 	return out, nil
 }
 
-// decodeJSONBody parses a JSON request body, tolerating an empty body
+// decodeJSONBody parses a JSON request body strictly (one value, no
+// unknown field, nothing after it), tolerating an empty body
 // (all-default request).
 func (s *Server) decodeJSONBody(r *http.Request, v any) error {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil // empty body = defaults
-		}
+	err := dataio.DecodeJSON(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes), v)
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil // empty body = defaults
+	case err != nil:
 		return fmt.Errorf("request body: %w", err)
 	}
 	return nil
