@@ -18,12 +18,12 @@ test:
 # Unchecked-error lint over the durability layers, where a dropped
 # error result means silent data loss, plus the server and jobs
 # packages, where a dropped error can lose an ingest batch or a job
-# journal entry, and the shard coordinator and request contract that
-# every mine runs through. vet plus the repo's own errcheck-style
-# checker (cmd/errlint); assign to _ to mark a deliberately best-effort
-# call.
+# journal entry, the shard coordinator and request contract that every
+# mine runs through, and tpmd, which opens, inspects and closes the
+# store. vet plus the repo's own errcheck-style checker (cmd/errlint);
+# assign to _ to mark a deliberately best-effort call.
 lint: vet
-	$(GO) run ./cmd/errlint ./internal/persist ./internal/blob ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api
+	$(GO) run ./cmd/errlint ./internal/persist ./internal/blob ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api ./cmd/tpmd
 
 # Race-enabled run; the cancellation/backpressure tests exercise real
 # concurrency, so this is the form CI should run.

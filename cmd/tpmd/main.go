@@ -59,26 +59,19 @@
 // (single-flight); -cache-budget sizes the cache and -no-cache disables
 // both. Responses carry strong ETags and honor If-None-Match with 304.
 //
-// Durability: with -data-dir (or -store-url) the datasets survive
-// restarts. Every mutation (PUT, append, DELETE) commits to a
-// CRC32C-checksummed write-ahead log before it is acknowledged; once
-// the log passes -wal-max-bytes the server cuts a snapshot and
-// compacts. On boot the newest valid snapshot is loaded and the WAL
-// tail replayed (a torn final record — the signature of a crash
-// mid-write — is truncated away), restoring dataset contents, versions,
-// and ETag continuity. -fsync picks the durability/latency trade-off:
-// always (fsync per record), interval (background flush every 100ms),
-// never (OS decides). Without either flag the server is purely
-// in-memory, as before.
-//
-// Storage backends: persistence does all its I/O through a pluggable
-// blob store (internal/blob). -store-url selects the backend by URL —
-// file:///var/lib/tpmd for the classic directory layout (-data-dir X is
-// shorthand for -store-url file://X), mem://name for ephemeral
-// process-shared storage (durability semantics without disk; data dies
-// with the process no matter what -fsync says). When both flags are
-// set, -store-url wins. -inspect-wal <dir-or-url> dumps a store's
-// record headers and flags the first corrupt frame, then exits.
+// Durability: with -data-dir the datasets survive restarts. Every
+// mutation (PUT, append, DELETE) commits to a CRC32C-checksummed
+// write-ahead log before it is acknowledged; once the log passes
+// -wal-max-bytes the server cuts a snapshot and compacts. On boot the
+// newest valid snapshot is loaded and the WAL tail replayed (a torn
+// final record — the signature of a crash mid-write — is truncated
+// away), restoring dataset contents, versions, and ETag continuity.
+// -fsync picks the durability/latency trade-off: always (fsync per
+// record), interval (background flush every 100ms), never (OS decides).
+// Without -data-dir the server is purely in-memory. -inspect-wal <dir>
+// dumps a data directory's record headers, flags the first corrupt
+// frame, and exits; it never modifies the directory, and a missing one
+// is an error.
 //
 // Fault tolerance: transient journal I/O errors are retried with
 // jittered backoff; repeated or permanent failures (disk full,
@@ -124,7 +117,6 @@ import (
 	"syscall"
 	"time"
 
-	"tpminer/internal/blob"
 	"tpminer/internal/obs"
 	"tpminer/internal/persist"
 	"tpminer/internal/remote"
@@ -134,7 +126,8 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "tpmd:", err)
+		// Nothing is left to report a failed stderr write to.
+		_, _ = fmt.Fprintln(os.Stderr, "tpmd:", err)
 		os.Exit(1)
 	}
 }
@@ -189,11 +182,10 @@ func run(args []string) error {
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it loopback-only)")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	dataDir := fs.String("data-dir", "", "directory for the dataset WAL and snapshots (empty = in-memory only); shorthand for -store-url file://<dir>")
-	storeURL := fs.String("store-url", "", "blob-store URL for persistence, e.g. file:///var/lib/tpmd or mem://scratch (overrides -data-dir)")
+	dataDir := fs.String("data-dir", "", "directory for the dataset WAL and snapshots (empty = in-memory only)")
 	fsyncMode := fs.String("fsync", persist.FsyncAlways, "WAL fsync policy with persistence: always, interval, or never")
 	walMaxBytes := fs.Int64("wal-max-bytes", persist.DefaultWALMaxBytes, "WAL size that triggers snapshot + compaction")
-	inspectWAL := fs.String("inspect-wal", "", "dump the WAL/snapshot record headers in this data dir (or store URL) and exit")
+	inspectWAL := fs.String("inspect-wal", "", "dump the WAL/snapshot record headers in this data dir and exit")
 	probeInterval := fs.Duration("probe-interval", time.Second, "how often a degraded server probes persistence for recovery")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "weighted persistence-failure score that trips the breaker into read-only mode (0 = default)")
 	faultProfile := fs.String("fault-profile", "", "DEV ONLY: inject persistence faults, e.g. 'wal_write:eio:0.1,snapshot_sync:latency:0.5:20ms'")
@@ -213,14 +205,6 @@ func run(args []string) error {
 	}
 
 	if *inspectWAL != "" {
-		if strings.Contains(*inspectWAL, "://") {
-			bs, err := blob.NewStore(*inspectWAL)
-			if err != nil {
-				return err
-			}
-			defer bs.Close()
-			return persist.InspectStore(bs, *inspectWAL, os.Stdout)
-		}
 		return persist.Inspect(*inspectWAL, os.Stdout)
 	}
 
@@ -255,18 +239,9 @@ func run(args []string) error {
 		logger.Warn("FAULT INJECTION ACTIVE: persistence I/O will fail on purpose; never use -fault-profile in production",
 			"profile", *faultProfile, "seed", *faultSeed)
 	}
-	// -store-url names the persistence backend directly; -data-dir is
-	// shorthand for file://<dir>. Explicit URL wins when both are set.
-	url := *storeURL
-	if url == "" && *dataDir != "" {
-		url = "file://" + *dataDir
-	}
-	if *storeURL != "" && *dataDir != "" {
-		logger.Warn("both -store-url and -data-dir set; using -store-url", "store_url", *storeURL, "data_dir", *dataDir)
-	}
 	var pstore *persist.Store
-	if url != "" {
-		pstore, err = persist.OpenURL(url, persist.Options{
+	if *dataDir != "" {
+		pstore, err = persist.Open(*dataDir, persist.Options{
 			FsyncMode:   *fsyncMode,
 			WALMaxBytes: *walMaxBytes,
 			Logger:      logger,
@@ -287,7 +262,7 @@ func run(args []string) error {
 			logger.Error("persist close failed", "error", err)
 			return
 		}
-		logger.Info("persist flushed and snapshotted", "store", url)
+		logger.Info("persist flushed and snapshotted", "store", *dataDir)
 	}
 	svc := server.NewWithConfig(logger, server.Config{
 		MaxConcurrentMines:      *maxMines,
@@ -354,7 +329,8 @@ func run(args []string) error {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		if pprofSrv != nil {
-			pprofSrv.Close()
+			// Best effort: the profiling listener holds no state to drain.
+			_ = pprofSrv.Close()
 		}
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			// Even a botched drain must not lose acknowledged

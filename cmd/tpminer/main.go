@@ -89,11 +89,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *ptype == "coincidence" {
-		// The coincidence miner honours none of the temporal-only bounds.
+		// The coincidence miner honours none of the temporal-only bounds
+		// or outputs.
 		for _, f := range []struct {
 			name string
 			set  bool
-		}{{"max-intervals", *maxIvs != 0}, {"max-span", *maxSpan != 0}, {"max-gap", *maxGap != 0}} {
+		}{
+			{"max-intervals", *maxIvs != 0}, {"max-span", *maxSpan != 0}, {"max-gap", *maxGap != 0},
+			{"rules", *rulesMin != 0}, {"relations", *relations}, {"render", *renderPat},
+		} {
 			if f.set {
 				return fmt.Errorf("-%s does not apply to -type coincidence", f.name)
 			}

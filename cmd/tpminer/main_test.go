@@ -119,6 +119,9 @@ func TestRunErrors(t *testing.T) {
 		{"-in", in, "-type", "coincidence", "-algo", "tprefixspan", "-mincount", "2"}, // tps is temporal-only
 		{"-in", in, "-mincount", "2", "-algo", "tprefixspan", "-max-span", "5"},       // span/gap bounds are ptpminer-only
 		{"-in", in, "-mincount", "2", "-type", "coincidence", "-max-intervals", "1"},  // temporal-only bound
+		{"-in", in, "-mincount", "2", "-type", "coincidence", "-rules", "0.5"},        // temporal-only output
+		{"-in", in, "-mincount", "2", "-type", "coincidence", "-relations"},
+		{"-in", in, "-mincount", "2", "-type", "coincidence", "-render"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

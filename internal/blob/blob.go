@@ -1,12 +1,7 @@
-// Package blob is a narrow blob-store abstraction for the persistence
-// layer: named byte objects behind a URL-driven factory, so WAL
-// segments and snapshots can live on any backend that offers
-// atomic-commit puts and append-only writes. Two backends ship today —
-// mem:// (process memory, optionally shared by name) and file:// (one
-// local directory) — and the interface is deliberately small enough
-// that an S3-style backend (atomic Put via multipart upload + rename
-// semantics, Append via staged parts) drops in without touching
-// internal/persist.
+// Package blob is persistence's storage seam: a flat namespace of
+// named byte objects kept as files in one local directory, behind a
+// Store interface small enough that persist's fault-injection decorator,
+// the metrics decorator and test stubs implement it too.
 //
 // # Commit semantics
 //
@@ -15,8 +10,8 @@
 //
 //   - Put is atomic: a reader (including a crash-recovery scan) sees
 //     either the complete object or no object — never a prefix. The
-//     file backend implements this with the classic temp-file, write,
-//     fsync, rename dance; the memory backend swaps a pointer.
+//     file store implements this with the classic temp-file, write,
+//     fsync, rename dance.
 //   - Append is ordered and truncatable: an Appender writes at the end
 //     of the object, Sync makes acknowledged bytes durable, and
 //     Truncate cuts an exact suffix off (the WAL's rollback primitive
@@ -24,22 +19,19 @@
 //
 // Store.Sync is the namespace barrier: after it returns, object
 // creations, deletions, and Put renames that happened before the call
-// survive power loss (a directory fsync for file://). Backends whose
-// namespace mutations are inherently durable implement it as a no-op.
+// survive power loss (a directory fsync).
 //
-// Every backend must pass the shared conformance suite in
-// internal/blob/blobtest; see blob_test.go for the mem:// and file://
-// runs.
+// The conformance suite in internal/blob/blobtest pins these semantics;
+// the file store and both decorators run it.
 package blob
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
-// ErrNotFound is wrapped by Get and Open when the key has no object.
+// ErrNotFound is wrapped by Get when the key has no object.
 var ErrNotFound = errors.New("blob: object not found")
 
 // Store is one flat namespace of byte objects. Implementations must be
@@ -49,19 +41,15 @@ var ErrNotFound = errors.New("blob: object not found")
 type Store interface {
 	// Put atomically installs data under key, replacing any existing
 	// object. Readers never observe a partial object: on return with a
-	// nil error the object is complete and durable to the backend's
-	// media-failure level; on error the previous object (or absence) is
-	// intact and no partial artifact outlives the call.
+	// nil error the object is complete and durable; on error the
+	// previous object (or absence) is intact and no partial artifact
+	// outlives the call.
 	Put(key string, data []byte) error
 
 	// Get reads the complete object at key. A missing key reports an
 	// error wrapping ErrNotFound. The returned slice is the caller's to
 	// keep.
 	Get(key string) ([]byte, error)
-
-	// Open streams the object at key. A missing key reports an error
-	// wrapping ErrNotFound. The caller must Close the reader.
-	Open(key string) (io.ReadCloser, error)
 
 	// List returns the keys that start with prefix, sorted ascending.
 	// An empty prefix lists everything.
@@ -77,17 +65,11 @@ type Store interface {
 	Sync() error
 
 	// Append opens key for appending, creating an empty object if none
-	// exists. Bytes written become visible to Get/Open immediately and
+	// exists. Bytes written become visible to Get immediately and
 	// durable after Appender.Sync.
 	Append(key string) (Appender, error)
 
-	// Backend names the backend kind ("mem", "file") for logs and
-	// metric labels.
-	Backend() string
-
-	// Close releases the store's resources. Objects in durable backends
-	// outlive it; mem:// objects outlive it only when the store was
-	// opened with a shared name.
+	// Close releases the store's resources; the objects outlive it.
 	Close() error
 }
 
@@ -112,34 +94,8 @@ type Appender interface {
 	Close() error
 }
 
-// NewStore builds a store from a URL:
-//
-//	mem://            private in-memory store, dies with the value
-//	mem://name        process-shared in-memory store: every NewStore
-//	                  with the same name sees the same objects (how
-//	                  tests simulate a restart against mem://)
-//	file:///var/data  one local directory, created if needed
-//
-// Unknown schemes are rejected; this is the seam where an s3:// style
-// backend registers next.
-func NewStore(rawURL string) (Store, error) {
-	scheme, rest, ok := strings.Cut(rawURL, "://")
-	if !ok {
-		return nil, fmt.Errorf("blob: store URL %q has no scheme (want scheme://...)", rawURL)
-	}
-	switch scheme {
-	case "mem":
-		return openMemStore(rest), nil
-	case "file":
-		return newFileStore(rest)
-	default:
-		return nil, fmt.Errorf("blob: unsupported store scheme %q in %q (supported: mem, file)", scheme, rawURL)
-	}
-}
-
 // validKey rejects keys that could escape a flat namespace: empty keys
-// and path separators have no meaning in any backend, and allowing them
-// on file:// would turn keys into relative paths.
+// and path separators would turn keys into relative paths.
 func validKey(key string) error {
 	if key == "" {
 		return errors.New("blob: empty key")

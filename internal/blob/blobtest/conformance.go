@@ -1,17 +1,16 @@
-// Package blobtest is the shared conformance suite every blob.Store
-// backend must pass. It pins down the semantics internal/persist's
-// durability invariants lean on — atomic Put, ErrNotFound mapping,
-// sorted List, idempotent Delete, append/truncate/reopen behavior —
-// so a new backend (an S3-style store, a tiering cache) proves itself
-// by running one function, not by re-deriving the contract from the
-// WAL's failure modes.
+// Package blobtest is the shared conformance suite for blob.Store
+// implementations: the file store and every decorator wrapped around it.
+// It pins down the semantics internal/persist's durability invariants
+// lean on — atomic Put, ErrNotFound mapping, sorted List, idempotent
+// Delete, append/truncate/reopen behavior — so a decorator proves it
+// keeps the contract by running one function, not by re-deriving it
+// from the WAL's failure modes.
 package blobtest
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -19,39 +18,29 @@ import (
 	"tpminer/internal/blob"
 )
 
-// Factory builds stores for one backend under test.
-type Factory struct {
-	// New returns a fresh, empty store. Called once per subtest.
-	New func(t *testing.T) blob.Store
-	// Reopen returns a second handle on the same backing data as store,
-	// simulating a process restart. nil skips the persistence subtests
-	// (for backends with no cross-handle durability).
-	Reopen func(t *testing.T, store blob.Store) blob.Store
-}
+// Opener returns a store over the existing directory dir. The suite
+// calls it with a fresh directory per subtest, and a second time on the
+// same directory to simulate a process restart.
+type Opener func(t *testing.T, dir string) blob.Store
 
-// Run executes the full conformance suite against the factory.
-func Run(t *testing.T, f Factory) {
-	t.Run("PutGetRoundTrip", func(t *testing.T) { testPutGet(t, f.New(t)) })
-	t.Run("NotFound", func(t *testing.T) { testNotFound(t, f.New(t)) })
-	t.Run("OpenStreams", func(t *testing.T) { testOpen(t, f.New(t)) })
-	t.Run("ListPrefixSorted", func(t *testing.T) { testList(t, f.New(t)) })
-	t.Run("DeleteIdempotent", func(t *testing.T) { testDelete(t, f.New(t)) })
-	t.Run("KeyValidation", func(t *testing.T) { testKeys(t, f.New(t)) })
-	t.Run("AppendTruncate", func(t *testing.T) { testAppend(t, f.New(t)) })
-	t.Run("AppendSingleWriter", func(t *testing.T) { testSingleWriter(t, f.New(t)) })
-	t.Run("GetIsolation", func(t *testing.T) { testIsolation(t, f.New(t)) })
-	t.Run("ConcurrentDistinctKeys", func(t *testing.T) { testConcurrent(t, f.New(t)) })
-	t.Run("SyncAfterMutations", func(t *testing.T) { testSync(t, f.New(t)) })
-	if f.Reopen != nil {
-		t.Run("ReopenSeesData", func(t *testing.T) { testReopen(t, f) })
-	}
+// Run executes the full conformance suite against the stores open builds.
+func Run(t *testing.T, open Opener) {
+	fresh := func(t *testing.T) blob.Store { return open(t, t.TempDir()) }
+	t.Run("PutGetRoundTrip", func(t *testing.T) { testPutGet(t, fresh(t)) })
+	t.Run("NotFound", func(t *testing.T) { testNotFound(t, fresh(t)) })
+	t.Run("ListPrefixSorted", func(t *testing.T) { testList(t, fresh(t)) })
+	t.Run("DeleteIdempotent", func(t *testing.T) { testDelete(t, fresh(t)) })
+	t.Run("KeyValidation", func(t *testing.T) { testKeys(t, fresh(t)) })
+	t.Run("AppendTruncate", func(t *testing.T) { testAppend(t, fresh(t)) })
+	t.Run("AppendSingleWriter", func(t *testing.T) { testSingleWriter(t, fresh(t)) })
+	t.Run("GetIsolation", func(t *testing.T) { testIsolation(t, fresh(t)) })
+	t.Run("ConcurrentDistinctKeys", func(t *testing.T) { testConcurrent(t, fresh(t)) })
+	t.Run("SyncAfterMutations", func(t *testing.T) { testSync(t, fresh(t)) })
+	t.Run("ReopenSeesData", func(t *testing.T) { testReopen(t, open) })
 }
 
 func testPutGet(t *testing.T, s blob.Store) {
 	defer s.Close()
-	if s.Backend() == "" {
-		t.Error("Backend() is empty")
-	}
 	want := []byte("hello blob")
 	if err := s.Put("k", want); err != nil {
 		t.Fatalf("put: %v", err)
@@ -83,28 +72,6 @@ func testNotFound(t *testing.T, s blob.Store) {
 	defer s.Close()
 	if _, err := s.Get("missing"); !errors.Is(err, blob.ErrNotFound) {
 		t.Errorf("Get(missing) = %v, want ErrNotFound", err)
-	}
-	if _, err := s.Open("missing"); !errors.Is(err, blob.ErrNotFound) {
-		t.Errorf("Open(missing) = %v, want ErrNotFound", err)
-	}
-}
-
-func testOpen(t *testing.T, s blob.Store) {
-	defer s.Close()
-	want := bytes.Repeat([]byte("stream me "), 1000)
-	if err := s.Put("big", want); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := s.Open("big")
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	got, err := io.ReadAll(rc)
-	if cerr := rc.Close(); cerr != nil {
-		t.Errorf("close reader: %v", cerr)
-	}
-	if err != nil || !bytes.Equal(got, want) {
-		t.Errorf("streamed %d bytes (err %v), want %d identical bytes", len(got), err, len(want))
 	}
 }
 
@@ -311,8 +278,9 @@ func testSync(t *testing.T, s blob.Store) {
 	}
 }
 
-func testReopen(t *testing.T, f Factory) {
-	s := f.New(t)
+func testReopen(t *testing.T, open Opener) {
+	dir := t.TempDir()
+	s := open(t, dir)
 	if err := s.Put("persisted", []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +299,7 @@ func testReopen(t *testing.T, f Factory) {
 		t.Fatal(err)
 	}
 
-	s2 := f.Reopen(t, s)
+	s2 := open(t, dir)
 	defer s2.Close()
 	if got, err := s2.Get("persisted"); err != nil || string(got) != "survives" {
 		t.Errorf("reopen Get = %q, %v", got, err)

@@ -3,7 +3,6 @@ package blob
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -32,17 +31,19 @@ type fileStore struct {
 // boot scan always has.
 const tmpSuffix = ".tmp"
 
-func newFileStore(dir string) (*fileStore, error) {
-	if dir == "" {
-		return nil, errors.New("blob: file store needs a directory path (file:///path/to/dir)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// NewFileStore returns the store over the existing directory dir. It
+// creates nothing: a missing dir is an error naming it, so a read-only
+// caller such as the WAL inspector never modifies the path it is given.
+func NewFileStore(dir string) (Store, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
 		return nil, fmt.Errorf("blob: file store: %w", err)
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("blob: file store: %s is not a directory", dir)
 	}
 	return &fileStore{dir: dir, open: make(map[string]bool)}, nil
 }
-
-func (s *fileStore) Backend() string { return "file" }
 
 func (s *fileStore) path(key string) string { return filepath.Join(s.dir, key) }
 
@@ -93,19 +94,8 @@ func (s *fileStore) Get(key string) ([]byte, error) {
 	return data, nil
 }
 
-func (s *fileStore) Open(key string) (io.ReadCloser, error) {
-	if err := validKey(key); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(s.path(key))
-	if err != nil {
-		return nil, wrapNotFound("open", key, err)
-	}
-	return f, nil
-}
-
 // wrapNotFound maps the OS's not-exist error onto the interface's
-// ErrNotFound so callers can test portably across backends.
+// ErrNotFound, so callers and decorators need not know the OS error.
 func wrapNotFound(op, key string, err error) error {
 	if errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("blob: %s %s: %w", op, key, ErrNotFound)

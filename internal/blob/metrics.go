@@ -1,20 +1,16 @@
 package blob
 
-import (
-	"io"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Metrics receives one call per store operation. Implementations must
 // be safe for concurrent use; internal/server adapts this onto the
 // tpmd_blob_{ops,bytes,errors}_total{backend,op} Prometheus families.
 type Metrics interface {
-	// Op records one completed operation: the backend kind, the
-	// operation name ("put", "get", "open", "list", "delete", "sync",
-	// "append_open", "append_write", "append_sync", "append_truncate"),
-	// the payload bytes moved (0 when the op moves none), and the error
-	// outcome (nil on success).
-	Op(backend, op string, n int, err error)
+	// Op records one completed operation: the operation name ("put",
+	// "get", "list", "delete", "sync", "append_open", "append_write",
+	// "append_sync", "append_truncate"), the payload bytes moved (0 when
+	// the op moves none), and the error outcome (nil on success).
+	Op(op string, n int, err error)
 }
 
 // Instrumented wraps a Store and reports every operation to a sink that
@@ -40,7 +36,7 @@ func (s *Instrumented) SetMetrics(m Metrics) {
 
 func (s *Instrumented) record(op string, n int, err error) {
 	if m := s.sink.Load(); m != nil {
-		(*m).Op(s.inner.Backend(), op, n, err)
+		(*m).Op(op, n, err)
 	}
 }
 
@@ -54,12 +50,6 @@ func (s *Instrumented) Get(key string) ([]byte, error) {
 	data, err := s.inner.Get(key)
 	s.record("get", len(data), err)
 	return data, err
-}
-
-func (s *Instrumented) Open(key string) (io.ReadCloser, error) {
-	rc, err := s.inner.Open(key)
-	s.record("open", 0, err)
-	return rc, err
 }
 
 func (s *Instrumented) List(prefix string) ([]string, error) {
@@ -88,8 +78,6 @@ func (s *Instrumented) Append(key string) (Appender, error) {
 	}
 	return &instrumentedAppender{inner: a, store: s}, nil
 }
-
-func (s *Instrumented) Backend() string { return s.inner.Backend() }
 
 func (s *Instrumented) Close() error { return s.inner.Close() }
 

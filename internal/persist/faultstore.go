@@ -7,18 +7,17 @@ import (
 	"tpminer/internal/resilience"
 )
 
-// faultStore is the persistence layer's fault-injection seam, rehomed
-// from per-syscall hooks onto the blob.Store boundary: a decorator that
-// consults a resilience.Injector before delegating, so the chaos and
-// recovery suites exercise identical failure behavior against any
-// backend. The key's role decides which injection ops apply — WAL
-// segments (wal-*.log) answer to wal_open/wal_write/wal_sync, snapshots
-// (snapshot-*.snap) to snapshot_write/snapshot_sync/snapshot_rename —
-// which keeps every existing -fault-profile spec meaningful.
+// faultStore is the persistence layer's fault-injection seam on the
+// blob.Store boundary: a decorator that consults a resilience.Injector
+// before delegating to the file store. The key's role decides which
+// injection ops apply — WAL segments (wal-*.log) answer to
+// wal_open/wal_write/wal_sync, snapshots (snapshot-*.snap) to
+// snapshot_write/snapshot_sync/snapshot_rename — which keeps every
+// existing -fault-profile spec meaningful.
 //
 // Because Put is atomic at the interface, a fault injected on any of
 // its three sub-ops (write, sync, rename) simply fails the Put before
-// the inner backend runs: from the outside that is indistinguishable
+// the inner store runs: from the outside that is indistinguishable
 // from the old temp-file dance failing at that step, since every
 // failure path there removed the temp file anyway. Torn writes stay
 // real on the WAL path: an injected partial append lands a prefix of

@@ -86,13 +86,7 @@ func checkRecord(t *testing.T, frame []byte) {
 	if rec.db != nil {
 		checkCaps(t, rec.db, len(payload))
 	}
-	var again []byte
-	if isJobType(rec.typ) {
-		again = encodeJobRecord(rec.typ, rec.version, rec.name, rec.blob)
-	} else {
-		again = encodeRecord(rec.typ, rec.version, rec.name, rec.db)
-	}
-	back, err := decodeRecord(again)
+	back, err := decodeRecord(encodeRecord(rec))
 	if err != nil {
 		t.Fatalf("re-encoded %s record rejected: %v", rec.typeName(), err)
 	}
@@ -106,15 +100,16 @@ func checkRecord(t *testing.T, frame []byte) {
 // Each input is tried as a frame and, behind a valid frame header, as a
 // bare payload, so mutations reach the record decoder past the CRC.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, p := range [][]byte{
-		encodeRecord(recPut, 1, "alpha", testDB(1, 2, 3)),
-		encodeRecord(recAppend, 2, "alpha", testDB(2, 1, 1)),
-		encodeRecord(recDelete, 3, "alpha", nil),
-		encodeRecord(recPut, 4, "empty", &interval.Database{}),
-		encodeJobRecord(recJobPut, 5, "job", []byte(`{"dataset":"alpha"}`)),
-		encodeJobRecord(recJobResult, 6, "job", []byte(`{"run_seq":1}`)),
-		encodeJobRecord(recJobDelete, 7, "job", nil),
+	for _, rec := range []record{
+		{typ: recPut, version: 1, name: "alpha", db: testDB(1, 2, 3)},
+		{typ: recAppend, version: 2, name: "alpha", db: testDB(2, 1, 1)},
+		{typ: recDelete, version: 3, name: "alpha"},
+		{typ: recPut, version: 4, name: "empty", db: &interval.Database{}},
+		{typ: recJobPut, version: 5, name: "job", blob: []byte(`{"dataset":"alpha"}`)},
+		{typ: recJobResult, version: 6, name: "job", blob: []byte(`{"run_seq":1}`)},
+		{typ: recJobDelete, version: 7, name: "job"},
 	} {
+		p := encodeRecord(rec)
 		f.Add(appendFrame(nil, p))
 		f.Add(p)
 	}

@@ -25,25 +25,25 @@ func (p *printer) printf(format string, args ...any) {
 }
 
 // Inspect dumps the data directory's snapshot and WAL record headers to
-// w for offline debugging — the file:// convenience form of
-// InspectStore. It never modifies the directory.
+// w for offline debugging. It never modifies the directory: a missing
+// dir is an error naming it, not an empty dump.
 func Inspect(dir string, w io.Writer) error {
-	bs, err := blob.NewStore("file://" + dir)
+	bs, err := blob.NewFileStore(dir)
 	if err != nil {
 		return fmt.Errorf("persist: inspect: %w", err)
 	}
 	defer bs.Close()
-	return InspectStore(bs, dir, w)
+	return inspect(bs, dir, w)
 }
 
-// InspectStore dumps the store's snapshot and WAL record headers to w:
-// one line per blob and per record, and an explicit flag on the first
+// inspect dumps the store's snapshot and WAL record headers to w: one
+// line per blob and per record, and an explicit flag on the first
 // damaged frame of each log (with its byte offset and whether it looks
-// torn or corrupt). label names the store in the output. It never
-// modifies the store. The returned error covers listing the store and
-// writing to w; an unreadable blob is reported on its own entry in the
-// output, not as an error, so one bad object does not hide the rest.
-func InspectStore(bs blob.Store, label string, w io.Writer) error {
+// torn or corrupt). label names the store in the output. The returned
+// error covers listing the store and writing to w; an unreadable blob is
+// reported on its own entry in the output, not as an error, so one bad
+// object does not hide the rest.
+func inspect(bs blob.Store, label string, w io.Writer) error {
 	keys, err := bs.List("")
 	if err != nil {
 		return fmt.Errorf("persist: inspect: %w", err)
@@ -102,7 +102,7 @@ func InspectStore(bs blob.Store, label string, w io.Writer) error {
 	}
 
 	for _, name := range wals {
-		data, err := readAllBlob(bs, name)
+		data, err := bs.Get(name)
 		if err != nil {
 			p.printf("wal %s  UNREADABLE: %v\n", name, err)
 			continue
@@ -146,17 +146,4 @@ func InspectStore(bs blob.Store, label string, w io.Writer) error {
 		}
 	}
 	return p.err
-}
-
-// readAllBlob streams one blob into memory.
-func readAllBlob(bs blob.Store, key string) ([]byte, error) {
-	rc, err := bs.Open(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(rc)
-	if cerr := rc.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	return data, err
 }

@@ -5,27 +5,26 @@
 // it installed), periodic full-state snapshots, and boot-time recovery
 // that loads the newest valid snapshot and replays the WAL tail.
 //
-// All I/O goes through a blob.Store (internal/blob): WAL segments are
-// append-only blobs, snapshots are atomic-Put blobs, and the backend is
-// chosen by URL — file://<dir> for the classic one-directory layout,
-// mem://<name> for tests and ephemeral servers, with an S3-style
-// backend as the designed next step. The blob interface carries exactly
-// the commit semantics the invariants below need: atomic Put (a
-// snapshot is never observable half-written), ordered truncatable
-// appends (the WAL's write/rollback cycle), and a namespace Sync
-// barrier (the directory fsync that makes segment creation and deletion
-// durable).
+// All I/O goes through a blob.Store (internal/blob) over the data
+// directory: WAL segments are append-only blobs and snapshots are
+// atomic-Put blobs. The blob interface carries exactly the commit
+// semantics the invariants below need: atomic Put (a snapshot is never
+// observable half-written), ordered truncatable appends (the WAL's
+// write/rollback cycle), and a namespace Sync barrier (the directory
+// fsync that makes segment creation and deletion durable).
 //
 // # Protocol
 //
-// The server's store calls LogPut/LogAppend/LogDelete *before* a
-// mutation becomes visible, so an acknowledged mutation is always in
-// the log (commit-before-visible). Each record carries the store
-// version it installs; recovery restores the version counter to the
-// maximum seen across the snapshot and the replayed tail, so (name,
-// version) cache keys and the strong ETags derived from them never
-// repeat across restarts — even when the last mutation before a crash
-// was a delete.
+// The server's store calls the Log* methods *before* a mutation becomes
+// visible, so an acknowledged mutation is always in the log
+// (commit-before-visible). Every Log* method appends its record and then
+// folds it into the in-memory mirror through the same function replay
+// uses, so the live and the recovered mirror cannot drift. Each record
+// carries the store version it installs; recovery restores the version
+// counter to the maximum seen across the snapshot and the replayed
+// tail, so (name, version) cache keys and the strong ETags derived from
+// them never repeat across restarts — even when the last mutation
+// before a crash was a delete.
 //
 // # Crash tolerance
 //
@@ -53,15 +52,14 @@
 // "always" fsyncs the WAL after every record (an acknowledged mutation
 // survives power loss), "interval" fsyncs on a background tick
 // (bounded-loss, Redis-AOF-everysec style), "never" leaves flushing to
-// the OS (survives process crash, not power loss). Durability is also
-// bounded by the backend: mem:// never survives the process no matter
-// the mode.
+// the OS (survives process crash, not power loss).
 package persist
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -105,8 +103,7 @@ type Options struct {
 	// Injector, when non-nil, wraps the blob store in a fault-injecting
 	// decorator so tests and the -fault-profile dev flag can plant
 	// errors, latency, and torn writes at the WAL and snapshot I/O
-	// boundaries of any backend. nil (the production default) disables
-	// injection.
+	// boundaries. nil (the production default) disables injection.
 	Injector resilience.Injector
 	// Retry governs how transient I/O failures on WAL appends and
 	// snapshot writes are retried. The zero value selects the
@@ -194,17 +191,15 @@ type Metrics interface {
 	RecoveryDone(d time.Duration, recordsReplayed, truncations int)
 	// RetryDone counts one retried I/O attempt on the named operation.
 	RetryDone(op string)
-	// BlobOp counts one blob-store operation: backend kind ("file",
-	// "mem"), operation name, payload bytes moved, and error outcome.
-	BlobOp(backend, op string, n int, err error)
+	// BlobOp counts one blob-store operation: operation name, payload
+	// bytes moved, and error outcome.
+	BlobOp(op string, n int, err error)
 }
 
 // blobMetricsAdapter bridges the blob.Metrics sink onto persist.Metrics.
 type blobMetricsAdapter struct{ m Metrics }
 
-func (a blobMetricsAdapter) Op(backend, op string, n int, err error) {
-	a.m.BlobOp(backend, op, n, err)
-}
+func (a blobMetricsAdapter) Op(op string, n int, err error) { a.m.BlobOp(op, n, err) }
 
 // ErrClosed is returned by mutations on a closed Store.
 var ErrClosed = errors.New("persist: store is closed")
@@ -214,14 +209,13 @@ var ErrClosed = errors.New("persist: store is closed")
 // dataset state (sharing the immutable databases, so the mirror costs
 // pointers, not copies) from which snapshots are cut.
 type Store struct {
-	label  string // backend URL (or equivalent) for logs
 	opt    Options
 	logger *slog.Logger
 
-	// bs is the store all I/O goes through: the backend, wrapped first
-	// by the fault injector (when configured) and then by the metrics
-	// instrumentation (inst), outermost so every attempt — including
-	// injected failures — is counted.
+	// bs is the store all I/O goes through: the file store, wrapped
+	// first by the fault injector (when configured) and then by the
+	// metrics instrumentation (inst), outermost so every attempt —
+	// including injected failures — is counted.
 	bs   blob.Store
 	inst *blob.Instrumented
 
@@ -242,40 +236,28 @@ type Store struct {
 	syncDone chan struct{}
 }
 
-// Open recovers the state in the directory dir (creating it if needed)
-// and returns a store ready for logging — the file:// convenience form
-// of OpenURL, and the layout every pre-blob data directory already has.
+// Open recovers the state in the data directory dir, creating it if
+// needed, and returns a store ready for logging. Recovery loads the
+// newest valid snapshot, replays the WAL tail on top, truncates at the
+// first torn or corrupt frame, and keeps appending to the surviving
+// segment.
 func Open(dir string, opt Options) (*Store, error) {
-	return OpenURL("file://"+dir, opt)
-}
-
-// OpenURL builds the blob backend named by storeURL (see blob.NewStore
-// for the accepted schemes) and recovers the state it holds. Recovery
-// loads the newest valid snapshot, replays the WAL tail on top,
-// truncates at the first torn or corrupt frame, and keeps appending to
-// the surviving segment.
-func OpenURL(storeURL string, opt Options) (*Store, error) {
-	bs, err := blob.NewStore(storeURL)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return OpenStore(bs, storeURL, opt)
-}
-
-// OpenStore recovers the state held by an already-constructed backend.
-// The persist store takes ownership of bs: Close closes it. label names
-// the backend in logs (typically its URL).
-func OpenStore(bs blob.Store, label string, opt Options) (*Store, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	bs, err := blob.NewFileStore(dir)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
 	if opt.Injector != nil {
 		bs = newFaultStore(bs, opt.Injector)
 	}
 	inst := blob.Instrument(bs)
 	s := &Store{
-		label:     label,
 		opt:       opt,
 		logger:    opt.Logger,
 		bs:        inst,
@@ -290,8 +272,7 @@ func OpenStore(bs blob.Store, label string, opt Options) (*Store, error) {
 	}
 	s.recov.Duration = time.Since(start)
 	s.logger.Info("persist recovered",
-		"store", label,
-		"backend", bs.Backend(),
+		"store", dir,
 		"datasets", len(s.state),
 		"jobs", len(s.jobs),
 		"version", s.verSeq,
@@ -360,48 +341,21 @@ func (s *Store) SetMetrics(m Metrics) {
 // LogPut commits a dataset replacement. db must be treated as
 // immutable from here on.
 func (s *Store) LogPut(name string, version uint64, db *interval.Database) error {
-	payload := encodeRecord(recPut, version, name, db)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	s.state[name] = DatasetState{DB: db, Version: version}
-	s.verSeq = version
-	s.maybeCompactLocked()
-	return nil
+	return s.commit(record{typ: recPut, version: version, name: name, db: db})
 }
 
 // LogAppend commits an append of add's sequences to an existing
 // dataset. Only the increment is logged; the mirror state extends its
 // copy with shared sequence headers, exactly as the server store does.
 func (s *Store) LogAppend(name string, version uint64, add *interval.Database) error {
-	payload := encodeRecord(recAppend, version, name, add)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	s.applyAppendLocked(name, version, add)
-	s.verSeq = version
-	s.maybeCompactLocked()
-	return nil
+	return s.commit(record{typ: recAppend, version: version, name: name, db: add})
 }
 
 // LogDelete commits a dataset removal. The version still advances so
 // the counter recovers correctly even when a delete is the last record
 // before a crash.
 func (s *Store) LogDelete(name string, version uint64) error {
-	payload := encodeRecord(recDelete, version, name, nil)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	delete(s.state, name)
-	s.verSeq = version
-	s.maybeCompactLocked()
-	return nil
+	return s.commit(record{typ: recDelete, version: version, name: name})
 }
 
 // LogJobPut commits a continuous-mining job creation. spec is opaque to
@@ -410,71 +364,37 @@ func (s *Store) LogDelete(name string, version uint64) error {
 // replay-skip invariant breaks. A re-put of an existing id replaces the
 // job and drops its stored result.
 func (s *Store) LogJobPut(id string, version uint64, spec []byte) error {
-	payload := encodeJobRecord(recJobPut, version, id, spec)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	s.jobs[id] = JobState{Spec: spec, SpecVersion: version}
-	s.verSeq = version
-	s.maybeCompactLocked()
-	return nil
+	return s.commit(record{typ: recJobPut, version: version, name: id, blob: spec})
 }
 
 // LogJobDelete commits a job removal. As with dataset deletes, the
 // version still advances so the counter recovers correctly even when
 // this is the last record before a crash.
 func (s *Store) LogJobDelete(id string, version uint64) error {
-	payload := encodeJobRecord(recJobDelete, version, id, nil)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(payload); err != nil {
-		return err
-	}
-	delete(s.jobs, id)
-	s.verSeq = version
-	s.maybeCompactLocked()
-	return nil
+	return s.commit(record{typ: recJobDelete, version: version, name: id})
 }
 
 // LogJobResult commits the latest result summary of a job run. Only the
 // newest result is retained — each record supersedes the previous one
 // in the mirror, and compaction folds the chain into one snapshot
-// entry. A result for an unknown job is journaled but not mirrored
-// (matching applyRecord's treatment on replay, where the job's put may
-// have been lost to a truncation).
+// entry.
 func (s *Store) LogJobResult(id string, version uint64, result []byte) error {
-	payload := encodeJobRecord(recJobResult, version, id, result)
+	return s.commit(record{typ: recJobResult, version: version, name: id, blob: result})
+}
+
+// commit appends rec to the live WAL segment, then folds it into the
+// mirror state with applyRecord — the code replay runs — and compacts
+// once the segment has grown past the threshold.
+func (s *Store) commit(rec record) error {
+	payload := encodeRecord(rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.appendLocked(payload); err != nil {
 		return err
 	}
-	if js, ok := s.jobs[id]; ok {
-		js.Result, js.ResultVersion = result, version
-		s.jobs[id] = js
-	}
-	s.verSeq = version
+	s.applyRecord(rec)
 	s.maybeCompactLocked()
 	return nil
-}
-
-// applyAppendLocked extends the mirror copy of a dataset with shared
-// sequence headers (the stored databases are immutable, so sequences
-// are never copied deeply).
-func (s *Store) applyAppendLocked(name string, version uint64, add *interval.Database) {
-	old, ok := s.state[name]
-	if !ok {
-		// Replaying an append whose base put was lost to a truncation:
-		// nothing to extend. The live path never hits this — the server
-		// store verifies existence before logging.
-		return
-	}
-	grown := &interval.Database{Sequences: make([]interval.Sequence, 0, len(old.DB.Sequences)+len(add.Sequences))}
-	grown.Sequences = append(grown.Sequences, old.DB.Sequences...)
-	grown.Sequences = append(grown.Sequences, add.Sequences...)
-	s.state[name] = DatasetState{DB: grown, Version: version}
 }
 
 // appendLocked writes one framed record to the live WAL segment and
@@ -695,8 +615,8 @@ func (s *Store) openWALLocked(baseVer uint64, fresh bool) error {
 	return nil
 }
 
-// namespaceSyncLocked runs the backend's namespace durability barrier
-// (a directory fsync on file://) so blob creations, deletions, and Put
+// namespaceSyncLocked runs the blob store's namespace durability
+// barrier (a directory fsync) so blob creations, deletions, and Put
 // commits issued so far survive power loss. Refusals are logged at warn
 // — some filesystems reject directory fsync, and a silently weakened
 // durability contract is the kind of thing an operator needs to see.
@@ -777,7 +697,7 @@ func (s *Store) syncLoop() {
 
 // Close flushes and fsyncs the WAL, cuts a final snapshot so the next
 // boot needs no replay, releases the store, and closes the blob
-// backend. Mutations after Close return ErrClosed.
+// store. Mutations after Close return ErrClosed.
 func (s *Store) Close() error {
 	if s.stopSync != nil {
 		close(s.stopSync)
@@ -905,10 +825,7 @@ func (s *Store) recover() error {
 			continue
 		}
 		lastIdx = i
-		// Stream the segment via Open — segments can be large, and the
-		// streaming read is the seam a larger-than-RAM replay would
-		// build on.
-		data, err := readAllBlob(s.bs, wf.name)
+		data, err := s.bs.Get(wf.name)
 		if err != nil {
 			return fmt.Errorf("persist: read WAL %s: %w", wf.name, err)
 		}
@@ -944,9 +861,6 @@ func (s *Store) recover() error {
 			}
 			s.applyRecord(rec)
 			s.recov.RecordsReplayed++
-			if rec.version > s.verSeq {
-				s.verSeq = rec.version
-			}
 		}
 	}
 	if cleaned {
@@ -977,13 +891,23 @@ func (s *Store) recover() error {
 	return s.openWALLocked(s.verSeq, false)
 }
 
-// applyRecord folds one replayed record into the mirror state.
+// applyRecord folds one committed or replayed record into the mirror
+// state and advances the version counter to cover it. An append or a
+// job result whose target is missing changes only the counter (on
+// replay, its put may have been lost to a truncation).
 func (s *Store) applyRecord(rec record) {
 	switch rec.typ {
 	case recPut:
 		s.state[rec.name] = DatasetState{DB: rec.db, Version: rec.version}
 	case recAppend:
-		s.applyAppendLocked(rec.name, rec.version, rec.db)
+		if old, ok := s.state[rec.name]; ok {
+			// Shared sequence headers: the stored databases are immutable,
+			// so sequences are never copied deeply.
+			grown := &interval.Database{Sequences: make([]interval.Sequence, 0, len(old.DB.Sequences)+len(rec.db.Sequences))}
+			grown.Sequences = append(grown.Sequences, old.DB.Sequences...)
+			grown.Sequences = append(grown.Sequences, rec.db.Sequences...)
+			s.state[rec.name] = DatasetState{DB: grown, Version: rec.version}
+		}
 	case recDelete:
 		delete(s.state, rec.name)
 	case recJobPut:
@@ -995,5 +919,8 @@ func (s *Store) applyRecord(rec record) {
 			js.Result, js.ResultVersion = rec.blob, rec.version
 			s.jobs[rec.name] = js
 		}
+	}
+	if rec.version > s.verSeq {
+		s.verSeq = rec.version
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,7 +75,7 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 		{typ: recPut, version: 7, name: "empty", db: &interval.Database{}},
 	}
 	for _, want := range cases {
-		payload := encodeRecord(want.typ, want.version, want.name, want.db)
+		payload := encodeRecord(want)
 		got, err := decodeRecord(payload)
 		if err != nil {
 			t.Fatalf("decode %s: %v", want.typeName(), err)
@@ -374,6 +375,19 @@ func TestInspect(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "CORRUPT") {
 		t.Errorf("inspect did not flag the corrupt frame:\n%s", b.String())
+	}
+}
+
+// TestInspectMissingDir: inspecting a path that does not exist is an
+// error naming the path, and creates nothing.
+func TestInspectMissingDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
+	var b strings.Builder
+	if err := Inspect(missing, &b); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("Inspect(missing) = %v, want an error naming %s", err, missing)
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Inspect created a parent of the missing path (stat: %v)", err)
 	}
 }
 

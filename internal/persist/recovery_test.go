@@ -131,15 +131,9 @@ func TestRecoveryPartialSnapshot(t *testing.T) {
 	// Fabricate a partial snapshot claiming to be newer than the WAL:
 	// a valid snapshot prefix cut in half.
 	full := filepath.Join(dir, snapshotName(99))
-	if _, err := writeSnapshotFile(dir, map[string]DatasetState{
+	buf := encodeSnapshotFile(map[string]DatasetState{
 		"bogus": {DB: testDB(9, 4, 4), Version: 98},
-	}, 99, nil); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, nil, 99)
 	if err := os.WriteFile(full, buf[:len(buf)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}

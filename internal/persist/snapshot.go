@@ -4,13 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-
-	"tpminer/internal/blob"
-	"tpminer/internal/resilience"
 )
 
 // Snapshot file format:
@@ -40,7 +36,7 @@ import (
 // the WAL job records.
 //
 // Snapshots commit through blob.Store.Put, whose atomic-commit contract
-// (temp + fsync + rename on file://) guarantees a crash mid-snapshot
+// (temp + fsync + rename) guarantees a crash mid-snapshot
 // leaves either the previous state or a temp object that recovery
 // removes. A snapshot that fails the length or CRC check (e.g. a
 // partially copied file) is skipped in favour of an older valid one.
@@ -203,30 +199,4 @@ func decodeSnapshotFile(buf []byte) (map[string]DatasetState, map[string]JobStat
 		return nil, nil, 0, fmt.Errorf("snapshot CRC mismatch (stored %08x, computed %08x)", want, got)
 	}
 	return decodeSnapshot(payload)
-}
-
-// writeSnapshotFile atomically writes the snapshot for verSeq into dir
-// and returns its path — a standalone convenience over a one-shot
-// file:// store, kept for tests that plant snapshots directly. inj
-// (nil = none) is consulted at the same fault points the live store
-// exercises; the atomic-Put contract means a failed attempt leaves
-// nothing behind.
-func writeSnapshotFile(dir string, state map[string]DatasetState, verSeq uint64, inj resilience.Injector) (string, error) {
-	bs, err := blob.NewStore("file://" + dir)
-	if err != nil {
-		return "", err
-	}
-	defer bs.Close()
-	var target blob.Store = bs
-	if inj != nil {
-		target = newFaultStore(bs, inj)
-	}
-	name := snapshotName(verSeq)
-	if err := target.Put(name, encodeSnapshotFile(state, nil, verSeq)); err != nil {
-		return "", err
-	}
-	if err := target.Sync(); err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, name), nil
 }

@@ -165,33 +165,23 @@ func appendDatabase(buf []byte, db *interval.Database) []byte {
 	return buf
 }
 
-// encodeRecord builds the payload of one WAL record. db is nil for
-// delete records.
-func encodeRecord(typ byte, version uint64, name string, db *interval.Database) []byte {
-	size := 1 + binary.MaxVarintLen64 + len(name) + 4
-	if db != nil {
-		size += db.NumIntervals()*8 + len(db.Sequences)*4
+// encodeRecord builds the payload of one WAL record, the exact inverse
+// of decodeRecord.
+func encodeRecord(rec record) []byte {
+	size := 1 + 2*binary.MaxVarintLen64 + len(rec.name) + len(rec.blob)
+	if rec.db != nil {
+		size += rec.db.NumIntervals()*8 + len(rec.db.Sequences)*4
 	}
 	buf := make([]byte, 0, size)
-	buf = append(buf, typ)
-	buf = binary.AppendUvarint(buf, version)
-	buf = appendString(buf, name)
-	if typ != recDelete {
-		buf = appendDatabase(buf, db)
-	}
-	return buf
-}
-
-// encodeJobRecord builds the payload of one job WAL record. blob is the
-// opaque spec/result payload; nil for job-delete records.
-func encodeJobRecord(typ byte, version uint64, id string, blob []byte) []byte {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(id)+len(blob))
-	buf = append(buf, typ)
-	buf = binary.AppendUvarint(buf, version)
-	buf = appendString(buf, id)
-	if typ != recJobDelete {
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
+	buf = append(buf, rec.typ)
+	buf = binary.AppendUvarint(buf, rec.version)
+	buf = appendString(buf, rec.name)
+	switch rec.typ {
+	case recPut, recAppend:
+		buf = appendDatabase(buf, rec.db)
+	case recJobPut, recJobResult:
+		buf = binary.AppendUvarint(buf, uint64(len(rec.blob)))
+		buf = append(buf, rec.blob...)
 	}
 	return buf
 }

@@ -414,6 +414,9 @@ func TestChaosDegradedLifecycle(t *testing.T) {
 	if m[`tpmd_cache_degraded_hits_total`] < 1 {
 		t.Error("cache hit served during degradation not counted")
 	}
+	if m[`tpmd_blob_errors_total{backend="file",op="append_write"}`] < 1 {
+		t.Error("failed WAL writes not counted under the file backend label")
+	}
 	if m[`tpmd_resilience_breaker_state`] != 0 {
 		t.Errorf("breaker state gauge = %v after recovery, want 0 (closed)", m[`tpmd_resilience_breaker_state`])
 	}

@@ -53,13 +53,19 @@ func minedPatternKey(p MinedPattern) string {
 }
 
 // jobJournal implements jobs.Journal on the dataset store's journal,
-// drawing versions from the store-wide counter (see journalJobPut).
+// drawing versions from the store-wide counter (see journalJob).
 type jobJournal struct{ s *Server }
 
-func (jj jobJournal) JobPut(id string, spec []byte) error { return jj.s.store.journalJobPut(id, spec) }
-func (jj jobJournal) JobDelete(id string) error           { return jj.s.store.journalJobDelete(id) }
+func (jj jobJournal) JobPut(id string, spec []byte) error {
+	return jj.s.store.journalJob("job put", func(j storeJournal, v uint64) error { return j.LogJobPut(id, v, spec) })
+}
+
+func (jj jobJournal) JobDelete(id string) error {
+	return jj.s.store.journalJob("job delete", func(j storeJournal, v uint64) error { return j.LogJobDelete(id, v) })
+}
+
 func (jj jobJournal) JobResult(id string, result []byte) error {
-	return jj.s.store.journalJobResult(id, result)
+	return jj.s.store.journalJob("job result", func(j storeJournal, v uint64) error { return j.LogJobResult(id, v, result) })
 }
 
 // --------------------------------------------------------- job handlers

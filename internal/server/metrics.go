@@ -28,9 +28,9 @@ import (
 //     records, fsyncs, snapshot count/duration, and the boot-time
 //     recovery outcome (duration, records replayed, torn-tail
 //     truncations). All zero when the server runs without persistence.
-//   - tpmd_blob_*: the storage backend beneath persistence — operations,
-//     payload bytes, and errors by backend kind (file, mem) and
-//     operation (put, get, append_write, sync, ...). All zero when the
+//   - tpmd_blob_*: the file store beneath persistence — operations,
+//     payload bytes, and errors by operation (put, get, append_write,
+//     sync, ...); the backend label is always "file". All zero when the
 //     server runs without persistence.
 //   - tpmd_resilience_*: the fault-handling layer — persistence retries
 //     by operation, circuit-breaker state/trips, recovery probes by
@@ -218,13 +218,18 @@ func (m *persistMetrics) RecoveryDone(d time.Duration, recordsReplayed, truncati
 	m.truncations.Add(uint64(truncations))
 }
 func (m *persistMetrics) RetryDone(op string) { m.retries.With(op).Inc() }
-func (m *persistMetrics) BlobOp(backend, op string, n int, err error) {
-	m.blobOps.With(backend, op).Inc()
+
+// blobBackend is the tpmd_blob_* backend label. The file store is the
+// only backend; the label keeps the series names stable.
+const blobBackend = "file"
+
+func (m *persistMetrics) BlobOp(op string, n int, err error) {
+	m.blobOps.With(blobBackend, op).Inc()
 	if n > 0 {
-		m.blobBytes.With(backend, op).Add(uint64(n))
+		m.blobBytes.With(blobBackend, op).Add(uint64(n))
 	}
 	if err != nil {
-		m.blobErrs.With(backend, op).Inc()
+		m.blobErrs.With(blobBackend, op).Inc()
 	}
 }
 

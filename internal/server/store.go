@@ -282,54 +282,23 @@ func (st *datasetStore) delete(name string) (version uint64, found bool, err err
 	return ver, true, nil
 }
 
-// journalJobPut durably records a job spec (commit-before-visible: the
-// jobs manager only installs the job if this succeeds). Job records draw
+// journalJob durably records one job mutation under the next store
+// version, drawn under the store lock (commit-before-visible: the jobs
+// manager only applies the mutation if this succeeds). Job records draw
 // versions from the same store-wide counter as dataset mutations — the
 // persist layer's replay-skip invariant (records at or below the
 // snapshot version are skipped on recovery) only holds if every
 // journaled record's version is unique and monotone across the store.
 // With no journal attached jobs are memory-only and this is a no-op.
-func (st *datasetStore) journalJobPut(id string, spec []byte) error {
+func (st *datasetStore) journalJob(op string, log func(j storeJournal, version uint64) error) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.journal == nil {
 		return nil
 	}
 	ver := st.verSeq + 1
-	if err := st.journal.LogJobPut(id, ver, spec); err != nil {
-		return &journalError{fmt.Errorf("persist job put: %w", err)}
-	}
-	st.verSeq = ver
-	return nil
-}
-
-// journalJobDelete durably records a job deletion.
-func (st *datasetStore) journalJobDelete(id string) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.journal == nil {
-		return nil
-	}
-	ver := st.verSeq + 1
-	if err := st.journal.LogJobDelete(id, ver); err != nil {
-		return &journalError{fmt.Errorf("persist job delete: %w", err)}
-	}
-	st.verSeq = ver
-	return nil
-}
-
-// journalJobResult durably records a job's latest result so it can be
-// served immediately after a restart. Callers treat failures as
-// best-effort: a degraded journal must not stop the live stream.
-func (st *datasetStore) journalJobResult(id string, result []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.journal == nil {
-		return nil
-	}
-	ver := st.verSeq + 1
-	if err := st.journal.LogJobResult(id, ver, result); err != nil {
-		return &journalError{fmt.Errorf("persist job result: %w", err)}
+	if err := log(st.journal, ver); err != nil {
+		return &journalError{fmt.Errorf("persist %s: %w", op, err)}
 	}
 	st.verSeq = ver
 	return nil
