@@ -34,9 +34,10 @@ race:
 # the README API reference table (and actually resolve on the mux).
 # Byte contract: mine responses (every mode, hit, miss, coalesced and
 # uncached) and a job's stored rows equal an independent encoding/json
-# rendering.
+# rendering. Exposition contract: a fresh server's /v1/metrics carries
+# exactly the HELP and TYPE lines of a golden file, in order.
 contract:
-	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle'
+	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle|TestMetricsExpositionGolden'
 
 # Crash-recovery gate: the persist fault-injection tests (torn tail,
 # corrupt CRC mid-log, partial snapshot, crash during compaction) and

@@ -1,11 +1,11 @@
 package blob_test
 
 import (
-	"sync"
 	"testing"
 
 	"tpminer/internal/blob"
 	"tpminer/internal/blob/blobtest"
+	"tpminer/internal/obs"
 )
 
 func openDir(t *testing.T, dir string) blob.Store {
@@ -29,33 +29,18 @@ func TestConformanceInstrumented(t *testing.T) {
 	})
 }
 
-// opCount is a Metrics sink recording per-op counts, bytes, and errors.
-type opCount struct {
-	mu    sync.Mutex
-	ops   map[string]int
-	bytes map[string]int
-	errs  map[string]int
-}
-
-func (c *opCount) Op(op string, n int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ops[op]++
-	c.bytes[op] += n
-	if err != nil {
-		c.errs[op]++
-	}
-}
-
 func TestInstrumentedRecordsOps(t *testing.T) {
 	s := blob.Instrument(openDir(t, t.TempDir()))
-	sink := &opCount{ops: map[string]int{}, bytes: map[string]int{}, errs: map[string]int{}}
+	reg := obs.NewRegistry()
+	ops := reg.NewCounterVec("ops", "", "backend", "op")
+	bytes := reg.NewCounterVec("bytes", "", "backend", "op")
+	errs := reg.NewCounterVec("errs", "", "backend", "op")
 
-	// Before a sink is attached, operations must still work.
+	// Before the counters are attached, operations must still work.
 	if err := s.Put("pre", []byte("xx")); err != nil {
 		t.Fatal(err)
 	}
-	s.SetMetrics(sink)
+	s.SetMetrics(ops, bytes, errs)
 
 	if err := s.Put("k", []byte("12345")); err != nil {
 		t.Fatal(err)
@@ -83,20 +68,19 @@ func TestInstrumentedRecordsOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	for op, want := range map[string]int{"put": 1, "get": 2, "list": 1, "append_open": 1, "append_write": 1, "append_sync": 1} {
-		if sink.ops[op] != want {
-			t.Errorf("ops[%s] = %d, want %d", op, sink.ops[op], want)
+	count := func(v *obs.CounterVec, op string) uint64 { return v.With(blob.Backend, op).Value() }
+	for op, want := range map[string]uint64{"put": 1, "get": 2, "list": 1, "append_open": 1, "append_write": 1, "append_sync": 1} {
+		if got := count(ops, op); got != want {
+			t.Errorf("ops[%s] = %d, want %d", op, got, want)
 		}
 	}
-	if sink.bytes["put"] != 5 || sink.bytes["append_write"] != 3 {
-		t.Errorf("byte counts: put=%d append_write=%d", sink.bytes["put"], sink.bytes["append_write"])
+	if count(bytes, "put") != 5 || count(bytes, "append_write") != 3 {
+		t.Errorf("byte counts: put=%d append_write=%d", count(bytes, "put"), count(bytes, "append_write"))
 	}
-	if sink.errs["get"] != 1 {
-		t.Errorf("errs[get] = %d, want 1 (the missing key)", sink.errs["get"])
+	if got := count(errs, "get"); got != 1 {
+		t.Errorf("errs[get] = %d, want 1 (the missing key)", got)
 	}
-	if sink.ops["put"] != 1 {
-		t.Errorf("pre-sink put leaked into the counts: %d", sink.ops["put"])
+	if got := count(ops, "put"); got != 1 {
+		t.Errorf("pre-attach put leaked into the counts: %d", got)
 	}
 }

@@ -1,42 +1,53 @@
 package blob
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Metrics receives one call per store operation. Implementations must
-// be safe for concurrent use; internal/server adapts this onto the
-// tpmd_blob_{ops,bytes,errors}_total{backend,op} Prometheus families.
-type Metrics interface {
-	// Op records one completed operation: the operation name ("put",
-	// "get", "list", "delete", "sync", "append_open", "append_write",
-	// "append_sync", "append_truncate"), the payload bytes moved (0 when
-	// the op moves none), and the error outcome (nil on success).
-	Op(op string, n int, err error)
-}
+	"tpminer/internal/obs"
+)
 
-// Instrumented wraps a Store and reports every operation to a sink that
-// can be attached after construction — the server wires its registry in
-// once metrics exist, the way persist.SetMetrics always has. A nil sink
-// costs one atomic load per operation.
+// Backend is the backend label value of the blob counter families. The
+// file store is the only backend; the label keeps the series names
+// stable.
+const Backend = "file"
+
+// Instrumented wraps a Store and counts every operation into three
+// counter families labelled (backend, op) — operations, payload bytes
+// moved, and errors. The operation names are "put", "get", "list",
+// "delete", "sync", "append_open", "append_write", "append_sync" and
+// "append_truncate". internal/persist registers the families
+// (tpmd_blob_{ops,bytes,errors}_total) and attaches them with
+// SetMetrics; until then operations go uncounted, at the cost of one
+// atomic load each.
 type Instrumented struct {
 	inner Store
-	sink  atomic.Pointer[Metrics]
+	c     atomic.Pointer[counters]
 }
 
-// Instrument wraps s; attach a sink with SetMetrics.
+type counters struct{ ops, bytes, errs *obs.CounterVec }
+
+// Instrument wraps s; attach the counter families with SetMetrics.
 func Instrument(s Store) *Instrumented { return &Instrumented{inner: s} }
 
-// SetMetrics attaches (or replaces) the metrics sink.
-func (s *Instrumented) SetMetrics(m Metrics) {
-	if m == nil {
-		s.sink.Store(nil)
-		return
-	}
-	s.sink.Store(&m)
+// SetMetrics attaches (or replaces) the operation, byte and error
+// families, each labelled (backend, op).
+func (s *Instrumented) SetMetrics(ops, bytes, errs *obs.CounterVec) {
+	s.c.Store(&counters{ops: ops, bytes: bytes, errs: errs})
 }
 
+// record counts one completed operation: the payload bytes it moved (0
+// when it moves none) and its error outcome.
 func (s *Instrumented) record(op string, n int, err error) {
-	if m := s.sink.Load(); m != nil {
-		(*m).Op(op, n, err)
+	c := s.c.Load()
+	if c == nil {
+		return
+	}
+	c.ops.With(Backend, op).Inc()
+	if n > 0 {
+		c.bytes.With(Backend, op).Add(uint64(n))
+	}
+	if err != nil {
+		c.errs.With(Backend, op).Inc()
 	}
 }
 

@@ -27,6 +27,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"tpminer/internal/obs"
 )
 
 // Outcome says how a Do call was served.
@@ -47,30 +49,36 @@ const (
 // panic; waiters see this error and may retry.
 var ErrComputeAborted = errors.New("cache: compute aborted by panic")
 
-// Metrics receives cache events. Implementations must be safe for
-// concurrent use. The zero behaviour (nil Metrics passed to New) is a
-// no-op sink.
-type Metrics interface {
-	Hit()
-	Miss()
-	Coalesced()
-	Evicted()
-	// Resident reports the current resident-byte total after a mutation.
-	Resident(bytes int64)
-	// DegradedHit counts a Hit served while the owner reported itself
-	// degraded (see Cache.SetDegraded) — the cache carrying traffic the
-	// backing store currently cannot.
-	DegradedHit()
+// Metrics holds the cache's tpmd_cache_* handles. The cache bumps them
+// directly, and NewMetrics documents each in its HELP text.
+type Metrics struct {
+	Hits      *obs.Counter
+	Misses    *obs.Counter
+	Coalesced *obs.Counter
+	Evictions *obs.Counter
+	Resident  *obs.Gauge
+	// DegradedHits counts the hits served while the owner reported
+	// itself degraded (see Cache.SetDegraded).
+	DegradedHits *obs.Counter
 }
 
-type nopMetrics struct{}
-
-func (nopMetrics) Hit()           {}
-func (nopMetrics) Miss()          {}
-func (nopMetrics) Coalesced()     {}
-func (nopMetrics) Evicted()       {}
-func (nopMetrics) Resident(int64) {}
-func (nopMetrics) DegradedHit()   {}
+// NewMetrics registers the cache's families on reg.
+func NewMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		Hits: reg.NewCounter("tpmd_cache_hits_total",
+			"Mine/rules requests served from the result cache."),
+		Misses: reg.NewCounter("tpmd_cache_misses_total",
+			"Mine/rules requests that ran the miner (cache miss)."),
+		Coalesced: reg.NewCounter("tpmd_cache_coalesced_total",
+			"Mine/rules requests that shared a concurrent identical run via single-flight."),
+		Evictions: reg.NewCounter("tpmd_cache_evictions_total",
+			"Result-cache entries evicted to stay within the byte budget."),
+		Resident: reg.NewGauge("tpmd_cache_resident_bytes",
+			"Approximate bytes of mine/rules results currently cached."),
+		DegradedHits: reg.NewCounter("tpmd_cache_degraded_hits_total",
+			"Cache hits served while persistence was degraded (read-only mode)."),
+	}
+}
 
 // Key identifies one memoizable result. Options must be a canonical
 // encoding of every result-determining option (and nothing else, so
@@ -103,7 +111,7 @@ type flight struct {
 // group. All methods are safe for concurrent use.
 type Cache struct {
 	budget int64
-	met    Metrics
+	met    *Metrics
 
 	mu       sync.Mutex
 	ll       *list.List            // front = most recently used
@@ -114,10 +122,10 @@ type Cache struct {
 }
 
 // New creates a cache holding at most budget bytes of results (plus a
-// small constant per entry). met may be nil.
-func New(budget int64, met Metrics) *Cache {
+// small constant per entry). A nil met counts on a private registry.
+func New(budget int64, met *Metrics) *Cache {
 	if met == nil {
-		met = nopMetrics{}
+		met = NewMetrics(obs.NewRegistry())
 	}
 	return &Cache{
 		budget:  budget,
@@ -129,7 +137,7 @@ func New(budget int64, met Metrics) *Cache {
 }
 
 // SetDegraded installs a probe the cache consults on every hit: when it
-// reports true the hit is additionally counted as a DegradedHit. The
+// reports true the hit is additionally counted in Metrics.DegradedHits. The
 // server wires this to its breaker so operators can see how much read
 // traffic the cache absorbed while persistence was down. fn must be safe
 // for concurrent use; nil (the default) disables the accounting.
@@ -173,15 +181,15 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size i
 		val := el.Value.(*entry).val
 		degraded := c.degraded
 		c.mu.Unlock()
-		c.met.Hit()
+		c.met.Hits.Inc()
 		if degraded != nil && degraded() {
-			c.met.DegradedHit()
+			c.met.DegradedHits.Inc()
 		}
 		return val, Hit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
-		c.met.Coalesced()
+		c.met.Coalesced.Inc()
 		select {
 		case <-f.done:
 			return f.val, Coalesced, f.err
@@ -192,7 +200,7 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size i
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
-	c.met.Miss()
+	c.met.Misses.Inc()
 
 	finished := false
 	defer func() {
@@ -243,9 +251,9 @@ func (c *Cache) insertLocked(key Key, val any, size int64) {
 			break
 		}
 		c.removeLocked(cold)
-		c.met.Evicted()
+		c.met.Evictions.Inc()
 	}
-	c.met.Resident(c.resident)
+	c.met.Resident.Set(c.resident)
 }
 
 func (c *Cache) removeLocked(el *list.Element) {
@@ -272,7 +280,7 @@ func (c *Cache) InvalidateDataset(name string) int {
 		el = next
 	}
 	if n > 0 {
-		c.met.Resident(c.resident)
+		c.met.Resident.Set(c.resident)
 	}
 	return n
 }

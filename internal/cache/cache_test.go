@@ -8,21 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tpminer/internal/obs"
 )
-
-// countingMetrics tallies cache events for assertions.
-type countingMetrics struct {
-	hits, misses, coalesced, evicted atomic.Int64
-	degradedHits                     atomic.Int64
-	resident                         atomic.Int64
-}
-
-func (m *countingMetrics) Hit()             { m.hits.Add(1) }
-func (m *countingMetrics) Miss()            { m.misses.Add(1) }
-func (m *countingMetrics) Coalesced()       { m.coalesced.Add(1) }
-func (m *countingMetrics) Evicted()         { m.evicted.Add(1) }
-func (m *countingMetrics) Resident(b int64) { m.resident.Store(b) }
-func (m *countingMetrics) DegradedHit()     { m.degradedHits.Add(1) }
 
 func key(ds string, ver uint64, opt string) Key {
 	return Key{Dataset: ds, Version: ver, Options: opt}
@@ -40,7 +28,7 @@ func fill(t *testing.T, c *Cache, k Key, val string, size int64) {
 }
 
 func TestHitAfterMiss(t *testing.T) {
-	met := &countingMetrics{}
+	met := NewMetrics(obs.NewRegistry())
 	c := New(1<<20, met)
 	k := key("d", 1, "o")
 	fill(t, c, k, "v", 10)
@@ -52,16 +40,16 @@ func TestHitAfterMiss(t *testing.T) {
 	if err != nil || got != "v" || outcome != Hit {
 		t.Fatalf("hit: got %v outcome %v err %v", got, outcome, err)
 	}
-	if met.hits.Load() != 1 || met.misses.Load() != 1 {
-		t.Errorf("metrics: hits=%d misses=%d", met.hits.Load(), met.misses.Load())
+	if met.Hits.Value() != 1 || met.Misses.Value() != 1 {
+		t.Errorf("metrics: hits=%d misses=%d", met.Hits.Value(), met.Misses.Value())
 	}
 }
 
 // TestDegradedHitAccounting: hits served while the degraded probe
-// reports true are additionally counted as DegradedHit; hits while
+// reports true are additionally counted in DegradedHits; hits while
 // healthy, and misses at any time, are not.
 func TestDegradedHitAccounting(t *testing.T) {
-	met := &countingMetrics{}
+	met := NewMetrics(obs.NewRegistry())
 	c := New(1<<20, met)
 	var degraded atomic.Bool
 	c.SetDegraded(degraded.Load)
@@ -83,10 +71,10 @@ func TestDegradedHitAccounting(t *testing.T) {
 	degraded.Store(false)
 	hit() // healthy again
 
-	if got := met.hits.Load(); got != 4 {
+	if got := met.Hits.Value(); got != 4 {
 		t.Errorf("hits = %d, want 4", got)
 	}
-	if got := met.degradedHits.Load(); got != 2 {
+	if got := met.DegradedHits.Value(); got != 2 {
 		t.Errorf("degraded hits = %d, want 2", got)
 	}
 }
@@ -108,7 +96,7 @@ func TestVersionBumpChangesKey(t *testing.T) {
 }
 
 func TestLRUEvictionByBudget(t *testing.T) {
-	met := &countingMetrics{}
+	met := NewMetrics(obs.NewRegistry())
 	// Room for two entries of size 100 (+overhead each).
 	c := New(2*(100+entryOverhead), met)
 	k1, k2, k3 := key("d", 1, "a"), key("d", 1, "b"), key("d", 1, "c")
@@ -127,14 +115,14 @@ func TestLRUEvictionByBudget(t *testing.T) {
 			t.Errorf("entry %v evicted out of LRU order", k)
 		}
 	}
-	if met.evicted.Load() != 1 {
-		t.Errorf("evicted = %d, want 1", met.evicted.Load())
+	if met.Evictions.Value() != 1 {
+		t.Errorf("evicted = %d, want 1", met.Evictions.Value())
 	}
 	if got, want := c.ResidentBytes(), int64(2*(100+entryOverhead)); got != want {
 		t.Errorf("resident = %d, want %d", got, want)
 	}
-	if met.resident.Load() != c.ResidentBytes() {
-		t.Errorf("resident gauge %d != cache resident %d", met.resident.Load(), c.ResidentBytes())
+	if met.Resident.Value() != c.ResidentBytes() {
+		t.Errorf("resident gauge %d != cache resident %d", met.Resident.Value(), c.ResidentBytes())
 	}
 }
 
@@ -190,7 +178,7 @@ func TestErrorsNotCached(t *testing.T) {
 // once; one caller reports Miss, the rest Coalesced, and all share the
 // value.
 func TestSingleFlight(t *testing.T) {
-	met := &countingMetrics{}
+	met := NewMetrics(obs.NewRegistry())
 	c := New(1<<20, met)
 	k := key("d", 7, "o")
 
@@ -224,9 +212,9 @@ func TestSingleFlight(t *testing.T) {
 	// Wait until all non-leader callers have joined the flight, then let
 	// the leader finish. The coalesced metric ticks when a waiter joins.
 	deadline := time.Now().Add(5 * time.Second)
-	for met.coalesced.Load() < n-1 {
+	for met.Coalesced.Value() < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers coalesced", met.coalesced.Load(), n-1)
+			t.Fatalf("only %d/%d callers coalesced", met.Coalesced.Value(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tpminer/internal/core"
@@ -184,6 +185,30 @@ func TestTopKValidation(t *testing.T) {
 	}
 	if len(rs) != 0 {
 		t.Errorf("floor threshold ignored: %v", rs)
+	}
+}
+
+// TestTopKLargeKAllocatesByPatterns: k comes from requests, so a k far
+// above the patterns that exist must not size anything by k. A 3-interval
+// database yields a handful of patterns, and mining its top 4M must
+// allocate for those.
+func TestTopKLargeKAllocatesByPatterns(t *testing.T) {
+	db := interval.NewDatabase(
+		[]interval.Interval{{Symbol: "A", Start: 0, End: 2}, {Symbol: "B", Start: 1, End: 4}},
+		[]interval.Interval{{Symbol: "A", Start: 3, End: 5}},
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rs, _, err := core.MineTemporalTopK(db, 4_000_000, core.Options{MinCount: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) == 0 {
+		t.Fatal("no patterns mined; test is vacuous")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("top-k mine with k=4M allocated %d bytes for %d patterns", got, len(rs))
 	}
 }
 

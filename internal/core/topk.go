@@ -116,7 +116,9 @@ func newTopKState(k int) *topKState {
 	if k == 0 {
 		return nil
 	}
-	return &topKState{k: k, seen: make(map[string]struct{}, k)}
+	// seen grows with the patterns found, not with k: a request's k is
+	// untrusted and can far exceed the patterns that exist.
+	return &topKState{k: k, seen: make(map[string]struct{})}
 }
 
 // threshold returns the current dynamic support threshold (0 until k

@@ -532,6 +532,25 @@ func TestRestoreSkipsSpecWithUnknownField(t *testing.T) {
 	}
 }
 
+// TestRestoreSkipsSpecWithTrailingData: a journaled spec decodes as
+// strictly as a create request, which rejects anything after the JSON
+// value — a spec followed by a second value is undecodable and skipped.
+func TestRestoreSkipsSpecWithTrailingData(t *testing.T) {
+	r := &fakeRunner{}
+	r.set("d", 1, pat("a", 3))
+	m := newTestManager(t, r, newMemJournal(), nil)
+	m.Restore([]StoredJob{
+		{ID: "trailing", Spec: []byte(`{"id":"trailing","dataset":"d","mine":{"min_count":1}} {}`)},
+		{ID: "current", Spec: []byte(`{"id":"current","dataset":"d","mine":{"min_count":1}}`)},
+	})
+	if _, err := m.Get("trailing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job restored from a spec with trailing data: Get = %v, want ErrNotFound", err)
+	}
+	if m.Count() != 1 {
+		t.Fatalf("%d jobs restored, want only the well-formed one", m.Count())
+	}
+}
+
 func TestCreateValidatesAndJournals(t *testing.T) {
 	r := &fakeRunner{}
 	jn := newMemJournal()

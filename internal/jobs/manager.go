@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tpminer/internal/api"
+	"tpminer/internal/dataio"
 	"tpminer/internal/obs"
 )
 
@@ -60,33 +61,45 @@ type Journal interface {
 	JobResult(id string, result []byte) error
 }
 
-// Metrics receives the subsystem's counters; implementations must be
-// safe for concurrent use. Labels deliberately exclude the job id —
-// ids are client-chosen and would be unbounded label cardinality.
-type Metrics interface {
-	// JobCount reports the current number of jobs.
-	JobCount(n int)
-	// RunDone counts one run with outcome "ok", "noop" (version
-	// unchanged or dataset missing), or "error".
-	RunDone(outcome string, d time.Duration)
-	// EventPublished counts one event fanned out to n subscribers.
-	EventPublished(n int)
-	// SubscriberChange reports a subscriber arriving (+1) or leaving
-	// (-1).
-	SubscriberChange(delta int)
-	// SubscriberDropped counts one subscriber disconnected for not
-	// draining its queue.
-	SubscriberDropped()
+// Metrics holds the subsystem's tpmd_job_* and tpmd_sse_* handles; the
+// manager bumps them directly, and NewMetrics documents each in its
+// HELP text. Labels deliberately exclude the job id — ids are
+// client-chosen and would be unbounded label cardinality.
+type Metrics struct {
+	Jobs        *obs.Gauge
+	Runs        *obs.CounterVec // outcome: ok, noop (version unchanged or dataset missing), error
+	RunDuration *obs.Histogram
+	Events      *obs.Counter
+	Subscribers *obs.Gauge
+	SSESent     *obs.Counter
+	SSEDropped  *obs.Counter
 }
 
-// nopMetrics is the default sink.
-type nopMetrics struct{}
+// NewMetrics registers the subsystem's families on reg.
+func NewMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		Jobs: reg.NewGauge("tpmd_job_count",
+			"Continuous-mining jobs currently resident."),
+		Runs: reg.NewCounterVec("tpmd_job_runs_total",
+			"Continuous-mining job runs, by outcome (ok, noop, error).", "outcome"),
+		RunDuration: reg.NewHistogram("tpmd_job_run_duration_seconds",
+			"Wall time of one continuous-mining job run (mine + diff + publish).", nil),
+		Events: reg.NewCounter("tpmd_job_events_published_total",
+			"Delta/result events published by job runs."),
+		Subscribers: reg.NewGauge("tpmd_sse_subscribers",
+			"SSE subscribers currently connected across all jobs."),
+		SSESent: reg.NewCounter("tpmd_sse_events_sent_total",
+			"Events enqueued to SSE subscribers (one per event per subscriber)."),
+		SSEDropped: reg.NewCounter("tpmd_sse_dropped_total",
+			"SSE subscribers disconnected for not draining their event queue."),
+	}
+}
 
-func (nopMetrics) JobCount(int)                  {}
-func (nopMetrics) RunDone(string, time.Duration) {}
-func (nopMetrics) EventPublished(int)            {}
-func (nopMetrics) SubscriberChange(int)          {}
-func (nopMetrics) SubscriberDropped()            {}
+// runDone counts one run with its outcome and wall time.
+func (m *Metrics) runDone(outcome string, d time.Duration) {
+	m.Runs.With(outcome).Inc()
+	m.RunDuration.Observe(d.Seconds())
+}
 
 // Config configures a Manager. Runner and Journal are required.
 type Config struct {
@@ -94,8 +107,8 @@ type Config struct {
 	Journal Journal
 	// Logger receives run/lifecycle records; nil disables.
 	Logger *slog.Logger
-	// Metrics receives counters; nil disables.
-	Metrics Metrics
+	// Metrics receives counters; nil counts on a private registry.
+	Metrics *Metrics
 	// Debounce is the quiet period a job waits after a change
 	// notification before re-mining, for jobs that don't set their own
 	// DebounceMillis. 0 means DefaultDebounce.
@@ -147,7 +160,7 @@ type StoredJob struct {
 type Manager struct {
 	cfg    Config
 	logger *slog.Logger
-	met    Metrics
+	met    *Metrics
 
 	ctx    context.Context // canceled on Close; parents every run
 	cancel context.CancelFunc
@@ -210,7 +223,7 @@ func (s *Subscription) Close() {
 	}
 	s.j.mu.Unlock()
 	if live {
-		s.m.met.SubscriberChange(-1)
+		s.m.met.Subscribers.Dec()
 	}
 }
 
@@ -224,7 +237,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Logger = obs.Discard()
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = nopMetrics{}
+		cfg.Metrics = NewMetrics(obs.NewRegistry())
 	}
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = DefaultDebounce
@@ -250,16 +263,15 @@ func New(cfg Config) (*Manager, error) {
 // seeded with their last results so the first post-restart run diffs
 // against pre-restart state instead of re-announcing everything. An
 // undecodable spec is logged and skipped — one corrupt job must not
-// take down boot. Specs decode as strictly as a create request: an
-// unknown field makes a spec undecodable, because dropping it could
-// restore a different job (a spec spelling its mode as "type" would
-// mine temporal patterns). Call once, before the first Create/Notify.
+// take down boot. Specs decode as strictly as a create request
+// (dataio.DecodeJSON): an unknown field or data after the JSON value
+// makes a spec undecodable, because dropping either could restore a
+// different job (a spec spelling its mode as "type" would mine temporal
+// patterns). Call once, before the first Create/Notify.
 func (m *Manager) Restore(stored []StoredJob) {
 	for _, sj := range stored {
 		var spec api.JobSpec
-		dec := json.NewDecoder(bytes.NewReader(sj.Spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := dataio.DecodeJSON(bytes.NewReader(sj.Spec), &spec); err != nil {
 			m.logger.Warn("jobs: skipping job with undecodable journaled spec", "job", sj.ID, "error", err)
 			continue
 		}
@@ -291,7 +303,7 @@ func (m *Manager) Restore(stored []StoredJob) {
 		// version check makes this a no-op.
 		j.notify(0)
 	}
-	m.met.JobCount(m.Count())
+	m.met.Jobs.Set(int64(m.Count()))
 }
 
 // newJobLocked builds the in-memory job for spec. Caller holds m.mu.
@@ -348,7 +360,7 @@ func (m *Manager) Create(spec api.JobSpec) (Status, error) {
 	m.jobs[spec.ID] = j
 	n := len(m.jobs)
 	m.mu.Unlock()
-	m.met.JobCount(n)
+	m.met.Jobs.Set(int64(n))
 	m.logger.Info("job created", "job", spec.ID, "dataset", spec.Dataset,
 		"mode", cmp.Or(spec.Mine.Mode, api.ModeTemporal), "window", spec.Mine.Window.Kind)
 	go m.runLoop(j)
@@ -420,7 +432,7 @@ func (m *Manager) Delete(id string) error {
 	delete(m.jobs, id)
 	n := len(m.jobs)
 	m.mu.Unlock()
-	m.met.JobCount(n)
+	m.met.Jobs.Set(int64(n))
 	m.stopJob(j)
 	m.logger.Info("job deleted", "job", id)
 	return nil
@@ -446,9 +458,7 @@ func (m *Manager) stopJob(j *job) {
 		close(sub.ch)
 	}
 	j.mu.Unlock()
-	for range subs {
-		m.met.SubscriberChange(-1)
-	}
+	m.met.Subscribers.Add(-int64(len(subs)))
 }
 
 // Count returns the number of live jobs.
@@ -562,7 +572,7 @@ func (m *Manager) runOnce(j *job) {
 	lastVersion := j.version
 	j.mu.Unlock()
 	if pending := j.pending.Load(); pending != 0 && pending == lastVersion {
-		m.met.RunDone("noop", 0)
+		m.met.runDone("noop", 0)
 		return
 	}
 
@@ -571,7 +581,7 @@ func (m *Manager) runOnce(j *job) {
 	switch {
 	case errors.Is(err, ErrDatasetMissing):
 		// Not an error state: the job waits for the dataset to appear.
-		m.met.RunDone("noop", time.Since(start))
+		m.met.runDone("noop", time.Since(start))
 		return
 	case err != nil:
 		if m.ctx.Err() != nil {
@@ -580,13 +590,13 @@ func (m *Manager) runOnce(j *job) {
 		j.mu.Lock()
 		j.lastErr = err.Error()
 		j.mu.Unlock()
-		m.met.RunDone("error", time.Since(start))
+		m.met.runDone("error", time.Since(start))
 		m.logger.Warn("job run failed", "job", j.spec.ID, "error", err)
 		return
 	case out.Version == lastVersion:
 		// Redundant trigger (or post-restart catch-up with nothing to
 		// catch up on): same version ⇒ same patterns; publish nothing.
-		m.met.RunDone("noop", time.Since(start))
+		m.met.runDone("noop", time.Since(start))
 		return
 	}
 
@@ -642,12 +652,11 @@ func (m *Manager) runOnce(j *job) {
 	j.lastErr = ""
 	fanout, droppedNow := j.publishLocked(ev, m.cfg.RingSize)
 	j.mu.Unlock()
-	m.met.RunDone("ok", time.Since(start))
-	m.met.EventPublished(fanout)
-	for range droppedNow {
-		m.met.SubscriberDropped()
-		m.met.SubscriberChange(-1)
-	}
+	m.met.runDone("ok", time.Since(start))
+	m.met.Events.Inc()
+	m.met.SSESent.Add(uint64(fanout))
+	m.met.SSEDropped.Add(uint64(len(droppedNow)))
+	m.met.Subscribers.Add(-int64(len(droppedNow)))
 	m.logger.Info("job run published", "job", j.spec.ID, "run", runSeq,
 		"version", out.Version, "patterns", len(out.Patterns),
 		"added", len(added), "removed", len(removed), "changed", len(changed),
@@ -704,7 +713,7 @@ func (m *Manager) Subscribe(id string, lastEventID *uint64) (*Subscription, []Ev
 	backlog := j.backlogLocked(lastEventID)
 	j.subs[sub] = struct{}{}
 	j.mu.Unlock()
-	m.met.SubscriberChange(+1)
+	m.met.Subscribers.Inc()
 	return &Subscription{C: sub.ch, m: m, j: j, sub: sub}, backlog, nil
 }
 

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"tpminer/internal/blob"
 	"tpminer/internal/blob/blobtest"
+	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 )
 
@@ -77,46 +76,26 @@ func TestInspectStoreReportsUnreadableSnapshot(t *testing.T) {
 	}
 }
 
-// nopMetrics satisfies Metrics with no-ops, for stubs that care about
-// one method.
-type nopMetrics struct{}
-
-func (nopMetrics) WALBytes(int64)                       {}
-func (nopMetrics) RecordAppended()                      {}
-func (nopMetrics) FsyncDone()                           {}
-func (nopMetrics) SnapshotDone(time.Duration)           {}
-func (nopMetrics) RecoveryDone(time.Duration, int, int) {}
-func (nopMetrics) RetryDone(string)                     {}
-func (nopMetrics) BlobOp(string, int, error)            {}
-
-// blobOpCount is a Metrics stub counting BlobOp deliveries.
-type blobOpCount struct {
-	nopMetrics
-	ops  atomic.Int64
-	errs atomic.Int64
-}
-
-func (m *blobOpCount) BlobOp(op string, n int, err error) {
-	m.ops.Add(1)
-	if err != nil {
-		m.errs.Add(1)
-	}
-}
-
 // TestSetMetricsWiresBlobOps: attaching persist metrics must start the
 // per-operation blob accounting beneath the store.
 func TestSetMetricsWiresBlobOps(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{FsyncMode: FsyncAlways})
 	defer s.Close()
-	m := &blobOpCount{}
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
 	s.SetMetrics(m)
 	if err := s.LogPut("d", 1, testDB(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if m.ops.Load() == 0 {
+	if m.BlobOps.With(blob.Backend, "append_write").Value() == 0 {
 		t.Fatal("no blob ops recorded after a logged mutation")
 	}
-	if m.errs.Load() != 0 {
-		t.Fatalf("%d blob errors recorded on a healthy store", m.errs.Load())
+	// An error series exists only once an operation failed.
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "tpmd_blob_errors_total{") {
+		t.Fatalf("blob errors recorded on a healthy store:\n%s", b.String())
 	}
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -108,41 +107,23 @@ func inspect(bs blob.Store, label string, w io.Writer) error {
 			continue
 		}
 		p.printf("wal %s  %d bytes\n", name, len(data))
-		off := 0
-		for {
-			payload, n, err := parseFrame(data[off:])
-			if err == errEndOfLog {
-				break
-			}
-			var fe *frameErr
-			if errors.As(err, &fe) {
-				kind := "CORRUPT"
-				if fe.torn {
-					kind = "TORN"
-				}
-				p.printf("  %s frame at offset %d: %s (%d trailing bytes unreadable)\n",
-					kind, off, fe.msg, len(data)-off)
-				break
-			}
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				p.printf("  CORRUPT record at offset %d: %v (%d trailing bytes unreadable)\n",
-					off, derr, len(data)-off)
-				break
-			}
+		stop := scanWAL(data, func(off int, rec record, payloadLen int) {
 			switch {
 			case isJobType(rec.typ):
 				p.printf("  off=%-10d %-10s version=%-6d job=%q blob=%dB payload=%dB\n",
-					off, rec.typeName(), rec.version, rec.name, len(rec.blob), len(payload))
+					off, rec.typeName(), rec.version, rec.name, len(rec.blob), payloadLen)
 			case rec.typ == recDelete:
 				p.printf("  off=%-10d %-6s version=%-6d dataset=%q payload=%dB\n",
-					off, rec.typeName(), rec.version, rec.name, len(payload))
+					off, rec.typeName(), rec.version, rec.name, payloadLen)
 			default:
 				p.printf("  off=%-10d %-6s version=%-6d dataset=%q sequences=%d intervals=%d payload=%dB\n",
 					off, rec.typeName(), rec.version, rec.name,
-					len(rec.db.Sequences), rec.db.NumIntervals(), len(payload))
+					len(rec.db.Sequences), rec.db.NumIntervals(), payloadLen)
 			}
-			off += n
+		})
+		if stop != nil {
+			p.printf("  %s at offset %d: %v (%d trailing bytes unreadable)\n",
+				stop.damage, stop.off, stop.err, len(data)-stop.off)
 		}
 	}
 	return p.err

@@ -175,31 +175,55 @@ type RecoveryStats struct {
 	TempFilesRemoved int
 }
 
-// Metrics receives the store's operational counters; implementations
-// must be safe for concurrent use. See internal/server for the
-// tpmd_persist_* and tpmd_blob_* Prometheus wiring.
-type Metrics interface {
-	// WALBytes reports the live WAL segment's current size.
-	WALBytes(n int64)
-	// RecordAppended counts one record committed to the WAL.
-	RecordAppended()
-	// FsyncDone counts one fsync of the WAL file.
-	FsyncDone()
-	// SnapshotDone counts one completed snapshot and its duration.
-	SnapshotDone(d time.Duration)
-	// RecoveryDone reports the boot-time recovery outcome.
-	RecoveryDone(d time.Duration, recordsReplayed, truncations int)
-	// RetryDone counts one retried I/O attempt on the named operation.
-	RetryDone(op string)
-	// BlobOp counts one blob-store operation: operation name, payload
-	// bytes moved, and error outcome.
-	BlobOp(op string, n int, err error)
+// Metrics holds the store's handles: the tpmd_persist_* families, the
+// tpmd_blob_* families its blob store counts every operation into, and
+// tpmd_resilience_retries_total, which its retried I/O feeds. The store
+// bumps them directly; NewMetrics documents each in its HELP text.
+type Metrics struct {
+	WALBytes         *obs.Gauge
+	Records          *obs.Counter
+	Fsyncs           *obs.Counter
+	Snapshots        *obs.Counter
+	SnapshotDuration *obs.Histogram
+	RecoveryDuration *obs.Histogram
+	Replayed         *obs.Gauge
+	Truncations      *obs.Counter
+	BlobOps          *obs.CounterVec // backend, op
+	BlobBytes        *obs.CounterVec // backend, op
+	BlobErrors       *obs.CounterVec // backend, op
+	Retries          *obs.CounterVec // op
 }
 
-// blobMetricsAdapter bridges the blob.Metrics sink onto persist.Metrics.
-type blobMetricsAdapter struct{ m Metrics }
-
-func (a blobMetricsAdapter) Op(op string, n int, err error) { a.m.BlobOp(op, n, err) }
+// NewMetrics registers the store's families on reg, in exposition
+// order.
+func NewMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		WALBytes: reg.NewGauge("tpmd_persist_wal_bytes",
+			"Size of the live write-ahead-log segment."),
+		Records: reg.NewCounter("tpmd_persist_wal_records_total",
+			"Mutation records committed to the write-ahead log."),
+		Fsyncs: reg.NewCounter("tpmd_persist_fsyncs_total",
+			"fsync calls issued on the write-ahead log."),
+		Snapshots: reg.NewCounter("tpmd_persist_snapshots_total",
+			"Snapshots cut (compaction and shutdown)."),
+		SnapshotDuration: reg.NewHistogram("tpmd_persist_snapshot_duration_seconds",
+			"Wall time to write one snapshot.", nil),
+		RecoveryDuration: reg.NewHistogram("tpmd_persist_recovery_duration_seconds",
+			"Wall time of boot-time recovery (snapshot load + WAL replay).", nil),
+		Replayed: reg.NewGauge("tpmd_persist_recovery_records_replayed",
+			"WAL records replayed on top of the snapshot at the last boot."),
+		Truncations: reg.NewCounter("tpmd_persist_torn_tail_truncations_total",
+			"WAL logs cut short at a torn or corrupt frame during recovery."),
+		BlobOps: reg.NewCounterVec("tpmd_blob_ops_total",
+			"Blob-store operations issued by persistence, by backend kind and operation.", "backend", "op"),
+		BlobBytes: reg.NewCounterVec("tpmd_blob_bytes_total",
+			"Payload bytes moved through the blob store, by backend kind and operation.", "backend", "op"),
+		BlobErrors: reg.NewCounterVec("tpmd_blob_errors_total",
+			"Blob-store operations that returned an error, by backend kind and operation.", "backend", "op"),
+		Retries: reg.NewCounterVec("tpmd_resilience_retries_total",
+			"Persistence I/O retries after a transient failure, by operation.", "op"),
+	}
+}
 
 // ErrClosed is returned by mutations on a closed Store.
 var ErrClosed = errors.New("persist: store is closed")
@@ -214,8 +238,8 @@ type Store struct {
 
 	// bs is the store all I/O goes through: the file store, wrapped
 	// first by the fault injector (when configured) and then by the
-	// metrics instrumentation (inst), outermost so every attempt —
-	// including injected failures — is counted.
+	// instrumentation (inst), outermost so every attempt — including
+	// injected failures — is counted in met's blob families.
 	bs   blob.Store
 	inst *blob.Instrumented
 
@@ -229,7 +253,7 @@ type Store struct {
 	state     map[string]DatasetState
 	jobs      map[string]JobState
 	verSeq    uint64
-	met       Metrics
+	met       *Metrics // never nil; see SetMetrics
 	recov     RecoveryStats
 
 	stopSync chan struct{} // closes the interval-mode syncer
@@ -266,6 +290,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		state:     make(map[string]DatasetState),
 		jobs:      make(map[string]JobState),
 	}
+	s.SetMetrics(nil)
 	start := time.Now()
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -321,21 +346,23 @@ func (s *Store) RecoveryStats() RecoveryStats {
 	return s.recov
 }
 
-// SetMetrics attaches the metrics sink — to the store and to the blob
-// instrumentation layer beneath it — and immediately reports the
-// recovery outcome and current WAL size, so a server wiring metrics
-// after Open still sees the boot numbers.
-func (s *Store) SetMetrics(m Metrics) {
+// SetMetrics points the store's instrumentation — and the blob
+// store's beneath it — at m, and immediately reports the recovery
+// outcome and current WAL size, so a server wiring metrics after Open
+// still sees the boot numbers. Until then, and after SetMetrics(nil),
+// the store counts on a private registry.
+func (s *Store) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = NewMetrics(obs.NewRegistry())
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met = m
-	if m != nil {
-		s.inst.SetMetrics(blobMetricsAdapter{m})
-		m.RecoveryDone(s.recov.Duration, s.recov.RecordsReplayed, s.recov.Truncations)
-		m.WALBytes(s.walBytes)
-	} else {
-		s.inst.SetMetrics(nil)
-	}
+	s.inst.SetMetrics(m.BlobOps, m.BlobBytes, m.BlobErrors)
+	m.RecoveryDuration.Observe(s.recov.Duration.Seconds())
+	m.Replayed.Set(int64(s.recov.RecordsReplayed))
+	m.Truncations.Add(uint64(s.recov.Truncations))
+	m.WALBytes.Set(s.walBytes)
 }
 
 // LogPut commits a dataset replacement. db must be treated as
@@ -446,17 +473,13 @@ func (s *Store) appendLocked(payload []byte) error {
 			return fmt.Errorf("persist: WAL fsync: %w", err)
 		}
 		s.dirty = false
-		if s.met != nil {
-			s.met.FsyncDone()
-		}
+		s.met.Fsyncs.Inc()
 	} else {
 		s.dirty = true
 	}
 	s.walBytes += int64(len(frame))
-	if s.met != nil {
-		s.met.RecordAppended()
-		s.met.WALBytes(s.walBytes)
-	}
+	s.met.Records.Inc()
+	s.met.WALBytes.Set(s.walBytes)
 	return nil
 }
 
@@ -482,9 +505,7 @@ func (s *Store) retryLocked(op resilience.Op, f func() error) error {
 	return s.opt.Retry.Do(f, func(err error, attempt int) {
 		s.logger.Warn("persist: retrying after transient failure",
 			"op", string(op), "attempt", attempt, "error", err)
-		if s.met != nil {
-			s.met.RetryDone(string(op))
-		}
+		s.met.Retries.With(string(op)).Inc()
 	})
 }
 
@@ -562,9 +583,8 @@ func (s *Store) snapshotLocked(rotate bool) error {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
 	s.namespaceSyncLocked()
-	if s.met != nil {
-		s.met.SnapshotDone(time.Since(start))
-	}
+	s.met.Snapshots.Inc()
+	s.met.SnapshotDuration.Observe(time.Since(start).Seconds())
 	if !rotate {
 		return nil
 	}
@@ -609,9 +629,7 @@ func (s *Store) openWALLocked(baseVer uint64, fresh bool) error {
 	}
 	s.wal, s.walKey, s.walBytes, s.dirty = a, key, a.Size(), false
 	s.namespaceSyncLocked()
-	if s.met != nil {
-		s.met.WALBytes(s.walBytes)
-	}
+	s.met.WALBytes.Set(s.walBytes)
 	return nil
 }
 
@@ -676,9 +694,7 @@ func (s *Store) syncIfDirty() {
 		return
 	}
 	s.dirty = false
-	if s.met != nil {
-		s.met.FsyncDone()
-	}
+	s.met.Fsyncs.Inc()
 }
 
 func (s *Store) syncLoop() {
@@ -714,9 +730,7 @@ func (s *Store) Close() error {
 			firstErr = fmt.Errorf("persist: close fsync: %w", err)
 		} else {
 			s.dirty = false
-			if s.met != nil {
-				s.met.FsyncDone()
-			}
+			s.met.Fsyncs.Inc()
 			if err := s.snapshotLocked(false); err != nil {
 				firstErr = err
 			} else {
@@ -829,38 +843,19 @@ func (s *Store) recover() error {
 		if err != nil {
 			return fmt.Errorf("persist: read WAL %s: %w", wf.name, err)
 		}
-		off := 0
-		for {
-			payload, n, err := parseFrame(data[off:])
-			if err == errEndOfLog {
-				break
-			}
-			var fe *frameErr
-			if errors.As(err, &fe) {
-				s.logger.Warn("persist: truncating WAL at damaged frame",
-					"file", wf.name, "offset", off, "torn", fe.torn, "error", fe.msg)
-				truncAt = int64(off)
-				s.recov.Truncations++
-				stopped = true
-				break
-			}
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				// Framing was intact but the contents are not a valid
-				// record: same treatment as a corrupt frame.
-				s.logger.Warn("persist: truncating WAL at undecodable record",
-					"file", wf.name, "offset", off, "error", derr)
-				truncAt = int64(off)
-				s.recov.Truncations++
-				stopped = true
-				break
-			}
-			off += n
-			if rec.version <= s.recov.SnapshotVersion && s.recov.SnapshotLoaded {
-				continue // already in the snapshot
+		stop := scanWAL(data, func(_ int, rec record, _ int) {
+			if s.recov.SnapshotLoaded && rec.version <= s.recov.SnapshotVersion {
+				return // already in the snapshot
 			}
 			s.applyRecord(rec)
 			s.recov.RecordsReplayed++
+		})
+		if stop != nil {
+			s.logger.Warn("persist: truncating WAL at damaged record",
+				"file", wf.name, "offset", stop.off, "damage", stop.damage, "error", stop.err)
+			truncAt = int64(stop.off)
+			s.recov.Truncations++
+			stopped = true
 		}
 	}
 	if cleaned {

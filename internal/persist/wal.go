@@ -143,6 +143,44 @@ func parseFrame(buf []byte) (payload []byte, frameLen int, err error) {
 	return payload, frameHeaderLen + int(n), nil
 }
 
+// walStop says where and why a WAL scan stopped before the end of the
+// log: damage names the bad spot ("TORN frame", "CORRUPT frame" or, for
+// an intact frame whose payload is not a valid record, "CORRUPT
+// record"), off is its byte offset, and err the cause.
+type walStop struct {
+	off    int
+	damage string
+	err    error
+}
+
+// scanWAL walks a segment's frames in order and calls f with each
+// record, its byte offset, and its payload length. It stops at the
+// first damaged frame or undecodable record, because framing after it
+// cannot be trusted, and returns where and why; at the clean end of the
+// log it returns nil. Recovery and Inspect both read segments with it.
+func scanWAL(data []byte, f func(off int, rec record, payloadLen int)) *walStop {
+	for off := 0; ; {
+		payload, n, err := parseFrame(data[off:])
+		switch fe := err.(type) {
+		case nil:
+		case *frameErr:
+			damage := "CORRUPT frame"
+			if fe.torn {
+				damage = "TORN frame"
+			}
+			return &walStop{off: off, damage: damage, err: fe}
+		default: // errEndOfLog
+			return nil
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return &walStop{off: off, damage: "CORRUPT record", err: err}
+		}
+		f(off, rec, len(payload))
+		off += n
+	}
+}
+
 // ------------------------------------------------------------- encoding
 
 func appendString(buf []byte, s string) []byte {

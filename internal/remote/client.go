@@ -43,8 +43,9 @@ type ClientOptions struct {
 	PushTimeout  time.Duration
 	CountTimeout time.Duration
 	MineTimeout  time.Duration
-	// Metrics receives client instrumentation; nil disables it.
-	Metrics Metrics
+	// Metrics receives client instrumentation; nil counts on a private
+	// registry.
+	Metrics *Metrics
 	// Tracker shares push state across workers and requests, so a shard
 	// is re-pushed only on version change (or after the worker reports
 	// it missing). nil creates a private tracker.
@@ -61,7 +62,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.CountTimeout <= 0 {
 		o.CountTimeout = DefaultCountTimeout
 	}
-	o.Metrics = metricsOrNop(o.Metrics)
+	o.Metrics = ensureMetrics(o.Metrics)
 	if o.Tracker == nil {
 		o.Tracker = NewPushTracker()
 	}
@@ -173,7 +174,7 @@ func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duratio
 		}
 		return w.post(ctx, op, timeout, path, body, out)
 	}, func(_ error, _ int) {
-		w.opt.Metrics.Retry(op)
+		w.opt.Metrics.Retries.With(op).Inc()
 	})
 	if ce, ok := err.(ctxErr); ok {
 		return ce.error
@@ -206,12 +207,12 @@ func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duratio
 		return &RPCError{Op: op, Worker: w.base, Err: err}
 	}
 	defer resp.Body.Close()
-	w.opt.Metrics.Bytes(op, "sent", int64(len(body)))
+	w.opt.Metrics.Bytes.With(op, "sent").Add(uint64(len(body)))
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return &RPCError{Op: op, Worker: w.base, Err: fmt.Errorf("read response: %w", err)}
 	}
-	w.opt.Metrics.Bytes(op, "received", int64(len(data)))
+	w.opt.Metrics.Bytes.With(op, "received").Add(uint64(len(data)))
 	if resp.StatusCode != http.StatusOK {
 		return w.statusError(op, resp.StatusCode, data)
 	}
@@ -267,11 +268,12 @@ func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	w.opt.Metrics.Bytes(OpPush, "sent", int64(len(payload)))
+	w.opt.Metrics.Bytes.With(OpPush, "sent").Add(uint64(len(payload)))
 	if resp.StatusCode != http.StatusNoContent {
 		return w.statusError(OpPush, resp.StatusCode, data)
 	}
-	w.opt.Metrics.ShardPush(int64(len(payload)))
+	w.opt.Metrics.Pushes.Inc()
+	w.opt.Metrics.PushBytes.Add(uint64(len(payload)))
 	w.opt.Tracker.mark(w.base, w.data.Key)
 	return nil
 }

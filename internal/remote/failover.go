@@ -65,12 +65,13 @@ func (f *Failover) Count(ctx context.Context, req *shard.CountRequest) (*shard.C
 // that down.
 type instrumented struct {
 	w shard.Worker
-	m Metrics
+	m *Metrics
 }
 
-// Instrument wraps w so each Mine/Count records an RPC event on m.
-func Instrument(w shard.Worker, m Metrics) shard.Worker {
-	return &instrumented{w: w, m: metricsOrNop(m)}
+// Instrument wraps w so each Mine/Count counts one RPC, with its
+// outcome and wall time, on m (nil: a private registry).
+func Instrument(w shard.Worker, m *Metrics) shard.Worker {
+	return &instrumented{w: w, m: ensureMetrics(m)}
 }
 
 // WorkerAddr passes the wrapped worker's address through.
@@ -79,13 +80,23 @@ func (iw *instrumented) WorkerAddr() string { return shard.WorkerAddr(iw.w) }
 func (iw *instrumented) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
 	t0 := time.Now()
 	resp, err := iw.w.Mine(ctx, req)
-	iw.m.RPC(OpMine, time.Since(t0), err)
+	iw.done(OpMine, t0, err)
 	return resp, err
 }
 
 func (iw *instrumented) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
 	t0 := time.Now()
 	resp, err := iw.w.Count(ctx, req)
-	iw.m.RPC(OpCount, time.Since(t0), err)
+	iw.done(OpCount, t0, err)
 	return resp, err
+}
+
+// done counts one completed call started at t0.
+func (iw *instrumented) done(op string, t0 time.Time, err error) {
+	outcome := "ok"
+	if err != nil {
+		outcome = "error"
+	}
+	iw.m.RPCs.With(op, outcome).Inc()
+	iw.m.RPCDuration.With(op).Observe(time.Since(t0).Seconds())
 }

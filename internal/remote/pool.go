@@ -18,8 +18,9 @@ type PoolConfig struct {
 	Registry RegistryConfig
 	// Logger may be nil (logging disabled).
 	Logger *slog.Logger
-	// Metrics receives all remote instrumentation; nil disables it.
-	Metrics Metrics
+	// Metrics receives all remote instrumentation; nil counts on a
+	// private registry.
+	Metrics *Metrics
 }
 
 // Pool owns the client side of a distributed deployment: the registry
@@ -29,7 +30,7 @@ type PoolConfig struct {
 type Pool struct {
 	reg     *Registry
 	copt    ClientOptions
-	met     Metrics
+	met     *Metrics
 	logger  *slog.Logger
 	tracker *PushTracker
 }
@@ -40,7 +41,7 @@ func NewPool(addrs []string, cfg PoolConfig) *Pool {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
-	met := metricsOrNop(cfg.Metrics)
+	met := ensureMetrics(cfg.Metrics)
 	tracker := NewPushTracker()
 	copt := cfg.Client
 	copt.Metrics = met
@@ -146,7 +147,7 @@ func (p *Pool) Coordinator(dataset string, version uint64, db *interval.Database
 			Primary:  Instrument(NewRemoteWorker(addr, data, p.copt), p.met),
 			Fallback: local,
 			OnFailover: func(shardID int, err error) {
-				p.met.Failover()
+				p.met.Failovers.Inc()
 				p.reg.MarkUnhealthy(addr, err)
 				p.logger.Warn("remote worker unavailable; re-mining shard locally",
 					"worker", addr, "shard", shardID, "err", err)

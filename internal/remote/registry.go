@@ -32,8 +32,9 @@ type RegistryConfig struct {
 	HTTPClient *http.Client
 	// Logger may be nil (logging disabled).
 	Logger *slog.Logger
-	// Metrics receives WorkerUp updates; nil disables them.
-	Metrics Metrics
+	// Metrics receives the healthy/configured worker gauges; nil counts
+	// on a private registry.
+	Metrics *Metrics
 }
 
 // WorkerStatus is one worker's membership state, served by the shards
@@ -51,7 +52,7 @@ type WorkerStatus struct {
 type Registry struct {
 	cfg    RegistryConfig
 	logger *slog.Logger
-	met    Metrics
+	met    *Metrics
 	addrs  []string
 
 	mu      sync.Mutex
@@ -82,7 +83,7 @@ func NewRegistry(addrs []string, cfg RegistryConfig) *Registry {
 	r := &Registry{
 		cfg:     cfg,
 		logger:  cfg.Logger,
-		met:     metricsOrNop(cfg.Metrics),
+		met:     ensureMetrics(cfg.Metrics),
 		addrs:   append([]string(nil), addrs...),
 		healthy: make(map[string]bool, len(addrs)),
 		lastErr: make(map[string]string, len(addrs)),
@@ -92,7 +93,8 @@ func NewRegistry(addrs []string, cfg RegistryConfig) *Registry {
 	for _, a := range r.addrs {
 		r.healthy[a] = true
 	}
-	r.met.WorkerUp(len(r.addrs), len(r.addrs))
+	r.met.WorkersUp.Set(int64(len(r.addrs)))
+	r.met.Workers.Set(int64(len(r.addrs)))
 	if cfg.ProbeInterval > 0 {
 		go r.probeLoop()
 	} else {
@@ -169,7 +171,7 @@ func (r *Registry) setHealth(addr string, err error) {
 	} else {
 		r.lastErr[addr] = ""
 	}
-	healthy, total := r.countsLocked()
+	healthy := r.healthyLocked()
 	r.mu.Unlock()
 	if was != now {
 		if now {
@@ -178,16 +180,16 @@ func (r *Registry) setHealth(addr string, err error) {
 			r.logger.Warn("worker marked unhealthy", "worker", addr, "err", err)
 		}
 	}
-	r.met.WorkerUp(healthy, total)
+	r.met.WorkersUp.Set(int64(healthy))
 }
 
-func (r *Registry) countsLocked() (healthyN, total int) {
+func (r *Registry) healthyLocked() (n int) {
 	for _, h := range r.healthy {
 		if h {
-			healthyN++
+			n++
 		}
 	}
-	return healthyN, len(r.addrs)
+	return n
 }
 
 // MarkUnhealthy demotes a worker after a failed RPC, without waiting

@@ -19,8 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"time"
 
+	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 )
 
@@ -101,39 +101,50 @@ func IsUnavailable(err error) bool {
 	return errors.As(err, &re) && re.Unavailable()
 }
 
-// Metrics receives client-side instrumentation events. Implementations
-// must be safe for concurrent use; a nil Metrics disables them (see
-// nopMetrics).
-type Metrics interface {
-	// RPC records one completed worker call (after retries).
-	RPC(op string, d time.Duration, err error)
-	// Bytes records wire bytes moved for one call; dir is "sent" or
-	// "received".
-	Bytes(op, dir string, n int64)
-	// Retry records one retry of a transient RPC failure.
-	Retry(op string)
-	// Failover records one shard re-mined on the local fallback.
-	Failover()
-	// WorkerUp reports the registry's current healthy/total counts.
-	WorkerUp(healthy, total int)
-	// ShardPush records one completed shard push of n compressed bytes.
-	ShardPush(n int64)
+// Metrics holds the client side's tpmd_remote_* handles; the pool, its
+// registry and its clients bump them directly, and NewMetrics documents
+// each in its HELP text.
+type Metrics struct {
+	RPCs        *obs.CounterVec   // op, outcome: ok, error
+	RPCDuration *obs.HistogramVec // op
+	Bytes       *obs.CounterVec   // op, dir: sent, received
+	Retries     *obs.CounterVec   // op
+	Failovers   *obs.Counter
+	WorkersUp   *obs.Gauge
+	Workers     *obs.Gauge
+	Pushes      *obs.Counter
+	PushBytes   *obs.Counter
 }
 
-// nopMetrics is the nil-object Metrics.
-type nopMetrics struct{}
+// NewMetrics registers the client side's families on reg.
+func NewMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		RPCs: reg.NewCounterVec("tpmd_remote_rpcs_total",
+			"Remote worker RPCs completed (after retries), by operation and outcome.", "op", "outcome"),
+		RPCDuration: reg.NewHistogramVec("tpmd_remote_rpc_duration_seconds",
+			"Remote worker RPC wall time (including retries within one call), by operation.", nil, "op"),
+		Bytes: reg.NewCounterVec("tpmd_remote_bytes_total",
+			"Wire bytes moved to/from remote workers, by operation and direction.", "op", "dir"),
+		Retries: reg.NewCounterVec("tpmd_remote_retries_total",
+			"Remote RPC attempts retried after a transient failure, by operation.", "op"),
+		Failovers: reg.NewCounter("tpmd_remote_failovers_total",
+			"Shards re-mined on the in-process fallback after their remote worker became unavailable."),
+		WorkersUp: reg.NewGauge("tpmd_remote_worker_up",
+			"Remote workers currently considered healthy by the registry."),
+		Workers: reg.NewGauge("tpmd_remote_worker_total",
+			"Remote workers configured via -workers."),
+		Pushes: reg.NewCounter("tpmd_remote_shard_pushes_total",
+			"Shard payloads pushed to remote workers (one per worker x dataset version x shard)."),
+		PushBytes: reg.NewCounter("tpmd_remote_shard_push_bytes_total",
+			"Compressed shard payload bytes pushed to remote workers."),
+	}
+}
 
-func (nopMetrics) RPC(string, time.Duration, error) {}
-func (nopMetrics) Bytes(string, string, int64)      {}
-func (nopMetrics) Retry(string)                     {}
-func (nopMetrics) Failover()                        {}
-func (nopMetrics) WorkerUp(int, int)                {}
-func (nopMetrics) ShardPush(int64)                  {}
-
-// metricsOrNop never returns nil, so call sites skip the nil checks.
-func metricsOrNop(m Metrics) Metrics {
+// ensureMetrics returns m, or handles on a private registry when m is
+// nil.
+func ensureMetrics(m *Metrics) *Metrics {
 	if m == nil {
-		return nopMetrics{}
+		return NewMetrics(obs.NewRegistry())
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -64,6 +65,30 @@ func TestShardPushedOncePerVersion(t *testing.T) {
 	}
 	if ws.Shards() != 1 {
 		t.Errorf("worker caches %d shards, want 1 (old version evicted)", ws.Shards())
+	}
+}
+
+// TestWorkerCapsParallel: a mine body's Parallel is untrusted input.
+// The worker caps it at its own cores, so an absurd value mines the same
+// result as a serial request instead of sizing a worker pool by it.
+func TestWorkerCapsParallel(t *testing.T) {
+	ws := NewWorkerServer(WorkerConfig{})
+	ts := httptest.NewServer(ws.Handler())
+	defer ts.Close()
+	w := NewRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, workertest.DB()),
+		ClientOptions{Retry: fastRetry})
+	mine := func(parallel int) *shard.MineShardResponse {
+		t.Helper()
+		resp, err := w.Mine(context.Background(), &shard.MineShardRequest{Kind: shard.KindTemporal,
+			Opt: core.Options{MinCount: 2, Parallel: parallel}})
+		if err != nil {
+			t.Fatalf("mine with Parallel=%d: %v", parallel, err)
+		}
+		return resp
+	}
+	serial, huge := mine(0), mine(math.MaxInt)
+	if len(serial.Temporal) == 0 || !reflect.DeepEqual(huge.Temporal, serial.Temporal) {
+		t.Fatalf("Parallel=MaxInt mined %d patterns, serial %d", len(huge.Temporal), len(serial.Temporal))
 	}
 }
 

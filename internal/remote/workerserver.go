@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"tpminer/internal/dataio"
 	"tpminer/internal/obs"
 	"tpminer/internal/shard"
 )
@@ -253,13 +254,21 @@ func pathShardKey(r *http.Request) (ShardKey, error) {
 	return ShardKey{Dataset: name, Version: ver, Shard: sh}, nil
 }
 
+// handleMine and handleCount decode their bodies strictly
+// (dataio.DecodeJSON) within MaxShardBytes: a field the coordinator
+// sends that this build lacks, as during a rolling deploy, is refused
+// rather than silently dropped from the mine.
 func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	var req mineWire
-	if err := ws.decodeRPC(w, r, &req); err != nil {
+	if err := dataio.DecodeJSON(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes), &req); err != nil {
 		ws.rpcs.With(OpMine, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed mine request: "+err.Error())
 		return
 	}
+	// A parallel mine returns the same result at any worker count, so
+	// cap the request's at this machine's cores: asking for more would
+	// only allocate idle workers.
+	req.Opt.Parallel = min(req.Opt.Parallel, runtime.GOMAXPROCS(0))
 	worker := ws.lookup(req.Key)
 	if worker == nil {
 		ws.rpcs.With(OpMine, "not_loaded").Inc()
@@ -281,7 +290,7 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 
 func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	var req countWire
-	if err := ws.decodeRPC(w, r, &req); err != nil {
+	if err := dataio.DecodeJSON(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes), &req); err != nil {
 		ws.rpcs.With(OpCount, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
@@ -304,22 +313,6 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.rpcs.With(OpCount, "ok").Inc()
 	ws.writeJSON(w, http.StatusOK, countRespWire{Supports: resp.Supports})
-}
-
-// decodeRPC decodes a mine or count body strictly: at most MaxShardBytes
-// long, no unknown field and nothing after the JSON value. A field the
-// coordinator sends that this build lacks, as during a rolling deploy,
-// is refused rather than silently dropped from the mine.
-func (ws *WorkerServer) decodeRPC(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("unexpected data after the JSON body")
-	}
-	return nil
 }
 
 // workContext bounds one mine/count by the client's declared budget and

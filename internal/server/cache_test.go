@@ -80,9 +80,9 @@ func TestMineSingleFlight(t *testing.T) {
 	// Wait until the n-1 non-leaders have coalesced onto the flight,
 	// then let the leader mine.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.met.cache.coalesced.Value() < n-1 {
+	for s.met.cache.Coalesced.Value() < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests coalesced", s.met.cache.coalesced.Value(), n-1)
+			t.Fatalf("only %d/%d requests coalesced", s.met.cache.Coalesced.Value(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -121,8 +121,8 @@ func TestMineSingleFlight(t *testing.T) {
 	if runs := s.met.mineRuns.With("temporal", "ok").Value(); runs != 1 {
 		t.Errorf("miner ran %d times for %d identical requests, want exactly 1", runs, n)
 	}
-	if s.met.cache.misses.Value() != 1 {
-		t.Errorf("cache misses = %d, want 1", s.met.cache.misses.Value())
+	if s.met.cache.Misses.Value() != 1 {
+		t.Errorf("cache misses = %d, want 1", s.met.cache.Misses.Value())
 	}
 }
 
@@ -229,7 +229,7 @@ func TestTruncatedNeverCached(t *testing.T) {
 			t.Errorf("truncated response carries ETag %q", et)
 		}
 	}
-	if n := s.met.cache.hits.Value(); n != 0 {
+	if n := s.met.cache.Hits.Value(); n != 0 {
 		t.Errorf("truncated result produced %d cache hits", n)
 	}
 	if s.results.Len() != 0 {

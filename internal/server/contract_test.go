@@ -211,3 +211,40 @@ func TestRemovedSurfaceAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsExpositionGolden is the exposition contract: a fresh
+// server's GET /v1/metrics carries exactly the # HELP and # TYPE lines
+// of testdata/metrics_exposition.golden, in order. Every family is
+// registered at construction, so the list is the same before any
+// traffic; a renamed, retyped, reordered, added or dropped family —
+// or a changed HELP string — fails `make contract`.
+func TestMetricsExpositionGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/metrics_exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t)
+	resp, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d", resp.StatusCode)
+	}
+	var got []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got = append(got, line)
+		}
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("exposition line %d:\n got  %q\n want %q", i+1, g, w)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"tpminer/internal/api"
 	"tpminer/internal/dataio"
 	"tpminer/internal/interval"
 )
@@ -245,7 +246,7 @@ func decodeIngestLine(line []byte) (ingestEvent, error) {
 		return ingestEvent{}, err
 	}
 	if ev.Seq == "" {
-		return ingestEvent{}, &fieldError{field: "seq", msg: "missing sequence id"}
+		return ingestEvent{}, &api.FieldError{Field: "seq", Msg: "missing sequence id"}
 	}
 	iv := interval.Interval{Symbol: ev.Symbol, Start: interval.Time(ev.Start), End: interval.Time(ev.End)}
 	if err := iv.Valid(); err != nil {

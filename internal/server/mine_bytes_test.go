@@ -217,7 +217,7 @@ func TestMineBytesMatchOracle(t *testing.T) {
 			}()
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for s.met.cache.coalesced.Value() < 1 && time.Now().Before(deadline) {
+		for s.met.cache.Coalesced.Value() < 1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		close(release)

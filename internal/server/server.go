@@ -697,15 +697,6 @@ func codeForStatus(status int) string {
 	}
 }
 
-// fieldError is an error attributable to one JSON request field; the
-// error envelope surfaces the name in error.field.
-type fieldError struct {
-	field string
-	msg   string
-}
-
-func (e *fieldError) Error() string { return e.msg }
-
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -731,13 +722,9 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 // splits into internal vs persist_unavailable).
 func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	field := ""
-	var fe *fieldError
-	var afe *api.FieldError
-	switch {
-	case errors.As(err, &fe):
-		field = fe.field
-	case errors.As(err, &afe):
-		field = afe.Field
+	var fe *api.FieldError
+	if errors.As(err, &fe) {
+		field = fe.Field
 	}
 	id := requestID(r)
 	if status >= 500 || status == http.StatusTooManyRequests {
@@ -779,7 +766,7 @@ func (s *Server) writeStoreError(w http.ResponseWriter, r *http.Request, err err
 // roughly one snapshot write to succeed, clamped to the same bounds as
 // the 429 hint.
 func (s *Server) degradedRetryAfterSeconds() int {
-	est := s.cfg.RecoveryProbeInterval.Seconds() + s.met.persist.snapDur.Quantile(0.5)
+	est := s.cfg.RecoveryProbeInterval.Seconds() + s.met.persist.SnapshotDuration.Quantile(0.5)
 	secs := int(math.Ceil(est))
 	if secs < minRetryAfterSeconds {
 		secs = minRetryAfterSeconds
@@ -1489,8 +1476,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // a job run and an identical batch mine share one cache entry and one
 // miner execution. outcome is "" with caching disabled.
 func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (*mineEntry, cache.Outcome, error) {
-	wdb, wpart := s.windowed(db, part, spec.Window)
-	tgt := mineTarget{db: wdb, part: wpart, name: key.Dataset, ver: key.Version, whole: wdb == db}
+	tgt := mineTarget{db: db, part: part, name: key.Dataset, ver: key.Version}
+	if sub := windowDatabase(db, spec.Window); sub != db {
+		tgt.db, tgt.part = sub, nil // no stored partition covers a true sub-window
+	}
 	if s.results == nil {
 		e, err := s.runMine(ctx, tgt, spec)
 		return e, "", err
@@ -1508,22 +1497,8 @@ func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Dat
 	return v.(*mineEntry), outcome, nil
 }
 
-// windowed applies a window spec to a dataset snapshot, returning the
-// (sub)database to mine and a partition for it. Whole-dataset requests
-// reuse the stored partition; windowed ones partition the slice fresh —
-// windows are bounded, so this is O(window), not O(dataset).
-func (s *Server) windowed(db *interval.Database, part *shard.Partition, win api.WindowSpec) (*interval.Database, *shard.Partition) {
-	if !win.Windowed() {
-		return db, part
-	}
-	sub := windowDatabase(db, win)
-	if sub == db {
-		return db, part
-	}
-	return sub, shard.New(sub, s.store.shards, s.store.shardMinSeqs)
-}
-
-// windowDatabase slices the window out of db. Sequence slice headers are
+// windowDatabase slices the window out of db, returning db itself when
+// win is empty or covers every sequence. Sequence slice headers are
 // shared, never copied — stored databases are immutable. A sliding
 // window is the newest Count sequences; a tumbling window is the newest
 // complete block of Count sequences (empty until the first block fills).
@@ -1547,33 +1522,32 @@ func windowDatabase(db *interval.Database, win api.WindowSpec) *interval.Databas
 }
 
 // mineTarget identifies what one mine runs over: the (possibly
-// windowed) database and partition, plus the dataset coordinates that
-// make the snapshot content-addressable for remote workers. whole is
-// true only when db is the dataset's full stored snapshot — windowed
-// sub-databases are not addressable by (name, version) alone and always
-// mine locally.
+// windowed) database, plus the dataset coordinates that make the
+// snapshot content-addressable for remote workers. part is the stored
+// partition when db is the dataset's full snapshot and nil for a true
+// sub-window, which is not addressable by (name, version) alone.
 type mineTarget struct {
-	db    *interval.Database
-	part  *shard.Partition
-	name  string
-	ver   uint64
-	whole bool
+	db   *interval.Database
+	part *shard.Partition
+	name string
+	ver  uint64
 }
 
 // mineCoordinator returns the coordinator every mine of the target
-// runs through. A single-shard partition gets a one-worker coordinator,
-// which hands the request's options verbatim to the serial miner and
-// leaves the tpmd_shard_* metrics alone: only fan-outs report there.
-// With a worker pool and a whole-dataset target the shards go to remote
-// workers (each wrapped in exact local failover). Either way the merge
-// reproduces the serial miner's results exactly, so routing never
-// changes a response, cache entry, or ETag.
+// runs through. A window or a single-shard dataset gets a one-worker
+// coordinator, which hands the request's options verbatim to the
+// serial or work-stealing miner and leaves the tpmd_shard_* metrics
+// alone: only fan-outs report there. A whole dataset of two or more
+// shards fans out, to remote workers (each wrapped in exact local
+// failover) when a pool is configured. Either way the merge reproduces
+// the serial miner's results exactly, so routing never changes a
+// response, cache entry, or ETag.
 func (s *Server) mineCoordinator(t mineTarget) *shard.Coordinator {
-	if t.part.NumShards() < 2 {
-		return shard.NewLocal(t.db, t.part)
+	if t.part == nil || t.part.NumShards() < 2 {
+		return shard.NewWithWorkers([]shard.Worker{shard.NewLocalWorker(t.db)}, []int{t.db.Len()})
 	}
 	var co *shard.Coordinator
-	if s.pool != nil && t.whole {
+	if s.pool != nil {
 		co = s.pool.Coordinator(t.name, t.ver, t.db, t.part)
 	} else {
 		co = shard.NewLocal(t.db, t.part)

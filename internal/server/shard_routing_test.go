@@ -145,3 +145,40 @@ func TestSmallDatasetStaysUnsharded(t *testing.T) {
 		t.Error("single-shard dataset should not fan out")
 	}
 }
+
+// TestWindowedMinesDoNotFanOut: a window is a slice no stored partition
+// covers, so a windowed mine and a windowed job run mine on one worker
+// even when the dataset itself is sharded — only whole-dataset mines
+// fan out.
+func TestWindowedMinesDoNotFanOut(t *testing.T) {
+	s := NewWithConfig(nil, Config{MaxConcurrentMines: 32, Shards: 4, ShardMinSeqs: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", shardedCSV()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put: %d %q", resp.StatusCode, body)
+	}
+	if _, part, _, _ := s.store.snapshot("d"); part.NumShards() < 2 {
+		t.Fatalf("dataset holds %d shards, want >= 2", part.NumShards())
+	}
+
+	mine := `{"min_count":2,"window":{"kind":"sliding","count":30}}`
+	if resp, body := do(t, "POST", ts.URL+"/v1/datasets/d/mine", "application/json", mine); resp.StatusCode != http.StatusOK {
+		t.Fatalf("windowed mine: %d %q", resp.StatusCode, body)
+	}
+	job := `{"id":"live","dataset":"d","mine":{"min_count":2,"window":{"kind":"tumbling","count":20}},"debounce_ms":5}`
+	if resp, body := do(t, "POST", ts.URL+"/v1/jobs", "application/json", job); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create job: %d %q", resp.StatusCode, body)
+	}
+	if st := waitJobVersion(t, ts.URL, 1); st.RunSeq < 1 {
+		t.Fatalf("job published no run: %+v", st)
+	}
+
+	_, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
+	m := parseMetrics(t, body)
+	if got := m["tpmd_shard_fanout_total"]; got != 0 {
+		t.Errorf("tpmd_shard_fanout_total = %v after windowed mines, want 0", got)
+	}
+	if got := m[`tpmd_job_runs_total{outcome="ok"}`]; got < 1 {
+		t.Errorf(`tpmd_job_runs_total{outcome="ok"} = %v, want >= 1`, got)
+	}
+}
