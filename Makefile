@@ -59,23 +59,28 @@ chaos:
 # Streaming gate: the NDJSON-ingest + continuous-job end-to-end test
 # (cumulative SSE deltas must equal a fresh batch mine byte-for-byte,
 # across a restart), the SSE lifecycle tests (disconnect leaves no
-# goroutines, slow consumers are dropped not blocked on), and job
-# durability — all under the race detector, since every one of them
-# exercises the jobs manager's concurrency.
+# goroutines, slow consumers are dropped not blocked on), job
+# durability, and the two ingest commit tests (a request whose flush
+# fails buffers nothing, so its retry ingests once; auto-create never
+# overwrites a racing PUT) — all under the race detector, since every
+# one of them exercises the jobs manager's or the batcher's concurrency.
 stream:
-	$(GO) test -race ./internal/server -run 'TestStreaming|TestSSE|TestJobDelete' -count=1
+	$(GO) test -race ./internal/server -run 'TestStreaming|TestSSE|TestJobDelete|TestIngestRequestAllOrNothing|TestIngestCreateRacingPut' -count=1
 	$(GO) test -race ./internal/jobs
 
 # Distributed-mining gate: the remote-worker conformance suite, the
 # push/registry/failover unit tests, the chaos schedule over flaky
-# workers, and the server-level acceptance test (remote byte-identical
-# to local sharded, exact failover when a worker dies mid-mine, no
-# goroutine leaks) — all under the race detector, since the pool client
-# and registry are exercised concurrently by the coordinator's fan-out.
+# workers, the server-level acceptance test (remote byte-identical to
+# local sharded, exact failover when a worker dies mid-mine, no
+# goroutine leaks), and the two coordinator-restart tests (kept workers
+# serve the same shards after a restart over an appended dataset, and
+# replace them after a shard-count change) — all under the race
+# detector, since the pool client and registry are exercised
+# concurrently by the coordinator's fan-out.
 dist:
 	$(GO) test -race ./internal/remote -count=1
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
-	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal' -count=1
+	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount' -count=1
 
 # perfbench is its own Go module that imports internal/ APIs, so the
 # root build never sees a change that breaks it; vet and test it here.

@@ -30,12 +30,14 @@
 // accepting connections and drains in-flight requests — mining jobs
 // finish within their deadline — for up to -grace before exiting.
 //
-// Sharded mining: -shards partitions each dataset into that many
-// size-balanced sequence shards (0 = GOMAXPROCS, 1 = unsharded). Every
-// mine runs through one shard coordinator: a single shard mines
-// serially, two or more mine scatter-gather with an exact merge, so
-// responses, cache keys, and ETags are byte-identical to unsharded
-// mining.
+// Sharded mining: a whole-dataset mine partitions the dataset's current
+// snapshot into up to -shards size-balanced sequence shards
+// (0 = GOMAXPROCS, 1 = unsharded); the split depends only on the
+// snapshot and the flags, so it is the same in every mine and after a
+// restart. Every mine runs through one shard coordinator: a single
+// shard (or a window) mines serially, two or more mine scatter-gather
+// with an exact merge, so responses, cache keys, and ETags are
+// byte-identical to unsharded mining.
 // -shard-min-seqs keeps small datasets on fewer shards (no fan-out
 // overhead below ~16 sequences per shard by default). Per-shard
 // timings, fan-out counts, and partition skew appear as tpmd_shard_*

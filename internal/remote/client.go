@@ -157,10 +157,20 @@ func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*sha
 }
 
 // call runs one logical RPC: marshal once, then attempt (push if
-// needed, POST, decode) under the retry policy. A canceled caller
+// needed, POST, decode) under the retry policy, and count the call once
+// with its outcome and wall time, retries included. A canceled caller
 // context aborts immediately — resilience classifies it permanent via
 // ctxErr — and surfaces the context's own error.
-func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duration, path string, in, out any) error {
+func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duration, path string, in, out any) (err error) {
+	t0 := time.Now()
+	defer func() {
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		}
+		w.opt.Metrics.RPCs.With(op, outcome).Inc()
+		w.opt.Metrics.RPCDuration.With(op).Observe(time.Since(t0).Seconds())
+	}()
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("remote: marshal %s request: %w", op, err)

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"time"
 
 	"tpminer/internal/shard"
 )
@@ -58,45 +57,4 @@ func (f *Failover) Count(ctx context.Context, req *shard.CountRequest) (*shard.C
 		f.OnFailover(req.Shard, err)
 	}
 	return f.Fallback.Count(ctx, req)
-}
-
-// instrumented decorates a Worker with per-call metrics. It changes no
-// semantics — the workertest conformance suite runs against it to pin
-// that down.
-type instrumented struct {
-	w shard.Worker
-	m *Metrics
-}
-
-// Instrument wraps w so each Mine/Count counts one RPC, with its
-// outcome and wall time, on m (nil: a private registry).
-func Instrument(w shard.Worker, m *Metrics) shard.Worker {
-	return &instrumented{w: w, m: ensureMetrics(m)}
-}
-
-// WorkerAddr passes the wrapped worker's address through.
-func (iw *instrumented) WorkerAddr() string { return shard.WorkerAddr(iw.w) }
-
-func (iw *instrumented) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
-	t0 := time.Now()
-	resp, err := iw.w.Mine(ctx, req)
-	iw.done(OpMine, t0, err)
-	return resp, err
-}
-
-func (iw *instrumented) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
-	t0 := time.Now()
-	resp, err := iw.w.Count(ctx, req)
-	iw.done(OpCount, t0, err)
-	return resp, err
-}
-
-// done counts one completed call started at t0.
-func (iw *instrumented) done(op string, t0 time.Time, err error) {
-	outcome := "ok"
-	if err != nil {
-		outcome = "error"
-	}
-	iw.m.RPCs.With(op, outcome).Inc()
-	iw.m.RPCDuration.With(op).Observe(time.Since(t0).Seconds())
 }

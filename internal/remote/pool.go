@@ -125,7 +125,7 @@ func (p *Pool) Placements(dataset string, version uint64, numShards int) []Shard
 
 // Coordinator builds a registry-aware scatter-gather coordinator for
 // one mine: each shard is assigned a healthy remote worker (wrapped in
-// metrics and exact local failover) or, when no workers are usable, its
+// exact local failover) or, when no workers are usable, its
 // plain LocalWorker. db must be the immutable snapshot the partition
 // was computed for.
 func (p *Pool) Coordinator(dataset string, version uint64, db *interval.Database, part *shard.Partition) *shard.Coordinator {
@@ -144,7 +144,7 @@ func (p *Pool) Coordinator(dataset string, version uint64, db *interval.Database
 		}
 		data := NewShardData(ShardKey{Dataset: dataset, Version: version, Shard: i}, sub)
 		workers[i] = &Failover{
-			Primary:  Instrument(NewRemoteWorker(addr, data, p.copt), p.met),
+			Primary:  NewRemoteWorker(addr, data, p.copt),
 			Fallback: local,
 			OnFailover: func(shardID int, err error) {
 				p.met.Failovers.Inc()

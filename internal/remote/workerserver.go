@@ -47,10 +47,12 @@ type WorkerConfig struct {
 	Registry *obs.Registry
 }
 
-// cachedShard is one pushed shard: a ready-to-mine LocalWorker plus the
-// bookkeeping the shard list and LRU eviction need.
+// cachedShard is one pushed shard: a ready-to-mine LocalWorker, the
+// digest of the payload it was decoded from, and the bookkeeping the
+// shard list and LRU eviction need.
 type cachedShard struct {
 	worker  *shard.LocalWorker
+	digest  string
 	seqs    int
 	bytes   int64 // uncompressed payload size
 	lastUse uint64
@@ -124,8 +126,9 @@ func (ws *WorkerServer) Shards() int {
 	return len(ws.shards)
 }
 
-// lookup fetches a cached shard and bumps its LRU tick.
-func (ws *WorkerServer) lookup(key ShardKey) *shard.LocalWorker {
+// lookup fetches a cached shard and bumps its LRU tick. Its worker and
+// digest never change once stored, so callers read them unlocked.
+func (ws *WorkerServer) lookup(key ShardKey) *cachedShard {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	cs, ok := ws.shards[key]
@@ -134,7 +137,7 @@ func (ws *WorkerServer) lookup(key ShardKey) *shard.LocalWorker {
 	}
 	ws.clock++
 	cs.lastUse = ws.clock
-	return cs.worker
+	return cs
 }
 
 // store caches one pushed shard, evicting (a) other versions of the same
@@ -217,20 +220,23 @@ func (ws *WorkerServer) handleShardPush(w http.ResponseWriter, r *http.Request) 
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	// Re-pushing cached content is a no-op: the key names immutable
-	// bytes, so presence alone proves the payload.
-	if ws.lookup(key) != nil {
+	// Re-pushing the cached payload is a no-op. The key alone does not
+	// prove it: a coordinator restarted with another shard count can
+	// send different sequences under the same key, so a push whose
+	// digest differs is decoded and replaces the cached shard.
+	digest := r.Header.Get(shardDigestHeader)
+	if cs := ws.lookup(key); cs != nil && cs.digest == digest {
 		ws.rpcs.With(OpPush, "ok").Inc()
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	db, rawBytes, err := decodeShardPayload(r.Body, r.Header.Get(shardDigestHeader), ws.cfg.MaxShardBytes)
+	db, rawBytes, err := decodeShardPayload(r.Body, digest, ws.cfg.MaxShardBytes)
 	if err != nil {
 		ws.rpcs.With(OpPush, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadPayload, err.Error())
 		return
 	}
-	ws.store(key, &cachedShard{worker: shard.NewLocalWorker(db), seqs: len(db.Sequences), bytes: rawBytes})
+	ws.store(key, &cachedShard{worker: shard.NewLocalWorker(db), digest: digest, seqs: len(db.Sequences), bytes: rawBytes})
 	ws.pushBytesC.Add(uint64(rawBytes))
 	ws.rpcs.With(OpPush, "ok").Inc()
 	ws.logger.Info("shard cached", "key", key.String(), "sequences", len(db.Sequences), "bytes", rawBytes)
@@ -269,15 +275,15 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	// cap the request's at this machine's cores: asking for more would
 	// only allocate idle workers.
 	req.Opt.Parallel = min(req.Opt.Parallel, runtime.GOMAXPROCS(0))
-	worker := ws.lookup(req.Key)
-	if worker == nil {
+	cs := ws.lookup(req.Key)
+	if cs == nil {
 		ws.rpcs.With(OpMine, "not_loaded").Inc()
 		ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded, "shard "+req.Key.String()+" not loaded; push it first")
 		return
 	}
 	ctx, cancel := ws.workContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	resp, err := worker.Mine(ctx, &shard.MineShardRequest{
+	resp, err := cs.worker.Mine(ctx, &shard.MineShardRequest{
 		Shard: req.Shard, Kind: req.Kind, TopK: req.TopK, Opt: req.Opt,
 	})
 	if err != nil {
@@ -295,15 +301,15 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
 	}
-	worker := ws.lookup(req.Key)
-	if worker == nil {
+	cs := ws.lookup(req.Key)
+	if cs == nil {
 		ws.rpcs.With(OpCount, "not_loaded").Inc()
 		ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded, "shard "+req.Key.String()+" not loaded; push it first")
 		return
 	}
 	ctx, cancel := ws.workContext(r.Context(), 0)
 	defer cancel()
-	resp, err := worker.Count(ctx, &shard.CountRequest{
+	resp, err := cs.worker.Count(ctx, &shard.CountRequest{
 		Shard: req.Shard, Kind: req.Kind, Temporal: req.Temporal, Coinc: req.Coinc,
 		MaxSpan: req.MaxSpan, MaxGap: req.MaxGap,
 	})

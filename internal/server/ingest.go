@@ -16,11 +16,12 @@ import (
 // This file implements chunked streaming ingestion: POST
 // /v1/datasets/{name}/events accepts newline-delimited JSON event
 // intervals and batches them into versioned dataset appends. Batching is
-// two-dimensional — a batch flushes when it reaches IngestFlushCount
-// events (inline, while the triggering request is still being handled,
-// so that request observes the append's error) or when the oldest
-// buffered event reaches IngestFlushAge (on a timer, so a trickle of
-// events still becomes visible without waiting for a full batch).
+// two-dimensional — the buffer flushes, as one append, once it holds
+// IngestFlushCount events (inline, while the triggering request is
+// still being handled, so that request observes the append's error) or
+// when the oldest buffered event reaches IngestFlushAge (on a timer, so
+// a trickle of events still becomes visible without waiting for a full
+// batch).
 
 // ingestEvent is one NDJSON line: an interval destined for a sequence.
 type ingestEvent struct {
@@ -87,32 +88,32 @@ type ingestBatcher struct {
 	closed  bool
 }
 
-// add buffers events and flushes inline each time the buffer reaches the
-// configured count. The returned version is the dataset version after
-// the last inline flush (0 if everything is still buffered), and pending
-// is the number of events left waiting on the age timer.
+// add buffers one request's events, all or nothing. Once the buffer
+// holds the configured count it flushes inline, whole, as one append;
+// if that fails the buffer goes back to what it held before the
+// request, so the client sees the error and a retry ingests its events
+// exactly once, while events acknowledged earlier stay buffered for the
+// age timer. The returned version is the dataset version after the
+// flush (0 if everything is still buffered), and pending is the number
+// of events left waiting on the age timer.
 func (b *ingestBatcher) add(events []ingestEvent) (version uint64, pending int, flushes uint64, err error) {
-	s := b.pool.s
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return 0, 0, b.flushes, fmt.Errorf("server is shutting down")
 	}
+	held := len(b.pending)
 	b.pending = append(b.pending, events...)
-	for len(b.pending) >= s.cfg.IngestFlushCount {
-		batch := b.pending[:s.cfg.IngestFlushCount]
-		rest := b.pending[s.cfg.IngestFlushCount:]
-		ver, ferr := b.flushLocked(batch)
-		if ferr != nil {
-			// The failed batch stays buffered so the events are not lost;
-			// the client sees the error and can retry or back off.
-			return version, len(b.pending), b.flushes, ferr
+	if len(b.pending) >= b.pool.s.cfg.IngestFlushCount {
+		version, err = b.flushLocked(b.pending)
+		if err != nil {
+			b.pending = b.pending[:held]
+		} else {
+			b.pending = b.pending[:0]
 		}
-		version = ver
-		b.pending = append(b.pending[:0], rest...)
 	}
 	b.scheduleLocked()
-	return version, len(b.pending), b.flushes, nil
+	return version, len(b.pending), b.flushes, err
 }
 
 // scheduleLocked arms (or disarms) the age-flush timer to match the
@@ -157,25 +158,18 @@ func (b *ingestBatcher) ageFlush() {
 }
 
 // flushLocked appends one batch to the store as a new dataset version,
-// creating the dataset if this is its first event, then invalidates
-// cached results and wakes any jobs watching the dataset. Caller holds
-// b.mu.
+// creating the dataset if this is its first event; the store's commit
+// hook then drops cached results and wakes the jobs watching the
+// dataset. Caller holds b.mu.
 func (b *ingestBatcher) flushLocked(batch []ingestEvent) (uint64, error) {
 	s := b.pool.s
-	add := eventsToDatabase(batch)
-	_, ver, _, found, err := s.store.append(b.dataset, add)
-	if err == nil && !found {
-		// First events for this dataset: ingest auto-creates it.
-		ver, _, _, err = s.store.put(b.dataset, add)
-	}
+	_, ver, err := s.store.append(b.dataset, eventsToDatabase(batch), true)
 	if err != nil {
 		return 0, err
 	}
 	b.flushes++
 	s.met.ingestEvents.Add(uint64(len(batch)))
 	s.met.ingestBatches.Inc()
-	s.invalidateResults(b.dataset)
-	s.jobMgr.Notify(b.dataset, ver)
 	return ver, nil
 }
 

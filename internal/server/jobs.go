@@ -14,26 +14,26 @@ import (
 )
 
 // This file is the server side of continuous mining: the /v1/jobs
-// resource handlers, the SSE delta stream, and the two adapters that
-// plug the jobs manager into the server — jobRunner (mining through the
-// cached/sharded mine path, so a job run and a batch request with the
-// same spec share cache entries and produce identical patterns) and
-// jobJournal (durability through the store's journal, so jobs and their
-// latest results survive restarts).
+// resource handlers, the SSE delta stream, and jobRunner, which plugs
+// the jobs manager into the cached/sharded mine path, so a job run and
+// a batch request with the same spec share cache entries and produce
+// identical patterns. The manager journals through the dataset store
+// itself (its JobPut/JobDelete/JobResult commit like any mutation), so
+// jobs and their latest results survive restarts.
 
 // jobRunner implements jobs.Runner on the server's mine path.
 type jobRunner struct{ s *Server }
 
 func (jr jobRunner) RunJob(ctx context.Context, spec api.JobSpec) (jobs.RunOutput, error) {
 	s := jr.s
-	db, part, ver, ok := s.store.snapshot(spec.Dataset)
+	db, ver, ok := s.store.snapshot(spec.Dataset)
 	if !ok {
 		return jobs.RunOutput{}, jobs.ErrDatasetMissing
 	}
 	// Identical key to a batch mine with this spec: a job run right after
 	// a client's own mine (or vice versa) is a cache hit, not a re-mine.
 	key := cache.Key{Dataset: spec.Dataset, Version: ver, Options: spec.Mine.ResultOptions()}
-	e, _, err := s.cachedMine(ctx, key, db, part, spec.Mine)
+	e, _, err := s.cachedMine(ctx, key, db, spec.Mine)
 	if err != nil {
 		return jobs.RunOutput{}, err
 	}
@@ -50,22 +50,6 @@ func minedPatternKey(p MinedPattern) string {
 		return p.Pattern
 	}
 	return p.Pattern + "\x1f" + p.Relations
-}
-
-// jobJournal implements jobs.Journal on the dataset store's journal,
-// drawing versions from the store-wide counter (see journalJob).
-type jobJournal struct{ s *Server }
-
-func (jj jobJournal) JobPut(id string, spec []byte) error {
-	return jj.s.store.journalJob("job put", func(j storeJournal, v uint64) error { return j.LogJobPut(id, v, spec) })
-}
-
-func (jj jobJournal) JobDelete(id string) error {
-	return jj.s.store.journalJob("job delete", func(j storeJournal, v uint64) error { return j.LogJobDelete(id, v) })
-}
-
-func (jj jobJournal) JobResult(id string, result []byte) error {
-	return jj.s.store.journalJob("job result", func(j storeJournal, v uint64) error { return j.LogJobResult(id, v, result) })
 }
 
 // --------------------------------------------------------- job handlers

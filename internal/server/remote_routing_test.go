@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tpminer/internal/persist"
 	"tpminer/internal/remote"
 )
 
@@ -94,7 +97,7 @@ func TestRemoteMineMatchesLocal(t *testing.T) {
 			t.Fatalf("put: %d %q", resp.StatusCode, body)
 		}
 	}
-	if _, part, _, ok := remoteSrv.store.snapshot("d"); !ok || part.NumShards() < 2 {
+	if shardCount(t, tsRemote.URL, "d") < 2 {
 		t.Fatal("remote server did not shard the dataset; test is vacuous")
 	}
 
@@ -221,5 +224,157 @@ func TestRemoteMineMatchesLocal(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// newRemoteCoordinator opens a durable coordinator over dir that mines
+// through remote workers; stop shuts it down cleanly, as a restart
+// would.
+func newRemoteCoordinator(t *testing.T, dir string, cfg Config) (ts *httptest.Server, stop func()) {
+	t.Helper()
+	ps, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatalf("persist.Open: %v", err)
+	}
+	cfg.MaxConcurrentMines = 8
+	cfg.Persist = ps
+	cfg.WorkerProbeInterval = -time.Second
+	s := NewWithConfig(nil, cfg)
+	ts = httptest.NewServer(s.Handler())
+	return ts, func() {
+		ts.Close()
+		s.Close()
+		if err := ps.Close(); err != nil {
+			t.Errorf("persist.Close: %v", err)
+		}
+	}
+}
+
+// minePatterns runs one mine and returns its body with the measured
+// and search-work fields normalized away.
+func minePatterns(t *testing.T, baseURL, spec string) string {
+	t.Helper()
+	resp, body := do(t, "POST", baseURL+"/v1/datasets/d/mine", "application/json", spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mine %s: %d %q", spec, resp.StatusCode, body)
+	}
+	return normalizeStats(normalizeElapsed(body))
+}
+
+// serialMine mines the given uploads, in order, on an unsharded
+// in-memory server: the reference every remote mine must equal.
+func serialMine(t *testing.T, spec string, csvs ...string) string {
+	t.Helper()
+	s := NewWithConfig(nil, Config{MaxConcurrentMines: 8, Shards: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+	for i, csv := range csvs {
+		method, path := "POST", "/v1/datasets/d/append"
+		if i == 0 {
+			method, path = "PUT", "/v1/datasets/d"
+		}
+		if resp, body := do(t, method, ts.URL+path, "text/csv", csv); resp.StatusCode/100 != 2 {
+			t.Fatalf("serial %s: %d %q", method, resp.StatusCode, body)
+		}
+	}
+	body := minePatterns(t, ts.URL, spec)
+	if !strings.Contains(body, `"support":`) {
+		t.Fatalf("serial mine %s found no patterns; test is vacuous: %s", spec, body)
+	}
+	return body
+}
+
+// workerPushBytes reads a worker's tpmd_worker_shard_push_bytes_total.
+func workerPushBytes(t *testing.T, workerURL string) float64 {
+	t.Helper()
+	_, body := do(t, "GET", workerURL+"/v1/worker/metrics", "", "")
+	return parseMetrics(t, body)["tpmd_worker_shard_push_bytes_total"]
+}
+
+// appendCSV builds 12 more sequences for shardedCSV's dataset.
+func appendCSV() string {
+	rng := rand.New(rand.NewSource(11))
+	var b strings.Builder
+	b.WriteString("sequence_id,symbol,start,end\n")
+	for s := 0; s < 12; s++ {
+		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+			start := rng.Intn(40)
+			fmt.Fprintf(&b, "a%d,%c,%d,%d\n", s, 'A'+rng.Intn(5), start, start+1+rng.Intn(10))
+		}
+	}
+	return b.String()
+}
+
+// TestRemoteRestartAfterAppend: a coordinator mines an appended dataset
+// through two workers, restarts, and mines it again with one worker
+// kept and the other replaced. The restarted coordinator partitions the
+// recovered snapshot exactly as it did before, so its push to the kept
+// worker matches the cached payload and is a no-op, and the mine equals
+// the serial one.
+func TestRemoteRestartAfterAppend(t *testing.T) {
+	kept := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	defer kept.Close()
+	var current atomic.Value
+	current.Store(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	replaced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer replaced.Close()
+
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, ShardMinSeqs: 1, Workers: []string{kept.URL, replaced.URL}}
+	const spec = `{"min_count":3}`
+	ts, stop := newRemoteCoordinator(t, dir, cfg)
+	if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", shardedCSV()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put: %d %q", resp.StatusCode, body)
+	}
+	minePatterns(t, ts.URL, spec)
+	if resp, body := do(t, "POST", ts.URL+"/v1/datasets/d/append", "text/csv", appendCSV()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %q", resp.StatusCode, body)
+	}
+	minePatterns(t, ts.URL, spec)
+	stop()
+
+	current.Store(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	keptBytes := workerPushBytes(t, kept.URL)
+	ts, stop = newRemoteCoordinator(t, dir, cfg)
+	defer stop()
+	got := minePatterns(t, ts.URL, spec)
+	if want := serialMine(t, spec, shardedCSV(), appendCSV()); got != want {
+		t.Errorf("remote mine after restart differs from serial:\nremote: %s\nserial: %s", got, want)
+	}
+	if b := workerPushBytes(t, kept.URL); b != keptBytes {
+		t.Errorf("kept worker accepted %v push bytes after the restart, want 0: the partition moved", b-keptBytes)
+	}
+	if workerPushBytes(t, replaced.URL) == 0 {
+		t.Error("replaced worker received no shard; test is vacuous")
+	}
+}
+
+// TestRemoteRestartWithNewShardCount: a coordinator restarted with
+// another shard count sends different sequences under the shard keys a
+// kept worker already caches. The worker checks each push's digest and
+// replaces what differs, so the mine equals the serial one.
+func TestRemoteRestartWithNewShardCount(t *testing.T) {
+	kept := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	defer kept.Close()
+	dir := t.TempDir()
+	const spec = `{"min_count":3}`
+	ts, stop := newRemoteCoordinator(t, dir, Config{Shards: 2, ShardMinSeqs: 1, Workers: []string{kept.URL}})
+	if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", shardedCSV()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put: %d %q", resp.StatusCode, body)
+	}
+	minePatterns(t, ts.URL, spec)
+	stop()
+
+	keptBytes := workerPushBytes(t, kept.URL)
+	ts, stop = newRemoteCoordinator(t, dir, Config{Shards: 3, ShardMinSeqs: 1, Workers: []string{kept.URL}})
+	defer stop()
+	got := minePatterns(t, ts.URL, spec)
+	if want := serialMine(t, spec, shardedCSV()); got != want {
+		t.Errorf("remote mine after a shard-count change differs from serial:\nremote: %s\nserial: %s", got, want)
+	}
+	if workerPushBytes(t, kept.URL) == keptBytes {
+		t.Error("kept worker decoded no push after the shard count changed")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tpminer/internal/interval"
 	"tpminer/internal/persist"
 	"tpminer/internal/resilience"
 )
@@ -60,38 +59,15 @@ func newResilientJournal(inner *persist.Store, threshold int, probeEvery time.Du
 	}
 }
 
-func (j *resilientJournal) LogPut(name string, version uint64, db *interval.Database) error {
-	return j.do(func() error { return j.inner.LogPut(name, version, db) })
-}
-
-func (j *resilientJournal) LogAppend(name string, version uint64, add *interval.Database) error {
-	return j.do(func() error { return j.inner.LogAppend(name, version, add) })
-}
-
-func (j *resilientJournal) LogDelete(name string, version uint64) error {
-	return j.do(func() error { return j.inner.LogDelete(name, version) })
-}
-
-func (j *resilientJournal) LogJobPut(id string, version uint64, spec []byte) error {
-	return j.do(func() error { return j.inner.LogJobPut(id, version, spec) })
-}
-
-func (j *resilientJournal) LogJobDelete(id string, version uint64) error {
-	return j.do(func() error { return j.inner.LogJobDelete(id, version) })
-}
-
-func (j *resilientJournal) LogJobResult(id string, version uint64, result []byte) error {
-	return j.do(func() error { return j.inner.LogJobResult(id, version, result) })
-}
-
-// do runs one journal operation through the breaker. Only the closed
-// state admits writes; half-open is reserved for the background prober,
-// so client traffic never races the recovery check.
-func (j *resilientJournal) do(op func() error) error {
+// write journals one record under version through the breaker; the
+// store's commit sends every record here. Only the closed state admits
+// writes; half-open is reserved for the background prober, so client
+// traffic never races the recovery check.
+func (j *resilientJournal) write(version uint64, record func(*persist.Store, uint64) error) error {
 	if !j.br.Allow() {
 		return errDegraded
 	}
-	err := op()
+	err := record(j.inner, version)
 	if err == nil {
 		j.br.Success()
 		return nil

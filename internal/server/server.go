@@ -101,20 +101,22 @@
 //
 // # Sharded mining
 //
-// Each stored dataset carries a size-balanced partition of its
-// sequences into disjoint shards (internal/shard), computed at mutation
-// time so shard IDs stay stable across mines. Every mine — temporal,
+// The store keeps only versioned data. Every mine — temporal,
 // coincidence, or rules, batch or job run — goes through one
-// shard.Coordinator over that partition. A single-shard partition mines
-// serially inside its one worker with the request's options unchanged.
+// shard.Coordinator, built on a cache miss: a whole-dataset mine splits
+// the snapshot into size-balanced disjoint shards (internal/shard), a
+// pure function of the snapshot and the shard configuration, so a
+// (dataset, version, shard) key names the same sequences in every mine
+// and after every restart. A window, or a dataset that splits into one
+// shard, mines inside one worker with the request's options unchanged.
 // With two or more shards the coordinator fans out: every shard runs
 // the dense-index miner at a relaxed partition-aware support bound, and
 // the coordinator merges per-shard supports exactly, so results — and
 // therefore cache keys, ETags, and response bytes — are identical to
 // serial mining. The -shards / -shard-min-seqs flags on cmd/tpmd
-// (Config.Shards / Config.ShardMinSeqs here) size the partition;
-// tpmd_shard_* metrics expose fan-outs, per-shard durations, and
-// partition skew.
+// (Config.Shards / Config.ShardMinSeqs here) size the split; GET
+// /v1/datasets/{name}/shards computes it on demand, and tpmd_shard_*
+// metrics expose fan-outs, per-shard durations, and partition skew.
 //
 // # Streaming and continuous jobs
 //
@@ -243,8 +245,9 @@ type Config struct {
 	// first success restores read-write automatically. 0 means 1s.
 	RecoveryProbeInterval time.Duration
 
-	// Shards is the target number of mining shards per dataset. Mines of
-	// datasets holding at least two shards fan out across them
+	// Shards is the target number of mining shards per dataset: each
+	// whole-dataset mine splits the dataset's snapshot into at most this
+	// many, and fans out across them when it gets two or more
 	// (internal/shard); results, cache keys, and ETags are identical to
 	// unsharded mining. 0 means GOMAXPROCS; 1 disables sharding.
 	Shards int
@@ -395,26 +398,14 @@ func NewWithConfig(logger *slog.Logger, cfg Config) *Server {
 		met:     met,
 		mineSem: make(chan struct{}, cfg.MaxConcurrentMines),
 	}
-	// Shard config must land before persistence seeding so recovered
-	// datasets are partitioned on load.
-	s.store.shards = cfg.Shards
-	s.store.shardMinSeqs = cfg.ShardMinSeqs
-	s.store.onPartition = func(p *shard.Partition) {
-		if p != nil {
-			met.shard.skew.Set(p.Skew())
-		}
-	}
+	s.store.onCommit = s.datasetCommitted
 	if cfg.CacheBudgetBytes > 0 {
 		s.results = cache.New(cfg.CacheBudgetBytes, met.cache)
 	}
 	if cfg.Persist != nil {
 		// Seed before attaching the journal: recovered datasets are
 		// already durable and must not be re-logged.
-		state, verSeq := cfg.Persist.Recovered()
-		for name, ds := range state {
-			s.store.load(name, ds.DB, ds.Version)
-		}
-		s.store.setVersionFloor(verSeq)
+		s.store.restore(cfg.Persist.Recovered())
 		s.journal = newResilientJournal(cfg.Persist, cfg.BreakerFailureThreshold,
 			cfg.RecoveryProbeInterval, met.resilience, logger)
 		s.store.journal = s.journal
@@ -433,7 +424,7 @@ func NewWithConfig(logger *slog.Logger, cfg Config) *Server {
 	s.ingest = &ingestPool{s: s, batchers: make(map[string]*ingestBatcher)}
 	jm, err := jobs.New(jobs.Config{
 		Runner:    jobRunner{s},
-		Journal:   jobJournal{s},
+		Journal:   s.store,
 		Logger:    logger,
 		Metrics:   met.jobs,
 		Debounce:  cfg.JobDebounce,
@@ -740,6 +731,7 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status i
 
 // writeStoreError maps a failed store mutation to a response:
 //
+//   - no such dataset → 404;
 //   - breaker open → 503, stable code "degraded", Retry-After derived
 //     from the recovery-probe cadence — the client should retry, later,
 //     here;
@@ -747,6 +739,10 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status i
 //     — the mutation was vetoed to protect durability;
 //   - anything else → plain 500 "internal".
 func (s *Server) writeStoreError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, errNotFound) {
+		s.writeError(w, r, http.StatusNotFound, err)
+		return
+	}
 	if errors.Is(err, errDegraded) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.degradedRetryAfterSeconds()))
 		s.writeErrorCode(w, r, http.StatusServiceUnavailable, "degraded",
@@ -852,31 +848,31 @@ type ShardLayout struct {
 
 // handleShards serves the partition layout of one dataset — the
 // operator's view for answering "why is this mine slow / which machine
-// owns shard 3 / has the new version been pushed yet".
+// owns shard 3 / has the new version been pushed yet". The layout is
+// computed from the current snapshot exactly as a whole-dataset mine
+// computes it.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	_, part, ver, ok := s.store.snapshot(name)
+	db, ver, ok := s.store.snapshot(name)
 	if !ok {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
 		return
 	}
-	out := ShardLayout{Dataset: name, Version: ver}
-	if part != nil {
-		out.Skew = part.Skew()
-		var placements []remote.ShardPlacement
-		if s.pool != nil && part.NumShards() >= 2 {
-			// Single-shard datasets mine serially and never fan out, so
-			// their one shard is always "local" regardless of the pool.
-			placements = s.pool.Placements(name, ver, part.NumShards())
+	part := s.partition(db)
+	out := ShardLayout{Dataset: name, Version: ver, Skew: part.Skew()}
+	var placements []remote.ShardPlacement
+	if s.pool != nil && part.NumShards() >= 2 {
+		// Single-shard datasets mine serially and never fan out, so
+		// their one shard is always "local" regardless of the pool.
+		placements = s.pool.Placements(name, ver, part.NumShards())
+	}
+	for i := 0; i < part.NumShards(); i++ {
+		si := ShardInfo{ID: i, Sequences: len(part.Seqs(i)), Load: part.Load(i), Worker: "local"}
+		if placements != nil {
+			si.Worker = placements[i].Worker
+			si.Pushed = placements[i].Pushed
 		}
-		for i := 0; i < part.NumShards(); i++ {
-			si := ShardInfo{ID: i, Sequences: len(part.Seqs(i)), Load: part.Load(i), Worker: "local"}
-			if placements != nil {
-				si.Worker = placements[i].Worker
-				si.Pushed = placements[i].Pushed
-			}
-			out.Shards = append(out.Shards, si)
-		}
+		out.Shards = append(out.Shards, si)
 	}
 	if s.pool != nil {
 		st := s.pool.Status()
@@ -953,14 +949,17 @@ func (s *Server) writeBodyError(w http.ResponseWriter, r *http.Request, err erro
 	s.writeError(w, r, http.StatusBadRequest, err)
 }
 
-// invalidateResults eagerly drops cached results for a mutated dataset.
-// Correctness does not depend on it — mutations bump the version, which
-// changes every future cache key — but dropping unreachable entries
-// returns their bytes to the budget immediately.
-func (s *Server) invalidateResults(name string) {
+// datasetCommitted is the store's onCommit hook, run after every
+// dataset mutation (PUT, append, ingest flush, DELETE) commits. It drops
+// the dataset's cached results — correctness does not depend on it, the
+// new version changes every future cache key, but the unreachable
+// entries' bytes return to the budget at once — and wakes the jobs
+// watching the dataset.
+func (s *Server) datasetCommitted(name string, version uint64) {
 	if s.results != nil {
 		s.results.InvalidateDataset(name)
 	}
+	s.jobMgr.Notify(name, version)
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -970,13 +969,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.writeBodyError(w, r, err)
 		return
 	}
-	ver, existed, sum, err := s.store.put(name, db)
+	sum, ver, existed, err := s.store.put(name, db)
 	if err != nil {
 		s.writeStoreError(w, r, err)
 		return
 	}
-	s.invalidateResults(name)
-	s.jobMgr.Notify(name, ver)
 	s.logger.Info("dataset stored",
 		"request_id", requestID(r), "dataset", name, "sequences", db.Len(),
 		"version", ver)
@@ -995,24 +992,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeBodyError(w, r, err)
 		return
 	}
-	_, ver, sum, found, err := s.store.append(name, add)
+	sum, ver, err := s.store.append(name, add, false)
+	var je *journalError
 	switch {
-	case err != nil:
-		// Validation failures are the client's fault; journal failures
-		// are ours.
-		var je *journalError
-		if errors.As(err, &je) {
-			s.writeStoreError(w, r, err)
-		} else {
-			s.writeError(w, r, http.StatusBadRequest, err)
-		}
+	case errors.As(err, &je), errors.Is(err, errNotFound):
+		s.writeStoreError(w, r, err)
 		return
-	case !found:
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
+	case err != nil: // the increment failed validation: the client's fault
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.invalidateResults(name)
-	s.jobMgr.Notify(name, ver)
 	w.Header().Set("ETag", datasetETag(name, ver))
 	s.writeJSON(w, http.StatusOK, sum)
 }
@@ -1035,18 +1024,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ver, ok, err := s.store.delete(name)
-	if err != nil {
+	if err := s.store.delete(r.PathValue("name")); err != nil {
 		s.writeStoreError(w, r, err)
 		return
 	}
-	s.invalidateResults(name)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
-		return
-	}
-	s.jobMgr.Notify(name, ver)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1436,7 +1417,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	db, part, ver, ok := s.store.snapshot(name)
+	db, ver, ok := s.store.snapshot(name)
 	if !ok {
 		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
 		return
@@ -1452,7 +1433,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	e, outcome, err := s.cachedMine(r.Context(), key, db, part, spec)
+	e, outcome, err := s.cachedMine(r.Context(), key, db, spec)
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
@@ -1469,23 +1450,19 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	s.writeMineBody(w, e.body, outcome)
 }
 
-// cachedMine runs spec over one dataset snapshot through the result
-// cache: it cuts the window, builds the mine target, and mines under
-// key in the single-flight cache.Do (or directly with caching
-// disabled). The mine handler and continuous job runs both call it, so
-// a job run and an identical batch mine share one cache entry and one
-// miner execution. outcome is "" with caching disabled.
-func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, part *shard.Partition, spec MineSpec) (*mineEntry, cache.Outcome, error) {
-	tgt := mineTarget{db: db, part: part, name: key.Dataset, ver: key.Version}
-	if sub := windowDatabase(db, spec.Window); sub != db {
-		tgt.db, tgt.part = sub, nil // no stored partition covers a true sub-window
-	}
+// cachedMine runs spec over db, the dataset snapshot at the version key
+// names, through the result cache: it mines under key in the
+// single-flight cache.Do (or directly with caching disabled). The mine
+// handler and continuous job runs both call it, so a job run and an
+// identical batch mine share one cache entry and one miner execution.
+// outcome is "" with caching disabled.
+func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, spec MineSpec) (*mineEntry, cache.Outcome, error) {
 	if s.results == nil {
-		e, err := s.runMine(ctx, tgt, spec)
+		e, err := s.runMine(ctx, key, db, spec)
 		return e, "", err
 	}
 	v, outcome, err := s.results.Do(ctx, key, func() (any, int64, bool, error) {
-		e, err := s.runMine(ctx, tgt, spec)
+		e, err := s.runMine(ctx, key, db, spec)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -1521,48 +1498,51 @@ func windowDatabase(db *interval.Database, win api.WindowSpec) *interval.Databas
 	return db
 }
 
-// mineTarget identifies what one mine runs over: the (possibly
-// windowed) database, plus the dataset coordinates that make the
-// snapshot content-addressable for remote workers. part is the stored
-// partition when db is the dataset's full snapshot and nil for a true
-// sub-window, which is not addressable by (name, version) alone.
-type mineTarget struct {
-	db   *interval.Database
-	part *shard.Partition
-	name string
-	ver  uint64
+// partition splits a dataset snapshot into the server's mining shards
+// and sets the skew gauge from the split. The split is a pure function
+// of the snapshot and the shard configuration, so a (dataset, version,
+// shard) key names the same sequences in every mine and after every
+// restart.
+func (s *Server) partition(db *interval.Database) *shard.Partition {
+	part := shard.New(db, s.cfg.Shards, s.cfg.ShardMinSeqs)
+	s.met.shard.skew.Set(part.Skew())
+	return part
 }
 
-// mineCoordinator returns the coordinator every mine of the target
-// runs through. A window or a single-shard dataset gets a one-worker
-// coordinator, which hands the request's options verbatim to the
-// serial or work-stealing miner and leaves the tpmd_shard_* metrics
-// alone: only fan-outs report there. A whole dataset of two or more
-// shards fans out, to remote workers (each wrapped in exact local
-// failover) when a pool is configured. Either way the merge reproduces
-// the serial miner's results exactly, so routing never changes a
-// response, cache entry, or ETag.
-func (s *Server) mineCoordinator(t mineTarget) *shard.Coordinator {
-	if t.part == nil || t.part.NumShards() < 2 {
-		return shard.NewWithWorkers([]shard.Worker{shard.NewLocalWorker(t.db)}, []int{t.db.Len()})
+// mineCoordinator returns the coordinator a mine of db runs through;
+// snap is the dataset snapshot at the version key names, and db is snap
+// or a window of it. A window or a dataset that partitions into one
+// shard gets a one-worker coordinator, which hands the request's options
+// verbatim to the serial or work-stealing miner and reports no fan-out:
+// only fan-outs feed the coordinator's tpmd_shard_* metrics. A whole
+// dataset of two or more shards fans out, to remote workers (each
+// wrapped in exact local failover) when a pool is configured. Either way
+// the merge reproduces the serial miner's results exactly, so routing
+// never changes a response, cache entry, or ETag.
+func (s *Server) mineCoordinator(key cache.Key, snap, db *interval.Database) *shard.Coordinator {
+	if db == snap {
+		if part := s.partition(db); part.NumShards() >= 2 {
+			var co *shard.Coordinator
+			if s.pool != nil {
+				co = s.pool.Coordinator(key.Dataset, key.Version, db, part)
+			} else {
+				co = shard.NewLocal(db, part)
+			}
+			co.Met = s.met.shard
+			return co
+		}
 	}
-	var co *shard.Coordinator
-	if s.pool != nil {
-		co = s.pool.Coordinator(t.name, t.ver, t.db, t.part)
-	} else {
-		co = shard.NewLocal(t.db, t.part)
-	}
-	co.Met = s.met.shard
-	return co
+	return shard.NewWithWorkers([]shard.Worker{shard.NewLocalWorker(db)}, []int{db.Len()})
 }
 
 // runMine executes one mining job end to end: claim a slot (errMineBusy
-// when saturated), mine through the target's coordinator under the job
-// context, apply the closed/maximal filter, record metrics, and encode
-// the result for the spec's mode — pattern rows (a MineResponse) or
-// rules derived from the temporal patterns ([]WireRule). base is the
-// requester's context (HTTP request or continuous job).
-func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (*mineEntry, error) {
+// when saturated), cut the spec's window out of the snapshot, mine
+// through its coordinator under the job context, apply the
+// closed/maximal filter, record metrics, and encode the result for the
+// spec's mode — pattern rows (a MineResponse) or rules derived from the
+// temporal patterns ([]WireRule). base is the requester's context (HTTP
+// request or continuous job).
+func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Database, spec MineSpec) (*mineEntry, error) {
 	ctx, cancel := s.mineContext(base, spec.TimeoutMillis)
 	defer cancel()
 	release, err := s.acquireMineSlot(ctx, spec.TimeoutMillis)
@@ -1580,7 +1560,8 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (*
 		kind = shard.KindCoincidence
 	}
 	mineStart := time.Now()
-	res, err := s.mineCoordinator(tgt).Mine(ctx, kind, spec.TopK, spec.Options(s.cfg.MaxParallel))
+	db := windowDatabase(snap, spec.Window)
+	res, err := s.mineCoordinator(key, snap, db).Mine(ctx, kind, spec.TopK, spec.Options(s.cfg.MaxParallel))
 	var st core.Stats
 	if err == nil {
 		st = res.Stats
@@ -1592,7 +1573,7 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (*
 	}
 
 	if mode == api.ModeRules {
-		rs, err := deriveRules(res.Temporal, tgt.db, spec)
+		rs, err := deriveRules(res.Temporal, db, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -1616,7 +1597,7 @@ func (s *Server) runMine(base context.Context, tgt mineTarget, spec MineSpec) (*
 			Pattern: pr.Pattern.String(),
 		})
 	}
-	return encodePatterns(MineResponse{Dataset: tgt.name, Type: mode, Count: len(rows), Stats: wireStats(st)}, rows)
+	return encodePatterns(MineResponse{Dataset: key.Dataset, Type: mode, Count: len(rows), Stats: wireStats(st)}, rows)
 }
 
 // filterResults applies the request's closed or maximal post-filter to

@@ -28,6 +28,21 @@ func shardedCSV() string {
 	return b.String()
 }
 
+// shardCount reads how many shards the server partitions a dataset into
+// from its shards endpoint.
+func shardCount(t *testing.T, baseURL, name string) int {
+	t.Helper()
+	resp, body := do(t, "GET", baseURL+"/v1/datasets/"+name+"/shards", "", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shards endpoint: %d %q", resp.StatusCode, body)
+	}
+	var layout ShardLayout
+	if err := json.Unmarshal([]byte(body), &layout); err != nil {
+		t.Fatalf("shards body: %v (%q)", err, body)
+	}
+	return len(layout.Shards)
+}
+
 // TestShardedMineMatchesUnsharded: the same dataset mined through a
 // sharded server and an unsharded one must produce identical patterns,
 // supports, ordering, and ETags — sharding is invisible to clients.
@@ -46,9 +61,8 @@ func TestShardedMineMatchesUnsharded(t *testing.T) {
 		}
 	}
 	// The sharded server must actually have fanned the dataset out.
-	_, part, _, ok := sharded.store.snapshot("d")
-	if !ok || part.NumShards() < 2 {
-		t.Fatalf("sharded store holds %v shards, want >= 2", part)
+	if n := shardCount(t, tsSharded.URL, "d"); n < 2 {
+		t.Fatalf("sharded store holds %v shards, want >= 2", n)
 	}
 
 	requests := []struct{ path, body string }{
@@ -133,9 +147,8 @@ func TestSmallDatasetStaysUnsharded(t *testing.T) {
 	if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", csvBody); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %q", resp.StatusCode, body)
 	}
-	_, part, _, ok := s.store.snapshot("d")
-	if !ok || part == nil || part.NumShards() != 1 {
-		t.Fatalf("3-sequence dataset got %d shards, want 1", part.NumShards())
+	if n := shardCount(t, ts.URL, "d"); n != 1 {
+		t.Fatalf("3-sequence dataset got %d shards, want 1", n)
 	}
 	if resp, body := do(t, "POST", ts.URL+"/v1/datasets/d/mine", "application/json", `{"min_count":2}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine: %d %q", resp.StatusCode, body)
@@ -157,8 +170,8 @@ func TestWindowedMinesDoNotFanOut(t *testing.T) {
 	if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", shardedCSV()); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %q", resp.StatusCode, body)
 	}
-	if _, part, _, _ := s.store.snapshot("d"); part.NumShards() < 2 {
-		t.Fatalf("dataset holds %d shards, want >= 2", part.NumShards())
+	if n := shardCount(t, ts.URL, "d"); n < 2 {
+		t.Fatalf("dataset holds %d shards, want >= 2", n)
 	}
 
 	mine := `{"min_count":2,"window":{"kind":"sliding","count":30}}`

@@ -1,27 +1,14 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"tpminer/internal/incremental"
 	"tpminer/internal/interval"
-	"tpminer/internal/shard"
+	"tpminer/internal/persist"
 )
-
-// storeJournal is the durability hook on the store's mutation paths.
-// Each method is called with the version the mutation is about to
-// install, *before* the mutation becomes visible; an error vetoes the
-// mutation (commit-before-visible write-ahead logging). internal/persist
-// implements it; a nil journal keeps the store purely in-memory.
-type storeJournal interface {
-	LogPut(name string, version uint64, db *interval.Database) error
-	LogAppend(name string, version uint64, add *interval.Database) error
-	LogDelete(name string, version uint64) error
-	LogJobPut(id string, version uint64, spec []byte) error
-	LogJobDelete(id string, version uint64) error
-	LogJobResult(id string, version uint64, result []byte) error
-}
 
 // journalError marks a failure in the durability layer (as opposed to
 // client-attributable validation), so handlers map it to a 500.
@@ -30,36 +17,32 @@ type journalError struct{ err error }
 func (e *journalError) Error() string { return e.err.Error() }
 func (e *journalError) Unwrap() error { return e.err }
 
+// errNotFound wraps a mutation of a dataset the store does not hold.
+var errNotFound = errors.New("not found")
+
 // datasetStore holds the server's named datasets with a monotonic
-// version per dataset. Stored databases are immutable: PUT installs a
-// fresh database, and append replaces the entry with a copy-on-write
-// extension instead of mutating in place. Readers (summaries and mining
-// snapshots) therefore share the stored pointer with no cloning and no
-// lock held during the mine.
+// version per dataset, and nothing else: a mining partition is derived
+// from a snapshot when a mine needs one. Stored databases are immutable:
+// PUT installs a fresh database, and append replaces the entry with a
+// copy-on-write extension instead of mutating in place. Readers
+// (summaries and mining snapshots) therefore share the stored pointer
+// with no cloning and no lock held during the mine.
 //
 // Versions drive exact cache invalidation: every mutation (PUT, append,
-// DELETE) draws from one store-wide counter, so a dataset deleted and
-// re-created never repeats a version and a (name, version) pair
-// identifies one immutable database state forever. With a journal
-// attached, recovery restores the counter across restarts, preserving
-// that invariant for cache keys and strong ETags.
+// DELETE, and each job record) draws from one store-wide counter in
+// commit, so a dataset deleted and re-created never repeats a version
+// and a (name, version) pair identifies one immutable database state
+// forever. With a journal attached, recovery restores the counter across
+// restarts, preserving that invariant for cache keys and strong ETags.
 type datasetStore struct {
 	mu      sync.RWMutex
 	entries map[string]*datasetEntry
 	verSeq  uint64
-	journal storeJournal // nil = in-memory only
+	journal *resilientJournal // nil = in-memory only
 
-	// shards/shardMinSeqs configure the mining partition kept on each
-	// entry (see datasetEntry.part). Set once at server construction,
-	// before any entry exists; zero values partition everything into a
-	// single shard (unsharded mining).
-	shards       int
-	shardMinSeqs int
-
-	// onPartition, when set, observes every freshly computed partition
-	// (put, append, recovery load) — the hook behind the shard-skew
-	// gauge. Called with the store lock held; must be cheap.
-	onPartition func(p *shard.Partition)
+	// onCommit runs after each dataset mutation commits, outside the
+	// store lock. nil in bare stores.
+	onCommit func(name string, version uint64)
 }
 
 // datasetEntry is one stored dataset. The summary is computed once at
@@ -71,23 +54,15 @@ type datasetEntry struct {
 	version uint64
 	summary DatasetSummary
 	symbols map[string]struct{}
-
-	// part is the dataset's mining partition, computed at mutation time
-	// so shard IDs stay stable across mines: appends extend it in place
-	// (new sequences fill the least-loaded shards) and only a load-skew
-	// past the threshold or an effective-shard-count change triggers a
-	// full repartition. Like db, immutable once stored.
-	part *shard.Partition
 }
 
 func newDatasetStore() *datasetStore {
 	return &datasetStore{entries: make(map[string]*datasetEntry)}
 }
 
-// buildEntry computes the stored form of a freshly installed database:
-// its summary and distinct-symbol set, both in one O(db) pass, plus a
-// fresh mining partition.
-func (st *datasetStore) buildEntry(name string, db *interval.Database, version uint64) *datasetEntry {
+// newEntry computes the stored form of a freshly installed database:
+// its summary and distinct-symbol set, both in one O(db) pass.
+func newEntry(name string, db *interval.Database) *datasetEntry {
 	symbols := make(map[string]struct{})
 	intervals := 0
 	for i := range db.Sequences {
@@ -106,22 +81,15 @@ func (st *datasetStore) buildEntry(name string, db *interval.Database, version u
 	if sum.Sequences > 0 {
 		sum.AvgSeqLen = float64(sum.Intervals) / float64(sum.Sequences)
 	}
-	return &datasetEntry{
-		db:      db,
-		version: version,
-		summary: sum,
-		symbols: symbols,
-		part:    shard.New(db, st.shards, st.shardMinSeqs),
-	}
+	return &datasetEntry{db: db, summary: sum, symbols: symbols}
 }
 
 // extendEntry derives the entry for old extended by add: the sequence
 // slice headers are copied shallowly (the stored database is immutable,
 // so the interval arrays are shared, never cloned — appends cost
 // O(sequences + increment), not O(total intervals)), and the summary is
-// updated incrementally from the increment alone. The partition extends
-// with stable shard IDs unless the append skews it past the threshold.
-func (st *datasetStore) extendEntry(old *datasetEntry, add *interval.Database, version uint64) *datasetEntry {
+// updated incrementally from the increment alone.
+func extendEntry(old *datasetEntry, add *interval.Database) *datasetEntry {
 	grown := &interval.Database{
 		Sequences: make([]interval.Sequence, 0, len(old.db.Sequences)+len(add.Sequences)),
 	}
@@ -146,76 +114,156 @@ func (st *datasetStore) extendEntry(old *datasetEntry, add *interval.Database, v
 	if sum.Sequences > 0 {
 		sum.AvgSeqLen = float64(sum.Intervals) / float64(sum.Sequences)
 	}
-	part := old.part
-	if part == nil {
-		part = shard.New(grown, st.shards, st.shardMinSeqs)
-	} else {
-		part = part.Extend(grown, st.shards, st.shardMinSeqs, shard.DefaultSkewThreshold)
-	}
-	return &datasetEntry{db: grown, version: version, summary: sum, symbols: symbols, part: part}
+	return &datasetEntry{db: grown, summary: sum, symbols: symbols}
 }
 
-// load seeds one recovered dataset without journaling it (it is already
-// durable). Only used while wiring up a server, before traffic.
-func (st *datasetStore) load(name string, db *interval.Database, version uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	entry := st.buildEntry(name, db, version)
-	st.entries[name] = entry
-	if version > st.verSeq {
-		st.verSeq = version
+// restore seeds the store with the state persist recovered, before
+// traffic and before the journal is attached: those datasets are
+// already durable. verSeq is the recovered counter, which deletes and
+// job records can leave above every surviving dataset's version.
+func (st *datasetStore) restore(state map[string]persist.DatasetState, verSeq uint64) {
+	for name, ds := range state {
+		e := newEntry(name, ds.DB)
+		e.version = ds.Version
+		st.entries[name] = e
 	}
-	if st.onPartition != nil {
-		st.onPartition(entry.part)
-	}
+	st.verSeq = verSeq
 }
 
-// setVersionFloor raises the store's version counter to at least seq,
-// restoring monotonicity across restarts (deletes bump the counter too,
-// so the recovered floor can exceed every surviving dataset's version).
-func (st *datasetStore) setVersionFloor(seq uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if seq > st.verSeq {
-		st.verSeq = seq
-	}
+// change is one store mutation, decided under the store lock against
+// the current entries. record journals it under the version it
+// installs. A dataset change names the dataset and the entry it holds
+// afterwards (nil removes it); a job record has only its record.
+type change struct {
+	record func(ps *persist.Store, version uint64) error
+	name   string
+	entry  *datasetEntry
 }
 
-// put installs db under name, bumping the version. The caller hands
-// over ownership: db must not be modified afterwards. With a journal
-// attached the mutation commits to the WAL first; a journal error
-// rejects the put and leaves the store untouched.
-func (st *datasetStore) put(name string, db *interval.Database) (version uint64, existed bool, sum DatasetSummary, err error) {
-	entry := st.buildEntry(name, db, 0)
+// commit is the store's one write path. Under the store lock it asks
+// decide for the change against the current entries (an error commits
+// nothing), draws the next store-wide version, journals the change
+// under it through the breaker, and only then installs it and advances
+// the counter: commit-before-visible, so a journal error leaves the
+// store untouched. Without a journal the record is skipped. A dataset
+// change then runs onCommit once the lock is released — the hook
+// notifies jobs, and the jobs manager journals through this store while
+// holding its own lock. Job records share the counter because persist's
+// replay skips records at or below its snapshot's version, which holds
+// only if every record's version is unique and monotone. commit returns
+// the version it installed.
+func (st *datasetStore) commit(op string, decide func() (change, error)) (uint64, error) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	c, err := decide()
 	ver := st.verSeq + 1
-	if st.journal != nil {
-		if err := st.journal.LogPut(name, ver, db); err != nil {
-			return 0, false, DatasetSummary{}, &journalError{fmt.Errorf("persist put: %w", err)}
+	if err == nil && st.journal != nil {
+		if jerr := st.journal.write(ver, c.record); jerr != nil {
+			err = &journalError{fmt.Errorf("persist %s: %w", op, jerr)}
 		}
 	}
-	_, existed = st.entries[name]
-	st.verSeq = ver
-	entry.version = ver
-	st.entries[name] = entry
-	if st.onPartition != nil {
-		st.onPartition(entry.part)
+	if err != nil {
+		st.mu.Unlock()
+		return 0, err
 	}
-	return ver, existed, entry.summary, nil
+	if c.entry != nil {
+		c.entry.version = ver
+		st.entries[c.name] = c.entry
+	} else if c.name != "" {
+		delete(st.entries, c.name)
+	}
+	st.verSeq = ver
+	st.mu.Unlock()
+	if c.name != "" && st.onCommit != nil {
+		st.onCommit(c.name, ver)
+	}
+	return ver, nil
 }
 
-// snapshot returns the named dataset's current database, its mining
-// partition, and version. Database and partition are immutable and safe
-// to read concurrently; callers must not modify them.
-func (st *datasetStore) snapshot(name string) (*interval.Database, *shard.Partition, uint64, bool) {
+// put installs db under name. The caller hands over ownership: db must
+// not be modified afterwards.
+func (st *datasetStore) put(name string, db *interval.Database) (sum DatasetSummary, version uint64, existed bool, err error) {
+	e := newEntry(name, db)
+	version, err = st.commit("put", func() (change, error) {
+		_, existed = st.entries[name]
+		return change{record: func(ps *persist.Store, v uint64) error { return ps.LogPut(name, v, db) }, name: name, entry: e}, nil
+	})
+	return e.summary, version, existed, err
+}
+
+// append extends the named dataset with add's sequences, copy-on-write,
+// under a new version. The increment is validated first, through the
+// incremental package's encoding gate, so the server and the
+// incremental miner accept exactly the same data. A missing dataset is
+// errNotFound unless create is set: then add becomes the dataset,
+// journaled as a put, in the same critical section that found it
+// missing — ingest's auto-create, which no concurrent PUT can slip
+// between.
+func (st *datasetStore) append(name string, add *interval.Database, create bool) (DatasetSummary, uint64, error) {
+	if err := incremental.ValidateSequences(add.Sequences...); err != nil {
+		return DatasetSummary{}, 0, fmt.Errorf("append rejected: %w", err)
+	}
+	var e *datasetEntry
+	ver, err := st.commit("append", func() (change, error) {
+		old, ok := st.entries[name]
+		switch {
+		case ok:
+			e = extendEntry(old, add)
+			return change{record: func(ps *persist.Store, v uint64) error { return ps.LogAppend(name, v, add) }, name: name, entry: e}, nil
+		case create:
+			e = newEntry(name, add)
+			return change{record: func(ps *persist.Store, v uint64) error { return ps.LogPut(name, v, add) }, name: name, entry: e}, nil
+		}
+		return change{}, fmt.Errorf("dataset %q %w", name, errNotFound)
+	})
+	if err != nil {
+		return DatasetSummary{}, 0, err
+	}
+	return e.summary, ver, nil
+}
+
+// delete removes the named dataset. The version counter still advances
+// so a later re-creation cannot resurrect stale cache keys; the journal
+// records the bump so that holds across restarts too.
+func (st *datasetStore) delete(name string) error {
+	_, err := st.commit("delete", func() (change, error) {
+		if _, ok := st.entries[name]; !ok {
+			return change{}, fmt.Errorf("dataset %q %w", name, errNotFound)
+		}
+		return change{record: func(ps *persist.Store, v uint64) error { return ps.LogDelete(name, v) }, name: name}, nil
+	})
+	return err
+}
+
+// JobPut, JobDelete and JobResult implement jobs.Journal: each commits
+// one job record (the manager applies the mutation only if it does).
+func (st *datasetStore) JobPut(id string, spec []byte) error {
+	return st.commitJob("job put", func(ps *persist.Store, v uint64) error { return ps.LogJobPut(id, v, spec) })
+}
+
+func (st *datasetStore) JobDelete(id string) error {
+	return st.commitJob("job delete", func(ps *persist.Store, v uint64) error { return ps.LogJobDelete(id, v) })
+}
+
+func (st *datasetStore) JobResult(id string, result []byte) error {
+	return st.commitJob("job result", func(ps *persist.Store, v uint64) error { return ps.LogJobResult(id, v, result) })
+}
+
+func (st *datasetStore) commitJob(op string, record func(*persist.Store, uint64) error) error {
+	_, err := st.commit(op, func() (change, error) { return change{record: record}, nil })
+	return err
+}
+
+// snapshot returns the named dataset's current database and version.
+// The database is immutable and safe to read concurrently; callers must
+// not modify it.
+func (st *datasetStore) snapshot(name string) (*interval.Database, uint64, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	e, ok := st.entries[name]
 	if !ok {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
-	return e.db, e.part, e.version, true
+	return e.db, e.version, true
 }
 
 // stat returns the named dataset's precomputed summary and version.
@@ -227,81 +275,6 @@ func (st *datasetStore) stat(name string) (DatasetSummary, uint64, bool) {
 		return DatasetSummary{}, 0, false
 	}
 	return e.summary, e.version, true
-}
-
-// append extends the named dataset with add's sequences, copy-on-write:
-// the increment is validated first (via the incremental package's
-// encoding gate, so the server and the incremental miner accept exactly
-// the same data), then a new database replaces the entry under a bumped
-// version. A validation or journal error leaves the dataset untouched
-// at its old version. found=false means no such dataset.
-func (st *datasetStore) append(name string, add *interval.Database) (db *interval.Database, version uint64, sum DatasetSummary, found bool, err error) {
-	if err := incremental.ValidateSequences(add.Sequences...); err != nil {
-		return nil, 0, DatasetSummary{}, true, fmt.Errorf("append rejected: %w", err)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[name]
-	if !ok {
-		return nil, 0, DatasetSummary{}, false, nil
-	}
-	ver := st.verSeq + 1
-	if st.journal != nil {
-		if err := st.journal.LogAppend(name, ver, add); err != nil {
-			return nil, 0, DatasetSummary{}, true, &journalError{fmt.Errorf("persist append: %w", err)}
-		}
-	}
-	entry := st.extendEntry(e, add, ver)
-	st.verSeq = ver
-	st.entries[name] = entry
-	if st.onPartition != nil {
-		st.onPartition(entry.part)
-	}
-	return entry.db, ver, entry.summary, true, nil
-}
-
-// delete removes the named dataset. The version counter still advances
-// so a later re-creation cannot resurrect stale cache keys; the journal
-// records the bump so that holds across restarts too. The returned
-// version (the delete's own) lets callers notify watchers of the
-// mutation.
-func (st *datasetStore) delete(name string) (version uint64, found bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.entries[name]; !ok {
-		return 0, false, nil
-	}
-	ver := st.verSeq + 1
-	if st.journal != nil {
-		if err := st.journal.LogDelete(name, ver); err != nil {
-			return 0, true, &journalError{fmt.Errorf("persist delete: %w", err)}
-		}
-	}
-	st.verSeq = ver
-	delete(st.entries, name)
-	return ver, true, nil
-}
-
-// journalJob durably records one job mutation under the next store
-// version, drawn under the store lock (commit-before-visible: the jobs
-// manager only applies the mutation if this succeeds). Job records draw
-// versions from the same store-wide counter as dataset mutations — the
-// persist layer's replay-skip invariant (records at or below the
-// snapshot version are skipped on recovery) only holds if every
-// journaled record's version is unique and monotone across the store.
-// With no journal attached jobs are memory-only and this is a no-op.
-func (st *datasetStore) journalJob(op string, log func(j storeJournal, version uint64) error) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.journal == nil {
-		return nil
-	}
-	ver := st.verSeq + 1
-	if err := log(st.journal, ver); err != nil {
-		return &journalError{fmt.Errorf("persist %s: %w", op, err)}
-	}
-	st.verSeq = ver
-	return nil
 }
 
 // list returns the precomputed summary of every dataset; no interval

@@ -48,12 +48,12 @@ func TestAppendSharesBackingArrays(t *testing.T) {
 	if _, _, _, err := st.put("d", base); err != nil {
 		t.Fatal(err)
 	}
-	before, _, _, _ := st.snapshot("d")
+	before, _, _ := st.snapshot("d")
 
-	grown, _, _, found, err := st.append("d", incrementFor(0))
-	if err != nil || !found {
-		t.Fatalf("append: found=%v err=%v", found, err)
+	if _, _, err := st.append("d", incrementFor(0), false); err != nil {
+		t.Fatalf("append: %v", err)
 	}
+	grown, _, _ := st.snapshot("d")
 	if len(grown.Sequences) != len(before.Sequences)+1 {
 		t.Fatalf("grown has %d sequences, want %d", len(grown.Sequences), len(before.Sequences)+1)
 	}
@@ -83,7 +83,7 @@ func TestAppendCostIndependentOfDatasetSize(t *testing.T) {
 			// Each run grows the dataset by one 2-interval sequence; the
 			// sequence-header copy grows a little, interval copying would
 			// grow by seqs*ivs.
-			if _, _, _, _, err := st.append("d", incrementFor(0)); err != nil {
+			if _, _, err := st.append("d", incrementFor(0), false); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -115,7 +115,7 @@ func BenchmarkDatasetStoreAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, _, err := st.append("d", incrementFor(i)); err != nil {
+				if _, _, err := st.append("d", incrementFor(i), false); err != nil {
 					b.Fatal(err)
 				}
 				if i%1000 == 999 {

@@ -17,15 +17,14 @@ import (
 	"tpminer/internal/interval"
 )
 
-// DefaultSkewThreshold is the max/min shard-load ratio past which an
-// append triggers a full repartition instead of a greedy extension.
+// DefaultSkewThreshold is the max/min shard-load ratio past which Extend
+// repartitions from scratch instead of extending greedily.
 const DefaultSkewThreshold = 2.0
 
 // Partition is a disjoint assignment of a database's sequences to K
 // shards, size-balanced by interval count. A Partition is immutable once
-// built; Extend returns a new one, so a partition stored alongside an
-// immutable database snapshot stays consistent under copy-on-write
-// appends.
+// built; Extend returns a new one. tpmd keeps none: it calls New on the
+// snapshot each whole-dataset mine runs over.
 type Partition struct {
 	shards [][]int32 // shard -> ascending sequence indices
 	loads  []int64   // shard -> total interval count
