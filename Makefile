@@ -23,7 +23,7 @@ test:
 # store. vet plus the repo's own errcheck-style checker (cmd/errlint);
 # assign to _ to mark a deliberately best-effort call.
 lint: vet
-	$(GO) run ./cmd/errlint ./internal/persist ./internal/blob ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api ./cmd/tpmd
+	$(GO) run ./cmd/errlint ./internal/persist ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api ./cmd/tpmd
 
 # Race-enabled run; the cancellation/backpressure tests exercise real
 # concurrency, so this is the form CI should run.
@@ -40,12 +40,14 @@ contract:
 	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle|TestMetricsExpositionGolden'
 
 # Crash-recovery gate: the persist fault-injection tests (torn tail,
-# corrupt CRC mid-log, partial snapshot, crash during compaction) and
-# the server restart round-trips, under the race detector. `race`
-# already runs these; this target exists to run them alone and by name,
-# so a durability regression is unmissable in CI output.
+# corrupt CRC mid-log, partial snapshot, crash during compaction), the
+# file-layer tests (atomic put, WAL append/truncate/reopen, and the
+# per-operation counts), and the server restart round-trips, under the
+# race detector. `race` already runs these; this target exists to run
+# them alone and by name, so a durability regression is unmissable in
+# CI output.
 recovery:
-	$(GO) test -race ./internal/persist -run 'TestRecovery|TestCrash|TestClean'
+	$(GO) test -race ./internal/persist -run 'TestRecovery|TestCrash|TestClean|TestFiles|TestConformanceFaultStore|TestSetMetricsWiresBlobOps'
 	$(GO) test -race ./internal/server -run 'TestRestart|TestPersisted'
 
 # Chaos gate: the randomized fault-schedule suite plus the persist
@@ -54,7 +56,7 @@ recovery:
 # with TPMD_CHAOS_SEED=<seed> make chaos.
 chaos:
 	$(GO) test -race ./internal/server -run 'TestChaos' -count=1
-	$(GO) test -race ./internal/persist -run 'TestBootRemoves|TestWALWriteRetries|TestPermanentFailure|TestFsyncFailure|TestSnapshotFault' -count=1
+	$(GO) test -race ./internal/persist -run 'TestBootRemoves|TestWALWriteRetries|TestTornWALWrite|TestPermanentFailure|TestFsyncFailure|TestSnapshotFault' -count=1
 
 # Streaming gate: the NDJSON-ingest + continuous-job end-to-end test
 # (cumulative SSE deltas must equal a fresh batch mine byte-for-byte,
@@ -74,13 +76,15 @@ stream:
 # local sharded, exact failover when a worker dies mid-mine, no
 # goroutine leaks), and the two coordinator-restart tests (kept workers
 # serve the same shards after a restart over an appended dataset, and
-# replace them after a shard-count change) — all under the race
+# replace them after a shard-count change), and the shared-worker test
+# (two coordinators holding the same dataset name and version with
+# different data each mine their own shards) — all under the race
 # detector, since the pool client and registry are exercised
 # concurrently by the coordinator's fan-out.
 dist:
 	$(GO) test -race ./internal/remote -count=1
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
-	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount' -count=1
+	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount|TestRemoteCoordinatorsShareWorker' -count=1
 
 # perfbench is its own Go module that imports internal/ APIs, so the
 # root build never sees a change that breaks it; vet and test it here.

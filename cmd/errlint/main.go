@@ -1,11 +1,12 @@
 // Command errlint is a small errcheck-style linter: it reports call
-// statements that discard an error result. The durability layers
-// (internal/persist, internal/blob) are exactly the code where a
+// statements that discard an error result. The durability layer
+// (internal/persist and its file layer) is exactly the code where a
 // silently dropped error becomes data loss — the Inspect size bug and
 // the ignored directory-fsync result both shipped that way — so `make
-// verify` runs this over them and fails on any finding.
+// lint` runs this over it, and over the server, jobs, remote, shard,
+// api and tpmd packages, and fails on any finding.
 //
-//	go run ./cmd/errlint ./internal/persist ./internal/blob
+//	go run ./cmd/errlint ./internal/persist ./internal/server
 //
 // Each argument is a directory; its package and every nested package
 // are type-checked (tests excluded) and scanned. A finding is an

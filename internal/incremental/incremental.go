@@ -196,11 +196,9 @@ func (m *Miner) AppendCtx(ctx context.Context, seqs ...interval.Sequence) (incre
 
 // indexIncrement encodes and indexes an increment, rejecting any
 // sequence that cannot be endpoint-encoded before any state is touched.
-// It is the single validation gate for growing a database: AppendCtx
-// runs it before mutating, and ValidateSequences exposes the same rules
-// to other append paths (tpmd's dataset store), so "acceptable to the
-// incremental miner" and "acceptable to the server" can never drift
-// apart.
+// AppendCtx runs it before mutating. Endpoint encoding fails only where
+// Sequence.Valid does, which is the check tpmd's dataset store runs on
+// its appends.
 func indexIncrement(seqs []interval.Sequence) ([]pattern.Index, error) {
 	idx := make([]pattern.Index, len(seqs))
 	for i := range seqs {
@@ -211,16 +209,6 @@ func indexIncrement(seqs []interval.Sequence) ([]pattern.Index, error) {
 		idx[i] = pattern.BuildIndex(slices)
 	}
 	return idx, nil
-}
-
-// ValidateSequences reports whether every sequence of an increment is
-// endpoint-encodable — the exact precondition AppendCtx enforces before
-// mutating its database. Append paths outside this package (the tpmd
-// dataset store) call it to get validate-then-mutate atomicity with the
-// same rules.
-func ValidateSequences(seqs ...interval.Sequence) error {
-	_, err := indexIncrement(seqs)
-	return err
 }
 
 // fullRemine rebuilds the buffer from scratch for the current database

@@ -53,33 +53,47 @@ func TestNewMinerValidation(t *testing.T) {
 	}
 }
 
-// TestValidateSequences: the exported validation gate applies the same
-// rules as AppendCtx — a malformed increment is rejected by both, a
-// well-formed one accepted by both.
+// TestValidateSequences: Sequence.Valid, the check tpmd's dataset
+// store runs on each sequence of an append, accepts and rejects exactly
+// the increments AppendCtx does, and a rejected increment leaves the
+// database untouched — also when its valid sequences come before the
+// bad one, so AppendCtx validates the whole increment before applying
+// any of it.
 func TestValidateSequences(t *testing.T) {
-	good := interval.Sequence{ID: "g", Intervals: []interval.Interval{
-		{Symbol: "A", Start: 0, End: 4},
-	}}
-	bad := interval.Sequence{ID: "b", Intervals: []interval.Interval{
-		{Symbol: "A", Start: 5, End: 1}, // End < Start
-	}}
-
-	if err := ValidateSequences(good); err != nil {
-		t.Errorf("valid sequence rejected: %v", err)
+	seq := func(id string, ivs ...interval.Interval) interval.Sequence {
+		return interval.Sequence{ID: id, Intervals: ivs}
 	}
-	if err := ValidateSequences(good, bad); err == nil {
-		t.Error("invalid sequence accepted")
+	good := seq("good", interval.Interval{Symbol: "A", Start: 0, End: 4}, interval.Interval{Symbol: "B", Start: 2, End: 2})
+	bad := seq("bad", interval.Interval{Symbol: "A", Start: 5, End: 1})
+	cases := []struct {
+		name string
+		inc  []interval.Sequence
+	}{
+		{"good", []interval.Sequence{good}},
+		{"empty", []interval.Sequence{seq("empty")}},
+		{"reversed", []interval.Sequence{bad}},
+		{"no-symbol", []interval.Sequence{seq("no-symbol", interval.Interval{Start: 0, End: 1})}},
+		{"late-bad", []interval.Sequence{seq("late-bad", interval.Interval{Symbol: "A", Start: 0, End: 1}, interval.Interval{Symbol: "B", Start: 3, End: 2})}},
+		{"good-then-bad", []interval.Sequence{good, bad}},
 	}
-
-	m, err := NewMiner(core.Options{MinSupport: 0.5}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Append(good, bad); err == nil {
-		t.Error("AppendCtx accepted an increment ValidateSequences rejects")
-	}
-	if m.Database().Len() != 0 {
-		t.Error("rejected append mutated the database")
+	for _, c := range cases {
+		m, err := NewMiner(core.Options{MinSupport: 0.5}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var validErr error
+		for _, sq := range c.inc {
+			if validErr = sq.Valid(); validErr != nil {
+				break
+			}
+		}
+		_, appendErr := m.AppendCtx(context.Background(), c.inc...)
+		if (validErr == nil) != (appendErr == nil) {
+			t.Errorf("%s: Valid = %v, AppendCtx = %v; want both to accept or both to reject", c.name, validErr, appendErr)
+		}
+		if appendErr != nil && m.Database().Len() != 0 {
+			t.Errorf("%s: rejected increment left %d sequences in the database", c.name, m.Database().Len())
+		}
 	}
 }
 

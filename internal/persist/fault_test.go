@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 )
 
@@ -113,6 +115,59 @@ func TestWALWriteRetriesTransient(t *testing.T) {
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	assertState(t, s2, map[string]DatasetState{"a": {DB: db, Version: 1}}, 1)
+}
+
+// TestTornWALWriteRollsBack: the first WAL write tears — half the frame
+// lands on disk before EIO. The rollback truncates the prefix, the
+// retry commits, and a crash-reopen replays each record exactly once
+// with no damaged tail left for recovery to cut.
+func TestTornWALWriteRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	torn := 0
+	inj := injectorFunc(func(op resilience.Op) resilience.Fault {
+		if op != resilience.OpWALWrite || torn > 0 {
+			return resilience.Fault{}
+		}
+		torn++
+		return resilience.Fault{Err: fmt.Errorf("injected torn write: %w", syscall.EIO), PartialFraction: 0.5}
+	})
+	s := mustOpen(t, dir, Options{Injector: inj, Retry: noSleep})
+	m := NewMetrics(obs.NewRegistry())
+	s.SetMetrics(m)
+	dbA, dbB := testDB(1, 2, 3), testDB(2, 2, 2)
+	if err := s.LogPut("a", 1, dbA); err != nil {
+		t.Fatalf("put after a torn write: %v", err)
+	}
+	if err := s.LogPut("b", 2, dbB); err != nil {
+		t.Fatal(err)
+	}
+	if torn != 1 {
+		t.Fatalf("torn writes injected = %d, want 1", torn)
+	}
+	count := func(v *obs.CounterVec, op string) uint64 { return v.With(blobBackend, op).Value() }
+	if got := count(m.BlobErrors, "append_write"); got != 1 {
+		t.Errorf("errors[append_write] = %d, want 1", got)
+	}
+	if got := count(m.BlobOps, "append_truncate"); got != 1 {
+		t.Errorf("ops[append_truncate] = %d, want 1", got)
+	}
+	// The prefix really landed: more bytes were written than the
+	// segment holds.
+	if _, size := walSize(t, dir); count(m.BlobBytes, "append_write") <= uint64(size) {
+		t.Errorf("append_write moved %d bytes into a %d-byte segment: the torn prefix never landed",
+			count(m.BlobBytes, "append_write"), size)
+	}
+
+	// Crash (no Close) and reopen without the injector.
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	assertState(t, s2, map[string]DatasetState{
+		"a": {DB: dbA, Version: 1},
+		"b": {DB: dbB, Version: 2},
+	}, 2)
+	if rs := s2.RecoveryStats(); rs.RecordsReplayed != 2 || rs.Truncations != 0 {
+		t.Errorf("recovery stats = %+v, want 2 replayed and no truncation", rs)
+	}
 }
 
 // TestPermanentFailureFailsFastAndProbeRecovers: ENOSPC is classified

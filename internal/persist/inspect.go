@@ -5,7 +5,7 @@ import (
 	"io"
 	"sort"
 
-	"tpminer/internal/blob"
+	"tpminer/internal/obs"
 )
 
 // printer wraps an io.Writer and remembers the first write error, so a
@@ -24,26 +24,16 @@ func (p *printer) printf(format string, args ...any) {
 }
 
 // Inspect dumps the data directory's snapshot and WAL record headers to
-// w for offline debugging. It never modifies the directory: a missing
-// dir is an error naming it, not an empty dump.
+// w for offline debugging: one line per file and per record, and an
+// explicit flag on the first damaged frame of each log (with its byte
+// offset and whether it looks torn or corrupt). It never modifies the
+// directory: a missing dir is an error naming it, not an empty dump.
+// The returned error covers listing the directory and writing to w; an
+// unreadable file is reported on its own entry in the output, not as an
+// error, so one bad file does not hide the rest.
 func Inspect(dir string, w io.Writer) error {
-	bs, err := blob.NewFileStore(dir)
-	if err != nil {
-		return fmt.Errorf("persist: inspect: %w", err)
-	}
-	defer bs.Close()
-	return inspect(bs, dir, w)
-}
-
-// inspect dumps the store's snapshot and WAL record headers to w: one
-// line per blob and per record, and an explicit flag on the first
-// damaged frame of each log (with its byte offset and whether it looks
-// torn or corrupt). label names the store in the output. The returned
-// error covers listing the store and writing to w; an unreadable blob is
-// reported on its own entry in the output, not as an error, so one bad
-// object does not hide the rest.
-func inspect(bs blob.Store, label string, w io.Writer) error {
-	keys, err := bs.List("")
+	fs := &files{dir: dir, met: NewMetrics(obs.NewRegistry())}
+	keys, err := fs.list()
 	if err != nil {
 		return fmt.Errorf("persist: inspect: %w", err)
 	}
@@ -58,13 +48,13 @@ func inspect(bs blob.Store, label string, w io.Writer) error {
 	}
 	if len(snaps) == 0 && len(wals) == 0 {
 		p := &printer{w: w}
-		p.printf("%s: no snapshots or WAL segments\n", label)
+		p.printf("%s: no snapshots or WAL segments\n", dir)
 		return p.err
 	}
 	p := &printer{w: w}
 
 	for _, name := range snaps {
-		buf, err := bs.Get(name)
+		buf, err := fs.get(name)
 		if err != nil {
 			// A stat/read failure is a finding, not a zero-byte
 			// snapshot: report it on the entry.
@@ -101,7 +91,7 @@ func inspect(bs blob.Store, label string, w io.Writer) error {
 	}
 
 	for _, name := range wals {
-		data, err := bs.Get(name)
+		data, err := fs.get(name)
 		if err != nil {
 			p.printf("wal %s  UNREADABLE: %v\n", name, err)
 			continue

@@ -5,13 +5,14 @@
 // it installed), periodic full-state snapshots, and boot-time recovery
 // that loads the newest valid snapshot and replays the WAL tail.
 //
-// All I/O goes through a blob.Store (internal/blob) over the data
-// directory: WAL segments are append-only blobs and snapshots are
-// atomic-Put blobs. The blob interface carries exactly the commit
-// semantics the invariants below need: atomic Put (a snapshot is never
-// observable half-written), ordered truncatable appends (the WAL's
-// write/rollback cycle), and a namespace Sync barrier (the directory
-// fsync that makes segment creation and deletion durable).
+// All I/O goes through one file layer over the data directory
+// (files.go): WAL segments are append-only files and snapshots are
+// atomically put files. It carries exactly the commit semantics the
+// invariants below need: an atomic put (a snapshot is never observable
+// half-written), ordered truncatable appends (the WAL's write/rollback
+// cycle), and a directory sync (the fsync that makes segment creation
+// and deletion durable). It counts every operation into the
+// tpmd_blob_* families and is where Options.Injector plants its faults.
 //
 // # Protocol
 //
@@ -32,8 +33,8 @@
 // write): the log is truncated at the first damaged frame and the
 // prefix is kept. A corrupt frame anywhere — bit-flipped CRC, garbled
 // varint — stops replay the same way, because framing after a bad
-// record cannot be trusted. Snapshots commit atomically through
-// blob.Store.Put; a partial snapshot (possible only through damage
+// record cannot be trusted. Snapshots commit atomically through the
+// file layer's put; a partial snapshot (possible only through damage
 // outside the store's control) fails its length/CRC check and recovery
 // falls back to the next older valid one (the WAL covering it is only
 // deleted after the newer snapshot is durable, so no data is lost).
@@ -64,7 +65,6 @@ import (
 	"sync"
 	"time"
 
-	"tpminer/internal/blob"
 	"tpminer/internal/interval"
 	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
@@ -100,10 +100,12 @@ type Options struct {
 	WALMaxBytes int64
 	// Logger receives recovery and compaction records; nil disables.
 	Logger *slog.Logger
-	// Injector, when non-nil, wraps the blob store in a fault-injecting
-	// decorator so tests and the -fault-profile dev flag can plant
-	// errors, latency, and torn writes at the WAL and snapshot I/O
-	// boundaries. nil (the production default) disables injection.
+	// Injector, when non-nil, lets tests and the -fault-profile dev flag
+	// plant errors, latency, and torn writes in the file layer. It is
+	// consulted at each injectable step as it happens: wal_open,
+	// wal_write (where a torn prefix really lands), wal_sync, and a
+	// snapshot's snapshot_write, snapshot_sync and snapshot_rename, in
+	// that order. nil (the production default) disables injection.
 	Injector resilience.Injector
 	// Retry governs how transient I/O failures on WAL appends and
 	// snapshot writes are retried. The zero value selects the
@@ -176,7 +178,7 @@ type RecoveryStats struct {
 }
 
 // Metrics holds the store's handles: the tpmd_persist_* families, the
-// tpmd_blob_* families its blob store counts every operation into, and
+// tpmd_blob_* families its file layer counts every operation into, and
 // tpmd_resilience_retries_total, which its retried I/O feeds. The store
 // bumps them directly; NewMetrics documents each in its HELP text.
 type Metrics struct {
@@ -228,23 +230,18 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // ErrClosed is returned by mutations on a closed Store.
 var ErrClosed = errors.New("persist: store is closed")
 
-// Store is the durability engine: one blob store holding the live WAL
-// segment and the snapshots, plus an in-memory mirror of the full
+// Store is the durability engine: one data directory holding the live
+// WAL segment and the snapshots, plus an in-memory mirror of the full
 // dataset state (sharing the immutable databases, so the mirror costs
 // pointers, not copies) from which snapshots are cut.
 type Store struct {
 	opt    Options
 	logger *slog.Logger
 
-	// bs is the store all I/O goes through: the file store, wrapped
-	// first by the fault injector (when configured) and then by the
-	// instrumentation (inst), outermost so every attempt — including
-	// injected failures — is counted in met's blob families.
-	bs   blob.Store
-	inst *blob.Instrumented
+	files *files // all I/O goes through it
 
 	mu        sync.Mutex
-	wal       blob.Appender
+	wal       *walFile
 	walKey    string
 	walBytes  int64
 	compactAt int64
@@ -273,19 +270,10 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	bs, err := blob.NewFileStore(dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if opt.Injector != nil {
-		bs = newFaultStore(bs, opt.Injector)
-	}
-	inst := blob.Instrument(bs)
 	s := &Store{
 		opt:       opt,
 		logger:    opt.Logger,
-		bs:        inst,
-		inst:      inst,
+		files:     &files{dir: dir, inj: opt.Injector},
 		compactAt: opt.WALMaxBytes,
 		state:     make(map[string]DatasetState),
 		jobs:      make(map[string]JobState),
@@ -346,10 +334,10 @@ func (s *Store) RecoveryStats() RecoveryStats {
 	return s.recov
 }
 
-// SetMetrics points the store's instrumentation — and the blob
-// store's beneath it — at m, and immediately reports the recovery
-// outcome and current WAL size, so a server wiring metrics after Open
-// still sees the boot numbers. Until then, and after SetMetrics(nil),
+// SetMetrics points the store's instrumentation — its file layer's
+// included — at m, and immediately reports the recovery outcome and
+// current WAL size, so a server wiring metrics after Open still sees
+// the boot numbers. Until then, and after SetMetrics(nil),
 // the store counts on a private registry.
 func (s *Store) SetMetrics(m *Metrics) {
 	if m == nil {
@@ -358,7 +346,7 @@ func (s *Store) SetMetrics(m *Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met = m
-	s.inst.SetMetrics(m.BlobOps, m.BlobBytes, m.BlobErrors)
+	s.files.met = m
 	m.RecoveryDuration.Observe(s.recov.Duration.Seconds())
 	m.Replayed.Set(int64(s.recov.RecordsReplayed))
 	m.Truncations.Add(uint64(s.recov.Truncations))
@@ -446,11 +434,11 @@ func (s *Store) appendLocked(payload []byte) error {
 		if s.failed != nil {
 			return s.failed
 		}
-		_, err := s.wal.Write(frame)
+		_, err := s.wal.write(frame)
 		if err == nil {
 			return nil
 		}
-		// The frame may be half on the backend; cut it off so a retry
+		// The frame may be half on disk; cut it off so a retry
 		// starts from a clean tail.
 		if werr := s.rollbackTailLocked(err); werr != nil {
 			return werr
@@ -464,7 +452,7 @@ func (s *Store) appendLocked(payload []byte) error {
 		return fmt.Errorf("persist: WAL append: %w", err)
 	}
 	if s.opt.FsyncMode == FsyncAlways {
-		if err := s.wal.Sync(); err != nil {
+		if err := s.wal.sync(); err != nil {
 			// Roll the unacknowledged record back so it can never
 			// resurrect on replay after the caller was told it failed.
 			if werr := s.rollbackTailLocked(err); werr != nil {
@@ -489,7 +477,7 @@ func (s *Store) appendLocked(payload []byte) error {
 // store wedges — the sticky failure is tagged permanent so no layer
 // above retries against a log tail in an unknown state.
 func (s *Store) rollbackTailLocked(cause error) error {
-	if terr := s.wal.Truncate(s.walBytes); terr != nil {
+	if terr := s.wal.truncate(s.walBytes); terr != nil {
 		s.failed = fmt.Errorf("persist: WAL wedged (write failed: %v; truncate failed: %v): %w",
 			cause, terr, resilience.ErrPermanent)
 		return s.failed
@@ -567,17 +555,17 @@ func (s *Store) Probe() error {
 }
 
 // snapshotLocked writes the mirror state as a snapshot, then — when
-// rotate is set — opens a fresh WAL segment and deletes the blobs the
+// rotate is set — opens a fresh WAL segment and deletes the files the
 // snapshot supersedes.
 func (s *Store) snapshotLocked(rotate bool) error {
 	start := time.Now()
-	// The snapshot commits atomically (blob.Store.Put) and is made
+	// The snapshot commits atomically (files.put) and is made
 	// namespace-durable before any WAL segment is removed, so
 	// superseded records are never deleted ahead of their replacement
-	// being durable. Transient Put failures retry; the atomic-Put
-	// contract guarantees each failed attempt leaves nothing behind.
+	// being durable. Transient put failures retry; each failed attempt
+	// removes its temp file, so it leaves nothing behind.
 	err := s.retryLocked(resilience.OpSnapshotWrite, func() error {
-		return s.bs.Put(snapshotName(s.verSeq), encodeSnapshotFile(s.state, s.jobs, s.verSeq))
+		return s.files.put(snapshotName(s.verSeq), encodeSnapshotFile(s.state, s.jobs, s.verSeq))
 	})
 	if err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
@@ -604,43 +592,43 @@ func (s *Store) snapshotLocked(rotate bool) error {
 // every record fsynced into the file.
 func (s *Store) openWALLocked(baseVer uint64, fresh bool) error {
 	if s.wal != nil {
-		if err := s.wal.Sync(); err != nil {
+		if err := s.wal.sync(); err != nil {
 			s.logger.Warn("persist: final fsync of rotated WAL segment failed", "segment", s.walKey, "error", err)
 		}
-		if err := s.wal.Close(); err != nil {
+		if err := s.wal.close(); err != nil {
 			s.logger.Warn("persist: closing rotated WAL segment failed", "segment", s.walKey, "error", err)
 		}
 		s.wal = nil
 	}
 	key := walName(baseVer)
-	a, err := s.bs.Append(key)
+	w, err := s.files.openWAL(key)
 	if err != nil {
 		s.failed = fmt.Errorf("persist: open WAL: %w", err)
 		return s.failed
 	}
-	if fresh && a.Size() > 0 {
-		if err := a.Truncate(0); err != nil {
-			if cerr := a.Close(); cerr != nil {
+	if fresh && w.size > 0 {
+		if err := w.truncate(0); err != nil {
+			if cerr := w.close(); cerr != nil {
 				s.logger.Warn("persist: closing unusable WAL segment failed", "segment", key, "error", cerr)
 			}
 			s.failed = fmt.Errorf("persist: reset WAL: %w", err)
 			return s.failed
 		}
 	}
-	s.wal, s.walKey, s.walBytes, s.dirty = a, key, a.Size(), false
+	s.wal, s.walKey, s.walBytes, s.dirty = w, key, w.size, false
 	s.namespaceSyncLocked()
 	s.met.WALBytes.Set(s.walBytes)
 	return nil
 }
 
-// namespaceSyncLocked runs the blob store's namespace durability
-// barrier (a directory fsync) so blob creations, deletions, and Put
-// commits issued so far survive power loss. Refusals are logged at warn
-// — some filesystems reject directory fsync, and a silently weakened
-// durability contract is the kind of thing an operator needs to see.
+// namespaceSyncLocked fsyncs the data directory so file creations,
+// deletions, and put commits issued so far survive power loss. Refusals
+// are logged at warn — some filesystems reject directory fsync, and a
+// silently weakened durability contract is the kind of thing an
+// operator needs to see.
 func (s *Store) namespaceSyncLocked() {
-	if err := s.bs.Sync(); err != nil {
-		s.logger.Warn("persist: namespace sync failed; recent blob creates/deletes may not survive power loss",
+	if err := s.files.sync(); err != nil {
+		s.logger.Warn("persist: namespace sync failed; recent file creates/deletes may not survive power loss",
 			"error", err)
 	}
 }
@@ -649,9 +637,9 @@ func (s *Store) namespaceSyncLocked() {
 // redundant by a durable snapshot at verSeq, then syncs the namespace
 // so the deletions are themselves durable.
 func (s *Store) removeSupersededLocked(verSeq uint64) {
-	keys, err := s.bs.List("")
+	keys, err := s.files.list()
 	if err != nil {
-		s.logger.Warn("persist: listing superseded blobs failed; skipping cleanup", "error", err)
+		s.logger.Warn("persist: listing superseded files failed; skipping cleanup", "error", err)
 		return
 	}
 	keepSnap := snapshotName(verSeq)
@@ -661,8 +649,8 @@ func (s *Store) removeSupersededLocked(verSeq uint64) {
 			continue
 		}
 		if isSnapshotKey(key) || isWALKey(key) || isTempKey(key) {
-			if err := s.bs.Delete(key); err != nil {
-				s.logger.Warn("persist: deleting superseded blob failed", "key", key, "error", err)
+			if err := s.files.delete(key); err != nil {
+				s.logger.Warn("persist: deleting superseded file failed", "key", key, "error", err)
 				continue
 			}
 			removed++
@@ -673,11 +661,6 @@ func (s *Store) removeSupersededLocked(verSeq uint64) {
 	}
 }
 
-// isTempKey reports whether key is a leftover atomic-Put temp object.
-func isTempKey(key string) bool {
-	return len(key) > 4 && key[len(key)-4:] == ".tmp"
-}
-
 // syncIfDirty flushes pending WAL bytes; the interval-mode loop calls
 // it on every tick.
 func (s *Store) syncIfDirty() {
@@ -686,7 +669,7 @@ func (s *Store) syncIfDirty() {
 	if s.failed != nil || !s.dirty || s.wal == nil {
 		return
 	}
-	if err := s.wal.Sync(); err != nil {
+	if err := s.wal.sync(); err != nil {
 		// The already-acknowledged dirty records may or may not be on
 		// the platter (interval mode accepts bounded loss); sticky-fail
 		// so the caller's recovery probe re-journals the full state.
@@ -712,8 +695,8 @@ func (s *Store) syncLoop() {
 }
 
 // Close flushes and fsyncs the WAL, cuts a final snapshot so the next
-// boot needs no replay, releases the store, and closes the blob
-// store. Mutations after Close return ErrClosed.
+// boot needs no replay, and releases the store. Mutations after Close
+// return ErrClosed.
 func (s *Store) Close() error {
 	if s.stopSync != nil {
 		close(s.stopSync)
@@ -726,7 +709,7 @@ func (s *Store) Close() error {
 	}
 	var firstErr error
 	if s.wal != nil && s.failed == nil {
-		if err := s.wal.Sync(); err != nil {
+		if err := s.wal.sync(); err != nil {
 			firstErr = fmt.Errorf("persist: close fsync: %w", err)
 		} else {
 			s.dirty = false
@@ -740,7 +723,7 @@ func (s *Store) Close() error {
 				key := s.walKey
 				s.walKey = ""
 				s.removeSupersededLocked(s.verSeq)
-				if err := s.bs.Delete(key); err != nil {
+				if err := s.files.delete(key); err != nil {
 					s.logger.Warn("persist: deleting final WAL segment failed", "key", key, "error", err)
 				}
 				s.namespaceSyncLocked()
@@ -748,13 +731,10 @@ func (s *Store) Close() error {
 		}
 	}
 	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && firstErr == nil {
+		if err := s.wal.close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("persist: close WAL: %w", err)
 		}
 		s.wal = nil
-	}
-	if err := s.bs.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("persist: close blob store: %w", err)
 	}
 	s.failed = ErrClosed
 	return firstErr
@@ -765,7 +745,7 @@ func (s *Store) Close() error {
 // recover loads the newest valid snapshot, replays the WAL tail, and
 // leaves the store appending to the surviving segment.
 func (s *Store) recover() error {
-	keys, err := s.bs.List("")
+	keys, err := s.files.list()
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
@@ -783,12 +763,12 @@ func (s *Store) recover() error {
 			wals = append(wals, seqFile{v, key})
 		}
 		if isTempKey(key) {
-			// An atomic Put that died mid-commit leaves its temp object
-			// behind; without cleanup they accumulate forever. The
-			// commit never happened, so the object is covered by the
-			// live WAL and safe to drop.
-			if err := s.bs.Delete(key); err != nil {
-				s.logger.Warn("persist: removing orphaned temp blob failed", "key", key, "error", err)
+			// A put that died mid-commit leaves its temp file behind;
+			// without cleanup they accumulate forever. The commit never
+			// happened, so the file is covered by the live WAL and safe
+			// to drop.
+			if err := s.files.delete(key); err != nil {
+				s.logger.Warn("persist: removing orphaned temp file failed", "key", key, "error", err)
 				continue
 			}
 			s.recov.TempFilesRemoved++
@@ -800,7 +780,7 @@ func (s *Store) recover() error {
 	sort.Slice(wals, func(i, j int) bool { return wals[i].seq < wals[j].seq })    // oldest first
 
 	for _, sn := range snaps {
-		buf, err := s.bs.Get(sn.name)
+		buf, err := s.files.get(sn.name)
 		if err != nil {
 			s.logger.Warn("persist: skipping unreadable snapshot", "file", sn.name, "error", err)
 			continue
@@ -822,7 +802,7 @@ func (s *Store) recover() error {
 	// segments would skip over the gap. (In practice compaction leaves
 	// a single live segment, so "later segments" only exist after an
 	// unclean shutdown mid-rotation.) The truncation itself happens
-	// through the reopened appender below, once the surviving segment
+	// through the reopened WAL handle below, once the surviving segment
 	// is the live one.
 	lastIdx := -1
 	truncAt := int64(-1)
@@ -831,7 +811,7 @@ func (s *Store) recover() error {
 		if stopped {
 			// Unreachable records; drop the segment so the next boot
 			// does not see a gap.
-			if err := s.bs.Delete(wf.name); err != nil {
+			if err := s.files.delete(wf.name); err != nil {
 				s.logger.Warn("persist: deleting unreachable WAL segment failed", "key", wf.name, "error", err)
 			} else {
 				cleaned = true
@@ -839,7 +819,7 @@ func (s *Store) recover() error {
 			continue
 		}
 		lastIdx = i
-		data, err := s.bs.Get(wf.name)
+		data, err := s.files.get(wf.name)
 		if err != nil {
 			return fmt.Errorf("persist: read WAL %s: %w", wf.name, err)
 		}
@@ -871,12 +851,12 @@ func (s *Store) recover() error {
 			return err
 		}
 		if truncAt >= 0 {
-			if err := s.wal.Truncate(truncAt); err != nil {
+			if err := s.wal.truncate(truncAt); err != nil {
 				return fmt.Errorf("persist: truncate WAL %s: %w", wals[lastIdx].name, err)
 			}
 			// Fsync the repair so the damaged tail cannot resurrect
 			// after a power cut between boot and the next record.
-			if err := s.wal.Sync(); err != nil {
+			if err := s.wal.sync(); err != nil {
 				s.logger.Warn("persist: fsync of repaired WAL tail failed", "error", err)
 			}
 			s.walBytes = truncAt

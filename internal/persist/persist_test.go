@@ -171,7 +171,7 @@ func TestJobJournalRoundTrip(t *testing.T) {
 			} else {
 				// Dirty restart: reopen over the live WAL without Close,
 				// forcing full replay.
-				if err := s.wal.Sync(); err != nil {
+				if err := s.wal.sync(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,11 +35,11 @@ import (
 // an error. Spec and result bytes are opaque to persist, exactly as in
 // the WAL job records.
 //
-// Snapshots commit through blob.Store.Put, whose atomic-commit contract
-// (temp + fsync + rename) guarantees a crash mid-snapshot
-// leaves either the previous state or a temp object that recovery
-// removes. A snapshot that fails the length or CRC check (e.g. a
-// partially copied file) is skipped in favour of an older valid one.
+// Snapshots commit through the file layer's atomic put (temp + fsync +
+// rename), so a crash mid-snapshot leaves either the previous state or
+// a temp file that recovery removes. A snapshot that fails the length
+// or CRC check (e.g. a partially copied file) is skipped in favour of
+// an older valid one.
 var snapshotMagic = [8]byte{'T', 'P', 'M', 'S', 'N', 'A', 'P', '1'}
 
 const snapshotHeaderLen = 20
@@ -59,6 +59,17 @@ func parseSeqName(name, prefix, ext string) (uint64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// isWALKey and isSnapshotKey classify a data file name.
+func isWALKey(name string) bool {
+	_, ok := parseSeqName(name, "wal-", ".log")
+	return ok
+}
+
+func isSnapshotKey(name string) bool {
+	_, ok := parseSeqName(name, "snapshot-", ".snap")
+	return ok
 }
 
 // encodeSnapshot serializes the full store state (the payload only; see
@@ -167,7 +178,7 @@ func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobStat
 }
 
 // encodeSnapshotFile frames the encoded state with the magic, length,
-// and CRC header — the exact bytes a snapshot blob holds.
+// and CRC header — the exact bytes a snapshot file holds.
 func encodeSnapshotFile(state map[string]DatasetState, jobs map[string]JobState, verSeq uint64) []byte {
 	return frameSnapshot(encodeSnapshot(state, jobs, verSeq))
 }
@@ -181,7 +192,7 @@ func frameSnapshot(payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// decodeSnapshotFile validates a snapshot blob's framing and decodes
+// decodeSnapshotFile validates a snapshot file's framing and decodes
 // the state it holds.
 func decodeSnapshotFile(buf []byte) (map[string]DatasetState, map[string]JobState, uint64, error) {
 	if len(buf) < snapshotHeaderLen {

@@ -130,7 +130,7 @@ func (w *RemoteWorker) WorkerAddr() string { return w.base }
 
 // Mine implements shard.Worker.
 func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
-	wreq := mineWire{Key: w.data.Key, Shard: req.Shard, Kind: req.Kind, TopK: req.TopK, Opt: req.Opt}
+	wreq := mineWire{Key: w.data.Key, Digest: w.data.Digest(), Shard: req.Shard, Kind: req.Kind, TopK: req.TopK, Opt: req.Opt}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms < 1 {
@@ -147,7 +147,7 @@ func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*
 
 // Count implements shard.Worker.
 func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
-	wreq := countWire{Key: w.data.Key, Shard: req.Shard, Kind: req.Kind,
+	wreq := countWire{Key: w.data.Key, Digest: w.data.Digest(), Shard: req.Shard, Kind: req.Kind,
 		Temporal: req.Temporal, Coinc: req.Coinc, MaxSpan: req.MaxSpan, MaxGap: req.MaxGap}
 	var resp countRespWire
 	if err := w.call(ctx, OpCount, w.opt.CountTimeout, "/v1/worker/count", wreq, &resp); err != nil {

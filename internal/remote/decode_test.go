@@ -60,9 +60,9 @@ func TestWorkerRejectsMalformedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	bombRaw := make([]byte, 4*decodeLimit)
-	const (
-		mine  = `{"key":{"dataset":"d","version":1,"shard":0},"shard":0,"kind":"temporal","opt":{"MinCount":1}}`
-		count = `{"key":{"dataset":"d","version":1,"shard":0},"shard":0,"kind":"coincidence","coinc":[{"Elements":[["A"]]}]}`
+	var (
+		mine  = `{"key":{"dataset":"d","version":1,"shard":0},"digest":"` + digest + `","shard":0,"kind":"temporal","opt":{"MinCount":1}}`
+		count = `{"key":{"dataset":"d","version":1,"shard":0},"digest":"` + digest + `","shard":0,"kind":"coincidence","coinc":[{"Elements":[["A"]]}]}`
 	)
 	pad := strings.Repeat(" ", decodeLimit)
 

@@ -13,7 +13,8 @@ import (
 )
 
 // fuzzWorker returns the handler of a worker holding one small pushed
-// shard, key {d, 1, 0}, which the committed seed bodies address.
+// shard, key {d, 1, 0}, which the committed seed bodies address by key
+// and digest.
 func fuzzWorker(f *testing.F) http.Handler {
 	ws := NewWorkerServer(WorkerConfig{MaxShardBytes: decodeLimit})
 	h := ws.Handler()

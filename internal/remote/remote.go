@@ -5,14 +5,15 @@
 // re-mines an unreachable worker's shard on an in-process LocalWorker.
 //
 // Exactness argument: the unit of distribution is the shard database,
-// pushed verbatim (content-addressed by dataset, version, and shard
-// index) before any mining request touches it. A worker therefore
-// computes exactly what a LocalWorker over the same sub-database would
-// compute, and the coordinator's merge — which is already proven
-// byte-identical to serial mining for local workers — cannot tell the
-// difference. Failover re-runs the same request on a LocalWorker over
-// the same sub-database, so a mid-mine worker loss changes latency, not
-// results.
+// pushed verbatim (keyed by dataset, version, and shard index, and
+// verified against its digest) before any mining request touches it,
+// and every mine and count names the digest it expects. A worker
+// therefore computes exactly what a LocalWorker over the same
+// sub-database would compute, and the coordinator's merge — which is
+// already proven byte-identical to serial mining for local workers —
+// cannot tell the difference. Failover re-runs the same request on a
+// LocalWorker over the same sub-database, so a mid-mine worker loss
+// changes latency, not results.
 package remote
 
 import (
@@ -33,9 +34,10 @@ const (
 	OpProbe = "probe"
 )
 
-// ShardKey content-addresses one shard of one dataset version. Store
-// versions are monotone, so a key names immutable bytes: a worker that
-// has (dataset, version, shard) cached never needs a re-push.
+// ShardKey names one shard of one dataset version. It does not name the
+// bytes: a coordinator restarted with another shard count, or another
+// coordinator sharing the worker, can send other bytes under the same
+// key, so a worker checks each push's and each RPC's digest too.
 type ShardKey struct {
 	Dataset string `json:"dataset"`
 	Version uint64 `json:"version"`

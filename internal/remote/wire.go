@@ -32,6 +32,12 @@ const shardDigestHeader = "X-Shard-Digest"
 // mineWire is the body of POST /v1/worker/mine.
 type mineWire struct {
 	Key ShardKey `json:"key"`
+	// Digest is the shard's digest, as pushed in X-Shard-Digest. The
+	// key alone does not name the bytes: two coordinators that share a
+	// worker can each hold a dataset of the same name and version. A
+	// worker whose shard under Key has another digest answers
+	// shard_not_loaded, and the client re-pushes.
+	Digest string `json:"digest"`
 	// Shard echoes MineShardRequest.Shard: the coordinator's shard index,
 	// reproduced in the worker's responses and error attributions. It can
 	// differ from Key.Shard only in hand-built requests; the client always
@@ -56,6 +62,7 @@ type mineRespWire struct {
 // countWire is the body of POST /v1/worker/count.
 type countWire struct {
 	Key      ShardKey           `json:"key"`
+	Digest   string             `json:"digest"` // as in mineWire
 	Shard    int                `json:"shard"`
 	Kind     shard.Kind         `json:"kind"`
 	Temporal []pattern.Temporal `json:"temporal,omitempty"`
@@ -88,15 +95,20 @@ const (
 
 // ShardData is one shard's push payload, encoded lazily and exactly
 // once: the coordinator builds a ShardData per (dataset, version, shard)
-// and every worker client pushing that shard shares it.
+// and every worker client pushing that shard shares it. Mine and count
+// RPCs name the shard by its digest, so the first RPC computes the
+// digest; the gzip a push needs is paid only when a push happens.
 type ShardData struct {
 	Key ShardKey
 	DB  *interval.Database
 
-	once    sync.Once
-	payload []byte // gzip(EncodeDatabase)
-	digest  string // hex SHA-256 of the uncompressed encoding
-	err     error
+	digestOnce sync.Once
+	raw        []byte // EncodeDatabase; released once the payload is built
+	digest     string // hex SHA-256 of raw
+
+	payloadOnce sync.Once
+	payload     []byte // gzip(raw)
+	err         error
 }
 
 // NewShardData wraps one shard sub-database for pushing. db must be
@@ -105,16 +117,25 @@ func NewShardData(key ShardKey, db *interval.Database) *ShardData {
 	return &ShardData{Key: key, DB: db}
 }
 
+// Digest returns the hex SHA-256 of the shard's uncompressed encoding,
+// computing it on first call.
+func (d *ShardData) Digest() string {
+	d.digestOnce.Do(func() {
+		d.raw = persist.EncodeDatabase(nil, d.DB)
+		sum := sha256.Sum256(d.raw)
+		d.digest = hex.EncodeToString(sum[:])
+	})
+	return d.digest
+}
+
 // Encode returns the compressed payload and the digest of its
 // uncompressed form, building both on first call.
 func (d *ShardData) Encode() (payload []byte, digest string, err error) {
-	d.once.Do(func() {
-		raw := persist.EncodeDatabase(nil, d.DB)
-		sum := sha256.Sum256(raw)
-		d.digest = hex.EncodeToString(sum[:])
+	digest = d.Digest()
+	d.payloadOnce.Do(func() {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(raw); err != nil {
+		if _, err := zw.Write(d.raw); err != nil {
 			d.err = fmt.Errorf("remote: compress shard %s: %w", d.Key, err)
 			return
 		}
@@ -123,8 +144,9 @@ func (d *ShardData) Encode() (payload []byte, digest string, err error) {
 			return
 		}
 		d.payload = buf.Bytes()
+		d.raw = nil
 	})
-	return d.payload, d.digest, d.err
+	return d.payload, digest, d.err
 }
 
 // decodeShardPayload inflates and decodes one pushed shard body,

@@ -275,10 +275,8 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	// cap the request's at this machine's cores: asking for more would
 	// only allocate idle workers.
 	req.Opt.Parallel = min(req.Opt.Parallel, runtime.GOMAXPROCS(0))
-	cs := ws.lookup(req.Key)
+	cs := ws.loaded(w, OpMine, req.Key, req.Digest)
 	if cs == nil {
-		ws.rpcs.With(OpMine, "not_loaded").Inc()
-		ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded, "shard "+req.Key.String()+" not loaded; push it first")
 		return
 	}
 	ctx, cancel := ws.workContext(r.Context(), req.TimeoutMillis)
@@ -301,10 +299,8 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
 	}
-	cs := ws.lookup(req.Key)
+	cs := ws.loaded(w, OpCount, req.Key, req.Digest)
 	if cs == nil {
-		ws.rpcs.With(OpCount, "not_loaded").Inc()
-		ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded, "shard "+req.Key.String()+" not loaded; push it first")
 		return
 	}
 	ctx, cancel := ws.workContext(r.Context(), 0)
@@ -319,6 +315,20 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.rpcs.With(OpCount, "ok").Inc()
 	ws.writeJSON(w, http.StatusOK, countRespWire{Supports: resp.Supports})
+}
+
+// loaded returns the shard cached under key when its digest is digest.
+// Otherwise it answers shard_not_loaded, on which the client re-pushes
+// and retries, and returns nil: a shard cached under the same key with
+// other bytes, pushed by another coordinator, must never be mined.
+func (ws *WorkerServer) loaded(w http.ResponseWriter, op string, key ShardKey, digest string) *cachedShard {
+	if cs := ws.lookup(key); cs != nil && cs.digest == digest {
+		return cs
+	}
+	ws.rpcs.With(op, "not_loaded").Inc()
+	ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded,
+		"shard "+key.String()+" with digest "+digest+" not loaded; push it first")
+	return nil
 }
 
 // workContext bounds one mine/count by the client's declared budget and

@@ -354,8 +354,8 @@ func TestDatasetETagLifecycle(t *testing.T) {
 		t.Errorf("append-404 envelope: %q (err=%v)", bodyA, err)
 	}
 
-	// Malformed append (End < Start) is rejected by the shared
-	// incremental validation gate without touching the dataset.
+	// Malformed append (End < Start) is rejected by Sequence.Valid
+	// without touching the dataset.
 	respB, bodyB := do(t, "POST", ts.URL+"/v1/datasets/demo/append", "text/plain", "b1: A[5,1]\n")
 	if respB.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid append: %d %q, want 400", respB.StatusCode, bodyB)

@@ -38,9 +38,10 @@ import (
 //     the boot-time recovery outcome (duration, records replayed,
 //     torn-tail truncations). All zero when the server runs without
 //     persistence.
-//   - tpmd_blob_* (persist.Metrics): the file store beneath persistence
-//     — operations, payload bytes, and errors by operation (put, get,
-//     append_write, sync, ...); the backend label is always "file".
+//   - tpmd_blob_* (persist.Metrics): persistence's file layer over its
+//     data directory — operations, payload bytes, and errors by
+//     operation (put, get, append_write, sync, ...), injected failures
+//     included; the backend label is always "file".
 //     All zero when the server runs without persistence.
 //   - tpmd_resilience_*: the fault-handling layer — persistence retries
 //     by operation (registered and fed by persist.Metrics),

@@ -378,3 +378,42 @@ func TestRemoteRestartWithNewShardCount(t *testing.T) {
 		t.Error("kept worker decoded no push after the shard count changed")
 	}
 }
+
+// TestRemoteCoordinatorsShareWorker: two coordinators share one worker,
+// and each holds a dataset of the same name at the same version, with
+// different data. B's push replaces A's shards under the same keys, so
+// A's next mine, which misses A's cache, must notice by digest that the
+// worker holds other bytes and re-push, and every mine equals the
+// serial one.
+func TestRemoteCoordinatorsShareWorker(t *testing.T) {
+	worker := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	defer worker.Close()
+	cfg := Config{MaxConcurrentMines: 8, Shards: 2, ShardMinSeqs: 1,
+		Workers: []string{worker.URL}, WorkerProbeInterval: -time.Second}
+	csvs := map[string]string{"A": shardedCSV(), "B": appendCSV()}
+	urls := map[string]string{}
+	for _, name := range []string{"A", "B"} {
+		s := NewWithConfig(nil, cfg)
+		ts := httptest.NewServer(s.Handler())
+		defer func() { ts.Close(); s.Close() }()
+		if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", csvs[name]); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s put: %d %q", name, resp.StatusCode, body)
+		}
+		_, body := do(t, "GET", ts.URL+"/v1/datasets/d/shards", "", "")
+		var layout ShardLayout
+		if err := json.Unmarshal([]byte(body), &layout); err != nil || layout.Version != 1 || len(layout.Shards) < 2 {
+			t.Fatalf("%s shard layout %q (%v), want version 1 in at least 2 shards", name, body, err)
+		}
+		urls[name] = ts.URL
+	}
+	for _, step := range []struct{ name, spec string }{
+		{"A", `{"min_count":3}`},
+		{"B", `{"min_count":3}`},
+		{"A", `{"min_count":2}`},
+	} {
+		got := minePatterns(t, urls[step.name], step.spec)
+		if want := serialMine(t, step.spec, csvs[step.name]); got != want {
+			t.Errorf("coordinator %s, mine %s differs from serial:\nremote: %s\nserial: %s", step.name, step.spec, got, want)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tpminer/internal/incremental"
 	"tpminer/internal/interval"
 	"tpminer/internal/persist"
 )
@@ -191,16 +190,19 @@ func (st *datasetStore) put(name string, db *interval.Database) (sum DatasetSumm
 }
 
 // append extends the named dataset with add's sequences, copy-on-write,
-// under a new version. The increment is validated first, through the
-// incremental package's encoding gate, so the server and the
+// under a new version. Each sequence is validated first with
+// Sequence.Valid, the only check endpoint encoding (and so the
+// incremental miner's append) can fail, so the server and the
 // incremental miner accept exactly the same data. A missing dataset is
 // errNotFound unless create is set: then add becomes the dataset,
 // journaled as a put, in the same critical section that found it
 // missing — ingest's auto-create, which no concurrent PUT can slip
 // between.
 func (st *datasetStore) append(name string, add *interval.Database, create bool) (DatasetSummary, uint64, error) {
-	if err := incremental.ValidateSequences(add.Sequences...); err != nil {
-		return DatasetSummary{}, 0, fmt.Errorf("append rejected: %w", err)
+	for i := range add.Sequences {
+		if err := add.Sequences[i].Valid(); err != nil {
+			return DatasetSummary{}, 0, fmt.Errorf("append rejected: %w", err)
+		}
 	}
 	var e *datasetEntry
 	ver, err := st.commit("append", func() (change, error) {
