@@ -71,7 +71,9 @@ stream:
 	$(GO) test -race ./internal/jobs
 
 # Distributed-mining gate: the remote-worker conformance suite, the
-# push/registry/failover unit tests, the chaos schedule over flaky
+# pool's push, worker-health and failover unit tests, the
+# FuzzMinePathsAgree seeds (serial, in-process sharded and pool mines
+# with failover must agree), the chaos schedule over flaky
 # workers, the server-level acceptance test (remote byte-identical to
 # local sharded, exact failover when a worker dies mid-mine, no
 # goroutine leaks), and the two coordinator-restart tests (kept workers
@@ -79,7 +81,7 @@ stream:
 # replace them after a shard-count change), and the shared-worker test
 # (two coordinators holding the same dataset name and version with
 # different data each mine their own shards) — all under the race
-# detector, since the pool client and registry are exercised
+# detector, since the pool and its clients are exercised
 # concurrently by the coordinator's fan-out.
 dist:
 	$(GO) test -race ./internal/remote -count=1

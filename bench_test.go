@@ -126,8 +126,8 @@ func BenchmarkFig1aSharded(b *testing.B) {
 // remote HTTP workers over loopback, against the in-process sharded run
 // as reference. Every iteration pays the full wire cost (JSON mine
 // requests and responses) but the shard push happens once per worker at
-// setup — the content-addressed cache makes re-pushes free, which is
-// what a warm production deployment sees. workers=N splits the shards
+// setup — the pool skips pushing a shard version its worker already
+// holds, which is what a warm production deployment sees. workers=N splits the shards
 // across N worker servers; the gap to shards=N in BenchmarkFig1aSharded
 // is the HTTP tax on this dataset.
 func BenchmarkFig1aRemote(b *testing.B) {
@@ -143,9 +143,7 @@ func BenchmarkFig1aRemote(b *testing.B) {
 			defer ts.Close()
 			urls[i] = ts.URL
 		}
-		pool := remote.NewPool(urls, remote.PoolConfig{
-			Registry: remote.RegistryConfig{ProbeInterval: -1},
-		})
+		pool := remote.NewPool(urls, -1, remote.ClientOptions{}, nil)
 		defer pool.Close()
 		co := pool.Coordinator("bench", 1, db, part)
 		b.Run(fmt.Sprintf("workers=%d", nw), func(b *testing.B) {

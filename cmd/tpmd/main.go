@@ -48,10 +48,11 @@
 // health) and holds no datasets of its own. A -role=server process
 // given -workers=http://w1:9090,http://w2:9090 scatters the shards of
 // whole-dataset mines across those workers: each shard's sub-database
-// is pushed once per dataset version (content-addressed, gzip wire
-// encoding), mined remotely, and merged exactly as in-process sharding
-// would — an unreachable worker's shard is transparently re-mined
-// locally, so results, ETags, and cache keys never change. Worker
+// is pushed once per dataset version (keyed by dataset, version and
+// shard, verified by digest, gzip wire encoding), mined remotely, and
+// merged exactly as in-process sharding would — an unreachable
+// worker's shard is transparently re-mined locally, so results, ETags,
+// and cache keys never change. Worker
 // health is probed every -worker-probe-interval and reported on
 // GET /v1/readyz; per-dataset placement appears on
 // GET /v1/datasets/{name}/shards and traffic as tpmd_remote_* metrics.
@@ -134,41 +135,35 @@ func main() {
 	}
 }
 
-// runWorker serves the worker role: the /v1/worker/* surface (shard
-// push, mine, count, health, metrics) with the same graceful drain as
-// the server role. Workers hold only pushed shard payloads — all state
-// is re-pushable — so a worker restart costs one re-push per shard,
-// never data.
-func runWorker(addr string, mineTimeout, grace time.Duration, logger *slog.Logger) error {
-	ws := remote.NewWorkerServer(remote.WorkerConfig{Logger: logger, MineTimeout: mineTimeout})
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           ws.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+// serve runs srv until SIGINT or SIGTERM, then stops accepting
+// connections and drains in-flight requests for up to grace. It returns
+// the listener's error if the listener fails first, else the drain's.
+func serve(srv *http.Server, grace time.Duration, logger *slog.Logger) error {
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("worker listening", "addr", addr)
+		logger.Info("listening", "addr", srv.Addr)
 		errc <- srv.ListenAndServe()
 	}()
+	// SIGTERM is what container orchestrators send; treat it exactly
+	// like Ctrl-C so both get a graceful drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		logger.Info("signal received, draining worker requests", "grace", grace.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		logger.Info("worker drained, exiting")
-		return nil
 	}
+	logger.Info("signal received, draining in-flight requests", "grace", grace.String())
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	logger.Info("drained, exiting")
+	return nil
 }
 
 func run(args []string) error {
@@ -217,7 +212,12 @@ func run(args []string) error {
 	switch *role {
 	case "server":
 	case "worker":
-		return runWorker(*addr, *mineTimeout, *grace, logger)
+		// A worker serves only /v1/worker/* (shard push, mine, count,
+		// health, metrics). It holds only pushed shard payloads, all of
+		// them re-pushable, so a worker restart costs one re-push per
+		// shard, never data.
+		ws := remote.NewWorkerServer(remote.WorkerConfig{Logger: logger, MineTimeout: *mineTimeout})
+		return serve(&http.Server{Addr: *addr, Handler: ws.Handler(), ReadHeaderTimeout: 10 * time.Second}, *grace, logger)
 	default:
 		return fmt.Errorf("-role: unknown role %q (want server or worker)", *role)
 	}
@@ -294,18 +294,11 @@ func run(args []string) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr)
-		errc <- srv.ListenAndServe()
-	}()
-
 	// The pprof listener is separate from the API listener so the
 	// profiling surface is never reachable through the public address.
-	// It dies with the process; no graceful drain needed.
-	var pprofSrv *http.Server
+	// It holds no state, so it is closed without a drain.
 	if *pprofAddr != "" {
-		pprofSrv = &http.Server{
+		pprofSrv := &http.Server{
 			Addr:              *pprofAddr,
 			Handler:           http.DefaultServeMux,
 			ReadHeaderTimeout: 10 * time.Second,
@@ -316,36 +309,12 @@ func run(args []string) error {
 				logger.Error("pprof server failed", "error", err)
 			}
 		}()
+		defer pprofSrv.Close()
 	}
 
-	// SIGTERM is what container orchestrators send; treat it exactly
-	// like Ctrl-C so both get a graceful drain.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		closePersist()
-		return err
-	case <-ctx.Done():
-		logger.Info("signal received, draining in-flight requests", "grace", grace.String())
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if pprofSrv != nil {
-			// Best effort: the profiling listener holds no state to drain.
-			_ = pprofSrv.Close()
-		}
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			// Even a botched drain must not lose acknowledged
-			// mutations: flush the WAL before reporting the failure.
-			closePersist()
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			closePersist()
-			return err
-		}
-		closePersist()
-		logger.Info("drained, exiting")
-		return nil
-	}
+	err = serve(srv, *grace, logger)
+	// Even a failed listener or a botched drain must not lose
+	// acknowledged mutations: flush the WAL before reporting it.
+	closePersist()
+	return err
 }

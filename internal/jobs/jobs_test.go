@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tpminer/internal/api"
+	"tpminer/internal/obs"
 )
 
 // fakeRunner serves a settable pattern set + version per dataset.
@@ -310,6 +311,44 @@ func TestDebounceCoalescesBursts(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if got := r.runCount() - before; got > 3 {
 		t.Errorf("burst of 20 notifications caused %d runs, want ≤ 3", got)
+	}
+}
+
+// TestRunCountedBeforeDeltaPublished: a subscriber that has received
+// run k's delta reads at least k ok runs on tpmd_job_runs_total, so a
+// client that waits on the stream and then scrapes the counter never
+// sees it behind the deltas it holds.
+func TestRunCountedBeforeDeltaPublished(t *testing.T) {
+	r := &fakeRunner{}
+	met := NewMetrics(obs.NewRegistry())
+	m := newTestManager(t, r, newMemJournal(), func(c *Config) { c.Metrics = met })
+
+	// The dataset appears only after subscribing, so run 1 arrives as a
+	// delta on the stream rather than as a backlog snapshot.
+	st, err := m.Create(api.JobSpec{Dataset: "d", Mine: api.MineSpec{MiningOptions: api.MiningOptions{MinCount: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, backlog, err := m.Subscribe(st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if len(backlog) != 0 {
+		t.Fatalf("backlog before any run: %+v", backlog)
+	}
+	const runs = 60
+	for k := uint64(1); k <= runs; k++ {
+		r.set("d", k, pat("a", int(k)))
+		m.Notify("d", k)
+		ev := waitEvent(t, sub.C)
+		ok := met.Runs.With("ok").Value()
+		if ev.Type != EventDelta || ev.ID != k {
+			t.Fatalf("event = %+v, want delta run %d", ev, k)
+		}
+		if ok < k {
+			t.Fatalf("run %d's delta was readable while tpmd_job_runs_total{outcome=\"ok\"} = %d", k, ok)
+		}
 	}
 }
 

@@ -645,6 +645,10 @@ func (m *Manager) runOnce(j *job) {
 	}
 
 	ev := Event{ID: runSeq, Type: EventDelta, Data: deltaJSON}
+	// Count the run before any subscriber can read its delta, so a
+	// client holding the delta never scrapes a runs counter without it.
+	// The duration covers the publish, so it is observed after.
+	m.met.Runs.With("ok").Inc()
 	j.mu.Lock()
 	j.runSeq = runSeq
 	j.version = out.Version
@@ -652,7 +656,7 @@ func (m *Manager) runOnce(j *job) {
 	j.lastErr = ""
 	fanout, droppedNow := j.publishLocked(ev, m.cfg.RingSize)
 	j.mu.Unlock()
-	m.met.runDone("ok", time.Since(start))
+	m.met.RunDuration.Observe(time.Since(start).Seconds())
 	m.met.Events.Inc()
 	m.met.SSESent.Add(uint64(fanout))
 	m.met.SSEDropped.Add(uint64(len(droppedNow)))

@@ -14,6 +14,9 @@ import (
 // other subsystems (remote shard push) can reuse the codec instead of
 // inventing a second wire format.
 func EncodeDatabase(buf []byte, db *interval.Database) []byte {
+	if n := databaseLen(db); cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
 	return appendDatabase(buf, db)
 }
 

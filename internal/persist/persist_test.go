@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,6 +87,42 @@ func TestRecordEncodingRoundTrip(t *testing.T) {
 		if want.typ != recDelete && !reflect.DeepEqual(got.db.Sequences, want.db.Sequences) {
 			t.Errorf("round trip %s: database differs", want.typeName())
 		}
+	}
+}
+
+// TestDatabaseLenExact: databaseLen is the exact length of the varint
+// database encoding, across every varint width, so EncodeDatabase sizes
+// its buffer in one allocation.
+func TestDatabaseLenExact(t *testing.T) {
+	long := strings.Repeat("x", 200) // a two-byte length prefix
+	cases := []struct {
+		name string
+		db   *interval.Database
+	}{
+		{"empty database", &interval.Database{}},
+		{"empty sequence", &interval.Database{Sequences: []interval.Sequence{{ID: "s"}}}},
+		{"negative and 2^40 times", &interval.Database{Sequences: []interval.Sequence{{ID: "t", Intervals: []interval.Interval{
+			{Symbol: "A", Start: -1, End: 0},
+			{Symbol: "B", Start: -(1 << 40), End: 1 << 40},
+			{Symbol: "C", Start: math.MinInt64, End: math.MaxInt64},
+		}}}}},
+		{"multi-byte symbol", &interval.Database{Sequences: []interval.Sequence{{ID: "ünï" + long, Intervals: []interval.Interval{
+			{Symbol: "温度↑", Start: 63, End: 64},
+			{Symbol: long + "é", Start: 8191, End: 8192},
+		}}}}},
+		{"many sequences", testDB(3, 200, 9)},
+	}
+	for _, c := range cases {
+		if got, want := databaseLen(c.db), len(appendDatabase(nil, c.db)); got != want {
+			t.Errorf("%s: databaseLen = %d, encoding is %d bytes", c.name, got, want)
+		}
+		if got := len(EncodeDatabase(nil, c.db)); got != databaseLen(c.db) {
+			t.Errorf("%s: EncodeDatabase wrote %d bytes, databaseLen says %d", c.name, got, databaseLen(c.db))
+		}
+	}
+	db := testDB(1, 500, 10)
+	if n := testing.AllocsPerRun(20, func() { _ = EncodeDatabase(nil, db) }); n != 1 {
+		t.Errorf("EncodeDatabase of %d sequences made %v allocations, want 1", len(db.Sequences), n)
 	}
 }
 

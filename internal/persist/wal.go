@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"tpminer/internal/interval"
 )
@@ -188,6 +189,29 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// databaseLen is the exact length of appendDatabase's encoding of db,
+// so an encoder can size its buffer once.
+func databaseLen(db *interval.Database) int {
+	n := uvarintLen(uint64(len(db.Sequences)))
+	for i := range db.Sequences {
+		seq := &db.Sequences[i]
+		n += stringLen(seq.ID) + uvarintLen(uint64(len(seq.Intervals)))
+		for _, iv := range seq.Intervals {
+			n += stringLen(iv.Symbol) + varintLen(iv.Start) + varintLen(iv.End)
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x: one
+// byte per started group of 7 bits.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's zig-zag encoding of x.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 func appendDatabase(buf []byte, db *interval.Database) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(db.Sequences)))
 	for i := range db.Sequences {
@@ -208,7 +232,7 @@ func appendDatabase(buf []byte, db *interval.Database) []byte {
 func encodeRecord(rec record) []byte {
 	size := 1 + 2*binary.MaxVarintLen64 + len(rec.name) + len(rec.blob)
 	if rec.db != nil {
-		size += rec.db.NumIntervals()*8 + len(rec.db.Sequences)*4
+		size += databaseLen(rec.db)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, rec.typ)

@@ -9,103 +9,47 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
+	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 	"tpminer/internal/shard"
 )
 
-// Client defaults.
 const (
-	// DefaultPushTimeout bounds one shard push attempt.
-	DefaultPushTimeout = 30 * time.Second
-	// DefaultCountTimeout bounds one count attempt; counts scan the
-	// shard once per pattern batch and finish fast relative to mining.
-	DefaultCountTimeout = 2 * time.Minute
+	// pushTimeout bounds one shard push attempt.
+	pushTimeout = 30 * time.Second
+	// countTimeout bounds one count attempt; counts scan the shard once
+	// per pattern batch and finish fast relative to mining. A mine
+	// attempt has no bound of its own: the mine context's deadline
+	// governs.
+	countTimeout = 2 * time.Minute
 	// maxResponseBytes bounds a worker response the client will buffer.
 	maxResponseBytes = 1 << 31
 )
 
 // ClientOptions configures RemoteWorker instances. The zero value is
-// usable: default timeouts, the default retry policy, shared push state
-// per worker instance only.
+// usable: http.DefaultClient, the default retry policy, and metrics on
+// a private registry.
 type ClientOptions struct {
 	// HTTPClient issues the requests. nil means http.DefaultClient.
 	HTTPClient *http.Client
 	// Retry governs transient-failure retries per RPC. Zero value =
 	// resilience defaults (3 attempts, jittered backoff).
 	Retry resilience.RetryPolicy
-	// PushTimeout / CountTimeout / MineTimeout bound one attempt of the
-	// respective call, layered under the caller's context. Zero selects
-	// the default (for MineTimeout: no per-attempt bound — the mine
-	// context's deadline governs).
-	PushTimeout  time.Duration
-	CountTimeout time.Duration
-	MineTimeout  time.Duration
 	// Metrics receives client instrumentation; nil counts on a private
 	// registry.
 	Metrics *Metrics
-	// Tracker shares push state across workers and requests, so a shard
-	// is re-pushed only on version change (or after the worker reports
-	// it missing). nil creates a private tracker.
-	Tracker *PushTracker
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.HTTPClient == nil {
 		o.HTTPClient = http.DefaultClient
 	}
-	if o.PushTimeout <= 0 {
-		o.PushTimeout = DefaultPushTimeout
-	}
-	if o.CountTimeout <= 0 {
-		o.CountTimeout = DefaultCountTimeout
-	}
-	o.Metrics = ensureMetrics(o.Metrics)
-	if o.Tracker == nil {
-		o.Tracker = NewPushTracker()
+	if o.Metrics == nil {
+		o.Metrics = NewMetrics(obs.NewRegistry())
 	}
 	return o
-}
-
-// PushTracker remembers which worker holds which shard version, keyed
-// (worker, dataset, shard) → version. Versions are monotone, so storing
-// only the latest bounds the map at workers × datasets × shards.
-type PushTracker struct {
-	mu     sync.Mutex
-	pushed map[pushKey]uint64
-}
-
-type pushKey struct {
-	addr    string
-	dataset string
-	shard   int
-}
-
-// NewPushTracker creates an empty tracker.
-func NewPushTracker() *PushTracker {
-	return &PushTracker{pushed: make(map[pushKey]uint64)}
-}
-
-// Pushed reports whether addr is known to hold exactly k's version.
-func (t *PushTracker) Pushed(addr string, k ShardKey) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.pushed[pushKey{addr, k.Dataset, k.Shard}]
-	return ok && v == k.Version
-}
-
-func (t *PushTracker) mark(addr string, k ShardKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pushed[pushKey{addr, k.Dataset, k.Shard}] = k.Version
-}
-
-func (t *PushTracker) invalidate(addr string, k ShardKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.pushed, pushKey{addr, k.Dataset, k.Shard})
 }
 
 // RemoteWorker implements shard.Worker against one worker process over
@@ -114,15 +58,23 @@ func (t *PushTracker) invalidate(addr string, k ShardKey) {
 // errors, 5xx, a worker that lost the shard) under the configured
 // policy. Context cancellation is never retried.
 type RemoteWorker struct {
-	base string
-	data *ShardData
-	opt  ClientOptions
+	base   string
+	data   *ShardData
+	opt    ClientOptions
+	pushed *pushTracker
 }
 
 // NewRemoteWorker creates a client for the worker at base (e.g.
-// "http://10.0.0.7:9090") mining the shard held by data.
+// "http://10.0.0.7:9090") mining the shard held by data. Its push state
+// is its own; a Pool's workers share the pool's.
 func NewRemoteWorker(base string, data *ShardData, opt ClientOptions) *RemoteWorker {
-	return &RemoteWorker{base: strings.TrimRight(base, "/"), data: data, opt: opt.withDefaults()}
+	return newRemoteWorker(base, data, opt.withDefaults(), newPushTracker())
+}
+
+// newRemoteWorker creates a client that records pushes in pushed. opt
+// must already carry its defaults.
+func newRemoteWorker(base string, data *ShardData, opt ClientOptions, pushed *pushTracker) *RemoteWorker {
+	return &RemoteWorker{base: strings.TrimRight(base, "/"), data: data, opt: opt, pushed: pushed}
 }
 
 // WorkerAddr names this worker in wrapped fan-out errors.
@@ -139,7 +91,7 @@ func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*
 		wreq.TimeoutMillis = ms
 	}
 	var resp mineRespWire
-	if err := w.call(ctx, OpMine, w.opt.MineTimeout, "/v1/worker/mine", wreq, &resp); err != nil {
+	if err := w.call(ctx, OpMine, 0, "/v1/worker/mine", wreq, &resp); err != nil {
 		return nil, err
 	}
 	return &shard.MineShardResponse{Temporal: resp.Temporal, Coinc: resp.Coinc, Stats: resp.Stats}, nil
@@ -150,7 +102,7 @@ func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*sha
 	wreq := countWire{Key: w.data.Key, Digest: w.data.Digest(), Shard: req.Shard, Kind: req.Kind,
 		Temporal: req.Temporal, Coinc: req.Coinc, MaxSpan: req.MaxSpan, MaxGap: req.MaxGap}
 	var resp countRespWire
-	if err := w.call(ctx, OpCount, w.opt.CountTimeout, "/v1/worker/count", wreq, &resp); err != nil {
+	if err := w.call(ctx, OpCount, countTimeout, "/v1/worker/count", wreq, &resp); err != nil {
 		return nil, err
 	}
 	return &shard.CountResponse{Supports: resp.Supports}, nil
@@ -199,7 +151,8 @@ type ctxErr struct{ error }
 func (ctxErr) Is(target error) bool { return target == resilience.ErrPermanent }
 func (e ctxErr) Unwrap() error      { return e.error }
 
-// post issues one attempt of a JSON POST under the per-attempt timeout.
+// post issues one attempt of a JSON POST under the per-attempt
+// timeout; 0 leaves the attempt bounded by ctx alone.
 func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duration, path string, body []byte, out any) error {
 	actx := ctx
 	if timeout > 0 {
@@ -245,7 +198,7 @@ func (w *RemoteWorker) statusError(op string, status int, data []byte) error {
 	}
 	rerr := &RPCError{Op: op, Worker: w.base, Status: status, Code: ew.Error.Code, Err: errors.New(msg)}
 	if status == http.StatusNotFound && ew.Error.Code == codeShardNotLoaded {
-		w.opt.Tracker.invalidate(w.base, w.data.Key)
+		w.pushed.invalidate(w.base, w.data.Key)
 		return rerr // transient: the retry re-pushes and re-asks
 	}
 	if status >= 400 && status < 500 {
@@ -257,14 +210,14 @@ func (w *RemoteWorker) statusError(op string, status int, data []byte) error {
 // ensurePushed uploads the shard payload unless this worker is already
 // known to hold this exact version.
 func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
-	if w.opt.Tracker.Pushed(w.base, w.data.Key) {
+	if w.pushed.has(w.base, w.data.Key) {
 		return nil
 	}
 	payload, digest, err := w.data.Encode()
 	if err != nil {
 		return &RPCError{Op: OpPush, Worker: w.base, Err: err, permanent: true}
 	}
-	pctx, cancel := context.WithTimeout(ctx, w.opt.PushTimeout)
+	pctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPut, w.base+w.data.Key.path(), bytes.NewReader(payload))
 	if err != nil {
@@ -284,6 +237,6 @@ func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
 	}
 	w.opt.Metrics.Pushes.Inc()
 	w.opt.Metrics.PushBytes.Add(uint64(len(payload)))
-	w.opt.Tracker.mark(w.base, w.data.Key)
+	w.pushed.mark(w.base, w.data.Key)
 	return nil
 }

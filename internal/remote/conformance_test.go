@@ -140,16 +140,18 @@ func TestRemoteWorkerCountsLogicalCalls(t *testing.T) {
 	}
 }
 
-// TestFailoverWorkerConformance proves the failover wrapper is exact
-// even when the primary is permanently unreachable: every call lands on
-// the local fallback and the contract holds unchanged.
+// TestFailoverWorkerConformance proves the pool's failover worker is
+// exact even when its remote worker is permanently unreachable: every
+// call lands on the local worker and the contract holds unchanged.
 func TestFailoverWorkerConformance(t *testing.T) {
+	const dead = "http://127.0.0.1:1" // reserved port: connection refused
 	workertest.Run(t, workertest.Factory{
 		New: func(t *testing.T, db *interval.Database) shard.Worker {
-			dead := NewRemoteWorker("http://127.0.0.1:1", // reserved port: connection refused
-				NewShardData(ShardKey{Dataset: "conf", Version: 1, Shard: 0}, db),
-				ClientOptions{Retry: fastRetry})
-			return &Failover{Primary: dead, Fallback: shard.NewLocalWorker(db)}
+			pool := NewPool([]string{dead}, -1, ClientOptions{Retry: fastRetry}, nil)
+			t.Cleanup(pool.Close)
+			data := NewShardData(ShardKey{Dataset: "conf", Version: 1, Shard: 0}, db)
+			return &failover{pool: pool, addr: dead, remote: newRemoteWorker(dead, data, pool.copt, pool.pushed),
+				local: shard.NewLocalWorker(db)}
 		},
 	})
 }

@@ -1,8 +1,9 @@
 // Package remote implements shard.Worker over HTTP: a worker role that
 // caches pushed shard databases and mines them on request, a client that
-// speaks to it with per-call timeouts and transient-error retry, a
-// registry that tracks worker health, and an exact failover path that
-// re-mines an unreachable worker's shard on an in-process LocalWorker.
+// speaks to it with per-call timeouts and transient-error retry, and a
+// pool that tracks worker health and push state and builds each mine's
+// coordinator, whose remote shards fail over exactly: an unreachable
+// worker's shard is re-mined on an in-process LocalWorker.
 //
 // Exactness argument: the unit of distribution is the shard database,
 // pushed verbatim (keyed by dataset, version, and shard index, and
@@ -103,9 +104,9 @@ func IsUnavailable(err error) bool {
 	return errors.As(err, &re) && re.Unavailable()
 }
 
-// Metrics holds the client side's tpmd_remote_* handles; the pool, its
-// registry and its clients bump them directly, and NewMetrics documents
-// each in its HELP text.
+// Metrics holds the client side's tpmd_remote_* handles; the pool and
+// its clients bump them directly, and NewMetrics documents each in its
+// HELP text.
 type Metrics struct {
 	RPCs        *obs.CounterVec   // op, outcome: ok, error
 	RPCDuration *obs.HistogramVec // op
@@ -140,13 +141,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PushBytes: reg.NewCounter("tpmd_remote_shard_push_bytes_total",
 			"Compressed shard payload bytes pushed to remote workers."),
 	}
-}
-
-// ensureMetrics returns m, or handles on a private registry when m is
-// nil.
-func ensureMetrics(m *Metrics) *Metrics {
-	if m == nil {
-		return NewMetrics(obs.NewRegistry())
-	}
-	return m
 }

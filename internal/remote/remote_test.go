@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tpminer/internal/core"
+	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 	"tpminer/internal/shard"
 	"tpminer/internal/shard/workertest"
@@ -32,9 +33,9 @@ func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.inner.ServeHTTP(w, r)
 }
 
-// TestShardPushedOncePerVersion: with a shared tracker, repeated mines
-// of the same (dataset, version, shard) push exactly once; a version
-// bump pushes exactly once more.
+// TestShardPushedOncePerVersion: with the pool's shared push state,
+// repeated mines of the same (dataset, version, shard) push exactly
+// once; a version bump pushes exactly once more.
 func TestShardPushedOncePerVersion(t *testing.T) {
 	ws := NewWorkerServer(WorkerConfig{})
 	ch := &countingHandler{inner: ws.Handler()}
@@ -42,11 +43,11 @@ func TestShardPushedOncePerVersion(t *testing.T) {
 	defer ts.Close()
 
 	db := workertest.DB()
-	tracker := NewPushTracker()
-	opt := ClientOptions{Retry: fastRetry, Tracker: tracker}
+	pool := NewPool([]string{ts.URL}, -1, ClientOptions{Retry: fastRetry}, nil)
+	defer pool.Close()
 	req := &shard.MineShardRequest{Kind: shard.KindTemporal, Opt: core.Options{MinCount: 2, KeepOccurrences: true}}
 
-	w1 := NewRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, db), opt)
+	w1 := newRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, db), pool.copt, pool.pushed)
 	for i := 0; i < 3; i++ {
 		if _, err := w1.Mine(context.Background(), req); err != nil {
 			t.Fatalf("mine v1 #%d: %v", i, err)
@@ -56,7 +57,7 @@ func TestShardPushedOncePerVersion(t *testing.T) {
 		t.Errorf("after 3 mines of one version: %d pushes, want 1", got)
 	}
 
-	w2 := NewRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 2, Shard: 0}, db), opt)
+	w2 := newRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 2, Shard: 0}, db), pool.copt, pool.pushed)
 	if _, err := w2.Mine(context.Background(), req); err != nil {
 		t.Fatalf("mine v2: %v", err)
 	}
@@ -118,8 +119,9 @@ func TestWorkerRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestRegistryTransitions: a probe failure demotes a worker, recovery
-// re-admits it, and Healthy() keeps configuration order.
+// TestRegistryTransitions: a probe failure demotes a worker in the
+// pool, recovery re-admits it, and healthyAddrs keeps configuration
+// order.
 func TestRegistryTransitions(t *testing.T) {
 	var broken atomic.Bool
 	ws := NewWorkerServer(WorkerConfig{})
@@ -132,31 +134,31 @@ func TestRegistryTransitions(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	reg := NewRegistry([]string{ts.URL}, RegistryConfig{ProbeInterval: -1})
-	defer reg.Close()
-	if got := reg.Healthy(); len(got) != 1 {
+	pool := NewPool([]string{ts.URL}, -1, ClientOptions{}, nil)
+	defer pool.Close()
+	if got := pool.healthyAddrs(); len(got) != 1 {
 		t.Fatalf("initial healthy = %v, want 1 worker (optimistic start)", got)
 	}
 
 	broken.Store(true)
-	reg.ProbeNow(context.Background())
-	if got := reg.Healthy(); len(got) != 0 {
+	pool.probe(context.Background())
+	if got := pool.healthyAddrs(); len(got) != 0 {
 		t.Fatalf("after failed probe: healthy = %v, want none", got)
 	}
-	st := reg.Snapshot()
+	st := pool.Status().Workers
 	if len(st) != 1 || st[0].Healthy || st[0].LastError == "" {
 		t.Fatalf("snapshot after failure: %+v", st)
 	}
 
 	broken.Store(false)
-	reg.ProbeNow(context.Background())
-	if got := reg.Healthy(); len(got) != 1 {
+	pool.probe(context.Background())
+	if got := pool.healthyAddrs(); len(got) != 1 {
 		t.Fatalf("after recovery probe: healthy = %v, want re-admitted", got)
 	}
 
-	reg.MarkUnhealthy(ts.URL, errors.New("rpc failed"))
-	if got := reg.Healthy(); len(got) != 0 {
-		t.Fatalf("after MarkUnhealthy: healthy = %v, want none", got)
+	pool.setHealth(ts.URL, errors.New("rpc failed"))
+	if got := pool.healthyAddrs(); len(got) != 0 {
+		t.Fatalf("after a failed RPC: healthy = %v, want none", got)
 	}
 }
 
@@ -200,32 +202,18 @@ func TestFailoverMidMineExact(t *testing.T) {
 	defer ts.Close()
 	kh.kill.Store(true)
 
-	var failovers atomic.Int64
-	pool := NewPool([]string{ts.URL}, PoolConfig{
-		Client:   ClientOptions{Retry: fastRetry},
-		Registry: RegistryConfig{ProbeInterval: -1},
-	})
+	// Failovers are counted in tpmd_remote_failovers_total.
+	met := NewMetrics(obs.NewRegistry())
+	pool := NewPool([]string{ts.URL}, -1, ClientOptions{Retry: fastRetry, Metrics: met}, nil)
 	defer pool.Close()
 	co := pool.Coordinator("d", 1, db, part)
-	// Count failovers through the wrapper hooks.
-	for _, w := range co.Workers {
-		if fo, ok := w.(*Failover); ok {
-			prev := fo.OnFailover
-			fo.OnFailover = func(shardID int, err error) {
-				failovers.Add(1)
-				if prev != nil {
-					prev(shardID, err)
-				}
-			}
-		}
-	}
 
 	opt := core.Options{MinCount: 3}
 	got, gotStats, err := co.MineTemporal(context.Background(), opt)
 	if err != nil {
 		t.Fatalf("mine through failover: %v", err)
 	}
-	if failovers.Load() == 0 {
+	if met.Failovers.Value() == 0 {
 		t.Fatal("no failover fired; the kill switch did not engage")
 	}
 
@@ -242,7 +230,7 @@ func TestFailoverMidMineExact(t *testing.T) {
 		t.Errorf("failover stats differ from local:\ngot:  %+v\nwant: %+v", gotStats, wantStats)
 	}
 	// The failed worker was demoted without waiting for a probe.
-	if got := pool.Registry().Healthy(); len(got) != 0 {
+	if got := pool.healthyAddrs(); len(got) != 0 {
 		t.Errorf("failed worker still listed healthy: %v", got)
 	}
 }
@@ -260,10 +248,7 @@ func TestPoolCoordinatorEquivalence(t *testing.T) {
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
-	pool := NewPool(urls, PoolConfig{
-		Client:   ClientOptions{Retry: fastRetry},
-		Registry: RegistryConfig{ProbeInterval: -1},
-	})
+	pool := NewPool(urls, -1, ClientOptions{Retry: fastRetry}, nil)
 	defer pool.Close()
 
 	ctx := context.Background()
@@ -371,16 +356,13 @@ func TestChaosFlakyWorkers(t *testing.T) {
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
-	pool := NewPool(urls, PoolConfig{
-		Client:   ClientOptions{Retry: fastRetry},
-		Registry: RegistryConfig{ProbeInterval: -1},
-	})
+	pool := NewPool(urls, -1, ClientOptions{Retry: fastRetry}, nil)
 	defer pool.Close()
 
 	for i := 0; i < 20; i++ {
 		// Workers demoted by failovers get re-admitted between rounds,
 		// like the probe loop would do in production.
-		pool.Registry().ProbeNow(context.Background())
+		pool.probe(context.Background())
 		got, _, err := pool.Coordinator("d", 1, db, part).MineTemporal(context.Background(), opt)
 		if err != nil {
 			// A loud, attributed failure is acceptable under chaos; a

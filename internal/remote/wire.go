@@ -26,7 +26,8 @@ import (
 
 // shardDigestHeader carries the hex SHA-256 of the *uncompressed* shard
 // encoding on a push, so a worker detects corruption (or a codec
-// mismatch) before caching bad bytes under a content address.
+// mismatch) before caching bad bytes, and keeps the digest to check
+// each mine and count against.
 const shardDigestHeader = "X-Shard-Digest"
 
 // mineWire is the body of POST /v1/worker/mine.
@@ -150,8 +151,9 @@ func (d *ShardData) Encode() (payload []byte, digest string, err error) {
 }
 
 // decodeShardPayload inflates and decodes one pushed shard body,
-// verifying the declared digest, which it requires: a worker caches a
-// shard under a content address, so it never caches unverified bytes.
+// verifying the declared digest, which it requires: every mine and
+// count names the shard by its digest, so a worker never caches
+// unverified bytes.
 // maxBytes bounds the inflated size so a hostile or corrupt payload
 // cannot balloon worker memory.
 func decodeShardPayload(r io.Reader, wantDigest string, maxBytes int64) (*interval.Database, int64, error) {

@@ -18,12 +18,12 @@ import (
 	"tpminer/internal/shard"
 )
 
-// Worker-server defaults.
+// Worker-server limits.
 const (
-	// DefaultMaxCachedShards bounds the shard cache; past it the
+	// maxCachedShards bounds the shard cache; past it the
 	// least-recently-used entry is evicted (the coordinator will simply
 	// re-push on the next request for it).
-	DefaultMaxCachedShards = 256
+	maxCachedShards = 256
 	// DefaultMaxShardBytes bounds one shard's inflated payload.
 	DefaultMaxShardBytes = 1 << 30
 )
@@ -32,9 +32,6 @@ const (
 type WorkerConfig struct {
 	// Logger may be nil (logging disabled).
 	Logger *slog.Logger
-	// MaxCachedShards caps the shard cache. 0 means
-	// DefaultMaxCachedShards.
-	MaxCachedShards int
 	// MaxShardBytes caps one pushed shard's inflated size. 0 means
 	// DefaultMaxShardBytes.
 	MaxShardBytes int64
@@ -42,9 +39,6 @@ type WorkerConfig struct {
 	// call, applied on top of the client's declared budget. 0 disables
 	// it (the request context still bounds the work).
 	MineTimeout time.Duration
-	// Registry receives the worker's metrics and backs
-	// GET /v1/worker/metrics. nil creates a private registry.
-	Registry *obs.Registry
 }
 
 // cachedShard is one pushed shard: a ready-to-mine LocalWorker, the
@@ -81,16 +75,11 @@ func NewWorkerServer(cfg WorkerConfig) *WorkerServer {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
-	if cfg.MaxCachedShards <= 0 {
-		cfg.MaxCachedShards = DefaultMaxCachedShards
-	}
 	if cfg.MaxShardBytes <= 0 {
 		cfg.MaxShardBytes = DefaultMaxShardBytes
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	// The worker's own registry backs GET /v1/worker/metrics.
+	reg := obs.NewRegistry()
 	return &WorkerServer{
 		cfg:    cfg,
 		logger: cfg.Logger,
@@ -155,7 +144,7 @@ func (ws *WorkerServer) store(key ShardKey, cs *cachedShard) {
 	ws.clock++
 	cs.lastUse = ws.clock
 	ws.shards[key] = cs
-	for len(ws.shards) > ws.cfg.MaxCachedShards {
+	for len(ws.shards) > maxCachedShards {
 		var (
 			oldest    ShardKey
 			oldestUse = uint64(1<<64 - 1)

@@ -56,9 +56,9 @@ import (
 //     replay records the coordinator's events with its own sink.
 //   - tpmd_remote_* (remote.Metrics): the distributed deployment —
 //     worker RPCs by operation and outcome with latency, wire bytes by
-//     direction, retries, local failovers, registry health (healthy vs
-//     configured workers), and shard pushes with their compressed
-//     bytes. All zero when the server runs without -workers.
+//     direction, retries, local failovers, the pool's worker health
+//     (healthy vs configured workers), and shard pushes with their
+//     compressed bytes. All zero when the server runs without -workers.
 //   - tpmd_job_* / tpmd_sse_* (jobs.Metrics): continuous mining —
 //     resident job count, runs by outcome and their duration, delta
 //     events published, live SSE subscribers, events fanned out to

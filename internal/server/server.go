@@ -415,11 +415,7 @@ func NewWithConfig(logger *slog.Logger, cfg Config) *Server {
 		}
 	}
 	if len(cfg.Workers) > 0 {
-		s.pool = remote.NewPool(cfg.Workers, remote.PoolConfig{
-			Registry: remote.RegistryConfig{ProbeInterval: cfg.WorkerProbeInterval},
-			Logger:   logger,
-			Metrics:  met.remote,
-		})
+		s.pool = remote.NewPool(cfg.Workers, cfg.WorkerProbeInterval, remote.ClientOptions{Metrics: met.remote}, logger)
 	}
 	s.ingest = &ingestPool{s: s, batchers: make(map[string]*ingestBatcher)}
 	jm, err := jobs.New(jobs.Config{
