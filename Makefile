@@ -19,11 +19,12 @@ test:
 # error result means silent data loss, plus the server and jobs
 # packages, where a dropped error can lose an ingest batch or a job
 # journal entry, the shard coordinator and request contract that every
-# mine runs through, and tpmd, which opens, inspects and closes the
-# store. vet plus the repo's own errcheck-style checker (cmd/errlint);
-# assign to _ to mark a deliberately best-effort call.
+# mine runs through, core, which holds the one mining entry point, and
+# tpmd, which opens, inspects and closes the store. vet plus the repo's
+# own errcheck-style checker (cmd/errlint); assign to _ to mark a
+# deliberately best-effort call.
 lint: vet
-	$(GO) run ./cmd/errlint ./internal/persist ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/api ./cmd/tpmd
+	$(GO) run ./cmd/errlint ./internal/persist ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/core ./internal/api ./cmd/tpmd
 
 # Race-enabled run; the cancellation/backpressure tests exercise real
 # concurrency, so this is the form CI should run.
@@ -71,9 +72,11 @@ stream:
 	$(GO) test -race ./internal/jobs
 
 # Distributed-mining gate: the remote-worker conformance suite, the
-# pool's push, worker-health and failover unit tests, the
+# pool's push, worker-health, address and failover unit tests, the
 # FuzzMinePathsAgree seeds (serial, in-process sharded and pool mines
-# with failover must agree), the chaos schedule over flaky
+# with failover must agree with each other and with the brute-force
+# oracle, before and after the closed and maximal filters, all through
+# core.Mine and core.Filter), the chaos schedule over flaky
 # workers, the server-level acceptance test (remote byte-identical to
 # local sharded, exact failover when a worker dies mid-mine, no
 # goroutine leaks), and the two coordinator-restart tests (kept workers

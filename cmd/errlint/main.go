@@ -4,12 +4,14 @@
 // silently dropped error becomes data loss — the Inspect size bug and
 // the ignored directory-fsync result both shipped that way — so `make
 // lint` runs this over it, and over the server, jobs, remote, shard,
-// api and tpmd packages, and fails on any finding.
+// core, api and tpmd packages, and fails on any finding.
 //
 //	go run ./cmd/errlint ./internal/persist ./internal/server
 //
 // Each argument is a directory; its package and every nested package
-// are type-checked (tests excluded) and scanned. A finding is an
+// are type-checked (tests excluded) and scanned. Each package is
+// type-checked once, whether it is first reached as an import or as an
+// argument, so the argument order never matters. A finding is an
 // expression statement whose call returns an error (alone or in a
 // tuple) that nothing consumes. Assigning to _ is deliberate and not
 // flagged; functions whose contract is best-effort should take that
@@ -29,6 +31,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -44,14 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "errlint:", err)
 		os.Exit(2)
 	}
-	l := &linter{
-		fset:   token.NewFileSet(),
-		root:   root,
-		module: module,
-		cache:  map[string]*types.Package{},
-	}
-	l.fallback = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-
+	l := newLinter(root, module)
 	var dirs []string
 	for _, arg := range os.Args[1:] {
 		sub, err := packageDirs(arg)
@@ -133,8 +129,22 @@ type linter struct {
 	fset     *token.FileSet
 	root     string // module root directory
 	module   string // module path
-	cache    map[string]*types.Package
+	cache    map[string]*checked
 	fallback types.ImporterFrom
+}
+
+// checked is one type-checked package with the syntax and type
+// information the lint pass reads.
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+func newLinter(root, module string) *linter {
+	l := &linter{fset: token.NewFileSet(), root: root, module: module, cache: map[string]*checked{}}
+	l.fallback = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	return l
 }
 
 // Import / ImportFrom make the linter its own importer: module-local
@@ -143,26 +153,28 @@ type linter struct {
 func (l *linter) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
 
 func (l *linter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
-	}
 	if rel, ok := strings.CutPrefix(path, l.module+"/"); ok {
-		pkg, _, err := l.check(filepath.Join(l.root, rel), path, nil)
+		c, err := l.check(filepath.Join(l.root, rel), path)
 		if err != nil {
 			return nil, err
 		}
-		l.cache[path] = pkg
-		return pkg, nil
+		return c.pkg, nil
 	}
 	return l.fallback.ImportFrom(path, dir, mode)
 }
 
-// check parses and type-checks the non-test files of one directory. If
-// info is non-nil it is filled for the lint pass.
-func (l *linter) check(dir, importPath string, info *types.Info) (*types.Package, []*ast.File, error) {
+// check parses and type-checks the non-test files of one directory,
+// once per import path: whether a package is first reached as an import
+// or as a lint target, every later use gets the same *types.Package. A
+// second check would make a second package, and a package importing
+// both copies would see two types of one name.
+func (l *linter) check(dir, importPath string) (*checked, error) {
+	if c, ok := l.cache[importPath]; ok {
+		return c, nil
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
 	for _, e := range ents {
@@ -172,16 +184,22 @@ func (l *linter) check(dir, importPath string, info *types.Info) (*types.Package
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("no Go files in %s", dir)
+		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(importPath, l.fset, files, info)
-	return pkg, files, err
+	if err != nil {
+		return nil, err
+	}
+	c := &checked{pkg: pkg, files: files, info: info}
+	l.cache[importPath] = c
+	return c, nil
 }
 
 // lintDir type-checks one directory and reports unchecked errors.
@@ -194,16 +212,13 @@ func (l *linter) lintDir(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	importPath := l.module + "/" + filepath.ToSlash(rel)
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-	pkg, files, err := l.check(abs, importPath, info)
+	c, err := l.check(abs, path.Join(l.module, filepath.ToSlash(rel)))
 	if err != nil {
 		return 0, err
 	}
-	l.cache[importPath] = pkg
 
 	findings := 0
-	for _, f := range files {
+	for _, f := range c.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {
@@ -213,7 +228,7 @@ func (l *linter) lintDir(dir string) (int, error) {
 			if !ok {
 				return true
 			}
-			if returnsError(info.Types[call].Type) {
+			if returnsError(c.info.Types[call].Type) {
 				pos := l.fset.Position(call.Pos())
 				fmt.Printf("%s: result of %s is never checked (returns error)\n",
 					pos, calleeName(call))

@@ -147,102 +147,71 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *topk > 0 && *algo != "ptpminer" {
 		return fmt.Errorf("-topk is only supported with -algo ptpminer")
 	}
-	if *closed && *maximal {
+	filter := ""
+	switch {
+	case *closed && *maximal:
 		return fmt.Errorf("-closed and -maximal are mutually exclusive")
+	case *closed:
+		filter = "closed"
+	case *maximal:
+		filter = "maximal"
 	}
 
-	switch *ptype {
-	case "temporal":
-		miner, err := temporalMiner(ctx, *algo)
-		if err != nil {
-			return err
-		}
-		var (
-			rs []pattern.TemporalResult
-			st core.Stats
-		)
-		if *topk > 0 {
-			rs, st, err = core.MineTemporalTopKCtx(ctx, db, *topk, opt)
-		} else {
-			rs, st, err = miner(db, opt)
-		}
-		if err != nil {
-			return err
-		}
-		if *closed {
-			rs = core.FilterClosed(rs)
-		}
-		if *maximal {
-			rs = core.FilterMaximal(rs)
-		}
-		switch {
-		case *jsonOut:
-			if err := dataio.WriteTemporalResultsJSON(w, rs); err != nil {
-				return err
-			}
-		case *renderPat:
-			for _, r := range rs {
-				if _, err := fmt.Fprintf(w, "support %d: %s\n%s\n", r.Support,
-					r.Pattern.RelationSummary(), render.Pattern(r.Pattern, render.Options{})); err != nil {
-					return err
-				}
-			}
-		case *relations:
-			for _, r := range rs {
-				if _, err := fmt.Fprintf(w, "%d\t%s\t%s\n", r.Support, r.Pattern, r.Pattern.RelationSummary()); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := dataio.WriteTemporalResults(w, rs); err != nil {
-				return err
-			}
-		}
-		if *rulesMin > 0 {
-			derived, err := rules.Derive(rs, db, rules.Options{MinConfidence: *rulesMin})
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "\n# association rules (min confidence %g)\n%s",
-				*rulesMin, rules.Format(derived)); err != nil {
-				return err
-			}
-		}
-		printStats(stderr, *stats, len(rs), st)
-	case "coincidence":
-		miner, err := coincMiner(ctx, *algo)
-		if err != nil {
-			return err
-		}
-		var (
-			rs []pattern.CoincResult
-			st core.Stats
-		)
-		if *topk > 0 {
-			rs, st, err = core.MineCoincidenceTopKCtx(ctx, db, *topk, opt)
-		} else {
-			rs, st, err = miner(db, opt)
-		}
-		if err != nil {
-			return err
-		}
-		if *closed {
-			rs = core.FilterClosedCoinc(rs)
-		}
-		if *maximal {
-			rs = core.FilterMaximalCoinc(rs)
-		}
-		if *jsonOut {
-			if err := dataio.WriteCoincResultsJSON(w, rs); err != nil {
-				return err
-			}
-		} else if err := dataio.WriteCoincResults(w, rs); err != nil {
-			return err
-		}
-		printStats(stderr, *stats, len(rs), st)
-	default:
+	kind := core.Kind(*ptype)
+	if kind != core.KindTemporal && kind != core.KindCoincidence {
 		return fmt.Errorf("unknown -type %q (want temporal or coincidence)", *ptype)
 	}
+	res, err := mine(ctx, db, kind, *algo, *topk, opt)
+	if err != nil {
+		return err
+	}
+	// -timeout bounds the mine, not the filter.
+	if err := core.Filter(context.Background(), res, filter); err != nil {
+		return err
+	}
+	rs := res.Temporal
+	switch {
+	case kind == core.KindCoincidence && *jsonOut:
+		if err := dataio.WriteCoincResultsJSON(w, res.Coinc); err != nil {
+			return err
+		}
+	case kind == core.KindCoincidence:
+		if err := dataio.WriteCoincResults(w, res.Coinc); err != nil {
+			return err
+		}
+	case *jsonOut:
+		if err := dataio.WriteTemporalResultsJSON(w, rs); err != nil {
+			return err
+		}
+	case *renderPat:
+		for _, r := range rs {
+			if _, err := fmt.Fprintf(w, "support %d: %s\n%s\n", r.Support,
+				r.Pattern.RelationSummary(), render.Pattern(r.Pattern, render.Options{})); err != nil {
+				return err
+			}
+		}
+	case *relations:
+		for _, r := range rs {
+			if _, err := fmt.Fprintf(w, "%d\t%s\t%s\n", r.Support, r.Pattern, r.Pattern.RelationSummary()); err != nil {
+				return err
+			}
+		}
+	default:
+		if err := dataio.WriteTemporalResults(w, rs); err != nil {
+			return err
+		}
+	}
+	if *rulesMin > 0 {
+		derived, err := rules.Derive(rs, db, rules.Options{MinConfidence: *rulesMin})
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "\n# association rules (min confidence %g)\n%s",
+			*rulesMin, rules.Format(derived)); err != nil {
+			return err
+		}
+	}
+	printStats(stderr, *stats, res.Len(), res.Stats)
 	return nil
 }
 
@@ -309,32 +278,29 @@ func readDatabase(path, format string) (*interval.Database, error) {
 	}
 }
 
-func temporalMiner(ctx context.Context, algo string) (func(*interval.Database, core.Options) ([]pattern.TemporalResult, core.Stats, error), error) {
-	switch algo {
-	case "ptpminer":
-		return func(db *interval.Database, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
-			return core.MineTemporalCtx(ctx, db, opt)
-		}, nil
-	case "tprefixspan":
-		return baseline.TPrefixSpan, nil
-	case "apriori":
-		return baseline.AprioriTemporal, nil
+// mine runs the -algo miner: ptpminer is core.Mine, and the evaluation's
+// baselines, which have no top-k, answer in the same result shape.
+func mine(ctx context.Context, db *interval.Database, kind core.Kind, algo string, k int, opt core.Options) (*core.Result, error) {
+	var (
+		r   core.Result
+		err error
+	)
+	switch {
+	case algo == "ptpminer":
+		return core.Mine(ctx, db, kind, k, opt)
+	case kind == core.KindTemporal && algo == "tprefixspan":
+		r.Temporal, r.Stats, err = baseline.TPrefixSpan(db, opt)
+	case kind == core.KindTemporal && algo == "apriori":
+		r.Temporal, r.Stats, err = baseline.AprioriTemporal(db, opt)
+	case kind == core.KindCoincidence && algo == "apriori":
+		r.Coinc, r.Stats, err = baseline.AprioriCoincidence(db, opt)
 	default:
-		return nil, fmt.Errorf("unknown -algo %q for temporal mining", algo)
+		return nil, fmt.Errorf("unknown -algo %q for %s mining", algo, kind)
 	}
-}
-
-func coincMiner(ctx context.Context, algo string) (func(*interval.Database, core.Options) ([]pattern.CoincResult, core.Stats, error), error) {
-	switch algo {
-	case "ptpminer":
-		return func(db *interval.Database, opt core.Options) ([]pattern.CoincResult, core.Stats, error) {
-			return core.MineCoincidenceCtx(ctx, db, opt)
-		}, nil
-	case "apriori":
-		return baseline.AprioriCoincidence, nil
-	default:
-		return nil, fmt.Errorf("unknown -algo %q for coincidence mining", algo)
+	if err != nil {
+		return nil, err
 	}
+	return &r, nil
 }
 
 func printStats(w io.Writer, enabled bool, n int, st core.Stats) {

@@ -39,31 +39,34 @@ var ctxMiners = []struct {
 	mine func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error)
 }{
 	{"temporal", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		rs, st, err := MineTemporalCtx(ctx, db, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindTemporal, 0, opt)
 	}},
 	{"coincidence", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		rs, st, err := MineCoincidenceCtx(ctx, db, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindCoincidence, 0, opt)
 	}},
 	{"temporal-parallel", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
 		opt.Parallel = 4
-		rs, st, err := MineTemporalCtx(ctx, db, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindTemporal, 0, opt)
 	}},
 	{"coincidence-parallel", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
 		opt.Parallel = 4
-		rs, st, err := MineCoincidenceCtx(ctx, db, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindCoincidence, 0, opt)
 	}},
 	{"temporal-topk", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		rs, st, err := MineTemporalTopKCtx(ctx, db, 1000, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindTemporal, 1000, opt)
 	}},
 	{"coincidence-topk", func(ctx context.Context, db *interval.Database, opt Options) (int, Stats, error) {
-		rs, st, err := MineCoincidenceTopKCtx(ctx, db, 1000, opt)
-		return len(rs), st, err
+		return mineCount(ctx, db, KindCoincidence, 1000, opt)
 	}},
+}
+
+// mineCount runs Mine and returns its result count and stats.
+func mineCount(ctx context.Context, db *interval.Database, kind Kind, k int, opt Options) (int, Stats, error) {
+	r, err := Mine(ctx, db, kind, k, opt)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	return r.Len(), r.Stats, nil
 }
 
 // TestCancelMidMine cancels an in-flight mine on an explosive dataset
@@ -204,17 +207,12 @@ func TestCancelledFilters(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FilterClosedCtx(ctx, rs); !errors.Is(err, context.Canceled) {
-		t.Errorf("FilterClosedCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := FilterMaximalCtx(ctx, rs); !errors.Is(err, context.Canceled) {
-		t.Errorf("FilterMaximalCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := FilterClosedCoincCtx(ctx, crs); !errors.Is(err, context.Canceled) {
-		t.Errorf("FilterClosedCoincCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := FilterMaximalCoincCtx(ctx, crs); !errors.Is(err, context.Canceled) {
-		t.Errorf("FilterMaximalCoincCtx err = %v, want context.Canceled", err)
+	for _, r := range []*Result{{Temporal: rs}, {Coinc: crs}} {
+		for _, which := range []string{"closed", "maximal"} {
+			if err := Filter(ctx, r, which); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s filter of %d patterns: err = %v, want context.Canceled", which, r.Len(), err)
+			}
+		}
 	}
 }
 

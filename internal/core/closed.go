@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"tpminer/internal/coincidence"
 	"tpminer/internal/endpoint"
@@ -79,35 +80,6 @@ func SubPattern(p, q pattern.Temporal) bool {
 	return pattern.ContainsAny(patternAsSequence(q), p)
 }
 
-// FilterClosed keeps only closed patterns: those with no proper
-// super-pattern of equal support in rs. The input is not modified; the
-// output is sorted.
-func FilterClosed(rs []pattern.TemporalResult) []pattern.TemporalResult {
-	out, _ := FilterClosedCtx(context.Background(), rs)
-	return out
-}
-
-// FilterClosedCtx is FilterClosed with cooperative cancellation: the
-// quadratic subsumption scan polls ctx and aborts with ctx.Err() and a
-// nil result when it is cancelled.
-func FilterClosedCtx(ctx context.Context, rs []pattern.TemporalResult) ([]pattern.TemporalResult, error) {
-	return filterSubsumed(ctx, rs, true, patternAsSequence, pattern.ContainsAny)
-}
-
-// FilterMaximal keeps only maximal patterns: those with no proper
-// frequent super-pattern in rs at all. Maximal sets are smaller than
-// closed sets but lose exact supports of sub-patterns.
-func FilterMaximal(rs []pattern.TemporalResult) []pattern.TemporalResult {
-	out, _ := FilterMaximalCtx(context.Background(), rs)
-	return out
-}
-
-// FilterMaximalCtx is FilterMaximal with cooperative cancellation; see
-// FilterClosedCtx.
-func FilterMaximalCtx(ctx context.Context, rs []pattern.TemporalResult) ([]pattern.TemporalResult, error) {
-	return filterSubsumed(ctx, rs, false, patternAsSequence, pattern.ContainsAny)
-}
-
 // SubCoincPattern reports whether p is contained in q. Every pattern
 // subsumes itself.
 func SubCoincPattern(p, q pattern.Coinc) bool {
@@ -127,30 +99,34 @@ func coincElements(q pattern.Coinc) []coincidence.Coincidence {
 	return out
 }
 
-// FilterClosedCoinc keeps only closed coincidence patterns: those with
-// no proper super-pattern of equal support in rs.
-func FilterClosedCoinc(rs []pattern.CoincResult) []pattern.CoincResult {
-	out, _ := FilterClosedCoincCtx(context.Background(), rs)
-	return out
-}
-
-// FilterClosedCoincCtx is FilterClosedCoinc with cooperative
-// cancellation; see FilterClosedCtx.
-func FilterClosedCoincCtx(ctx context.Context, rs []pattern.CoincResult) ([]pattern.CoincResult, error) {
-	return filterSubsumed(ctx, rs, true, coincElements, pattern.ContainsCoinc)
-}
-
-// FilterMaximalCoinc keeps only maximal coincidence patterns: those
-// with no proper frequent super-pattern in rs at all.
-func FilterMaximalCoinc(rs []pattern.CoincResult) []pattern.CoincResult {
-	out, _ := FilterMaximalCoincCtx(context.Background(), rs)
-	return out
-}
-
-// FilterMaximalCoincCtx is FilterMaximalCoinc with cooperative
-// cancellation; see FilterClosedCtx.
-func FilterMaximalCoincCtx(ctx context.Context, rs []pattern.CoincResult) ([]pattern.CoincResult, error) {
-	return filterSubsumed(ctx, rs, false, coincElements, pattern.ContainsCoinc)
+// Filter keeps, in place, the closed (which == "closed") or maximal
+// (which == "maximal") patterns of r; "" keeps every pattern. A closed
+// pattern has no proper super-pattern of equal support in r, and a
+// maximal one none at all: maximal sets are smaller than closed sets but
+// lose the exact supports of sub-patterns. The kept patterns are sorted.
+// The quadratic subsumption scan polls ctx and aborts with ctx.Err(),
+// leaving r as it was, when it is cancelled.
+func Filter(ctx context.Context, r *Result, which string) error {
+	var closed bool
+	switch which {
+	case "":
+		return nil
+	case "closed":
+		closed = true
+	case "maximal":
+	default:
+		return fmt.Errorf("core: unknown filter %q", which)
+	}
+	ts, err := filterSubsumed(ctx, r.Temporal, closed, patternAsSequence, pattern.ContainsAny)
+	if err != nil {
+		return err
+	}
+	cs, err := filterSubsumed(ctx, r.Coinc, closed, coincElements, pattern.ContainsCoinc)
+	if err != nil {
+		return err
+	}
+	r.Temporal, r.Coinc = ts, cs
+	return nil
 }
 
 // filterSubsumed drops every result that a strictly larger result of rs
@@ -161,6 +137,9 @@ func filterSubsumed[P pattern.Pattern, S any](ctx context.Context, rs []pattern.
 	materialize func(P) S, contains func(S, P) bool) ([]pattern.Result[P], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if len(rs) == 0 {
+		return rs, nil
 	}
 	supers := make([]S, len(rs))
 	for i := range rs {

@@ -1,34 +1,9 @@
 package core
 
 import (
-	"context"
-
-	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
 	"tpminer/internal/seqdb"
 )
-
-// MineCoincidence discovers all frequent coincidence patterns of the
-// database. Results are sorted deterministically. Unlike temporal
-// mining, the same symbol may appear in many segments of a sequence, so
-// the miner uses full PrefixSpan semantics with earliest-match
-// projection. Prunings P2/P3 are endpoint-specific and do not apply;
-// P1 and P4 do.
-func MineCoincidence(db *interval.Database, opt Options) ([]pattern.CoincResult, Stats, error) {
-	return MineCoincidenceCtx(context.Background(), db, opt)
-}
-
-// MineCoincidenceCtx is MineCoincidence with cooperative cancellation
-// and resource budgets; see MineTemporalCtx for the contract.
-func MineCoincidenceCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.CoincResult, Stats, error) {
-	return mineCoincidence(ctx, db, 0, opt)
-}
-
-// mineCoincidence is the coincidence instance of the mining skeleton
-// (see mineKind). Results are sorted.
-func mineCoincidence(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	return mineKind(ctx, db, k, opt, seqdb.EncodeCoincidenceDB, newCoincMiner, pattern.SortResults[pattern.Coinc])
-}
 
 // coincProjEntry is one sequence of a coincidence pseudo-projection:
 // loc is the earliest match of the prefix's last element, pointing at its

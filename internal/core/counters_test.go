@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestSearchCountersPinned(t *testing.T) {
 			return st, err
 		}, searchCounters{Nodes: 86, Emitted: 26, CandidateScans: 248, ItemsRemoved: 2, PairPruned: 444, PostfixPruned: 73, SizePruned: 20}},
 		{"temporal top-k", func() (Stats, error) {
-			_, st, err := MineTemporalTopK(tdb, 5, topt)
+			_, st, err := mineCount(context.Background(), tdb, KindTemporal, 5, topt)
 			return st, err
 		}, searchCounters{Nodes: 58, Emitted: 16, CandidateScans: 189, ItemsRemoved: 2, PairPruned: 367, PostfixPruned: 52, SizePruned: 16}},
 		{"coincidence", func() (Stats, error) {
@@ -53,7 +54,7 @@ func TestSearchCountersPinned(t *testing.T) {
 			return st, err
 		}, searchCounters{Nodes: 72, Emitted: 71, CandidateScans: 288, ItemsRemoved: 1}},
 		{"coincidence top-k", func() (Stats, error) {
-			_, st, err := MineCoincidenceTopK(cdb, 5, copt)
+			_, st, err := mineCount(context.Background(), cdb, KindCoincidence, 5, copt)
 			return st, err
 		}, searchCounters{Nodes: 22, Emitted: 21, CandidateScans: 97, ItemsRemoved: 1, SizePruned: 8}},
 	}

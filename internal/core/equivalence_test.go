@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -218,8 +219,8 @@ func TestParallelClosedMaximal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantClosed := core.FilterClosed(rsSerial)
-		wantMaximal := core.FilterMaximal(rsSerial)
+		wantClosed := filterTemporal(t, rsSerial, "closed")
+		wantMaximal := filterTemporal(t, rsSerial, "maximal")
 
 		for _, workers := range []int{2, 4, 8} {
 			par := serial
@@ -228,10 +229,10 @@ func TestParallelClosedMaximal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := core.FilterClosed(rsPar); !pattern.ResultsEqual(got, wantClosed) {
+			if got := filterTemporal(t, rsPar, "closed"); !pattern.ResultsEqual(got, wantClosed) {
 				t.Fatalf("trial %d (parallel=%d): closed filter differs: %d vs %d", trial, workers, len(got), len(wantClosed))
 			}
-			if got := core.FilterMaximal(rsPar); !pattern.ResultsEqual(got, wantMaximal) {
+			if got := filterTemporal(t, rsPar, "maximal"); !pattern.ResultsEqual(got, wantMaximal) {
 				t.Fatalf("trial %d (parallel=%d): maximal filter differs: %d vs %d", trial, workers, len(got), len(wantMaximal))
 			}
 		}
@@ -241,37 +242,38 @@ func TestParallelClosedMaximal(t *testing.T) {
 // TestParallelTopKMatchesSerial: top-k mining honors Options.Parallel
 // and returns exactly the serial top-k result for every worker count.
 func TestParallelTopKMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 3; trial++ {
 		db := randomDB(rng, 20, 6, 4, 30)
 		for _, k := range []int{1, 5, 25} {
 			serial := core.Options{MinCount: 2}
-			wantT, _, err := core.MineTemporalTopK(db, k, serial)
+			wantT, err := core.Mine(ctx, db, core.KindTemporal, k, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantC, _, err := core.MineCoincidenceTopK(db, k, serial)
+			wantC, err := core.Mine(ctx, db, core.KindCoincidence, k, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				par := serial
 				par.Parallel = workers
-				gotT, _, err := core.MineTemporalTopK(db, k, par)
+				gotT, err := core.Mine(ctx, db, core.KindTemporal, k, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.ResultsEqual(gotT, wantT) {
+				if !pattern.ResultsEqual(gotT.Temporal, wantT.Temporal) {
 					t.Fatalf("trial %d k=%d parallel=%d: temporal top-k differs: %d vs %d",
-						trial, k, workers, len(gotT), len(wantT))
+						trial, k, workers, len(gotT.Temporal), len(wantT.Temporal))
 				}
-				gotC, _, err := core.MineCoincidenceTopK(db, k, par)
+				gotC, err := core.Mine(ctx, db, core.KindCoincidence, k, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.ResultsEqual(gotC, wantC) {
+				if !pattern.ResultsEqual(gotC.Coinc, wantC.Coinc) {
 					t.Fatalf("trial %d k=%d parallel=%d: coincidence top-k differs: %d vs %d",
-						trial, k, workers, len(gotC), len(wantC))
+						trial, k, workers, len(gotC.Coinc), len(wantC.Coinc))
 				}
 			}
 		}

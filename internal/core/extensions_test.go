@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"tpminer"
 	"tpminer/internal/core"
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
@@ -60,7 +62,7 @@ func TestFilterClosedAndMaximal(t *testing.T) {
 		mk("C+ C-", 2),
 	}
 
-	closed := core.FilterClosed(rs)
+	closed := filterTemporal(t, rs, "closed")
 	closedKeys := map[string]bool{}
 	for _, r := range closed {
 		closedKeys[r.Pattern.String()] = true
@@ -69,7 +71,7 @@ func TestFilterClosedAndMaximal(t *testing.T) {
 		t.Errorf("closed = %v", closed)
 	}
 
-	maximal := core.FilterMaximal(rs)
+	maximal := filterTemporal(t, rs, "maximal")
 	maxKeys := map[string]bool{}
 	for _, r := range maximal {
 		maxKeys[r.Pattern.String()] = true
@@ -88,8 +90,8 @@ func TestClosedFilterProperties(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		db := randomDB(rng, 10, 5, 3, 20)
 		rs := mustMineT(t, db, core.Options{MinCount: 2})
-		closed := core.FilterClosed(rs)
-		maximal := core.FilterMaximal(rs)
+		closed := filterTemporal(t, rs, "closed")
+		maximal := filterTemporal(t, rs, "maximal")
 
 		if len(maximal) > len(closed) || len(closed) > len(rs) {
 			t.Fatalf("sizes: %d maximal, %d closed, %d all", len(maximal), len(closed), len(rs))
@@ -122,11 +124,11 @@ func TestMineTemporalTopK(t *testing.T) {
 		db := randomDB(rng, 12, 5, 3, 20)
 		full := mustMineT(t, db, core.Options{MinCount: 1})
 		for _, k := range []int{1, 3, 10, len(full) + 5} {
-			got, _, err := core.MineTemporalTopK(db, k, core.Options{})
+			r, err := core.Mine(context.Background(), db, core.KindTemporal, k, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := full
+			got, want := r.Temporal, full
 			if len(want) > k {
 				want = want[:k]
 			}
@@ -151,11 +153,11 @@ func TestMineCoincidenceTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 5, 20} {
-		got, _, err := core.MineCoincidenceTopK(db, k, core.Options{MaxElements: 3})
+		r, err := core.Mine(context.Background(), db, core.KindCoincidence, k, core.Options{MaxElements: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := full
+		got, want := r.Coinc, full
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -171,19 +173,20 @@ func TestMineCoincidenceTopK(t *testing.T) {
 }
 
 func TestTopKValidation(t *testing.T) {
+	ctx := context.Background()
 	db := interval.NewDatabase([]interval.Interval{{Symbol: "A", Start: 0, End: 1}})
-	if _, _, err := core.MineTemporalTopK(db, 0, core.Options{}); err == nil {
+	if _, _, err := tpminer.MineTopKTemporalPatterns(db, 0, core.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := core.MineCoincidenceTopK(db, -1, core.Options{}); err == nil {
+	if _, err := core.Mine(ctx, db, core.KindCoincidence, -1, core.Options{}); err == nil {
 		t.Error("negative k accepted")
 	}
 	// A floor threshold is honoured: nothing has support >= 2 here.
-	rs, _, err := core.MineTemporalTopK(db, 5, core.Options{MinCount: 2})
+	r, err := core.Mine(ctx, db, core.KindTemporal, 5, core.Options{MinCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 0 {
+	if rs := r.Temporal; len(rs) != 0 {
 		t.Errorf("floor threshold ignored: %v", rs)
 	}
 }
@@ -199,11 +202,12 @@ func TestTopKLargeKAllocatesByPatterns(t *testing.T) {
 	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rs, _, err := core.MineTemporalTopK(db, 4_000_000, core.Options{MinCount: 1})
+	r, err := core.Mine(context.Background(), db, core.KindTemporal, 4_000_000, core.Options{MinCount: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := r.Temporal
 	if len(rs) == 0 {
 		t.Fatal("no patterns mined; test is vacuous")
 	}
@@ -221,10 +225,11 @@ func TestTopKRaisesThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stTopK, err := core.MineTemporalTopK(db, 3, core.Options{})
+	r, err := core.Mine(context.Background(), db, core.KindTemporal, 3, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stTopK := r.Stats
 	if stTopK.Nodes > stFull.Nodes {
 		t.Errorf("top-k explored %d nodes > full mining's %d", stTopK.Nodes, stFull.Nodes)
 	}
@@ -271,7 +276,7 @@ func TestFilterClosedMaximalCoinc(t *testing.T) {
 		mk("{A B}", 3),
 		mk("{C}", 2),
 	}
-	closed := core.FilterClosedCoinc(rs)
+	closed := filterCoinc(t, rs, "closed")
 	keys := map[string]bool{}
 	for _, r := range closed {
 		keys[r.Pattern.String()] = true
@@ -281,7 +286,7 @@ func TestFilterClosedMaximalCoinc(t *testing.T) {
 	if len(closed) != 3 || !keys["{A}"] || !keys["{A B}"] || !keys["{C}"] {
 		t.Errorf("closed = %v", closed)
 	}
-	maximal := core.FilterMaximalCoinc(rs)
+	maximal := filterCoinc(t, rs, "maximal")
 	keys = map[string]bool{}
 	for _, r := range maximal {
 		keys[r.Pattern.String()] = true
@@ -289,4 +294,24 @@ func TestFilterClosedMaximalCoinc(t *testing.T) {
 	if len(maximal) != 2 || !keys["{A B}"] || !keys["{C}"] {
 		t.Errorf("maximal = %v", maximal)
 	}
+}
+
+// filterTemporal and filterCoinc run core.Filter over one kind's
+// results.
+func filterTemporal(t *testing.T, rs []pattern.TemporalResult, which string) []pattern.TemporalResult {
+	t.Helper()
+	r := &core.Result{Temporal: rs}
+	if err := core.Filter(context.Background(), r, which); err != nil {
+		t.Fatal(err)
+	}
+	return r.Temporal
+}
+
+func filterCoinc(t *testing.T, rs []pattern.CoincResult, which string) []pattern.CoincResult {
+	t.Helper()
+	r := &core.Result{Coinc: rs}
+	if err := core.Filter(context.Background(), r, which); err != nil {
+		t.Fatal(err)
+	}
+	return r.Coinc
 }

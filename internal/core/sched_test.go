@@ -239,16 +239,17 @@ func TestForcedStealEquivalence(t *testing.T) {
 // TestForcedStealTopK: same forced-steal stress for the shared-threshold
 // top-k path.
 func TestForcedStealTopK(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 3; trial++ {
 		db := schedRandomDB(rng, 15, 6, 4, 30)
 		for _, k := range []int{1, 10} {
 			serial := Options{MinCount: 2}
-			wantT, _, err := MineTemporalTopK(db, k, serial)
+			wantT, err := Mine(ctx, db, KindTemporal, k, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantC, _, err := MineCoincidenceTopK(db, k, serial)
+			wantC, err := Mine(ctx, db, KindCoincidence, k, serial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,18 +257,18 @@ func TestForcedStealTopK(t *testing.T) {
 				par := serial
 				par.Parallel = workers
 				par.stealCutoff = 1
-				gotT, _, err := MineTemporalTopK(db, k, par)
+				gotT, err := Mine(ctx, db, KindTemporal, k, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.ResultsEqual(gotT, wantT) {
+				if !pattern.ResultsEqual(gotT.Temporal, wantT.Temporal) {
 					t.Fatalf("trial %d k=%d parallel=%d: forced-steal temporal top-k differs", trial, k, workers)
 				}
-				gotC, _, err := MineCoincidenceTopK(db, k, par)
+				gotC, err := Mine(ctx, db, KindCoincidence, k, par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !pattern.ResultsEqual(gotC, wantC) {
+				if !pattern.ResultsEqual(gotC.Coinc, wantC.Coinc) {
 					t.Fatalf("trial %d k=%d parallel=%d: forced-steal coincidence top-k differs", trial, k, workers)
 				}
 			}
@@ -299,7 +300,7 @@ func TestCancelMidStealNoGoroutineLeak(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 			cancel2()
 		}()
-		if _, _, err := MineCoincidenceCtx(ctx2, db, opt); !errors.Is(err, context.Canceled) {
+		if _, err := Mine(ctx2, db, KindCoincidence, 0, opt); !errors.Is(err, context.Canceled) {
 			t.Fatalf("trial %d: coinc err = %v, want context.Canceled", trial, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 
 	"tpminer/internal/endpoint"
@@ -9,35 +8,6 @@ import (
 	"tpminer/internal/pattern"
 	"tpminer/internal/seqdb"
 )
-
-// MineTemporal discovers all frequent complete temporal patterns of the
-// database under occurrence-aligned semantics (see DESIGN.md). Results
-// are normalized and sorted unless Options.KeepOccurrences is set, in
-// which case the raw occurrence-labelled pattern set is returned.
-func MineTemporal(db *interval.Database, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	return MineTemporalCtx(context.Background(), db, opt)
-}
-
-// MineTemporalCtx is MineTemporal with cooperative cancellation: the
-// search polls ctx every pollInterval units of work and aborts with
-// ctx.Err() (and nil results) when it is cancelled or its deadline
-// passes. Budget stops (Options.MaxPatterns, Options.TimeBudget) are not
-// errors — they return the patterns found so far with Stats.Truncated
-// set.
-func MineTemporalCtx(ctx context.Context, db *interval.Database, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	return mineTemporal(ctx, db, 0, opt)
-}
-
-// mineTemporal is the temporal instance of the mining skeleton (see
-// mineKind). Results are normalized, or under KeepOccurrences sorted in
-// their raw occurrence-labelled form.
-func mineTemporal(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	order := pattern.NormalizeTemporalResults
-	if opt.KeepOccurrences {
-		order = pattern.SortResults[pattern.Temporal]
-	}
-	return mineKind(ctx, db, k, opt, seqdb.EncodeEndpointDB, newTemporalMiner, order)
-}
 
 // projEntry is one sequence of a pseudo-projected database: the location
 // where the prefix's last item matched (Slice == -1 for the empty

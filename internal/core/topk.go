@@ -2,13 +2,8 @@ package core
 
 import (
 	"container/heap"
-	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"tpminer/internal/interval"
-	"tpminer/internal/pattern"
 )
 
 // Top-k mining (extension beyond the two-page paper): instead of a fixed
@@ -23,52 +18,6 @@ import (
 // whose threshold rises monotonically toward the true kth-best support,
 // so no top-k pattern is ever pruned and the final sort+truncate yields
 // the same result set as a serial run.
-
-// MineTemporalTopK returns the k best-supported temporal patterns.
-// Distinctness is counted on normalized patterns unless
-// opt.KeepOccurrences is set.
-func MineTemporalTopK(db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	return MineTemporalTopKCtx(context.Background(), db, k, opt)
-}
-
-// MineTemporalTopKCtx is MineTemporalTopK with cooperative cancellation
-// and resource budgets; see MineTemporalCtx for the contract.
-func MineTemporalTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.TemporalResult, Stats, error) {
-	opt, err := topKOptions(k, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return mineTemporal(ctx, db, k, opt)
-}
-
-// MineCoincidenceTopK returns the k best-supported coincidence patterns.
-func MineCoincidenceTopK(db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	return MineCoincidenceTopKCtx(context.Background(), db, k, opt)
-}
-
-// MineCoincidenceTopKCtx is MineCoincidenceTopK with cooperative
-// cancellation and resource budgets; see MineTemporalCtx for the
-// contract.
-func MineCoincidenceTopKCtx(ctx context.Context, db *interval.Database, k int, opt Options) ([]pattern.CoincResult, Stats, error) {
-	opt, err := topKOptions(k, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return mineCoincidence(ctx, db, k, opt)
-}
-
-// topKOptions checks a top-k request's k and makes the options'
-// threshold a floor that defaults to 1 when neither MinCount nor
-// MinSupport is set.
-func topKOptions(k int, opt Options) (Options, error) {
-	if k <= 0 {
-		return opt, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	if opt.MinCount == 0 && opt.MinSupport == 0 {
-		opt.MinCount = 1
-	}
-	return opt, nil
-}
 
 // capResults applies both result caps to sorted results: a top-k mine
 // (k > 0) keeps its k best, and MaxPatterns bounds every mine (parallel

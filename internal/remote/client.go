@@ -68,13 +68,14 @@ type RemoteWorker struct {
 // "http://10.0.0.7:9090") mining the shard held by data. Its push state
 // is its own; a Pool's workers share the pool's.
 func NewRemoteWorker(base string, data *ShardData, opt ClientOptions) *RemoteWorker {
-	return newRemoteWorker(base, data, opt.withDefaults(), newPushTracker())
+	return newRemoteWorker(strings.TrimRight(base, "/"), data, opt.withDefaults(), newPushTracker())
 }
 
-// newRemoteWorker creates a client that records pushes in pushed. opt
-// must already carry its defaults.
+// newRemoteWorker creates a client for the worker at base, which has no
+// trailing slash, that records pushes in pushed. opt must already carry
+// its defaults.
 func newRemoteWorker(base string, data *ShardData, opt ClientOptions, pushed *pushTracker) *RemoteWorker {
-	return &RemoteWorker{base: strings.TrimRight(base, "/"), data: data, opt: opt, pushed: pushed}
+	return &RemoteWorker{base: base, data: data, opt: opt, pushed: pushed}
 }
 
 // WorkerAddr names this worker in wrapped fan-out errors.
@@ -82,7 +83,7 @@ func (w *RemoteWorker) WorkerAddr() string { return w.base }
 
 // Mine implements shard.Worker.
 func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
-	wreq := mineWire{Key: w.data.Key, Digest: w.data.Digest(), Shard: req.Shard, Kind: req.Kind, TopK: req.TopK, Opt: req.Opt}
+	wreq := mineWire{Key: w.data.Key, Digest: w.data.Digest(), MineShardRequest: *req}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms < 1 {
@@ -90,22 +91,21 @@ func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*
 		}
 		wreq.TimeoutMillis = ms
 	}
-	var resp mineRespWire
+	var resp shard.MineShardResponse
 	if err := w.call(ctx, OpMine, 0, "/v1/worker/mine", wreq, &resp); err != nil {
 		return nil, err
 	}
-	return &shard.MineShardResponse{Temporal: resp.Temporal, Coinc: resp.Coinc, Stats: resp.Stats}, nil
+	return &resp, nil
 }
 
 // Count implements shard.Worker.
 func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
-	wreq := countWire{Key: w.data.Key, Digest: w.data.Digest(), Shard: req.Shard, Kind: req.Kind,
-		Temporal: req.Temporal, Coinc: req.Coinc, MaxSpan: req.MaxSpan, MaxGap: req.MaxGap}
-	var resp countRespWire
+	wreq := countWire{Key: w.data.Key, Digest: w.data.Digest(), CountRequest: *req}
+	var resp shard.CountResponse
 	if err := w.call(ctx, OpCount, countTimeout, "/v1/worker/count", wreq, &resp); err != nil {
 		return nil, err
 	}
-	return &shard.CountResponse{Supports: resp.Supports}, nil
+	return &resp, nil
 }
 
 // call runs one logical RPC: marshal once, then attempt (push if

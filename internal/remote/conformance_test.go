@@ -117,7 +117,7 @@ func TestRemoteWorkerCountsLogicalCalls(t *testing.T) {
 	met := NewMetrics(obs.NewRegistry())
 	w := NewRemoteWorker(ws.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, workertest.DB()),
 		ClientOptions{Retry: fastRetry, Metrics: met})
-	if _, err := w.Mine(context.Background(), &shard.MineShardRequest{Kind: shard.KindTemporal,
+	if _, err := w.Mine(context.Background(), &shard.MineShardRequest{Kind: core.KindTemporal,
 		Opt: core.Options{MinCount: 2}}); err != nil {
 		t.Fatalf("mine: %v", err)
 	}

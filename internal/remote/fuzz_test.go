@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tpminer/internal/core"
 	"tpminer/internal/dataio"
 	"tpminer/internal/shard"
 )
@@ -92,12 +93,12 @@ func FuzzWorkerCountBody(f *testing.F) {
 		if err := dataio.DecodeJSON(bytes.NewReader(body), &req); err != nil {
 			t.Fatalf("accepted a count body that does not decode: %v", err)
 		}
-		var resp countRespWire
+		var resp shard.CountResponse
 		if err := json.Unmarshal(reply, &resp); err != nil {
 			t.Fatalf("count reply does not decode: %v", err)
 		}
 		want := len(req.Coinc)
-		if req.Kind == shard.KindTemporal {
+		if req.Kind == core.KindTemporal {
 			want = len(req.Temporal)
 		}
 		if len(resp.Supports) != want {

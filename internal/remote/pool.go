@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,7 +50,10 @@ type Pool struct {
 // and a negative interval disables the probe loop (workers are still
 // demoted on failed RPCs). copt configures every worker client, and its
 // Metrics receive all remote instrumentation. logger may be nil
-// (logging disabled). Close must be called to stop the loop.
+// (logging disabled). Close must be called to stop the loop. Each
+// address is trimmed of trailing slashes once, here, so health, push
+// state and placements key a worker by the base URL its clients record
+// pushes under.
 func NewPool(addrs []string, probeEvery time.Duration, copt ClientOptions, logger *slog.Logger) *Pool {
 	if probeEvery == 0 {
 		probeEvery = DefaultProbeInterval
@@ -58,7 +62,7 @@ func NewPool(addrs []string, probeEvery time.Duration, copt ClientOptions, logge
 		logger = obs.Discard()
 	}
 	p := &Pool{
-		addrs:   append([]string(nil), addrs...),
+		addrs:   make([]string, len(addrs)),
 		copt:    copt.withDefaults(),
 		logger:  logger,
 		pushed:  newPushTracker(),
@@ -67,8 +71,9 @@ func NewPool(addrs []string, probeEvery time.Duration, copt ClientOptions, logge
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	for _, a := range p.addrs {
-		p.healthy[a] = true
+	for i, a := range addrs {
+		p.addrs[i] = strings.TrimRight(a, "/")
+		p.healthy[p.addrs[i]] = true
 	}
 	p.copt.Metrics.WorkersUp.Set(int64(len(p.addrs)))
 	p.copt.Metrics.Workers.Set(int64(len(p.addrs)))

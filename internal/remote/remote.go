@@ -8,11 +8,14 @@
 // Exactness argument: the unit of distribution is the shard database,
 // pushed verbatim (keyed by dataset, version, and shard index, and
 // verified against its digest) before any mining request touches it,
-// and every mine and count names the digest it expects. A worker
-// therefore computes exactly what a LocalWorker over the same
-// sub-database would compute, and the coordinator's merge — which is
-// already proven byte-identical to serial mining for local workers —
-// cannot tell the difference. Failover re-runs the same request on a
+// and every mine and count names the digest it expects. The mine and
+// count bodies embed the coordinator's shard.MineShardRequest and
+// shard.CountRequest whole, and the worker answers with the core.Result
+// or shard.CountResponse its LocalWorker computed. A worker therefore
+// computes exactly what a LocalWorker over the same sub-database would
+// compute, and the coordinator's merge — which is already proven
+// byte-identical to serial mining for local workers — cannot tell the
+// difference. Failover re-runs the same request on a
 // LocalWorker over the same sub-database, so a mid-mine worker loss
 // changes latency, not results.
 package remote
@@ -133,7 +136,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Failovers: reg.NewCounter("tpmd_remote_failovers_total",
 			"Shards re-mined on the in-process fallback after their remote worker became unavailable."),
 		WorkersUp: reg.NewGauge("tpmd_remote_worker_up",
-			"Remote workers currently considered healthy by the registry."),
+			"Remote workers currently considered healthy by the pool."),
 		Workers: reg.NewGauge("tpmd_remote_worker_total",
 			"Remote workers configured via -workers."),
 		Pushes: reg.NewCounter("tpmd_remote_shard_pushes_total",

@@ -45,7 +45,7 @@ func TestShardPushedOncePerVersion(t *testing.T) {
 	db := workertest.DB()
 	pool := NewPool([]string{ts.URL}, -1, ClientOptions{Retry: fastRetry}, nil)
 	defer pool.Close()
-	req := &shard.MineShardRequest{Kind: shard.KindTemporal, Opt: core.Options{MinCount: 2, KeepOccurrences: true}}
+	req := &shard.MineShardRequest{Kind: core.KindTemporal, Opt: core.Options{MinCount: 2, KeepOccurrences: true}}
 
 	w1 := newRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, db), pool.copt, pool.pushed)
 	for i := 0; i < 3; i++ {
@@ -80,7 +80,7 @@ func TestWorkerCapsParallel(t *testing.T) {
 		ClientOptions{Retry: fastRetry})
 	mine := func(parallel int) *shard.MineShardResponse {
 		t.Helper()
-		resp, err := w.Mine(context.Background(), &shard.MineShardRequest{Kind: shard.KindTemporal,
+		resp, err := w.Mine(context.Background(), &shard.MineShardRequest{Kind: core.KindTemporal,
 			Opt: core.Options{MinCount: 2, Parallel: parallel}})
 		if err != nil {
 			t.Fatalf("mine with Parallel=%d: %v", parallel, err)
@@ -108,7 +108,7 @@ func TestWorkerRestartRecovery(t *testing.T) {
 	db := workertest.DB()
 	w := NewRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, db),
 		ClientOptions{Retry: fastRetry})
-	req := &shard.MineShardRequest{Kind: shard.KindTemporal, Opt: core.Options{MinCount: 2, KeepOccurrences: true}}
+	req := &shard.MineShardRequest{Kind: core.KindTemporal, Opt: core.Options{MinCount: 2, KeepOccurrences: true}}
 	if _, err := w.Mine(context.Background(), req); err != nil {
 		t.Fatalf("mine #1: %v", err)
 	}
@@ -254,13 +254,13 @@ func TestPoolCoordinatorEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		kind shard.Kind
+		kind core.Kind
 		topK int
 		opt  core.Options
 	}{
-		{"temporal", shard.KindTemporal, 0, core.Options{MinCount: 2}},
-		{"coincidence", shard.KindCoincidence, 0, core.Options{MinCount: 2}},
-		{"temporal-topk", shard.KindTemporal, 3, core.Options{MinCount: 1}},
+		{"temporal", core.KindTemporal, 0, core.Options{MinCount: 2}},
+		{"coincidence", core.KindCoincidence, 0, core.Options{MinCount: 2}},
+		{"temporal-topk", core.KindTemporal, 3, core.Options{MinCount: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := pool.Coordinator("d", 1, db, part).Mine(ctx, tc.kind, tc.topK, tc.opt)
@@ -287,6 +287,37 @@ func TestPoolCoordinatorEquivalence(t *testing.T) {
 		if !p.Pushed {
 			t.Errorf("shard %d not marked pushed after mining", i)
 		}
+	}
+}
+
+// TestPoolTrimsWorkerAddress: a worker configured with a trailing slash
+// is keyed by one address for health, push state and placements, so two
+// mines of one version push each shard once and the placements report
+// every shard pushed to the trimmed address.
+func TestPoolTrimsWorkerAddress(t *testing.T) {
+	ch := &countingHandler{inner: NewWorkerServer(WorkerConfig{}).Handler()}
+	ts := httptest.NewServer(ch)
+	defer ts.Close()
+	pool := NewPool([]string{ts.URL + "/"}, -1, ClientOptions{Retry: fastRetry}, nil)
+	defer pool.Close()
+
+	db := workertest.DB()
+	part := shard.New(db, 2, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := pool.Coordinator("d", 1, db, part).Mine(context.Background(), core.KindTemporal, 0, core.Options{MinCount: 2}); err != nil {
+			t.Fatalf("mine #%d: %v", i, err)
+		}
+	}
+	if got, want := ch.pushes.Load(), int64(part.NumShards()); got != want {
+		t.Errorf("%d pushes over two mines, want %d", got, want)
+	}
+	for i, p := range pool.Placements("d", 1, part.NumShards()) {
+		if p.Worker != ts.URL || !p.Pushed {
+			t.Errorf("shard %d placement %+v, want pushed to %s", i, p, ts.URL)
+		}
+	}
+	if st := pool.Status(); st.Workers[0].Addr != ts.URL {
+		t.Errorf("status names the worker %q, want %q", st.Workers[0].Addr, ts.URL)
 	}
 }
 

@@ -9,9 +9,7 @@ import (
 	"io"
 	"sync"
 
-	"tpminer/internal/core"
 	"tpminer/internal/interval"
-	"tpminer/internal/pattern"
 	"tpminer/internal/persist"
 	"tpminer/internal/shard"
 )
@@ -30,7 +28,8 @@ import (
 // each mine and count against.
 const shardDigestHeader = "X-Shard-Digest"
 
-// mineWire is the body of POST /v1/worker/mine.
+// mineWire is the body of POST /v1/worker/mine: the shard request,
+// addressed to one cached shard.
 type mineWire struct {
 	Key ShardKey `json:"key"`
 	// Digest is the shard's digest, as pushed in X-Shard-Digest. The
@@ -39,43 +38,26 @@ type mineWire struct {
 	// worker whose shard under Key has another digest answers
 	// shard_not_loaded, and the client re-pushes.
 	Digest string `json:"digest"`
-	// Shard echoes MineShardRequest.Shard: the coordinator's shard index,
-	// reproduced in the worker's responses and error attributions. It can
-	// differ from Key.Shard only in hand-built requests; the client always
-	// sends them equal.
-	Shard int          `json:"shard"`
-	Kind  shard.Kind   `json:"kind"`
-	TopK  int          `json:"topk,omitempty"`
-	Opt   core.Options `json:"opt"`
+	// The request's Shard is the coordinator's shard index, reproduced in
+	// the worker's responses and error attributions. It can differ from
+	// Key.Shard only in hand-built requests; the client always sends
+	// them equal.
+	shard.MineShardRequest
 	// TimeoutMillis is the client's remaining deadline budget; the worker
 	// bounds its mine by it so an abandoned request cannot hold the shard
 	// hostage even if the connection teardown is slow to propagate.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
-// mineRespWire is the body of a successful mine response.
-type mineRespWire struct {
-	Temporal []pattern.TemporalResult `json:"temporal,omitempty"`
-	Coinc    []pattern.CoincResult    `json:"coinc,omitempty"`
-	Stats    core.Stats               `json:"stats"`
-}
-
 // countWire is the body of POST /v1/worker/count.
 type countWire struct {
-	Key      ShardKey           `json:"key"`
-	Digest   string             `json:"digest"` // as in mineWire
-	Shard    int                `json:"shard"`
-	Kind     shard.Kind         `json:"kind"`
-	Temporal []pattern.Temporal `json:"temporal,omitempty"`
-	Coinc    []pattern.Coinc    `json:"coinc,omitempty"`
-	MaxSpan  interval.Time      `json:"max_span,omitempty"`
-	MaxGap   interval.Time      `json:"max_gap,omitempty"`
+	Key    ShardKey `json:"key"`
+	Digest string   `json:"digest"` // as in mineWire
+	shard.CountRequest
 }
 
-// countRespWire is the body of a successful count response.
-type countRespWire struct {
-	Supports []int `json:"supports"`
-}
+// A successful mine answers a core.Result (shard.MineShardResponse),
+// and a successful count a shard.CountResponse.
 
 // errWire mirrors the main server's uniform error envelope.
 type errWire struct {

@@ -270,15 +270,13 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := ws.workContext(r.Context(), req.TimeoutMillis)
 	defer cancel()
-	resp, err := cs.worker.Mine(ctx, &shard.MineShardRequest{
-		Shard: req.Shard, Kind: req.Kind, TopK: req.TopK, Opt: req.Opt,
-	})
+	resp, err := cs.worker.Mine(ctx, &req.MineShardRequest)
 	if err != nil {
 		ws.writeWorkErr(w, OpMine, err)
 		return
 	}
 	ws.rpcs.With(OpMine, "ok").Inc()
-	ws.writeJSON(w, http.StatusOK, mineRespWire{Temporal: resp.Temporal, Coinc: resp.Coinc, Stats: resp.Stats})
+	ws.writeJSON(w, http.StatusOK, resp)
 }
 
 func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -294,16 +292,13 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := ws.workContext(r.Context(), 0)
 	defer cancel()
-	resp, err := cs.worker.Count(ctx, &shard.CountRequest{
-		Shard: req.Shard, Kind: req.Kind, Temporal: req.Temporal, Coinc: req.Coinc,
-		MaxSpan: req.MaxSpan, MaxGap: req.MaxGap,
-	})
+	resp, err := cs.worker.Count(ctx, &req.CountRequest)
 	if err != nil {
 		ws.writeWorkErr(w, OpCount, err)
 		return
 	}
 	ws.rpcs.With(OpCount, "ok").Inc()
-	ws.writeJSON(w, http.StatusOK, countRespWire{Supports: resp.Supports})
+	ws.writeJSON(w, http.StatusOK, resp)
 }
 
 // loaded returns the shard cached under key when its digest is digest.

@@ -358,8 +358,9 @@ type Server struct {
 	// them as versioned appends (by count or by age).
 	ingest *ingestPool
 
-	// pool owns the remote worker fleet (registry, push tracker, health
-	// probes) when cfg.Workers is set. nil means all-local mining.
+	// pool owns the remote worker fleet (worker health and its probes,
+	// push state, failover) when cfg.Workers is set. nil means all-local
+	// mining.
 	pool *remote.Pool
 
 	// mineSem bounds concurrent mining jobs. Admission is deadline-
@@ -1551,9 +1552,9 @@ func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Dat
 	}
 
 	mode := cmp.Or(spec.Mode, api.ModeTemporal)
-	kind := shard.KindTemporal // rules are derived from temporal patterns
+	kind := core.KindTemporal // rules are derived from temporal patterns
 	if mode == api.ModeCoincidence {
-		kind = shard.KindCoincidence
+		kind = core.KindCoincidence
 	}
 	mineStart := time.Now()
 	db := windowDatabase(snap, spec.Window)
@@ -1561,7 +1562,7 @@ func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Dat
 	var st core.Stats
 	if err == nil {
 		st = res.Stats
-		err = filterResults(ctx, res, kind, spec.Filter)
+		err = core.Filter(ctx, res, spec.Filter)
 	}
 	s.recordMineRun(mode, st, time.Since(mineStart), err)
 	if err != nil {
@@ -1579,7 +1580,7 @@ func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Dat
 		}
 		return &mineEntry{body: body, complete: true}, nil
 	}
-	rows := make([]MinedPattern, 0, len(res.Temporal)+len(res.Coinc))
+	rows := make([]MinedPattern, 0, res.Len())
 	for _, pr := range res.Temporal {
 		rows = append(rows, MinedPattern{
 			Support:   pr.Support,
@@ -1594,23 +1595,6 @@ func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Dat
 		})
 	}
 	return encodePatterns(MineResponse{Dataset: key.Dataset, Type: mode, Count: len(rows), Stats: wireStats(st)}, rows)
-}
-
-// filterResults applies the request's closed or maximal post-filter to
-// a mined response of the given kind in place; the empty filter keeps
-// everything.
-func filterResults(ctx context.Context, res *shard.MineShardResponse, kind shard.Kind, filter string) (err error) {
-	switch {
-	case filter == "closed" && kind == shard.KindTemporal:
-		res.Temporal, err = core.FilterClosedCtx(ctx, res.Temporal)
-	case filter == "maximal" && kind == shard.KindTemporal:
-		res.Temporal, err = core.FilterMaximalCtx(ctx, res.Temporal)
-	case filter == "closed":
-		res.Coinc, err = core.FilterClosedCoincCtx(ctx, res.Coinc)
-	case filter == "maximal":
-		res.Coinc, err = core.FilterMaximalCoincCtx(ctx, res.Coinc)
-	}
-	return err
 }
 
 // WireRule is one derived rule on the wire.

@@ -98,12 +98,12 @@ func (c *Coordinator) totalSeqs() int {
 // patterns), temporal results stay raw so supports are additive, and the
 // per-request parallelism budget is split across shards (the fan-out
 // itself already provides K-way concurrency).
-func (c *Coordinator) shardOpt(opt core.Options, kind Kind, bound int) core.Options {
+func (c *Coordinator) shardOpt(opt core.Options, kind core.Kind, bound int) core.Options {
 	local := opt
 	local.MinSupport = 0
 	local.MinCount = bound
 	local.MaxPatterns = 0
-	if kind == KindTemporal {
+	if kind == core.KindTemporal {
 		local.KeepOccurrences = true
 	}
 	if opt.Parallel > 1 {
@@ -155,62 +155,57 @@ func (c *Coordinator) fanOut(ctx context.Context, f func(ctx context.Context, i 
 
 // family is what the merge needs to know about one pattern kind. The
 // scatter, the support tally, the count round, and the top-k threshold
-// are the same for both kinds; only these three steps differ.
+// are the same for both kinds; only these steps differ.
 type family[P pattern.Pattern] struct {
-	kind Kind
-	// each calls f with every pattern and support a shard reported.
-	each func(r *MineShardResponse, f func(P, int))
+	kind core.Kind
+	// rows returns the kind's results of a response, and result wraps
+	// merged results in one.
+	rows   func(r *MineShardResponse) []pattern.Result[P]
+	result func(rs []pattern.Result[P]) *MineShardResponse
 	// count asks one shard for the supports of patterns it did not report,
 	// under the request's span and gap constraints.
 	count func(shard int, ps []P, opt core.Options) *CountRequest
-	// sorted builds the merged response in the serial miner's order.
-	sorted func(ts []*tally[P], opt core.Options) *MineShardResponse
+	// order puts merged results in the serial miner's order.
+	order func(rs []pattern.Result[P], opt core.Options) []pattern.Result[P]
 }
 
 var temporalFamily = family[pattern.Temporal]{
-	kind: KindTemporal,
-	each: func(r *MineShardResponse, f func(pattern.Temporal, int)) {
-		for _, x := range r.Temporal {
-			f(x.Pattern, x.Support)
-		}
-	},
+	kind:   core.KindTemporal,
+	rows:   func(r *MineShardResponse) []pattern.TemporalResult { return r.Temporal },
+	result: func(rs []pattern.TemporalResult) *MineShardResponse { return &MineShardResponse{Temporal: rs} },
 	count: func(shard int, ps []pattern.Temporal, opt core.Options) *CountRequest {
-		return &CountRequest{Shard: shard, Kind: KindTemporal, Temporal: ps, MaxSpan: opt.MaxSpan, MaxGap: opt.MaxGap}
+		return &CountRequest{Shard: shard, Kind: core.KindTemporal, Temporal: ps, MaxSpan: opt.MaxSpan, MaxGap: opt.MaxGap}
 	},
 	// Shards report raw occurrence-labeled patterns so supports add up;
 	// normalization, which max-merges duplicates, happens once, here.
-	sorted: func(ts []*tally[pattern.Temporal], opt core.Options) *MineShardResponse {
-		rs := make([]pattern.TemporalResult, len(ts))
-		for i, t := range ts {
-			rs[i] = pattern.TemporalResult{Pattern: t.pat, Support: t.total}
-		}
+	order: func(rs []pattern.TemporalResult, opt core.Options) []pattern.TemporalResult {
 		if opt.KeepOccurrences {
-			pattern.SortResults(rs)
-		} else {
-			rs = pattern.NormalizeTemporalResults(rs)
+			return pattern.SortResults(rs)
 		}
-		return &MineShardResponse{Temporal: rs}
+		return pattern.NormalizeTemporalResults(rs)
 	},
 }
 
 var coincFamily = family[pattern.Coinc]{
-	kind: KindCoincidence,
-	each: func(r *MineShardResponse, f func(pattern.Coinc, int)) {
-		for _, x := range r.Coinc {
-			f(x.Pattern, x.Support)
-		}
-	},
+	kind:   core.KindCoincidence,
+	rows:   func(r *MineShardResponse) []pattern.CoincResult { return r.Coinc },
+	result: func(rs []pattern.CoincResult) *MineShardResponse { return &MineShardResponse{Coinc: rs} },
 	count: func(shard int, ps []pattern.Coinc, _ core.Options) *CountRequest {
-		return &CountRequest{Shard: shard, Kind: KindCoincidence, Coinc: ps}
+		return &CountRequest{Shard: shard, Kind: core.KindCoincidence, Coinc: ps}
 	},
-	sorted: func(ts []*tally[pattern.Coinc], _ core.Options) *MineShardResponse {
-		rs := make([]pattern.CoincResult, len(ts))
-		for i, t := range ts {
-			rs[i] = pattern.CoincResult{Pattern: t.pat, Support: t.total}
-		}
-		pattern.SortResults(rs)
-		return &MineShardResponse{Coinc: rs}
+	order: func(rs []pattern.CoincResult, _ core.Options) []pattern.CoincResult {
+		return pattern.SortResults(rs)
 	},
+}
+
+// sorted returns the tallies' patterns and global supports in the
+// serial miner's order.
+func (f family[P]) sorted(ts []*tally[P], opt core.Options) []pattern.Result[P] {
+	rs := make([]pattern.Result[P], len(ts))
+	for i, t := range ts {
+		rs[i] = pattern.Result[P]{Pattern: t.pat, Support: t.total}
+	}
+	return f.order(rs, opt)
 }
 
 // tally accumulates one pattern's global support across shards.
@@ -255,17 +250,17 @@ func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], 
 	var order []*tally[P]
 	for i, resp := range resps {
 		agg.Add(resp.Stats)
-		f.each(resp, func(p P, sup int) {
-			key := p.Key()
+		for _, x := range f.rows(resp) {
+			key := x.Pattern.Key()
 			a := accs[key]
 			if a == nil {
-				a = &tally[P]{pat: p, seen: make([]bool, k)}
+				a = &tally[P]{pat: x.Pattern, seen: make([]bool, k)}
 				accs[key] = a
 				order = append(order, a)
 			}
-			a.total += sup
+			a.total += x.Support
 			a.seen[i] = true
-		})
+		}
 	}
 
 	missing := make([][]P, k)
@@ -343,8 +338,8 @@ func mine[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], t
 		counted += cnt
 		// Candidates are ordered (for temporal, normalized) like the final
 		// result, so the kth-best stays a lower bound on the true one.
-		if cand := f.sorted(cands, opt); cand.size() >= topK {
-			threshold = max(threshold, cand.support(topK-1))
+		if cand := f.sorted(cands, opt); len(cand) >= topK {
+			threshold = max(threshold, cand[topK-1].Support)
 		}
 	}
 	merged, cnt, err := round(ctx, c, f, 0, threshold, threshold, opt, &stats)
@@ -352,15 +347,16 @@ func mine[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], t
 		return nil, err
 	}
 	counted += cnt
-	resp := f.sorted(merged, opt)
-	if topK > 0 {
-		resp.truncate(topK)
+	rs := f.sorted(merged, opt)
+	if topK > 0 && len(rs) > topK {
+		rs = rs[:topK]
 	}
-	resp.truncate(capPatterns(resp.size(), opt.MaxPatterns, &stats))
+	rs = rs[:capPatterns(len(rs), opt.MaxPatterns, &stats)]
 	if c.Met != nil {
-		c.Met.Merged(resp.size(), counted)
+		c.Met.Merged(len(rs), counted)
 	}
 	stats.Elapsed = time.Since(start)
+	resp := f.result(rs)
 	resp.Stats = stats
 	return resp, nil
 }
@@ -383,7 +379,7 @@ func capPatterns(n int, max int, stats *core.Stats) int {
 // caller's unmodified options — full bound, requested distinctness, no
 // merge — already is the exact serial result. This keeps a shards=1
 // deployment within measurement noise of unsharded mining.
-func (c *Coordinator) soloMine(ctx context.Context, kind Kind, topK int, opt core.Options) (*MineShardResponse, error) {
+func (c *Coordinator) soloMine(ctx context.Context, kind core.Kind, topK int, opt core.Options) (*MineShardResponse, error) {
 	start := time.Now()
 	if c.Met != nil {
 		c.Met.FanOut(1)
@@ -394,19 +390,18 @@ func (c *Coordinator) soloMine(ctx context.Context, kind Kind, topK int, opt cor
 	}
 	if c.Met != nil {
 		c.Met.ShardDone(0, time.Since(start))
-		c.Met.Merged(resp.size(), 0)
+		c.Met.Merged(resp.Len(), 0)
 	}
 	return resp, nil
 }
 
 // Mine mines kind patterns across all shards — the topK best-supported
 // ones when topK > 0 — and returns them in the worker response shape.
-// Output — patterns, supports, ordering — is identical to the serial
-// miner (core.Mine{Temporal,Coincidence}[TopK]Ctx) on the unpartitioned
-// database, unless a shard's TimeBudget ran out (Stats.Truncated then
-// reports the incomplete result, as serially). Stats aggregate the
-// shards' search counters.
-func (c *Coordinator) Mine(ctx context.Context, kind Kind, topK int, opt core.Options) (*MineShardResponse, error) {
+// Output — patterns, supports, ordering — is identical to core.Mine on
+// the unpartitioned database, unless a shard's TimeBudget ran out
+// (Stats.Truncated then reports the incomplete result, as serially).
+// Stats aggregate the shards' search counters.
+func (c *Coordinator) Mine(ctx context.Context, kind core.Kind, topK int, opt core.Options) (*MineShardResponse, error) {
 	if topK < 0 {
 		return nil, fmt.Errorf("shard: top-k requires k >= 0, got %d", topK)
 	}
@@ -414,9 +409,9 @@ func (c *Coordinator) Mine(ctx context.Context, kind Kind, topK int, opt core.Op
 		return c.soloMine(ctx, kind, topK, opt)
 	}
 	switch kind {
-	case KindTemporal:
+	case core.KindTemporal:
 		return mine(ctx, c, temporalFamily, topK, opt)
-	case KindCoincidence:
+	case core.KindCoincidence:
 		return mine(ctx, c, coincFamily, topK, opt)
 	}
 	return nil, fmt.Errorf("shard: unknown kind %q", kind)
@@ -425,7 +420,7 @@ func (c *Coordinator) Mine(ctx context.Context, kind Kind, topK int, opt core.Op
 // MineTemporal mines temporal patterns across all shards: Mine for
 // plain temporal mining, with the results unwrapped.
 func (c *Coordinator) MineTemporal(ctx context.Context, opt core.Options) ([]pattern.TemporalResult, core.Stats, error) {
-	resp, err := c.Mine(ctx, KindTemporal, 0, opt)
+	resp, err := c.Mine(ctx, core.KindTemporal, 0, opt)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

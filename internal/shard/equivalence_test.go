@@ -46,27 +46,17 @@ func coordinatorFor(db *interval.Database, shards int) *shard.Coordinator {
 var shardCounts = []int{1, 2, 3, 8}
 
 // kinds are the two pattern families every equivalence case covers.
-var kinds = []shard.Kind{shard.KindTemporal, shard.KindCoincidence}
+var kinds = []core.Kind{core.KindTemporal, core.KindCoincidence}
 
-// serialMine is the reference for one kind × top-k case: the serial
-// miner on the unpartitioned database, in the coordinator's response
-// shape.
-func serialMine(db *interval.Database, kind shard.Kind, topK int, opt core.Options) (*shard.MineShardResponse, error) {
-	var (
-		r   shard.MineShardResponse
-		err error
-	)
-	switch {
-	case kind == shard.KindTemporal && topK > 0:
-		r.Temporal, _, err = core.MineTemporalTopK(db, topK, opt)
-	case kind == shard.KindTemporal:
-		r.Temporal, _, err = core.MineTemporal(db, opt)
-	case topK > 0:
-		r.Coinc, _, err = core.MineCoincidenceTopK(db, topK, opt)
-	default:
-		r.Coinc, _, err = core.MineCoincidence(db, opt)
+// filterTemporal runs the closed or maximal post-filter over temporal
+// results.
+func filterTemporal(t *testing.T, rs []pattern.TemporalResult, which string) []pattern.TemporalResult {
+	t.Helper()
+	r := &core.Result{Temporal: rs}
+	if err := core.Filter(context.Background(), r, which); err != nil {
+		t.Fatal(err)
 	}
-	return &r, err
+	return r.Temporal
 }
 
 // sameResponse asserts exact equality including ordering — the sharded
@@ -125,7 +115,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 				serial := base
 				serial.KeepOccurrences = keepOcc
 				for _, kind := range kinds {
-					want, err := serialMine(db, kind, 0, serial)
+					want, err := core.Mine(context.Background(), db, kind, 0, serial)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -155,8 +145,8 @@ func TestShardedClosedMaximal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantClosed := core.FilterClosed(rsSerial)
-		wantMaximal := core.FilterMaximal(rsSerial)
+		wantClosed := filterTemporal(t, rsSerial, "closed")
+		wantMaximal := filterTemporal(t, rsSerial, "maximal")
 
 		for _, shards := range shardCounts {
 			co := coordinatorFor(db, shards)
@@ -165,8 +155,8 @@ func TestShardedClosedMaximal(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("trial %d shards=%d", trial, shards)
-			sameTemporal(t, label+" closed", core.FilterClosed(rs), wantClosed)
-			sameTemporal(t, label+" maximal", core.FilterMaximal(rs), wantMaximal)
+			sameTemporal(t, label+" closed", filterTemporal(t, rs, "closed"), wantClosed)
+			sameTemporal(t, label+" maximal", filterTemporal(t, rs, "maximal"), wantMaximal)
 		}
 	}
 }
@@ -182,7 +172,7 @@ func TestShardedTopKMatchesSerial(t *testing.T) {
 			for _, keepOcc := range []bool{true, false} {
 				serial := core.Options{MinCount: 2, KeepOccurrences: keepOcc}
 				for _, kind := range kinds {
-					want, err := serialMine(db, kind, k, serial)
+					want, err := core.Mine(context.Background(), db, kind, k, serial)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,7 +1,11 @@
 // Package shard implements sharded scatter-gather mining: a dataset is
 // split into disjoint sequence shards, each shard is mined by a Worker
 // behind an RPC-shaped interface, and a Coordinator merges the per-shard
-// supports into a result byte-identical to the serial miner's.
+// supports into a result byte-identical to the serial miner's. Requests
+// name the pattern kind with core.Kind, and a mine answers core.Result
+// (MineShardResponse is an alias of it): a LocalWorker's mine is one
+// call to core.Mine, and the request and response structs carry their
+// worker-wire JSON names, so package remote sends them as they are.
 //
 // The split is sound because support counting is additive over disjoint
 // sequence partitions: a pattern's global support is the sum of its

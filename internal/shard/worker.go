@@ -11,72 +11,40 @@ import (
 	"tpminer/internal/pattern"
 )
 
-// Kind selects which pattern family a shard request mines or counts.
-type Kind string
-
-const (
-	KindTemporal    Kind = "temporal"
-	KindCoincidence Kind = "coincidence"
-)
-
 // MineShardRequest asks a worker to mine its shard completely at the
 // coordinator-supplied local bound (carried in Opt.MinCount). TopK > 0
-// selects the top-k miner with Opt.MinCount as the support floor.
+// selects the top-k miner with Opt.MinCount as the support floor. The
+// JSON names are those of the worker wire's mine body.
 type MineShardRequest struct {
-	Shard int
-	Kind  Kind
-	TopK  int
-	Opt   core.Options
+	Shard int          `json:"shard"`
+	Kind  core.Kind    `json:"kind"`
+	TopK  int          `json:"topk,omitempty"`
+	Opt   core.Options `json:"opt"`
 }
 
 // MineShardResponse carries one shard's results. Temporal results are
 // raw (occurrence-labeled) so their supports are additive across
 // shards; normalization happens once, at the coordinator.
-type MineShardResponse struct {
-	Temporal []pattern.TemporalResult
-	Coinc    []pattern.CoincResult
-	Stats    core.Stats
-}
-
-// size is the number of results the response carries (only one of
-// Temporal and Coinc is ever set).
-func (r *MineShardResponse) size() int { return len(r.Temporal) + len(r.Coinc) }
-
-// support is the support of result i.
-func (r *MineShardResponse) support(i int) int {
-	if r.Temporal != nil {
-		return r.Temporal[i].Support
-	}
-	return r.Coinc[i].Support
-}
-
-// truncate keeps at most the first n results.
-func (r *MineShardResponse) truncate(n int) {
-	if len(r.Temporal) > n {
-		r.Temporal = r.Temporal[:n]
-	}
-	if len(r.Coinc) > n {
-		r.Coinc = r.Coinc[:n]
-	}
-}
+type MineShardResponse = core.Result
 
 // CountRequest asks a worker for the exact local support of patterns it
 // did not report (they fell below its relaxed local bound). MaxSpan and
 // MaxGap replicate the mining constraints so the counted support equals
-// what the miner would have emitted.
+// what the miner would have emitted. The JSON names are those of the
+// worker wire's count body.
 type CountRequest struct {
-	Shard    int
-	Kind     Kind
-	Temporal []pattern.Temporal
-	Coinc    []pattern.Coinc
-	MaxSpan  interval.Time
-	MaxGap   interval.Time
+	Shard    int                `json:"shard"`
+	Kind     core.Kind          `json:"kind"`
+	Temporal []pattern.Temporal `json:"temporal,omitempty"`
+	Coinc    []pattern.Coinc    `json:"coinc,omitempty"`
+	MaxSpan  interval.Time      `json:"max_span,omitempty"`
+	MaxGap   interval.Time      `json:"max_gap,omitempty"`
 }
 
 // CountResponse holds per-pattern local supports, parallel to the
 // request's pattern slice.
 type CountResponse struct {
-	Supports []int
+	Supports []int `json:"supports"`
 }
 
 // Worker mines or counts over one shard. The interface is deliberately
@@ -111,40 +79,7 @@ func NewLocalWorker(db *interval.Database) *LocalWorker {
 
 // Mine runs the shard's miner per the request.
 func (w *LocalWorker) Mine(ctx context.Context, req *MineShardRequest) (*MineShardResponse, error) {
-	switch req.Kind {
-	case KindTemporal:
-		var (
-			rs  []pattern.TemporalResult
-			st  core.Stats
-			err error
-		)
-		if req.TopK > 0 {
-			rs, st, err = core.MineTemporalTopKCtx(ctx, w.db, req.TopK, req.Opt)
-		} else {
-			rs, st, err = core.MineTemporalCtx(ctx, w.db, req.Opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &MineShardResponse{Temporal: rs, Stats: st}, nil
-	case KindCoincidence:
-		var (
-			rs  []pattern.CoincResult
-			st  core.Stats
-			err error
-		)
-		if req.TopK > 0 {
-			rs, st, err = core.MineCoincidenceTopKCtx(ctx, w.db, req.TopK, req.Opt)
-		} else {
-			rs, st, err = core.MineCoincidenceCtx(ctx, w.db, req.Opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &MineShardResponse{Coinc: rs, Stats: st}, nil
-	default:
-		return nil, fmt.Errorf("shard: unknown kind %q", req.Kind)
-	}
+	return core.Mine(ctx, w.db, req.Kind, req.TopK, req.Opt)
 }
 
 // countPollEvery bounds how many sequences a Count scans between
@@ -157,7 +92,7 @@ const countPollEvery = 64
 // span and gap constraints included.
 func (w *LocalWorker) Count(ctx context.Context, req *CountRequest) (*CountResponse, error) {
 	switch req.Kind {
-	case KindTemporal:
+	case core.KindTemporal:
 		w.tempOnce.Do(func() {
 			slices, err := pattern.EncodeDatabase(w.db)
 			if err != nil {
@@ -172,7 +107,7 @@ func (w *LocalWorker) Count(ctx context.Context, req *CountRequest) (*CountRespo
 		return countSupports(ctx, w.tempIdx, req.Temporal, func(ix pattern.Index, p pattern.Temporal) bool {
 			return ix.Contains(p, req.MaxSpan, req.MaxGap)
 		})
-	case KindCoincidence:
+	case core.KindCoincidence:
 		w.coOnce.Do(func() {
 			w.coDB, w.coErr = pattern.TransformDatabase(w.db)
 		})

@@ -56,8 +56,8 @@ func DB() *interval.Database {
 
 // Run executes the full conformance suite against the factory.
 func Run(t *testing.T, f Factory) {
-	t.Run("MineTemporalDeterministic", func(t *testing.T) { testMineDeterministic(t, f, shard.KindTemporal) })
-	t.Run("MineCoincidenceDeterministic", func(t *testing.T) { testMineDeterministic(t, f, shard.KindCoincidence) })
+	t.Run("MineTemporalDeterministic", func(t *testing.T) { testMineDeterministic(t, f, core.KindTemporal) })
+	t.Run("MineCoincidenceDeterministic", func(t *testing.T) { testMineDeterministic(t, f, core.KindCoincidence) })
 	t.Run("MineMatchesLocal", func(t *testing.T) { testMineMatchesLocal(t, f) })
 	t.Run("MineTopK", func(t *testing.T) { testMineTopK(t, f) })
 	t.Run("MineUnknownKind", func(t *testing.T) { testUnknownKind(t, f) })
@@ -68,17 +68,17 @@ func Run(t *testing.T, f Factory) {
 	t.Run("CountCancellation", func(t *testing.T) { testCancellation(t, f, true) })
 }
 
-func mineReq(kind shard.Kind) *shard.MineShardRequest {
+func mineReq(kind core.Kind) *shard.MineShardRequest {
 	return &shard.MineShardRequest{
 		Shard: 0,
 		Kind:  kind,
-		Opt:   core.Options{MinCount: 2, KeepOccurrences: kind == shard.KindTemporal},
+		Opt:   core.Options{MinCount: 2, KeepOccurrences: kind == core.KindTemporal},
 	}
 }
 
 // testMineDeterministic: two identical calls return identical patterns,
 // supports, and search counters. Elapsed is wall time and exempt.
-func testMineDeterministic(t *testing.T, f Factory, kind shard.Kind) {
+func testMineDeterministic(t *testing.T, f Factory, kind core.Kind) {
 	w := f.New(t, DB())
 	ctx := context.Background()
 	a, err := w.Mine(ctx, mineReq(kind))
@@ -93,10 +93,10 @@ func testMineDeterministic(t *testing.T, f Factory, kind shard.Kind) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("repeated mine differs:\n#1: %+v\n#2: %+v", a, b)
 	}
-	if kind == shard.KindTemporal && len(a.Temporal) == 0 {
+	if kind == core.KindTemporal && len(a.Temporal) == 0 {
 		t.Fatal("temporal mine found nothing; suite database is broken")
 	}
-	if kind == shard.KindCoincidence && len(a.Coinc) == 0 {
+	if kind == core.KindCoincidence && len(a.Coinc) == 0 {
 		t.Fatal("coincidence mine found nothing; suite database is broken")
 	}
 }
@@ -109,7 +109,7 @@ func testMineMatchesLocal(t *testing.T, f Factory) {
 	w := f.New(t, db)
 	ref := shard.NewLocalWorker(db)
 	ctx := context.Background()
-	for _, kind := range []shard.Kind{shard.KindTemporal, shard.KindCoincidence} {
+	for _, kind := range []core.Kind{core.KindTemporal, core.KindCoincidence} {
 		got, err := w.Mine(ctx, mineReq(kind))
 		if err != nil {
 			t.Fatalf("%s: mine: %v", kind, err)
@@ -143,7 +143,7 @@ func testMineMatchesLocal(t *testing.T, f Factory) {
 // testMineTopK: the top-k path works and honors k.
 func testMineTopK(t *testing.T, f Factory) {
 	w := f.New(t, DB())
-	req := mineReq(shard.KindTemporal)
+	req := mineReq(core.KindTemporal)
 	req.TopK = 2
 	resp, err := w.Mine(context.Background(), req)
 	if err != nil {
@@ -157,11 +157,11 @@ func testMineTopK(t *testing.T, f Factory) {
 // testUnknownKind: a bogus kind is an error, not silence.
 func testUnknownKind(t *testing.T, f Factory) {
 	w := f.New(t, DB())
-	req := mineReq(shard.Kind("nonsense"))
+	req := mineReq(core.Kind("nonsense"))
 	if _, err := w.Mine(context.Background(), req); err == nil {
 		t.Error("mine with unknown kind succeeded")
 	}
-	creq := &shard.CountRequest{Shard: 0, Kind: shard.Kind("nonsense")}
+	creq := &shard.CountRequest{Shard: 0, Kind: core.Kind("nonsense")}
 	if _, err := w.Count(context.Background(), creq); err == nil {
 		t.Error("count with unknown kind succeeded")
 	}
@@ -172,11 +172,11 @@ func testUnknownKind(t *testing.T, f Factory) {
 func testCountMatchesMine(t *testing.T, f Factory) {
 	w := f.New(t, DB())
 	ctx := context.Background()
-	mined, err := w.Mine(ctx, mineReq(shard.KindTemporal))
+	mined, err := w.Mine(ctx, mineReq(core.KindTemporal))
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	creq := &shard.CountRequest{Shard: 0, Kind: shard.KindTemporal}
+	creq := &shard.CountRequest{Shard: 0, Kind: core.KindTemporal}
 	for _, r := range mined.Temporal {
 		creq.Temporal = append(creq.Temporal, r.Pattern)
 	}
@@ -193,11 +193,11 @@ func testCountMatchesMine(t *testing.T, f Factory) {
 		}
 	}
 
-	cm, err := w.Mine(ctx, mineReq(shard.KindCoincidence))
+	cm, err := w.Mine(ctx, mineReq(core.KindCoincidence))
 	if err != nil {
 		t.Fatalf("coincidence mine: %v", err)
 	}
-	ccreq := &shard.CountRequest{Shard: 0, Kind: shard.KindCoincidence}
+	ccreq := &shard.CountRequest{Shard: 0, Kind: core.KindCoincidence}
 	for _, r := range cm.Coinc {
 		ccreq.Coinc = append(ccreq.Coinc, r.Pattern)
 	}
@@ -216,7 +216,7 @@ func testCountMatchesMine(t *testing.T, f Factory) {
 // parallel to the request slice.
 func testCountShape(t *testing.T, f Factory) {
 	w := f.New(t, DB())
-	resp, err := w.Count(context.Background(), &shard.CountRequest{Shard: 0, Kind: shard.KindTemporal})
+	resp, err := w.Count(context.Background(), &shard.CountRequest{Shard: 0, Kind: core.KindTemporal})
 	if err != nil {
 		t.Fatalf("empty count: %v", err)
 	}
@@ -230,7 +230,7 @@ func testCountShape(t *testing.T, f Factory) {
 // silently corrupt aggregate stats and completeness decisions.
 func testStatsFold(t *testing.T, f Factory) {
 	w := f.New(t, DB())
-	resp, err := w.Mine(context.Background(), mineReq(shard.KindTemporal))
+	resp, err := w.Mine(context.Background(), mineReq(core.KindTemporal))
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -255,11 +255,11 @@ func testCancellation(t *testing.T, f Factory, count bool) {
 	var err error
 	if count {
 		_, err = w.Count(ctx, &shard.CountRequest{
-			Shard: 0, Kind: shard.KindTemporal,
+			Shard: 0, Kind: core.KindTemporal,
 			Temporal: []pattern.Temporal{mustMine(t, f).Temporal[0].Pattern},
 		})
 	} else {
-		_, err = w.Mine(ctx, mineReq(shard.KindTemporal))
+		_, err = w.Mine(ctx, mineReq(core.KindTemporal))
 	}
 	if err == nil {
 		t.Fatal("call with canceled context succeeded")
@@ -273,7 +273,7 @@ func testCancellation(t *testing.T, f Factory, count bool) {
 func mustMine(t *testing.T, f Factory) *shard.MineShardResponse {
 	t.Helper()
 	w := f.New(t, DB())
-	resp, err := w.Mine(context.Background(), mineReq(shard.KindTemporal))
+	resp, err := w.Mine(context.Background(), mineReq(core.KindTemporal))
 	if err != nil || len(resp.Temporal) == 0 {
 		t.Fatalf("seed mine: %v (%d results)", err, len(resp.Temporal))
 	}

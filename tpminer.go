@@ -37,6 +37,7 @@ package tpminer
 
 import (
 	"context"
+	"fmt"
 
 	"tpminer/internal/core"
 	"tpminer/internal/dataio"
@@ -131,43 +132,71 @@ func MineTemporalPatternsCtx(ctx context.Context, db *Database, opt Options) ([]
 // MineCoincidencePatternsCtx is the coincidence analogue of
 // MineTemporalPatternsCtx.
 func MineCoincidencePatternsCtx(ctx context.Context, db *Database, opt Options) ([]CoincidenceResult, Stats, error) {
-	return core.MineCoincidenceCtx(ctx, db, opt)
+	r, err := core.Mine(ctx, db, core.KindCoincidence, 0, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return r.Coinc, r.Stats, nil
 }
 
 // MineTopKTemporalPatterns returns the k best-supported temporal
 // patterns, raising the support threshold dynamically during the search.
 // opt.MinCount/MinSupport, when set, act as a floor.
 func MineTopKTemporalPatterns(db *Database, k int, opt Options) ([]TemporalResult, Stats, error) {
-	return core.MineTemporalTopK(db, k, opt)
+	r, err := mineTopK(db, core.KindTemporal, k, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return r.Temporal, r.Stats, nil
 }
 
 // MineTopKCoincidencePatterns is the coincidence analogue of
 // MineTopKTemporalPatterns.
 func MineTopKCoincidencePatterns(db *Database, k int, opt Options) ([]CoincidenceResult, Stats, error) {
-	return core.MineCoincidenceTopK(db, k, opt)
+	r, err := mineTopK(db, core.KindCoincidence, k, opt)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return r.Coinc, r.Stats, nil
+}
+
+// mineTopK runs a top-k core.Mine. It rejects k < 1 itself, since
+// core.Mine reads k = 0 as a request for every pattern.
+func mineTopK(db *Database, kind core.Kind, k int, opt Options) (*core.Result, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("tpminer: top-k requires k >= 1, got %d", k)
+	}
+	return core.Mine(context.Background(), db, kind, k, opt)
 }
 
 // ClosedPatterns keeps only the closed temporal patterns of a result
 // set: those with no proper super-pattern of equal support.
 func ClosedPatterns(rs []TemporalResult) []TemporalResult {
-	return core.FilterClosed(rs)
+	return filtered(core.Result{Temporal: rs}, "closed").Temporal
 }
 
 // MaximalPatterns keeps only the maximal temporal patterns: those with
 // no proper frequent super-pattern at all.
 func MaximalPatterns(rs []TemporalResult) []TemporalResult {
-	return core.FilterMaximal(rs)
+	return filtered(core.Result{Temporal: rs}, "maximal").Temporal
 }
 
 // ClosedCoincidencePatterns keeps only the closed coincidence patterns.
 func ClosedCoincidencePatterns(rs []CoincidenceResult) []CoincidenceResult {
-	return core.FilterClosedCoinc(rs)
+	return filtered(core.Result{Coinc: rs}, "closed").Coinc
 }
 
 // MaximalCoincidencePatterns keeps only the maximal coincidence
 // patterns.
 func MaximalCoincidencePatterns(rs []CoincidenceResult) []CoincidenceResult {
-	return core.FilterMaximalCoinc(rs)
+	return filtered(core.Result{Coinc: rs}, "maximal").Coinc
+}
+
+// filtered is core.Filter under a context that is never cancelled, the
+// only way the filter fails.
+func filtered(r core.Result, which string) core.Result {
+	_ = core.Filter(context.Background(), &r, which)
+	return r
 }
 
 // ParseTemporalPattern parses the textual pattern form, e.g.
