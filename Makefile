@@ -65,10 +65,13 @@ chaos:
 # goroutines, slow consumers are dropped not blocked on), job
 # durability, and the two ingest commit tests (a request whose flush
 # fails buffers nothing, so its retry ingests once; auto-create never
-# overwrites a racing PUT) — all under the race detector, since every
-# one of them exercises the jobs manager's or the batcher's concurrency.
+# overwrites a racing PUT), and the FuzzJobDeltasAgree seeds (on
+# FuzzMinePathsAgree's draw, cumulative job deltas equal a batch mine
+# after a PUT and after an append) — all under the race detector, since
+# every one of them exercises the jobs manager's or the batcher's
+# concurrency.
 stream:
-	$(GO) test -race ./internal/server -run 'TestStreaming|TestSSE|TestJobDelete|TestIngestRequestAllOrNothing|TestIngestCreateRacingPut' -count=1
+	$(GO) test -race ./internal/server -run 'TestStreaming|TestSSE|TestJobDelete|TestIngestRequestAllOrNothing|TestIngestCreateRacingPut|FuzzJobDeltasAgree' -count=1
 	$(GO) test -race ./internal/jobs
 
 # Distributed-mining gate: the remote-worker conformance suite, the
@@ -81,15 +84,16 @@ stream:
 # local sharded, exact failover when a worker dies mid-mine, no
 # goroutine leaks), and the two coordinator-restart tests (kept workers
 # serve the same shards after a restart over an appended dataset, and
-# replace them after a shard-count change), and the shared-worker test
-# (two coordinators holding the same dataset name and version with
-# different data each mine their own shards) — all under the race
+# decode the new split after a shard-count change), and the two shared-worker
+# tests (two coordinators holding the same dataset name and version with
+# different data each mine their own shards, and interleaved mines push
+# each shard once with no retry) — all under the race
 # detector, since the pool and its clients are exercised
 # concurrently by the coordinator's fan-out.
 dist:
 	$(GO) test -race ./internal/remote -count=1
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
-	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount|TestRemoteCoordinatorsShareWorker' -count=1
+	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount|TestRemoteCoordinatorsShareWorker|TestRemoteCoordinatorsInterleave' -count=1
 
 # perfbench is its own Go module that imports internal/ APIs, so the
 # root build never sees a change that breaks it; vet and test it here.

@@ -48,11 +48,12 @@
 // health) and holds no datasets of its own. A -role=server process
 // given -workers=http://w1:9090,http://w2:9090 scatters the shards of
 // whole-dataset mines across those workers: each shard's sub-database
-// is pushed once per dataset version (keyed by dataset, version and
-// shard, verified by digest, gzip wire encoding), mined remotely, and
-// merged exactly as in-process sharding would — an unreachable
-// worker's shard is transparently re-mined locally, so results, ETags,
-// and cache keys never change. Worker
+// is pushed once per dataset version (gzip wire encoding) and cached on
+// the worker under the SHA-256 digest of its bytes, which every mine and
+// count names, mined remotely, and merged exactly as in-process sharding
+// would — an unreachable worker's shard is transparently re-mined
+// locally, so results, ETags, and cache keys never change. The
+// coordinator and its workers must run the same build. Worker
 // health is probed every -worker-probe-interval and reported on
 // GET /v1/readyz; per-dataset placement appears on
 // GET /v1/datasets/{name}/shards and traffic as tpmd_remote_* metrics.
@@ -253,10 +254,10 @@ func run(args []string) error {
 			return err
 		}
 	}
-	// closePersist flushes and fsyncs the WAL and cuts a final snapshot;
-	// it must run after the HTTP drain so every acknowledged mutation is
-	// on disk before the process exits.
-	closePersist := func() {
+	// Deferred first, so it runs last, after the HTTP drain and after
+	// svc.Close flushes buffered ingest events: flush and fsync the WAL
+	// and cut a final snapshot, on every path out of run.
+	defer func() {
 		if pstore == nil {
 			return
 		}
@@ -265,7 +266,7 @@ func run(args []string) error {
 			return
 		}
 		logger.Info("persist flushed and snapshotted", "store", *dataDir)
-	}
+	}()
 	svc := server.NewWithConfig(logger, server.Config{
 		MaxConcurrentMines:      *maxMines,
 		MaxMineDuration:         *mineTimeout,
@@ -285,8 +286,8 @@ func run(args []string) error {
 		Workers:                 workerList,
 		WorkerProbeInterval:     *workerProbe,
 	})
-	// Stop the background recovery prober before the persist store is
-	// closed underneath it.
+	// Flush buffered ingest events and stop the jobs and the recovery
+	// prober before the persist store is closed underneath them.
 	defer svc.Close()
 	srv := &http.Server{
 		Addr:              *addr,
@@ -312,9 +313,5 @@ func run(args []string) error {
 		defer pprofSrv.Close()
 	}
 
-	err = serve(srv, *grace, logger)
-	// Even a failed listener or a botched drain must not lose
-	// acknowledged mutations: flush the WAL before reporting it.
-	closePersist()
-	return err
+	return serve(srv, *grace, logger)
 }

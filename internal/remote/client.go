@@ -83,7 +83,7 @@ func (w *RemoteWorker) WorkerAddr() string { return w.base }
 
 // Mine implements shard.Worker.
 func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
-	wreq := mineWire{Key: w.data.Key, Digest: w.data.Digest(), MineShardRequest: *req}
+	wreq := mineWire{Digest: w.data.Digest(), MineShardRequest: *req}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms < 1 {
@@ -100,7 +100,7 @@ func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*
 
 // Count implements shard.Worker.
 func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
-	wreq := countWire{Key: w.data.Key, Digest: w.data.Digest(), CountRequest: *req}
+	wreq := countWire{Digest: w.data.Digest(), CountRequest: *req}
 	var resp shard.CountResponse
 	if err := w.call(ctx, OpCount, countTimeout, "/v1/worker/count", wreq, &resp); err != nil {
 		return nil, err
@@ -208,9 +208,12 @@ func (w *RemoteWorker) statusError(op string, status int, data []byte) error {
 }
 
 // ensurePushed uploads the shard payload unless this worker is already
-// known to hold this exact version.
+// known to hold this exact version. A push of other bytes than the ones
+// last pushed there for the same (dataset, shard) names those in
+// X-Shard-Replaces, so the worker frees them.
 func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
-	if w.pushed.has(w.base, w.data.Key) {
+	last, current := w.pushed.last(w.base, w.data.Key)
+	if current {
 		return nil
 	}
 	payload, digest, err := w.data.Encode()
@@ -219,12 +222,15 @@ func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
 	}
 	pctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPut, w.base+w.data.Key.path(), bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(pctx, http.MethodPut, w.base+"/v1/worker/shards/"+digest, bytes.NewReader(payload))
 	if err != nil {
 		return &RPCError{Op: OpPush, Worker: w.base, Err: err, permanent: true}
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(shardDigestHeader, digest)
+	req.Header.Set(shardKeyHeader, w.data.Key.String())
+	if last != "" && last != digest {
+		req.Header.Set(shardReplacesHeader, last)
+	}
 	resp, err := w.opt.HTTPClient.Do(req)
 	if err != nil {
 		return &RPCError{Op: OpPush, Worker: w.base, Err: err}
@@ -237,6 +243,6 @@ func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
 	}
 	w.opt.Metrics.Pushes.Inc()
 	w.opt.Metrics.PushBytes.Add(uint64(len(payload)))
-	w.pushed.mark(w.base, w.data.Key)
+	w.pushed.mark(w.base, w.data.Key, digest)
 	return nil
 }

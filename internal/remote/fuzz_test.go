@@ -14,20 +14,16 @@ import (
 )
 
 // fuzzWorker returns the handler of a worker holding one small pushed
-// shard, key {d, 1, 0}, which the committed seed bodies address by key
-// and digest.
+// shard, which the committed seed bodies address by its digest.
 func fuzzWorker(f *testing.F) http.Handler {
 	ws := NewWorkerServer(WorkerConfig{MaxShardBytes: decodeLimit})
 	h := ws.Handler()
-	key := ShardKey{Dataset: "d", Version: 1, Shard: 0}
-	payload, digest, err := NewShardData(key, decodeTestDB()).Encode()
+	payload, digest, err := NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, decodeTestDB()).Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
-	req := httptest.NewRequest("PUT", key.path(), bytes.NewReader(payload))
-	req.Header.Set(shardDigestHeader, digest)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/worker/shards/"+digest, bytes.NewReader(payload)))
 	if rec.Code != http.StatusNoContent || ws.Shards() != 1 {
 		f.Fatalf("push: %d %s", rec.Code, rec.Body)
 	}

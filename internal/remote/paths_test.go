@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"slices"
@@ -13,43 +12,8 @@ import (
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
 	"tpminer/internal/shard"
+	"tpminer/internal/shard/workertest"
 )
-
-// mineInput decodes fuzz bytes into a database of at most 8 sequences
-// over the symbols A-D and one mine request: temporal or coincidence, a
-// min_count of 1-4, a top_k of 0-5 and, for temporal mining, a max_span
-// and a max_gap (0 is unbounded). Bytes past the end read as 0.
-func mineInput(data []byte) (db *interval.Database, kind core.Kind, topK int, opt core.Options) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
-	h := next()
-	kind, topK = core.KindTemporal, h>>1%6
-	if h&1 == 1 {
-		kind = core.KindCoincidence
-	}
-	opt.MinCount = 1 + next()%4
-	if kind == core.KindTemporal {
-		opt.MaxSpan, opt.MaxGap = interval.Time(next()%16), interval.Time(next()%8)
-	}
-	db = &interval.Database{Sequences: make([]interval.Sequence, next()%9)}
-	for s := range db.Sequences {
-		seq := &db.Sequences[s]
-		seq.ID = fmt.Sprintf("s%d", s)
-		for n := next() % 6; n > 0; n-- {
-			b, start := next(), interval.Time(next()%16)
-			seq.Intervals = append(seq.Intervals, interval.Interval{
-				Symbol: string(rune('A' + b%4)), Start: start, End: start + interval.Time(b>>2%8),
-			})
-		}
-	}
-	return db, kind, topK, opt
-}
 
 // minedRows is a response's patterns with their supports, an empty list
 // and nil alike read as nil: the server renders the same rows from
@@ -136,7 +100,7 @@ func FuzzMinePathsAgree(f *testing.F) {
 	ctx := context.Background()
 	var version uint64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, kind, topK, opt := mineInput(data)
+		db, kind, topK, opt := workertest.MineInput(data)
 		// The last input's failover demoted the dropping worker; the
 		// probe re-admits it, since it answers health checks.
 		pool.probe(ctx)

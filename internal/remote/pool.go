@@ -238,7 +238,7 @@ func (p *Pool) Placements(dataset string, version uint64, numShards int) []Shard
 		addr := assign(healthy, i)
 		out[i].Worker = addr
 		if addr != "local" {
-			out[i].Pushed = p.pushed.has(addr, ShardKey{Dataset: dataset, Version: version, Shard: i})
+			_, out[i].Pushed = p.pushed.last(addr, ShardKey{Dataset: dataset, Version: version, Shard: i})
 		}
 	}
 	return out
@@ -326,14 +326,16 @@ func (f *failover) Count(ctx context.Context, req *shard.CountRequest) (*shard.C
 	return f.local.Count(ctx, req)
 }
 
-// pushTracker remembers which worker holds which shard version, keyed
-// (worker, dataset, shard) → version. Versions are monotone, so storing
-// only the latest bounds the map at workers × datasets × shards. A pool
-// shares one across its workers and requests, so a shard is re-pushed
-// only on a version change or after the worker reports it missing.
+// pushTracker remembers which shard version, and which digest, each
+// worker was last pushed, keyed (worker, dataset, shard). Versions are
+// monotone, so storing only the latest bounds the map at workers ×
+// datasets × shards. A pool shares one across its workers and requests,
+// so a shard is re-pushed only on a version change or after the worker
+// reports it missing, and a push of other bytes can name the digest it
+// replaces.
 type pushTracker struct {
 	mu     sync.Mutex
-	pushed map[pushKey]uint64
+	pushed map[pushKey]pushed
 }
 
 type pushKey struct {
@@ -342,22 +344,28 @@ type pushKey struct {
 	shard   int
 }
 
+type pushed struct {
+	version uint64
+	digest  string
+}
+
 func newPushTracker() *pushTracker {
-	return &pushTracker{pushed: make(map[pushKey]uint64)}
+	return &pushTracker{pushed: make(map[pushKey]pushed)}
 }
 
-// has reports whether addr is known to hold exactly k's version.
-func (t *pushTracker) has(addr string, k ShardKey) bool {
+// last returns the digest last pushed to addr for k's dataset and shard,
+// and whether it was pushed for exactly k's version.
+func (t *pushTracker) last(addr string, k ShardKey) (digest string, current bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v, ok := t.pushed[pushKey{addr, k.Dataset, k.Shard}]
-	return ok && v == k.Version
+	p, ok := t.pushed[pushKey{addr, k.Dataset, k.Shard}]
+	return p.digest, ok && p.version == k.Version
 }
 
-func (t *pushTracker) mark(addr string, k ShardKey) {
+func (t *pushTracker) mark(addr string, k ShardKey, digest string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pushed[pushKey{addr, k.Dataset, k.Shard}] = k.Version
+	t.pushed[pushKey{addr, k.Dataset, k.Shard}] = pushed{k.Version, digest}
 }
 
 func (t *pushTracker) invalidate(addr string, k ShardKey) {

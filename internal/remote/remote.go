@@ -6,10 +6,12 @@
 // worker's shard is re-mined on an in-process LocalWorker.
 //
 // Exactness argument: the unit of distribution is the shard database,
-// pushed verbatim (keyed by dataset, version, and shard index, and
-// verified against its digest) before any mining request touches it,
-// and every mine and count names the digest it expects. The mine and
-// count bodies embed the coordinator's shard.MineShardRequest and
+// pushed verbatim and keyed on the worker by the SHA-256 of its
+// encoding, which the worker checks before caching it. Mine and count
+// bodies name the shard by that digest alone, and a digest key cannot
+// hold other bytes, so a worker mines exactly the bytes the coordinator
+// split off, whichever coordinator pushed them. The mine and count
+// bodies embed the coordinator's shard.MineShardRequest and
 // shard.CountRequest whole, and the worker answers with the core.Result
 // or shard.CountResponse its LocalWorker computed. A worker therefore
 // computes exactly what a LocalWorker over the same sub-database would
@@ -38,23 +40,22 @@ const (
 	OpProbe = "probe"
 )
 
-// ShardKey names one shard of one dataset version. It does not name the
-// bytes: a coordinator restarted with another shard count, or another
-// coordinator sharing the worker, can send other bytes under the same
-// key, so a worker checks each push's and each RPC's digest too.
+// ShardKey names one shard of one dataset version on the coordinator:
+// the pool's push state is keyed by it, and errors and logs name a shard
+// by it. It does not name the bytes (two coordinators that share a
+// worker can each hold a dataset of the same name at the same version),
+// so it reaches a worker only as a label, in the push's X-Shard-Key
+// header; the worker keys each shard by its digest.
 type ShardKey struct {
-	Dataset string `json:"dataset"`
-	Version uint64 `json:"version"`
-	Shard   int    `json:"shard"`
+	Dataset string
+	Version uint64
+	Shard   int
 }
 
+// String renders the key as dataset@vVERSION/SHARD, with the dataset
+// name path-escaped so the label is safe in a header and unambiguous.
 func (k ShardKey) String() string {
-	return fmt.Sprintf("%s@v%d/%d", k.Dataset, k.Version, k.Shard)
-}
-
-// path is the worker-side resource path for the shard payload.
-func (k ShardKey) path() string {
-	return fmt.Sprintf("/v1/worker/shards/%s/%d/%d", url.PathEscape(k.Dataset), k.Version, k.Shard)
+	return fmt.Sprintf("%s@v%d/%d", url.PathEscape(k.Dataset), k.Version, k.Shard)
 }
 
 // RPCError wraps a failed worker RPC with enough context to diagnose it
@@ -88,23 +89,16 @@ func (e *RPCError) Error() string {
 
 func (e *RPCError) Unwrap() error { return e.Err }
 
-// Unavailable reports whether the failure means the worker (or the
-// network to it) is unusable — no response, or a 5xx — as opposed to the
-// request itself being rejected (4xx). Unavailable failures are the ones
-// failover may re-mine locally: the same request on a local worker would
-// not reproduce the error.
-func (e *RPCError) Unavailable() bool {
-	if e.permanent {
-		return false
-	}
-	return e.Status == 0 || e.Status >= 500 || (e.Status == 404 && e.Code == codeShardNotLoaded)
-}
-
 // IsUnavailable reports whether err (at any wrap depth) is an RPC
-// failure that indicts the worker, the trigger condition for failover.
+// failure that means the worker (or the network to it) is unusable — no
+// response, a 5xx, or a worker that lost the shard — as opposed to the
+// request itself being rejected (4xx). Those are the failures failover
+// may re-mine locally: the same request on a local worker would not
+// reproduce the error.
 func IsUnavailable(err error) bool {
-	var re *RPCError
-	return errors.As(err, &re) && re.Unavailable()
+	var e *RPCError
+	return errors.As(err, &e) && !e.permanent &&
+		(e.Status == 0 || e.Status >= 500 || (e.Status == 404 && e.Code == codeShardNotLoaded))
 }
 
 // Metrics holds the client side's tpmd_remote_* handles; the pool and

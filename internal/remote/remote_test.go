@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tpminer/internal/core"
+	"tpminer/internal/interval"
 	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 	"tpminer/internal/shard"
@@ -66,6 +67,54 @@ func TestShardPushedOncePerVersion(t *testing.T) {
 	}
 	if ws.Shards() != 1 {
 		t.Errorf("worker caches %d shards, want 1 (old version evicted)", ws.Shards())
+	}
+}
+
+// TestPushOfHeldDigestNotDecoded: the worker keys shards by digest. A
+// pool mines a dataset, then the same bytes under a new version: the
+// pool pushes again, since its push state is keyed by version, but the
+// worker already holds the digest and decodes nothing. New bytes under
+// a third version name the digests they replace, so the worker still
+// holds one copy per shard.
+func TestPushOfHeldDigestNotDecoded(t *testing.T) {
+	ws := NewWorkerServer(WorkerConfig{})
+	ch := &countingHandler{inner: ws.Handler()}
+	ts := httptest.NewServer(ch)
+	defer ts.Close()
+	pool := NewPool([]string{ts.URL}, -1, ClientOptions{Retry: fastRetry}, nil)
+	defer pool.Close()
+	mine := func(version uint64, db *interval.Database) int {
+		t.Helper()
+		part := shard.New(db, 2, 1)
+		if _, err := pool.Coordinator("d", version, db, part).Mine(context.Background(), core.KindTemporal, 0,
+			core.Options{MinCount: 2}); err != nil {
+			t.Fatalf("mine v%d: %v", version, err)
+		}
+		return part.NumShards()
+	}
+
+	shards := mine(1, workertest.DB())
+	if shards < 2 {
+		t.Fatalf("partition has %d shards; test needs >= 2", shards)
+	}
+	decoded := ws.pushBytesC.Value()
+	mine(2, workertest.DB())
+	if got, want := ch.pushes.Load(), int64(2*shards); got != want {
+		t.Errorf("after mining the same bytes under a new version: %d pushes, want %d", got, want)
+	}
+	if got := ws.pushBytesC.Value(); got != decoded {
+		t.Errorf("tpmd_worker_shard_push_bytes_total moved %d -> %d on a push of digests the worker holds", decoded, got)
+	}
+
+	changed := workertest.DB()
+	for i := range changed.Sequences {
+		changed.Sequences[i].ID += "x"
+	}
+	if n := mine(3, changed); ws.Shards() != n {
+		t.Errorf("worker caches %d shards after new bytes replaced the old, want %d", ws.Shards(), n)
+	}
+	if ws.pushBytesC.Value() == decoded {
+		t.Error("the worker decoded none of the new bytes; test is vacuous")
 	}
 }
 
@@ -430,14 +479,5 @@ func TestRPCErrorClassification(t *testing.T) {
 	notLoaded := &RPCError{Op: OpMine, Worker: "http://w", Status: 404, Code: codeShardNotLoaded, Err: errors.New("missing")}
 	if resilience.Classify(notLoaded) != resilience.ClassTransient {
 		t.Error("shard_not_loaded not retryable; recovery after worker restart depends on it")
-	}
-}
-
-// TestShardKeyPath pins the push path encoding, including escaping.
-func TestShardKeyPath(t *testing.T) {
-	k := ShardKey{Dataset: "a b/c", Version: 7, Shard: 2}
-	want := "/v1/worker/shards/a%20b%2Fc/7/2"
-	if got := k.path(); got != want {
-		t.Errorf("path = %q, want %q", got, want)
 	}
 }

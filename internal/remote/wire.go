@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"regexp"
 	"sync"
 
 	"tpminer/internal/interval"
@@ -22,26 +23,27 @@ import (
 // codec is both far smaller than JSON and already round-trip-tested by
 // the persistence suite.
 
-// shardDigestHeader carries the hex SHA-256 of the *uncompressed* shard
-// encoding on a push, so a worker detects corruption (or a codec
-// mismatch) before caching bad bytes, and keeps the digest to check
-// each mine and count against.
-const shardDigestHeader = "X-Shard-Digest"
+// The push is PUT /v1/worker/shards/{digest}, where digest is the hex
+// SHA-256 of the *uncompressed* shard encoding: the worker keys the
+// shard by it and checks the inflated body against it before caching,
+// so it never caches bytes under another digest. Two headers ride along:
+const (
+	// shardKeyHeader labels the push with its ShardKey, for the worker's
+	// shard list and log line only; the worker never keys by it.
+	shardKeyHeader = "X-Shard-Key"
+	// shardReplacesHeader names the digest the pushing coordinator last
+	// pushed to this worker for the same (dataset, shard), which the
+	// worker frees: one coordinator keeps one copy per shard there, and
+	// no coordinator can free a digest it did not push.
+	shardReplacesHeader = "X-Shard-Replaces"
+)
 
 // mineWire is the body of POST /v1/worker/mine: the shard request,
-// addressed to one cached shard.
+// addressed to one cached shard by its digest. The request's Shard is
+// the coordinator's shard index, reproduced in the worker's responses
+// and error attributions.
 type mineWire struct {
-	Key ShardKey `json:"key"`
-	// Digest is the shard's digest, as pushed in X-Shard-Digest. The
-	// key alone does not name the bytes: two coordinators that share a
-	// worker can each hold a dataset of the same name and version. A
-	// worker whose shard under Key has another digest answers
-	// shard_not_loaded, and the client re-pushes.
 	Digest string `json:"digest"`
-	// The request's Shard is the coordinator's shard index, reproduced in
-	// the worker's responses and error attributions. It can differ from
-	// Key.Shard only in hand-built requests; the client always sends
-	// them equal.
 	shard.MineShardRequest
 	// TimeoutMillis is the client's remaining deadline budget; the worker
 	// bounds its mine by it so an abandoned request cannot hold the shard
@@ -51,8 +53,7 @@ type mineWire struct {
 
 // countWire is the body of POST /v1/worker/count.
 type countWire struct {
-	Key    ShardKey `json:"key"`
-	Digest string   `json:"digest"` // as in mineWire
+	Digest string `json:"digest"`
 	shard.CountRequest
 }
 
@@ -132,16 +133,15 @@ func (d *ShardData) Encode() (payload []byte, digest string, err error) {
 	return d.payload, digest, d.err
 }
 
-// decodeShardPayload inflates and decodes one pushed shard body,
-// verifying the declared digest, which it requires: every mine and
-// count names the shard by its digest, so a worker never caches
-// unverified bytes.
-// maxBytes bounds the inflated size so a hostile or corrupt payload
-// cannot balloon worker memory.
+// digestRE matches a digest as the push path carries it: 64 lowercase
+// hex characters.
+var digestRE = regexp.MustCompile(`^[0-9a-f]{64}$`)
+
+// decodeShardPayload inflates and decodes one pushed shard body, which
+// must hash to wantDigest: a worker never caches bytes under another
+// digest. maxBytes bounds the inflated size so a hostile or corrupt
+// payload cannot balloon worker memory.
 func decodeShardPayload(r io.Reader, wantDigest string, maxBytes int64) (*interval.Database, int64, error) {
-	if wantDigest == "" {
-		return nil, 0, fmt.Errorf("remote: shard push lacks the %s header", shardDigestHeader)
-	}
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("remote: shard payload is not gzip: %w", err)

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,8 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sort"
-	"strconv"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,27 +43,28 @@ type WorkerConfig struct {
 }
 
 // cachedShard is one pushed shard: a ready-to-mine LocalWorker, the
-// digest of the payload it was decoded from, and the bookkeeping the
-// shard list and LRU eviction need.
+// pushing coordinator's label for it, and the bookkeeping the shard
+// list and LRU eviction need.
 type cachedShard struct {
 	worker  *shard.LocalWorker
-	digest  string
+	label   string // the push's X-Shard-Key, shown, never keyed on
 	seqs    int
 	bytes   int64 // uncompressed payload size
 	lastUse uint64
 }
 
-// WorkerServer is the worker role: it caches pushed shard databases and
-// serves mine/count requests over them through ordinary LocalWorkers,
-// so a remote mine computes exactly what the in-process path would.
+// WorkerServer is the worker role: it caches pushed shard databases,
+// keyed by digest, and serves mine/count requests over them through
+// ordinary LocalWorkers, so a remote mine computes exactly what the
+// in-process path would.
 type WorkerServer struct {
 	cfg    WorkerConfig
 	logger *slog.Logger
 	reg    *obs.Registry
 
 	mu     sync.Mutex
-	shards map[ShardKey]*cachedShard
-	clock  uint64 // LRU tick
+	shards map[string]*cachedShard // by digest
+	clock  uint64                  // LRU tick
 
 	rpcs       *obs.CounterVec
 	cachedN    *obs.Gauge
@@ -84,7 +86,7 @@ func NewWorkerServer(cfg WorkerConfig) *WorkerServer {
 		cfg:    cfg,
 		logger: cfg.Logger,
 		reg:    reg,
-		shards: make(map[ShardKey]*cachedShard),
+		shards: make(map[string]*cachedShard),
 		rpcs: reg.NewCounterVec("tpmd_worker_rpcs_total",
 			"Worker RPCs served, by operation and outcome.", "op", "outcome"),
 		cachedN: reg.NewGauge("tpmd_worker_shards_cached",
@@ -92,7 +94,7 @@ func NewWorkerServer(cfg WorkerConfig) *WorkerServer {
 		cachedB: reg.NewGauge("tpmd_worker_shard_bytes",
 			"Total uncompressed bytes of cached shard databases."),
 		pushBytesC: reg.NewCounter("tpmd_worker_shard_push_bytes_total",
-			"Total uncompressed bytes accepted through shard pushes."),
+			"Total uncompressed bytes of shard pushes decoded; a push of a digest already cached is not decoded and adds nothing."),
 	}
 }
 
@@ -101,7 +103,7 @@ func (ws *WorkerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/worker/healthz", ws.handleHealthz)
 	mux.HandleFunc("GET /v1/worker/shards", ws.handleShardList)
-	mux.HandleFunc("PUT /v1/worker/shards/{dataset}/{version}/{shard}", ws.handleShardPush)
+	mux.HandleFunc("PUT /v1/worker/shards/{digest}", ws.handleShardPush)
 	mux.HandleFunc("POST /v1/worker/mine", ws.handleMine)
 	mux.HandleFunc("POST /v1/worker/count", ws.handleCount)
 	mux.Handle("GET /v1/worker/metrics", ws.reg.Handler())
@@ -115,12 +117,12 @@ func (ws *WorkerServer) Shards() int {
 	return len(ws.shards)
 }
 
-// lookup fetches a cached shard and bumps its LRU tick. Its worker and
-// digest never change once stored, so callers read them unlocked.
-func (ws *WorkerServer) lookup(key ShardKey) *cachedShard {
+// lookup fetches a cached shard and bumps its LRU tick. Its fields but
+// lastUse never change once stored, so callers read them unlocked.
+func (ws *WorkerServer) lookup(digest string) *cachedShard {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	cs, ok := ws.shards[key]
+	cs, ok := ws.shards[digest]
 	if !ok {
 		return nil
 	}
@@ -129,29 +131,27 @@ func (ws *WorkerServer) lookup(key ShardKey) *cachedShard {
 	return cs
 }
 
-// store caches one pushed shard, evicting (a) other versions of the same
-// (dataset, shard) — the store's versions are monotone, so an old
-// version will never be requested again — and (b) the least-recently-
-// used entries past the cache cap.
-func (ws *WorkerServer) store(key ShardKey, cs *cachedShard) {
+// store caches cs under its digest, frees the digest its push replaces
+// (the one its coordinator last pushed for the same dataset and shard;
+// one not cached is no error), and evicts the least-recently-used
+// entries past the cache cap.
+func (ws *WorkerServer) store(digest, replaces string, cs *cachedShard) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	for k := range ws.shards {
-		if k.Dataset == key.Dataset && k.Shard == key.Shard && k.Version != key.Version {
-			delete(ws.shards, k)
-		}
+	if replaces != digest {
+		delete(ws.shards, replaces)
 	}
 	ws.clock++
 	cs.lastUse = ws.clock
-	ws.shards[key] = cs
+	ws.shards[digest] = cs
 	for len(ws.shards) > maxCachedShards {
 		var (
-			oldest    ShardKey
+			oldest    string
 			oldestUse = uint64(1<<64 - 1)
 		)
-		for k, c := range ws.shards {
-			if k != key && c.lastUse < oldestUse {
-				oldest, oldestUse = k, c.lastUse
+		for d, c := range ws.shards {
+			if d != digest && c.lastUse < oldestUse {
+				oldest, oldestUse = d, c.lastUse
 			}
 		}
 		delete(ws.shards, oldest)
@@ -173,11 +173,11 @@ func (ws *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ws.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": ws.Shards()})
 }
 
-// shardInfo is one cached shard on the wire.
+// shardInfo is one cached shard on the wire: its digest, the label its
+// coordinator pushed it under, and its size.
 type shardInfo struct {
-	Dataset   string `json:"dataset"`
-	Version   uint64 `json:"version"`
-	Shard     int    `json:"shard"`
+	Digest    string `json:"digest"`
+	Key       string `json:"key"`
 	Sequences int    `json:"sequences"`
 	Bytes     int64  `json:"bytes"`
 }
@@ -185,68 +185,44 @@ type shardInfo struct {
 func (ws *WorkerServer) handleShardList(w http.ResponseWriter, r *http.Request) {
 	ws.mu.Lock()
 	out := make([]shardInfo, 0, len(ws.shards))
-	for k, c := range ws.shards {
-		out = append(out, shardInfo{Dataset: k.Dataset, Version: k.Version, Shard: k.Shard,
-			Sequences: c.seqs, Bytes: c.bytes})
+	for d, c := range ws.shards {
+		out = append(out, shardInfo{Digest: d, Key: c.label, Sequences: c.seqs, Bytes: c.bytes})
 	}
 	ws.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dataset != out[j].Dataset {
-			return out[i].Dataset < out[j].Dataset
-		}
-		if out[i].Version != out[j].Version {
-			return out[i].Version < out[j].Version
-		}
-		return out[i].Shard < out[j].Shard
+	slices.SortFunc(out, func(a, b shardInfo) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Digest, b.Digest))
 	})
 	ws.writeJSON(w, http.StatusOK, map[string]any{"shards": out})
 }
 
+// handleShardPush caches the pushed shard under the digest in its path.
+// A digest already cached answers 204 without reading the body: a
+// digest key cannot hold other bytes, so there is nothing to check or
+// decode. Either way the digest in X-Shard-Replaces is freed.
 func (ws *WorkerServer) handleShardPush(w http.ResponseWriter, r *http.Request) {
-	key, err := pathShardKey(r)
-	if err != nil {
+	digest := r.PathValue("digest")
+	if !digestRE.MatchString(digest) {
 		ws.rpcs.With(OpPush, "client_error").Inc()
-		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		ws.writeErr(w, http.StatusBadRequest, codeBadPayload,
+			fmt.Sprintf("bad shard digest %q: want 64 lowercase hex characters", digest))
 		return
 	}
-	// Re-pushing the cached payload is a no-op. The key alone does not
-	// prove it: a coordinator restarted with another shard count can
-	// send different sequences under the same key, so a push whose
-	// digest differs is decoded and replaces the cached shard.
-	digest := r.Header.Get(shardDigestHeader)
-	if cs := ws.lookup(key); cs != nil && cs.digest == digest {
-		ws.rpcs.With(OpPush, "ok").Inc()
-		w.WriteHeader(http.StatusNoContent)
-		return
+	cs := ws.lookup(digest)
+	if cs == nil {
+		db, rawBytes, err := decodeShardPayload(r.Body, digest, ws.cfg.MaxShardBytes)
+		if err != nil {
+			ws.rpcs.With(OpPush, "client_error").Inc()
+			ws.writeErr(w, http.StatusBadRequest, codeBadPayload, err.Error())
+			return
+		}
+		cs = &cachedShard{worker: shard.NewLocalWorker(db), label: r.Header.Get(shardKeyHeader),
+			seqs: len(db.Sequences), bytes: rawBytes}
+		ws.pushBytesC.Add(uint64(rawBytes))
+		ws.logger.Info("shard cached", "key", cs.label, "digest", digest, "sequences", cs.seqs, "bytes", rawBytes)
 	}
-	db, rawBytes, err := decodeShardPayload(r.Body, digest, ws.cfg.MaxShardBytes)
-	if err != nil {
-		ws.rpcs.With(OpPush, "client_error").Inc()
-		ws.writeErr(w, http.StatusBadRequest, codeBadPayload, err.Error())
-		return
-	}
-	ws.store(key, &cachedShard{worker: shard.NewLocalWorker(db), digest: digest, seqs: len(db.Sequences), bytes: rawBytes})
-	ws.pushBytesC.Add(uint64(rawBytes))
+	ws.store(digest, r.Header.Get(shardReplacesHeader), cs)
 	ws.rpcs.With(OpPush, "ok").Inc()
-	ws.logger.Info("shard cached", "key", key.String(), "sequences", len(db.Sequences), "bytes", rawBytes)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// pathShardKey parses the shard-push path wildcards.
-func pathShardKey(r *http.Request) (ShardKey, error) {
-	ver, err := strconv.ParseUint(r.PathValue("version"), 10, 64)
-	if err != nil {
-		return ShardKey{}, fmt.Errorf("bad version %q", r.PathValue("version"))
-	}
-	sh, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil || sh < 0 {
-		return ShardKey{}, fmt.Errorf("bad shard index %q", r.PathValue("shard"))
-	}
-	name := r.PathValue("dataset")
-	if name == "" {
-		return ShardKey{}, errors.New("empty dataset name")
-	}
-	return ShardKey{Dataset: name, Version: ver, Shard: sh}, nil
 }
 
 // handleMine and handleCount decode their bodies strictly
@@ -264,7 +240,7 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	// cap the request's at this machine's cores: asking for more would
 	// only allocate idle workers.
 	req.Opt.Parallel = min(req.Opt.Parallel, runtime.GOMAXPROCS(0))
-	cs := ws.loaded(w, OpMine, req.Key, req.Digest)
+	cs := ws.loaded(w, OpMine, req.Digest)
 	if cs == nil {
 		return
 	}
@@ -286,7 +262,7 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
 	}
-	cs := ws.loaded(w, OpCount, req.Key, req.Digest)
+	cs := ws.loaded(w, OpCount, req.Digest)
 	if cs == nil {
 		return
 	}
@@ -301,17 +277,15 @@ func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
 	ws.writeJSON(w, http.StatusOK, resp)
 }
 
-// loaded returns the shard cached under key when its digest is digest.
-// Otherwise it answers shard_not_loaded, on which the client re-pushes
-// and retries, and returns nil: a shard cached under the same key with
-// other bytes, pushed by another coordinator, must never be mined.
-func (ws *WorkerServer) loaded(w http.ResponseWriter, op string, key ShardKey, digest string) *cachedShard {
-	if cs := ws.lookup(key); cs != nil && cs.digest == digest {
+// loaded returns the shard cached under digest. Otherwise it answers
+// shard_not_loaded, on which the client re-pushes and retries, and
+// returns nil.
+func (ws *WorkerServer) loaded(w http.ResponseWriter, op, digest string) *cachedShard {
+	if cs := ws.lookup(digest); cs != nil {
 		return cs
 	}
 	ws.rpcs.With(op, "not_loaded").Inc()
-	ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded,
-		"shard "+key.String()+" with digest "+digest+" not loaded; push it first")
+	ws.writeErr(w, http.StatusNotFound, codeShardNotLoaded, "shard "+digest+" not loaded; push it first")
 	return nil
 }
 

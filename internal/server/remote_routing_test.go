@@ -309,8 +309,8 @@ func appendCSV() string {
 // through two workers, restarts, and mines it again with one worker
 // kept and the other replaced. The restarted coordinator partitions the
 // recovered snapshot exactly as it did before, so its push to the kept
-// worker matches the cached payload and is a no-op, and the mine equals
-// the serial one.
+// worker names a digest the worker holds and is a no-op, and the mine
+// equals the serial one.
 func TestRemoteRestartAfterAppend(t *testing.T) {
 	kept := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
 	defer kept.Close()
@@ -352,9 +352,9 @@ func TestRemoteRestartAfterAppend(t *testing.T) {
 }
 
 // TestRemoteRestartWithNewShardCount: a coordinator restarted with
-// another shard count sends different sequences under the shard keys a
-// kept worker already caches. The worker checks each push's digest and
-// replaces what differs, so the mine equals the serial one.
+// another shard count sends different sequences under the shard keys it
+// pushed to a kept worker before. They are other digests, so the worker
+// decodes and caches them, and the mine equals the serial one.
 func TestRemoteRestartWithNewShardCount(t *testing.T) {
 	kept := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
 	defer kept.Close()
@@ -381,10 +381,9 @@ func TestRemoteRestartWithNewShardCount(t *testing.T) {
 
 // TestRemoteCoordinatorsShareWorker: two coordinators share one worker,
 // and each holds a dataset of the same name at the same version, with
-// different data. B's push replaces A's shards under the same keys, so
-// A's next mine, which misses A's cache, must notice by digest that the
-// worker holds other bytes and re-push, and every mine equals the
-// serial one.
+// different data. Every mine names its shards by digest, so each
+// coordinator mines its own bytes, and every mine equals the serial
+// one.
 func TestRemoteCoordinatorsShareWorker(t *testing.T) {
 	worker := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
 	defer worker.Close()
@@ -414,6 +413,60 @@ func TestRemoteCoordinatorsShareWorker(t *testing.T) {
 		got := minePatterns(t, urls[step.name], step.spec)
 		if want := serialMine(t, step.spec, csvs[step.name]); got != want {
 			t.Errorf("coordinator %s, mine %s differs from serial:\nremote: %s\nserial: %s", step.name, step.spec, got, want)
+		}
+	}
+}
+
+// TestRemoteCoordinatorsInterleave: two coordinators share one worker,
+// and each holds a dataset of the same name at the same version, with
+// different data. Their mines interleave, A, B, A, B, A, B over three
+// specs. The worker keys each shard by its digest, so neither push
+// frees the other's shards: each coordinator pushes each shard once and
+// retries nothing, and every mine equals the serial one.
+func TestRemoteCoordinatorsInterleave(t *testing.T) {
+	worker := httptest.NewServer(remote.NewWorkerServer(remote.WorkerConfig{}).Handler())
+	defer worker.Close()
+	cfg := Config{MaxConcurrentMines: 8, Shards: 2, ShardMinSeqs: 1,
+		Workers: []string{worker.URL}, WorkerProbeInterval: -time.Second}
+	csvs := map[string]string{"A": shardedCSV(), "B": appendCSV()}
+	urls := map[string]string{}
+	shards := map[string]float64{}
+	for _, name := range []string{"A", "B"} {
+		s := NewWithConfig(nil, cfg)
+		ts := httptest.NewServer(s.Handler())
+		defer func() { ts.Close(); s.Close() }()
+		if resp, body := do(t, "PUT", ts.URL+"/v1/datasets/d", "text/csv", csvs[name]); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s put: %d %q", name, resp.StatusCode, body)
+		}
+		_, body := do(t, "GET", ts.URL+"/v1/datasets/d/shards", "", "")
+		var layout ShardLayout
+		if err := json.Unmarshal([]byte(body), &layout); err != nil || layout.Version != 1 || len(layout.Shards) < 2 {
+			t.Fatalf("%s shard layout %q (%v), want version 1 in at least 2 shards", name, body, err)
+		}
+		urls[name], shards[name] = ts.URL, float64(len(layout.Shards))
+	}
+	for _, spec := range []string{`{"min_count":3}`, `{"min_count":2}`, `{"min_count":4}`} {
+		for _, name := range []string{"A", "B"} {
+			got := minePatterns(t, urls[name], spec)
+			if want := serialMine(t, spec, csvs[name]); got != want {
+				t.Errorf("coordinator %s, mine %s differs from serial:\nremote: %s\nserial: %s", name, spec, got, want)
+			}
+		}
+	}
+	for _, name := range []string{"A", "B"} {
+		_, body := do(t, "GET", urls[name]+"/v1/metrics", "", "")
+		m := parseMetrics(t, body)
+		var retries float64
+		for series, v := range m {
+			if strings.HasPrefix(series, "tpmd_remote_retries_total") {
+				retries += v
+			}
+		}
+		if got := m["tpmd_remote_shard_pushes_total"]; got != shards[name] {
+			t.Errorf("coordinator %s pushed %v shards over three mines, want %v (one per shard)", name, got, shards[name])
+		}
+		if retries != 0 {
+			t.Errorf("coordinator %s retried %v RPCs, want 0", name, retries)
 		}
 	}
 }

@@ -756,18 +756,9 @@ func (s *Server) writeStoreError(w http.ResponseWriter, r *http.Request, err err
 
 // degradedRetryAfterSeconds derives the 503 Retry-After hint while
 // degraded: recovery needs one probe cycle (RecoveryProbeInterval) plus
-// roughly one snapshot write to succeed, clamped to the same bounds as
-// the 429 hint.
+// roughly one snapshot write to succeed, clamped like the 429 hint.
 func (s *Server) degradedRetryAfterSeconds() int {
-	est := s.cfg.RecoveryProbeInterval.Seconds() + s.met.persist.SnapshotDuration.Quantile(0.5)
-	secs := int(math.Ceil(est))
-	if secs < minRetryAfterSeconds {
-		secs = minRetryAfterSeconds
-	}
-	if secs > maxRetryAfterSeconds {
-		secs = maxRetryAfterSeconds
-	}
-	return secs
+	return clampRetryAfter(s.cfg.RecoveryProbeInterval.Seconds() + s.met.persist.SnapshotDuration.Quantile(0.5))
 }
 
 // mode names the server's current write capability for health bodies.
@@ -1080,53 +1071,45 @@ var errMineBusy = errors.New("all mining slots busy")
 // the request parks only as long as a slot could still free up in time
 // (parkBudget), and is shed with errMineBusy when that budget is zero or
 // runs out — no point queueing work whose deadline will expire before it
-// can start. ctx is the job context from mineContext, so a parked
-// request unblocks when its deadline passes or (with caching disabled)
-// its client disconnects. The caller must invoke release when done.
-func (s *Server) acquireMineSlot(ctx context.Context, timeoutMillis int64) (release func(), err error) {
+// can start. ctx is the job context from mineContext, whose deadline is
+// the request's effective one, so a parked request unblocks when its
+// deadline passes or (with caching disabled) its client disconnects.
+// The caller must invoke release when done.
+func (s *Server) acquireMineSlot(ctx context.Context) (release func(), err error) {
 	select {
 	case s.mineSem <- struct{}{}:
 		return func() { <-s.mineSem }, nil
 	default:
 	}
-	wait := s.parkBudget(timeoutMillis)
-	if wait <= 0 {
-		s.met.resilience.shed.Inc()
-		return nil, errMineBusy
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case s.mineSem <- struct{}{}:
-		return func() { <-s.mineSem }, nil
-	case <-timer.C:
-		s.met.resilience.shed.Inc()
-		return nil, errMineBusy
-	case <-ctx.Done():
-		// The job deadline expiring while still queued is a shed (429,
-		// retryable), not a mining timeout (504): no work was started.
-		// A disconnecting client propagates as Canceled.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.met.resilience.shed.Inc()
-			return nil, errMineBusy
+	if wait := s.parkBudget(ctx); wait > 0 {
+		pctx, cancel := context.WithTimeout(ctx, wait)
+		defer cancel()
+		select {
+		case s.mineSem <- struct{}{}:
+			return func() { <-s.mineSem }, nil
+		case <-pctx.Done():
 		}
+	}
+	// A disconnecting client propagates as Canceled. Anything else —
+	// the park budget or the job deadline running out while still
+	// queued — is a shed (429, retryable), not a mining timeout (504):
+	// no work was started.
+	if errors.Is(ctx.Err(), context.Canceled) {
 		return nil, ctx.Err()
 	}
+	s.met.resilience.shed.Inc()
+	return nil, errMineBusy
 }
 
 // parkBudget is how long a request may wait for a mining slot before it
-// should be shed: its effective deadline minus the median job duration —
-// once less than a typical job's runtime remains, getting a slot no
-// longer helps, the job would only burn a slot and 504 anyway.
-func (s *Server) parkBudget(timeoutMillis int64) time.Duration {
-	d := s.cfg.MaxMineDuration
-	if timeoutMillis > 0 {
-		if req := time.Duration(timeoutMillis) * time.Millisecond; req < d {
-			d = req
-		}
-	}
+// should be shed: the time left to its job context's deadline minus the
+// median job duration — once less than a typical job's runtime remains,
+// getting a slot no longer helps, the job would only burn a slot and 504
+// anyway.
+func (s *Server) parkBudget(ctx context.Context) time.Duration {
+	dl, _ := ctx.Deadline() // mineContext always sets one
 	median := time.Duration(s.met.mineDur.Quantile(0.5) * float64(time.Second))
-	return d - median
+	return time.Until(dl) - median
 }
 
 // writeBusy sends the 429 backpressure response.
@@ -1151,17 +1134,17 @@ const (
 // back to the floor, and it never suggests more than the server's own
 // deadline — a slot is guaranteed free by then.
 func (s *Server) retryAfterSeconds() int {
-	secs := int(math.Ceil(s.met.mineDur.Quantile(0.5)))
-	if secs < minRetryAfterSeconds {
-		secs = minRetryAfterSeconds
+	est := s.met.mineDur.Quantile(0.5)
+	if limit := math.Floor(s.cfg.MaxMineDuration.Seconds()); limit >= minRetryAfterSeconds {
+		est = min(est, limit)
 	}
-	if max := int(s.cfg.MaxMineDuration / time.Second); max >= minRetryAfterSeconds && secs > max {
-		secs = max
-	}
-	if secs > maxRetryAfterSeconds {
-		secs = maxRetryAfterSeconds
-	}
-	return secs
+	return clampRetryAfter(est)
+}
+
+// clampRetryAfter rounds an estimate in seconds up to a Retry-After
+// hint within [minRetryAfterSeconds, maxRetryAfterSeconds].
+func clampRetryAfter(est float64) int {
+	return int(min(max(math.Ceil(est), minRetryAfterSeconds), maxRetryAfterSeconds))
 }
 
 // mineContext derives the mining context for one job, bounded by the
@@ -1178,9 +1161,7 @@ func (s *Server) mineContext(base context.Context, timeoutMillis int64) (context
 	}
 	d := s.cfg.MaxMineDuration
 	if timeoutMillis > 0 {
-		if req := time.Duration(timeoutMillis) * time.Millisecond; req < d {
-			d = req
-		}
+		d = min(d, time.Duration(timeoutMillis)*time.Millisecond)
 	}
 	return context.WithTimeout(base, d)
 }
@@ -1542,7 +1523,7 @@ func (s *Server) mineCoordinator(key cache.Key, snap, db *interval.Database) *sh
 func (s *Server) runMine(base context.Context, key cache.Key, snap *interval.Database, spec MineSpec) (*mineEntry, error) {
 	ctx, cancel := s.mineContext(base, spec.TimeoutMillis)
 	defer cancel()
-	release, err := s.acquireMineSlot(ctx, spec.TimeoutMillis)
+	release, err := s.acquireMineSlot(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,8 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"tpminer/internal/api"
+	"tpminer/internal/dataio"
+	"tpminer/internal/interval"
 	"tpminer/internal/jobs"
 	"tpminer/internal/persist"
+	"tpminer/internal/shard/workertest"
 )
 
 // newStreamServer builds a server tuned for streaming tests: tiny flush
@@ -583,4 +588,75 @@ func TestJobDeleteIsDurable(t *testing.T) {
 	if resp, body := do(t, "GET", ts2.URL+"/v1/jobs", "", ""); resp.StatusCode != http.StatusOK || strings.Contains(body, "live") {
 		t.Fatalf("job list after restart: %d %s", resp.StatusCode, body)
 	}
+}
+
+// FuzzJobDeltasAgree is FuzzMinePathsAgree's draw taken through a
+// continuous job: the first half of the drawn sequences is PUT in the
+// JSON body format (which carries empty sequences), a job with the drawn
+// mine spec is created, and the rest is appended in one request. After
+// each version, the cumulative application of the job's SSE events
+// must equal the rows of a batch mine of the same spec at that version.
+func FuzzJobDeltasAgree(f *testing.F) {
+	svc := NewWithConfig(nil, Config{MaxConcurrentMines: 8, SSEHeartbeat: time.Second})
+	ts := httptest.NewServer(svc.Handler())
+	f.Cleanup(func() { ts.Close(); svc.Close() })
+	var n int
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, kind, topK, opt := workertest.MineInput(data)
+		n++
+		name := fmt.Sprintf("d%d", n)
+		spec, err := json.Marshal(api.MineSpec{Mode: string(kind), MiningOptions: api.MiningOptions{MinCount: opt.MinCount},
+			MaxSpan: int64(opt.MaxSpan), MaxGap: int64(opt.MaxGap), TopK: topK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		upload := func(method, path string, seqs []interval.Sequence) uint64 {
+			t.Helper()
+			var body strings.Builder
+			if err := dataio.WriteJSON(&body, &interval.Database{Sequences: seqs}); err != nil {
+				t.Fatal(err)
+			}
+			if resp, reply := do(t, method, ts.URL+path, "application/json", body.String()); resp.StatusCode/100 != 2 {
+				t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, reply)
+			}
+			_, version, _ := svc.store.snapshot(name)
+			return version
+		}
+		half := len(db.Sequences) / 2
+		version := upload("PUT", "/v1/datasets/"+name, db.Sequences[:half])
+		job := fmt.Sprintf(`{"id":%q,"dataset":%q,"mine":%s,"debounce_ms":1}`, name, name, spec)
+		if resp, reply := do(t, "POST", ts.URL+"/v1/jobs", "application/json", job); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create job %s: %d %s", job, resp.StatusCode, reply)
+		}
+		defer do(t, "DELETE", ts.URL+"/v1/datasets/"+name, "", "")
+		defer do(t, "DELETE", ts.URL+"/v1/jobs/"+name, "", "")
+		// Resuming from event 0 replays every delta from the job's first
+		// run on, however far the job has run by now.
+		sse := dialSSE(t, ts.URL+"/v1/jobs/"+name+"/events", "0")
+		defer sse.close()
+
+		var rows []jobs.Pattern
+		check := func(version uint64) {
+			t.Helper()
+			for at := uint64(0); at != version; {
+				_, event, data := sse.next(t, 5*time.Second)
+				if event != jobs.EventDelta {
+					t.Fatalf("event %q, want %q", event, jobs.EventDelta)
+				}
+				var d jobs.Delta
+				if err := json.Unmarshal(data, &d); err != nil {
+					t.Fatalf("delta: %v", err)
+				}
+				rows, at = jobs.Apply(rows, d), d.Version
+			}
+			resp, body := do(t, "POST", ts.URL+"/v1/datasets/"+name+"/mine", "application/json", string(spec))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch mine %s: %d %s", spec, resp.StatusCode, body)
+			}
+			expectSamePatterns(t, fmt.Sprintf("job deltas vs batch mine %s of %+v at version %d", spec, db.Sequences, version),
+				slices.Clone(rows), jobPatternsOf(t, body))
+		}
+		check(version)
+		check(upload("POST", "/v1/datasets/"+name+"/append", db.Sequences[half:]))
+	})
 }
