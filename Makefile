@@ -76,6 +76,11 @@ stream:
 
 # Distributed-mining gate: the remote-worker conformance suite, the
 # pool's push, worker-health, address and failover unit tests, the
+# shard coordinator's exactness suites (sharded plain, top-k and
+# closed/maximal mines equal the serial miner at every shard count) and
+# the count round's pruning soundness tests (a candidate counted on no
+# silent shard is below the threshold by brute force; a truncated shard
+# prunes nothing), the
 # FuzzMinePathsAgree seeds (serial, in-process sharded and pool mines
 # with failover must agree with each other and with the brute-force
 # oracle, before and after the closed and maximal filters, all through
@@ -92,7 +97,7 @@ stream:
 # concurrently by the coordinator's fan-out.
 dist:
 	$(GO) test -race ./internal/remote -count=1
-	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr'
+	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr|TestShardedMatchesSerial|TestShardedTopKMatchesSerial|TestShardedClosedMaximal|TestPrunedCandidatesNeverQualify|TestTruncatedShardPrunesNothing'
 	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount|TestRemoteCoordinatorsShareWorker|TestRemoteCoordinatorsInterleave' -count=1
 
 # perfbench is its own Go module that imports internal/ APIs, so the

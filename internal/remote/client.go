@@ -19,10 +19,10 @@ import (
 const (
 	// pushTimeout bounds one shard push attempt.
 	pushTimeout = 30 * time.Second
-	// countTimeout bounds one count attempt; counts scan the shard once
-	// per pattern batch and finish fast relative to mining. A mine
-	// attempt has no bound of its own: the mine context's deadline
-	// governs.
+	// countTimeout bounds one count attempt; a count tests each pattern
+	// only on the shard sequences of its shortest posting list and
+	// finishes fast relative to mining. A mine attempt has no bound of
+	// its own: the mine context's deadline governs.
 	countTimeout = 2 * time.Minute
 	// maxResponseBytes bounds a worker response the client will buffer.
 	maxResponseBytes = 1 << 31

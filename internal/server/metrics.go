@@ -200,7 +200,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			merged: reg.NewCounter("tpmd_shard_merged_patterns_total",
 				"Patterns produced by coordinator merges of per-shard results."),
 			counted: reg.NewCounter("tpmd_shard_counted_patterns_total",
-				"Patterns whose support was completed via a per-shard Count round because some shard missed them locally."),
+				"Support-completion counts issued by coordinator merges, one per (pattern, silent shard) pair; candidates the local bounds prove cannot qualify are pruned and not counted."),
 		},
 		remote: remote.NewMetrics(reg),
 		jobs:   jobs.NewMetrics(reg),

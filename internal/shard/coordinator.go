@@ -215,18 +215,38 @@ type tally[P any] struct {
 	seen  []bool // which shards reported it
 }
 
+// ceiling is the most global support the pattern can have when every
+// shard mined completely at bounds: the reported total plus b_i−1 for
+// each shard i that stayed silent.
+func (t *tally[P]) ceiling(bounds []int) int {
+	n := t.total
+	for i, seen := range t.seen {
+		if !seen {
+			n += bounds[i] - 1
+		}
+	}
+	return n
+}
+
 // round is one scatter-gather pass: every shard mines at the local bound
 // derived from bound (its local top-k when topK > 0), the coordinator
 // sums the reported supports, fetches exact supports from the shards
 // that stayed below their local bound (support completion), and keeps
-// the patterns whose global support reaches keep. Tallies come back
-// unsorted, in first-report order; counted is the number of completion
-// counts issued. Per-shard stats are folded into agg.
+// the patterns whose global support reaches keep. When every shard mined
+// completely, a pattern whose ceiling is below keep cannot qualify
+// whatever its silent shards hold, and is dropped without being counted.
+// Tallies come back unsorted, in first-report order; counted is the
+// number of completion counts issued. Per-shard stats are folded into
+// agg.
 func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], topK, bound, keep int, opt core.Options, agg *core.Stats) (kept []*tally[P], counted int, err error) {
 	if c.Met != nil {
 		c.Met.FanOut(len(c.Workers))
 	}
-	k := len(c.Workers)
+	k, n := len(c.Workers), c.totalSeqs()
+	bounds := make([]int, k)
+	for i := range bounds {
+		bounds[i] = LocalBound(bound, c.Sizes[i], n)
+	}
 	resps := make([]*MineShardResponse, k)
 	err = c.fanOut(ctx, func(ctx context.Context, i int) error {
 		t0 := time.Now()
@@ -234,7 +254,7 @@ func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], 
 			Shard: i,
 			Kind:  f.kind,
 			TopK:  topK,
-			Opt:   c.shardOpt(opt, f.kind, LocalBound(bound, c.Sizes[i], c.totalSeqs())),
+			Opt:   c.shardOpt(opt, f.kind, bounds[i]),
 		})
 		if c.Met != nil {
 			c.Met.ShardDone(i, time.Since(t0))
@@ -246,10 +266,15 @@ func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], 
 		return nil, 0, err
 	}
 
+	// Silence bounds a shard's support only if the shard reported
+	// everything at or above its bound: not its local top-k, and not a
+	// search its time budget cut short.
+	prune := topK == 0
 	accs := make(map[string]*tally[P])
 	var order []*tally[P]
 	for i, resp := range resps {
 		agg.Add(resp.Stats)
+		prune = prune && !resp.Stats.Truncated
 		for _, x := range f.rows(resp) {
 			key := x.Pattern.Key()
 			a := accs[key]
@@ -266,6 +291,9 @@ func round[P pattern.Pattern](ctx context.Context, c *Coordinator, f family[P], 
 	missing := make([][]P, k)
 	missingAcc := make([][]*tally[P], k)
 	for _, a := range order {
+		if prune && a.ceiling(bounds) < keep {
+			continue
+		}
 		for i := 0; i < k; i++ {
 			if !a.seen[i] {
 				missing[i] = append(missing[i], a.pat)

@@ -7,6 +7,7 @@ import (
 
 	"tpminer/internal/coincidence"
 	"tpminer/internal/core"
+	"tpminer/internal/endpoint"
 	"tpminer/internal/interval"
 	"tpminer/internal/pattern"
 )
@@ -58,18 +59,23 @@ type Worker interface {
 }
 
 // LocalWorker runs the existing dense-index miner in-process over one
-// shard database. Count encodings are built lazily on first use and
-// cached for the worker's lifetime (the shard database is immutable).
+// shard database. Count indexes are built lazily on first use and
+// cached for the worker's lifetime (the shard database is immutable):
+// each sequence in the form its kind's matcher reads, and a posting list
+// per endpoint or symbol of the sequences that hold it, as ascending
+// sequence indices.
 type LocalWorker struct {
 	db *interval.Database
 
-	tempOnce sync.Once
-	tempErr  error
-	tempIdx  []pattern.Index
+	tempOnce  sync.Once
+	tempErr   error
+	tempIdx   []pattern.Index
+	tempPosts map[endpoint.Endpoint][]int32
 
-	coOnce sync.Once
-	coErr  error
-	coDB   [][]coincidence.Coincidence
+	coOnce  sync.Once
+	coErr   error
+	coDB    [][]coincidence.Coincidence
+	coPosts map[string][]int32
 }
 
 // NewLocalWorker wraps db, which the worker treats as immutable.
@@ -82,8 +88,8 @@ func (w *LocalWorker) Mine(ctx context.Context, req *MineShardRequest) (*MineSha
 	return core.Mine(ctx, w.db, req.Kind, req.TopK, req.Opt)
 }
 
-// countPollEvery bounds how many sequences a Count scans between
-// context checks, so cancellation propagates promptly on large shards.
+// countPollEvery bounds how many patterns a Count decides between
+// context checks, so cancellation propagates promptly on large requests.
 const countPollEvery = 64
 
 // Count computes exact local supports for the requested patterns with
@@ -100,38 +106,81 @@ func (w *LocalWorker) Count(ctx context.Context, req *CountRequest) (*CountRespo
 				return
 			}
 			w.tempIdx = pattern.BuildIndexes(slices)
+			w.tempPosts = make(map[endpoint.Endpoint][]int32)
+			for si, seq := range slices {
+				for _, sl := range seq {
+					for _, e := range sl.Points {
+						// An endpoint occurs at most once per sequence.
+						w.tempPosts[e] = append(w.tempPosts[e], int32(si))
+					}
+				}
+			}
 		})
 		if w.tempErr != nil {
 			return nil, w.tempErr
 		}
-		return countSupports(ctx, w.tempIdx, req.Temporal, func(ix pattern.Index, p pattern.Temporal) bool {
-			return ix.Contains(p, req.MaxSpan, req.MaxGap)
-		})
+		return countPosted(ctx, w.tempIdx, w.tempPosts, req.Temporal,
+			func(p pattern.Temporal) [][]endpoint.Endpoint { return p.Elements },
+			func(ix pattern.Index, p pattern.Temporal) bool { return ix.Contains(p, req.MaxSpan, req.MaxGap) })
 	case core.KindCoincidence:
 		w.coOnce.Do(func() {
 			w.coDB, w.coErr = pattern.TransformDatabase(w.db)
+			w.coPosts = make(map[string][]int32)
+			for si, seq := range w.coDB {
+				for _, c := range seq {
+					for _, sym := range c.Symbols {
+						if l := w.coPosts[sym]; len(l) == 0 || l[len(l)-1] != int32(si) {
+							w.coPosts[sym] = append(l, int32(si))
+						}
+					}
+				}
+			}
 		})
 		if w.coErr != nil {
 			return nil, w.coErr
 		}
-		return countSupports(ctx, w.coDB, req.Coinc, pattern.ContainsCoinc)
+		return countPosted(ctx, w.coDB, w.coPosts, req.Coinc,
+			func(p pattern.Coinc) [][]string { return p.Elements }, pattern.ContainsCoinc)
 	default:
 		return nil, fmt.Errorf("shard: unknown kind %q", req.Kind)
 	}
 }
 
-// countSupports counts, for each pattern, the sequences that contain it,
-// checking ctx every countPollEvery sequences.
-func countSupports[S, P any](ctx context.Context, seqs []S, ps []P, contains func(S, P) bool) (*CountResponse, error) {
+// countPosted counts, for each pattern, the sequences that contain it.
+// elements(p) is the pattern's elements, each a set of keys, and posts
+// holds each key's posting list. A sequence missing one of the pattern's
+// keys cannot contain it, so only the sequences on the pattern's
+// shortest posting list are tested (none when a key is absent from the
+// shard; every sequence when the pattern names no key). ctx is checked
+// every countPollEvery patterns.
+func countPosted[S any, K comparable, P any](ctx context.Context, seqs []S, posts map[K][]int32, ps []P,
+	elements func(P) [][]K, contains func(S, P) bool) (*CountResponse, error) {
 	sup := make([]int, len(ps))
-	for si, s := range seqs {
-		if si%countPollEvery == 0 {
+	for pi, p := range ps {
+		if pi%countPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		for pi := range ps {
-			if contains(s, ps[pi]) {
+		var list []int32
+		named := false
+		for _, el := range elements(p) {
+			for _, k := range el {
+				if l := posts[k]; !named || len(l) < len(list) {
+					list, named = l, true
+				}
+			}
+		}
+		if !named {
+			for _, s := range seqs {
+				if contains(s, p) {
+					sup[pi]++
+				}
+			}
+			continue
+		}
+		for _, si := range list {
+			if contains(seqs[si], p) {
 				sup[pi]++
 			}
 		}

@@ -1,7 +1,8 @@
 // Package workertest is the shared conformance suite every shard.Worker
 // implementation must pass. It pins the contract the coordinator's
 // exactness proof leans on — determinism across repeated calls, exact
-// local counting consistent with mining, prompt context-cancellation
+// local counting consistent with mining and with the oracle's matchers
+// (also for patterns the shard does not hold), prompt context-cancellation
 // propagation, stats that survive the transport — so a new transport
 // (the remote HTTP client, a decorator) proves itself by running one
 // function against a known database instead of re-deriving the contract
@@ -13,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tpminer/internal/core"
@@ -99,6 +101,8 @@ func Run(t *testing.T, f Factory) {
 	t.Run("MineTopK", func(t *testing.T) { testMineTopK(t, f) })
 	t.Run("MineUnknownKind", func(t *testing.T) { testUnknownKind(t, f) })
 	t.Run("CountMatchesMine", func(t *testing.T) { testCountMatchesMine(t, f) })
+	t.Run("CountForeignPatterns", func(t *testing.T) { testCountForeign(t, f) })
+	t.Run("CountConcurrent", func(t *testing.T) { testCountConcurrent(t, f) })
 	t.Run("CountParallelToRequest", func(t *testing.T) { testCountShape(t, f) })
 	t.Run("StatsFold", func(t *testing.T) { testStatsFold(t, f) })
 	t.Run("MineCancellation", func(t *testing.T) { testCancellation(t, f, false) })
@@ -247,6 +251,164 @@ func testCountMatchesMine(t *testing.T, f Factory) {
 			t.Errorf("coincidence pattern %d: counted %d, mined %d", i, ccounted.Supports[i], r.Support)
 		}
 	}
+}
+
+// foreignDB is a database whose patterns DB's worker is asked to count:
+// it shares A and B with DB, adds D, which DB lacks, and a third A,
+// which no DB sequence has, so some patterns name endpoints or symbols
+// absent from the shard and count 0 there.
+func foreignDB() *interval.Database {
+	db := &interval.Database{}
+	for s := 0; s < 6; s++ {
+		seq := interval.Sequence{ID: fmt.Sprintf("f%d", s), Intervals: []interval.Interval{
+			{Symbol: "A", Start: 0, End: 10},
+			{Symbol: "B", Start: 5, End: 15},
+		}}
+		if s%2 == 0 {
+			seq.Intervals = append(seq.Intervals, interval.Interval{Symbol: "D", Start: 20, End: 25})
+		}
+		if s%3 == 0 {
+			seq.Intervals = append(seq.Intervals,
+				interval.Interval{Symbol: "A", Start: 40, End: 50},
+				interval.Interval{Symbol: "A", Start: 60, End: 70})
+		}
+		db.Sequences = append(db.Sequences, seq)
+	}
+	return db
+}
+
+// testCountForeign: counting patterns the worker did not mine — some
+// naming endpoints or symbols its shard lacks — reports each pattern's
+// exact support over the shard, as the oracle's matchers count it, with
+// and without span and gap bounds. A pattern that names nothing is
+// decided by the matcher too.
+func testCountForeign(t *testing.T, f Factory) {
+	db := DB()
+	w := f.New(t, db)
+	ref := shard.NewLocalWorker(foreignDB())
+	ctx := context.Background()
+	slices, err := pattern.EncodeDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixs := pattern.BuildIndexes(slices)
+	cs, err := pattern.TransformDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	temporal, err := ref.Mine(ctx, &shard.MineShardRequest{Kind: core.KindTemporal, Opt: core.Options{MinCount: 1, KeepOccurrences: true}})
+	if err != nil {
+		t.Fatalf("foreign temporal mine: %v", err)
+	}
+	coinc, err := ref.Mine(ctx, &shard.MineShardRequest{Kind: core.KindCoincidence, Opt: core.Options{MinCount: 1}})
+	if err != nil {
+		t.Fatalf("foreign coincidence mine: %v", err)
+	}
+	var zero, nonzero, bounded int
+	check := func(label string, got *shard.CountResponse, want []int) {
+		t.Helper()
+		if len(got.Supports) != len(want) {
+			t.Fatalf("%s: count returned %d supports for %d patterns", label, len(got.Supports), len(want))
+		}
+		for i := range want {
+			if got.Supports[i] != want[i] {
+				t.Errorf("%s: pattern %d counted %d, oracle %d", label, i, got.Supports[i], want[i])
+			}
+			if want[i] == 0 {
+				zero++
+			} else {
+				nonzero++
+			}
+		}
+	}
+
+	ps := []pattern.Temporal{{}}
+	for _, r := range temporal.Temporal {
+		ps = append(ps, r.Pattern)
+	}
+	unbounded := make([]int, len(ps))
+	for _, span := range []interval.Time{0, 20} {
+		req := &shard.CountRequest{Kind: core.KindTemporal, Temporal: ps, MaxSpan: span, MaxGap: span / 2}
+		want := make([]int, len(ps))
+		for i, p := range ps {
+			want[i] = pattern.SupportIndexed(ixs, p, req.MaxSpan, req.MaxGap)
+			if span == 0 {
+				unbounded[i] = want[i]
+			} else if want[i] != unbounded[i] {
+				bounded++
+			}
+		}
+		got, err := w.Count(ctx, req)
+		if err != nil {
+			t.Fatalf("temporal count (span %d): %v", span, err)
+		}
+		check(fmt.Sprintf("temporal span %d", span), got, want)
+	}
+
+	cps := []pattern.Coinc{{Elements: [][]string{{}}}}
+	for _, r := range coinc.Coinc {
+		cps = append(cps, r.Pattern)
+	}
+	want := make([]int, len(cps))
+	for i, p := range cps {
+		want[i] = pattern.SupportCoinc(cs, p)
+	}
+	got, err := w.Count(ctx, &shard.CountRequest{Kind: core.KindCoincidence, Coinc: cps})
+	if err != nil {
+		t.Fatalf("coincidence count: %v", err)
+	}
+	check("coincidence", got, want)
+
+	if zero == 0 || nonzero == 0 || bounded == 0 {
+		t.Fatalf("suite counted %d zero and %d nonzero supports, %d changed by span and gap; its databases are broken",
+			zero, nonzero, bounded)
+	}
+}
+
+// testCountConcurrent: concurrent counts of both kinds on one fresh
+// worker — the first ones race to build its lazily cached count index —
+// each answer what a serial count on a separate worker answers.
+func testCountConcurrent(t *testing.T, f Factory) {
+	w := f.New(t, DB())
+	ref := shard.NewLocalWorker(DB())
+	ctx := context.Background()
+	var reqs []*shard.CountRequest
+	var wants [][]int
+	for _, kind := range []core.Kind{core.KindTemporal, core.KindCoincidence} {
+		mined, err := ref.Mine(ctx, &shard.MineShardRequest{Kind: kind, Opt: core.Options{MinCount: 1, KeepOccurrences: true}})
+		if err != nil {
+			t.Fatalf("%s mine: %v", kind, err)
+		}
+		req := &shard.CountRequest{Kind: kind}
+		for _, r := range mined.Temporal {
+			req.Temporal = append(req.Temporal, r.Pattern)
+		}
+		for _, r := range mined.Coinc {
+			req.Coinc = append(req.Coinc, r.Pattern)
+		}
+		want, err := ref.Count(ctx, req)
+		if err != nil {
+			t.Fatalf("%s reference count: %v", kind, err)
+		}
+		reqs, wants = append(reqs, req), append(wants, want.Supports)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(req *shard.CountRequest, want []int) {
+			defer wg.Done()
+			got, err := w.Count(ctx, req)
+			if err != nil {
+				t.Errorf("%s count: %v", req.Kind, err)
+				return
+			}
+			if !reflect.DeepEqual(got.Supports, want) {
+				t.Errorf("%s concurrent count = %v, want %v", req.Kind, got.Supports, want)
+			}
+		}(reqs[g%2], wants[g%2])
+	}
+	wg.Wait()
 }
 
 // testCountShape: an empty request counts nothing, and supports stay
