@@ -124,8 +124,8 @@ func BenchmarkFig1aSharded(b *testing.B) {
 
 // BenchmarkFig1aRemote — the Fig-1a temporal workload mined through
 // remote HTTP workers over loopback, against the in-process sharded run
-// as reference. Every iteration pays the full wire cost (JSON mine
-// requests and responses) but the shard push happens once per worker at
+// as reference. Every iteration pays the full wire cost (binary mine and
+// count bodies and replies) but the shard push happens once per worker at
 // setup — the pool skips pushing a shard version its worker already
 // holds, which is what a warm production deployment sees. workers=N splits the shards
 // across N worker servers; the gap to shards=N in BenchmarkFig1aSharded

@@ -20,12 +20,11 @@ const (
 
 // Result is a mine's outcome for either kind: Temporal holds a temporal
 // mine's patterns and Coinc a coincidence mine's, so at most one is
-// non-empty. The JSON names are those of the worker wire's mine
-// response.
+// non-empty.
 type Result struct {
-	Temporal []pattern.TemporalResult `json:"temporal,omitempty"`
-	Coinc    []pattern.CoincResult    `json:"coinc,omitempty"`
-	Stats    Stats                    `json:"stats"`
+	Temporal []pattern.TemporalResult
+	Coinc    []pattern.CoincResult
+	Stats    Stats
 }
 
 // Len is the number of patterns r holds.

@@ -25,7 +25,7 @@ func EncodeDatabase(buf []byte, db *interval.Database) []byte {
 // standalone payload must be consumed exactly, so trailing bytes are
 // rejected as corruption.
 func DecodeDatabase(data []byte) (*interval.Database, error) {
-	c := &byteCursor{buf: data}
+	c := &Cursor{buf: data}
 	db, err := c.database()
 	if err != nil {
 		return nil, fmt.Errorf("persist: decode database: %w", err)

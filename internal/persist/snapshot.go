@@ -85,7 +85,7 @@ func encodeSnapshot(state map[string]DatasetState, jobs map[string]JobState, ver
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		ds := state[name]
-		buf = appendString(buf, name)
+		buf = AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, ds.Version)
 		buf = appendDatabase(buf, ds.DB)
 	}
@@ -97,7 +97,7 @@ func encodeSnapshot(state map[string]DatasetState, jobs map[string]JobState, ver
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		js := jobs[id]
-		buf = appendString(buf, id)
+		buf = AppendString(buf, id)
 		buf = binary.AppendUvarint(buf, js.SpecVersion)
 		buf = binary.AppendUvarint(buf, uint64(len(js.Spec)))
 		buf = append(buf, js.Spec...)
@@ -110,25 +110,25 @@ func encodeSnapshot(state map[string]DatasetState, jobs map[string]JobState, ver
 
 // decodeSnapshot parses a snapshot payload.
 func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobState, uint64, error) {
-	c := &byteCursor{buf: payload}
-	verSeq, err := c.uvarint()
+	c := &Cursor{buf: payload}
+	verSeq, err := c.Uvarint()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	n, err := c.uvarint()
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if !c.fits(n, minDatasetEntryBytes) {
+	if !c.Fits(n, minDatasetEntryBytes) {
 		return nil, nil, 0, fmt.Errorf("dataset count %d past payload end", n)
 	}
 	state := make(map[string]DatasetState, n)
 	for i := uint64(0); i < n; i++ {
-		name, err := c.string()
+		name, err := c.Str()
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		ver, err := c.uvarint()
+		ver, err := c.Uvarint()
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -140,7 +140,7 @@ func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobStat
 	}
 	jobs := make(map[string]JobState)
 	if c.off < len(payload) { // pre-jobs snapshots end here
-		nj, err := c.uvarint()
+		nj, err := c.Uvarint()
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -148,18 +148,18 @@ func decodeSnapshot(payload []byte) (map[string]DatasetState, map[string]JobStat
 			return nil, nil, 0, fmt.Errorf("job count %d past payload end", nj)
 		}
 		for i := uint64(0); i < nj; i++ {
-			id, err := c.string()
+			id, err := c.Str()
 			if err != nil {
 				return nil, nil, 0, err
 			}
 			var js JobState
-			if js.SpecVersion, err = c.uvarint(); err != nil {
+			if js.SpecVersion, err = c.Uvarint(); err != nil {
 				return nil, nil, 0, err
 			}
 			if js.Spec, err = c.bytes(); err != nil {
 				return nil, nil, 0, err
 			}
-			if js.ResultVersion, err = c.uvarint(); err != nil {
+			if js.ResultVersion, err = c.Uvarint(); err != nil {
 				return nil, nil, 0, err
 			}
 			if js.Result, err = c.bytes(); err != nil {

@@ -184,7 +184,10 @@ func scanWAL(data []byte, f func(off int, rec record, payloadLen int)) *walStop 
 
 // ------------------------------------------------------------- encoding
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s as a uvarint length and its bytes, the string
+// encoding of the WAL, the snapshot and the remote worker wire, which
+// Cursor.Str reads.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -216,10 +219,10 @@ func appendDatabase(buf []byte, db *interval.Database) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(db.Sequences)))
 	for i := range db.Sequences {
 		seq := &db.Sequences[i]
-		buf = appendString(buf, seq.ID)
+		buf = AppendString(buf, seq.ID)
 		buf = binary.AppendUvarint(buf, uint64(len(seq.Intervals)))
 		for _, iv := range seq.Intervals {
-			buf = appendString(buf, iv.Symbol)
+			buf = AppendString(buf, iv.Symbol)
 			buf = binary.AppendVarint(buf, iv.Start)
 			buf = binary.AppendVarint(buf, iv.End)
 		}
@@ -237,7 +240,7 @@ func encodeRecord(rec record) []byte {
 	buf := make([]byte, 0, size)
 	buf = append(buf, rec.typ)
 	buf = binary.AppendUvarint(buf, rec.version)
-	buf = appendString(buf, rec.name)
+	buf = AppendString(buf, rec.name)
 	switch rec.typ {
 	case recPut, recAppend:
 		buf = appendDatabase(buf, rec.db)
@@ -250,11 +253,19 @@ func encodeRecord(rec record) []byte {
 
 // ------------------------------------------------------------- decoding
 
-// byteCursor walks an encoded payload with bounds checking.
-type byteCursor struct {
+// Cursor walks an encoded payload with bounds checking: a read past the
+// end is an error, never a panic. The WAL, the snapshot and the remote
+// worker wire decode with it, so their bytes share one varint reader.
+type Cursor struct {
 	buf []byte
 	off int
 }
+
+// NewCursor returns a cursor at the start of buf.
+func NewCursor(buf []byte) *Cursor { return &Cursor{buf: buf} }
+
+// Len returns the number of bytes not yet read.
+func (c *Cursor) Len() int { return len(c.buf) - c.off }
 
 // The smallest encodings of the repeated elements, in bytes: a sequence
 // is an id length and an interval count, an interval a symbol length and
@@ -268,13 +279,15 @@ const (
 	minDatasetEntryBytes = 3
 )
 
-// fits reports whether n elements of at least size bytes each could
-// still follow in the payload.
-func (c *byteCursor) fits(n uint64, size int) bool {
+// Fits reports whether n elements of at least size bytes each could
+// still follow in the payload. A decoder checks every declared count
+// with it before sizing an allocation by that count.
+func (c *Cursor) Fits(n uint64, size int) bool {
 	return n <= uint64((len(c.buf)-c.off)/size)
 }
 
-func (c *byteCursor) byte() (byte, error) {
+// Byte reads one byte.
+func (c *Cursor) Byte() (byte, error) {
 	if c.off >= len(c.buf) {
 		return 0, errors.New("payload truncated")
 	}
@@ -283,7 +296,8 @@ func (c *byteCursor) byte() (byte, error) {
 	return b, nil
 }
 
-func (c *byteCursor) uvarint() (uint64, error) {
+// Uvarint reads one binary.AppendUvarint value.
+func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
 		return 0, errors.New("bad uvarint")
@@ -292,7 +306,8 @@ func (c *byteCursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (c *byteCursor) varint() (int64, error) {
+// Varint reads one binary.AppendVarint (zig-zag) value.
+func (c *Cursor) Varint() (int64, error) {
 	v, n := binary.Varint(c.buf[c.off:])
 	if n <= 0 {
 		return 0, errors.New("bad varint")
@@ -301,8 +316,9 @@ func (c *byteCursor) varint() (int64, error) {
 	return v, nil
 }
 
-func (c *byteCursor) string() (string, error) {
-	n, err := c.uvarint()
+// Str reads one AppendString value.
+func (c *Cursor) Str() (string, error) {
+	n, err := c.Uvarint()
 	if err != nil {
 		return "", err
 	}
@@ -316,8 +332,8 @@ func (c *byteCursor) string() (string, error) {
 
 // bytes reads a uvarint-prefixed byte blob, copying it out of the
 // frame buffer so the record outlives the read buffer.
-func (c *byteCursor) bytes() ([]byte, error) {
-	n, err := c.uvarint()
+func (c *Cursor) bytes() ([]byte, error) {
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -330,12 +346,12 @@ func (c *byteCursor) bytes() ([]byte, error) {
 	return b, nil
 }
 
-func (c *byteCursor) database() (*interval.Database, error) {
-	nSeq, err := c.uvarint()
+func (c *Cursor) database() (*interval.Database, error) {
+	nSeq, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if !c.fits(nSeq, minSequenceBytes) {
+	if !c.Fits(nSeq, minSequenceBytes) {
 		return nil, fmt.Errorf("sequence count %d past payload end", nSeq)
 	}
 	db := &interval.Database{}
@@ -343,15 +359,15 @@ func (c *byteCursor) database() (*interval.Database, error) {
 		db.Sequences = make([]interval.Sequence, 0, nSeq)
 	}
 	for s := uint64(0); s < nSeq; s++ {
-		id, err := c.string()
+		id, err := c.Str()
 		if err != nil {
 			return nil, err
 		}
-		nIv, err := c.uvarint()
+		nIv, err := c.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if !c.fits(nIv, minIntervalBytes) {
+		if !c.Fits(nIv, minIntervalBytes) {
 			return nil, fmt.Errorf("interval count %d past payload end", nIv)
 		}
 		seq := interval.Sequence{ID: id}
@@ -359,15 +375,15 @@ func (c *byteCursor) database() (*interval.Database, error) {
 			seq.Intervals = make([]interval.Interval, 0, nIv)
 		}
 		for i := uint64(0); i < nIv; i++ {
-			sym, err := c.string()
+			sym, err := c.Str()
 			if err != nil {
 				return nil, err
 			}
-			start, err := c.varint()
+			start, err := c.Varint()
 			if err != nil {
 				return nil, err
 			}
-			end, err := c.varint()
+			end, err := c.Varint()
 			if err != nil {
 				return nil, err
 			}
@@ -380,19 +396,19 @@ func (c *byteCursor) database() (*interval.Database, error) {
 
 // decodeRecord parses a WAL record payload.
 func decodeRecord(payload []byte) (record, error) {
-	c := &byteCursor{buf: payload}
-	typ, err := c.byte()
+	c := &Cursor{buf: payload}
+	typ, err := c.Byte()
 	if err != nil {
 		return record{}, err
 	}
 	if typ < recPut || typ > recJobResult {
 		return record{}, fmt.Errorf("unknown record type %d", typ)
 	}
-	version, err := c.uvarint()
+	version, err := c.Uvarint()
 	if err != nil {
 		return record{}, err
 	}
-	name, err := c.string()
+	name, err := c.Str()
 	if err != nil {
 		return record{}, err
 	}

@@ -83,37 +83,35 @@ func (w *RemoteWorker) WorkerAddr() string { return w.base }
 
 // Mine implements shard.Worker.
 func (w *RemoteWorker) Mine(ctx context.Context, req *shard.MineShardRequest) (*shard.MineShardResponse, error) {
-	wreq := mineWire{Digest: w.data.Digest(), MineShardRequest: *req}
+	b := mineBody{digest: w.data.Digest(), req: *req}
 	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		wreq.TimeoutMillis = ms
+		b.timeoutMillis = max(time.Until(dl).Milliseconds(), 1)
 	}
-	var resp shard.MineShardResponse
-	if err := w.call(ctx, OpMine, 0, "/v1/worker/mine", wreq, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	var resp *shard.MineShardResponse
+	err := w.call(ctx, OpMine, 0, "/v1/worker/mine", appendMineBody(nil, &b), func(data []byte) (err error) {
+		resp, err = decodeResult(data)
+		return err
+	})
+	return resp, err
 }
 
 // Count implements shard.Worker.
 func (w *RemoteWorker) Count(ctx context.Context, req *shard.CountRequest) (*shard.CountResponse, error) {
-	wreq := countWire{Digest: w.data.Digest(), CountRequest: *req}
-	var resp shard.CountResponse
-	if err := w.call(ctx, OpCount, countTimeout, "/v1/worker/count", wreq, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	b := countBody{digest: w.data.Digest(), req: *req}
+	var resp *shard.CountResponse
+	err := w.call(ctx, OpCount, countTimeout, "/v1/worker/count", appendCountBody(nil, &b), func(data []byte) (err error) {
+		resp, err = decodeSupports(data)
+		return err
+	})
+	return resp, err
 }
 
-// call runs one logical RPC: marshal once, then attempt (push if
-// needed, POST, decode) under the retry policy, and count the call once
-// with its outcome and wall time, retries included. A canceled caller
-// context aborts immediately — resilience classifies it permanent via
-// ctxErr — and surfaces the context's own error.
-func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duration, path string, in, out any) (err error) {
+// call runs one logical RPC over an encoded body: attempt (push if
+// needed, POST, decode the reply) under the retry policy, and count the
+// call once with its outcome and wall time, retries included. A
+// canceled caller context aborts immediately — resilience classifies it
+// permanent via ctxErr — and surfaces the context's own error.
+func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duration, path string, body []byte, decode func([]byte) error) (err error) {
 	t0 := time.Now()
 	defer func() {
 		outcome := "ok"
@@ -123,10 +121,6 @@ func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duratio
 		w.opt.Metrics.RPCs.With(op, outcome).Inc()
 		w.opt.Metrics.RPCDuration.With(op).Observe(time.Since(t0).Seconds())
 	}()
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("remote: marshal %s request: %w", op, err)
-	}
 	err = w.opt.Retry.Do(func() error {
 		if cerr := ctx.Err(); cerr != nil {
 			return ctxErr{cerr}
@@ -134,7 +128,7 @@ func (w *RemoteWorker) call(ctx context.Context, op string, timeout time.Duratio
 		if perr := w.ensurePushed(ctx); perr != nil {
 			return perr
 		}
-		return w.post(ctx, op, timeout, path, body, out)
+		return w.post(ctx, op, timeout, path, body, decode)
 	}, func(_ error, _ int) {
 		w.opt.Metrics.Retries.With(op).Inc()
 	})
@@ -151,9 +145,11 @@ type ctxErr struct{ error }
 func (ctxErr) Is(target error) bool { return target == resilience.ErrPermanent }
 func (e ctxErr) Unwrap() error      { return e.error }
 
-// post issues one attempt of a JSON POST under the per-attempt
-// timeout; 0 leaves the attempt bounded by ctx alone.
-func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duration, path string, body []byte, out any) error {
+// post issues one attempt of a POST under the per-attempt timeout; 0
+// leaves the attempt bounded by ctx alone. A 200 reply goes to decode;
+// one it cannot decode is a transient failure with no status, like a
+// reply that never arrived, so it is retried and then failed over.
+func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duration, path string, body []byte, decode func([]byte) error) error {
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -164,7 +160,7 @@ func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duratio
 	if err != nil {
 		return &RPCError{Op: op, Worker: w.base, Err: err, permanent: true}
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", wireContentType)
 	resp, err := w.opt.HTTPClient.Do(req)
 	if err != nil {
 		return &RPCError{Op: op, Worker: w.base, Err: err}
@@ -179,7 +175,7 @@ func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duratio
 	if resp.StatusCode != http.StatusOK {
 		return w.statusError(op, resp.StatusCode, data)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decode(data); err != nil {
 		return &RPCError{Op: op, Worker: w.base, Err: fmt.Errorf("malformed response: %w", err)}
 	}
 	return nil
@@ -226,7 +222,7 @@ func (w *RemoteWorker) ensurePushed(ctx context.Context) error {
 	if err != nil {
 		return &RPCError{Op: OpPush, Worker: w.base, Err: err, permanent: true}
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", wireContentType)
 	req.Header.Set(shardKeyHeader, w.data.Key.String())
 	if last != "" && last != digest {
 		req.Header.Set(shardReplacesHeader, last)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"net/http"
@@ -12,8 +13,11 @@ import (
 	"strings"
 	"testing"
 
+	"tpminer/internal/core"
 	"tpminer/internal/interval"
+	"tpminer/internal/pattern"
 	"tpminer/internal/persist"
+	"tpminer/internal/shard"
 )
 
 // decodeLimit is the worker's MaxShardBytes in these tests: small, so
@@ -59,12 +63,45 @@ func TestWorkerRejectsMalformedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	bombRaw := make([]byte, 4*decodeLimit)
+	mineOf := func(digest string) []byte {
+		return appendMineBody(nil, &mineBody{digest: digest,
+			req: shard.MineShardRequest{Kind: core.KindTemporal, Opt: core.Options{MinCount: 1}}})
+	}
+	countOf := func(ps ...pattern.Coinc) []byte {
+		return appendCountBody(nil, &countBody{digest: digest, req: shard.CountRequest{Kind: core.KindCoincidence, Coinc: ps}})
+	}
+	a := pattern.Coinc{Elements: [][]string{{"A"}}}
 	var (
-		mine  = `{"digest":"` + digest + `","shard":0,"kind":"temporal","opt":{"MinCount":1}}`
-		count = `{"digest":"` + digest + `","shard":0,"kind":"coincidence","coinc":[{"Elements":[["A"]]}]}`
+		mine  = mineOf(digest)
+		count = countOf(a)
 		push  = "/v1/worker/shards/" + digest
+		// Oversized bodies that would otherwise decode: the mine's
+		// padded digest would answer 404 shard_not_loaded, and the
+		// count would be served.
+		mineOversized  = mineOf(digest + strings.Repeat("0", decodeLimit))
+		countOversized = countOf(make([]pattern.Coinc, decodeLimit)...)
+		badVersion     = append([]byte{wireVersion + 1}, mine[1:]...)
 	)
-	pad := strings.Repeat(" ", decodeLimit)
+	// countHead is a count body up to its first pattern count, with a
+	// one-symbol table, for the bodies no encoder writes.
+	countHead := func(kind core.Kind) []byte {
+		b := []byte{wireVersion, 1}
+		b = persist.AppendString(b, "A")
+		b = persist.AppendString(b, digest)
+		b = appendInt(b, 0)
+		return persist.AppendString(b, string(kind))
+	}
+	var (
+		// 2^40 temporal patterns, and nothing after.
+		countPastEnd = binary.AppendUvarint(countHead(core.KindTemporal), 1<<40)
+		// No temporal pattern; one coincidence pattern of one element
+		// naming symbol 1; span and gap 0.
+		countBadSymbol = append(countHead(core.KindCoincidence), 0, 1, 1, 1, 1, 0, 0)
+		// One temporal pattern of one element holding symbol 0 at
+		// occurrence 1 (zig-zag 2) with kind 2; no coincidence pattern;
+		// span and gap 0.
+		countBadKind = append(countHead(core.KindTemporal), 1, 1, 1, 0, 2, 2, 0, 0, 0)
+	)
 
 	type post struct {
 		name, method, path string
@@ -72,12 +109,16 @@ func TestWorkerRejectsMalformedBodies(t *testing.T) {
 		code               string
 	}
 	cases := []post{
-		{"mine oversized", "POST", "/v1/worker/mine", []byte(mine[:len(mine)-1] + pad + "}"), codeBadRequest},
-		{"mine unknown field", "POST", "/v1/worker/mine", []byte(strings.Replace(mine, `"MinCount":1`, `"MinCount":1,"NewKnob":3`, 1)), codeBadRequest},
-		{"mine trailing data", "POST", "/v1/worker/mine", []byte(mine + `{}`), codeBadRequest},
-		{"count oversized", "POST", "/v1/worker/count", []byte(count[:len(count)-1] + pad + "}"), codeBadRequest},
-		{"count unknown field", "POST", "/v1/worker/count", []byte(count[:len(count)-1] + `,"max_len":3}`), codeBadRequest},
-		{"count trailing data", "POST", "/v1/worker/count", []byte(count + ` x`), codeBadRequest},
+		{"mine oversized", "POST", "/v1/worker/mine", mineOversized, codeBadRequest},
+		{"mine unknown field", "POST", "/v1/worker/mine", binary.AppendVarint(bytes.Clone(mine), 3), codeBadRequest},
+		{"mine trailing data", "POST", "/v1/worker/mine", append(bytes.Clone(mine), mine...), codeBadRequest},
+		{"mine unknown version", "POST", "/v1/worker/mine", badVersion, codeBadRequest},
+		{"count oversized", "POST", "/v1/worker/count", countOversized, codeBadRequest},
+		{"count unknown field", "POST", "/v1/worker/count", binary.AppendVarint(bytes.Clone(count), 3), codeBadRequest},
+		{"count trailing data", "POST", "/v1/worker/count", append(bytes.Clone(count), " x"...), codeBadRequest},
+		{"count past body end", "POST", "/v1/worker/count", countPastEnd, codeBadRequest},
+		{"count symbol outside table", "POST", "/v1/worker/count", countBadSymbol, codeBadRequest},
+		{"count endpoint kind", "POST", "/v1/worker/count", countBadKind, codeBadRequest},
 		{"push without digest", "PUT", "/v1/worker/shards/d", payload, codeBadPayload},
 		{"push uppercase digest", "PUT", "/v1/worker/shards/" + strings.ToUpper(digest), payload, codeBadPayload},
 		{"push digest mismatch", "PUT", "/v1/worker/shards/" + digestOf([]byte("other")), payload, codeBadPayload},
@@ -111,8 +152,8 @@ func TestWorkerRejectsMalformedBodies(t *testing.T) {
 	// without reading the body, so any body will do.
 	for _, c := range []post{
 		{"push", "PUT", push, payload, ""},
-		{"mine", "POST", "/v1/worker/mine", []byte(mine + "\n"), ""},
-		{"count", "POST", "/v1/worker/count", []byte(count), ""},
+		{"mine", "POST", "/v1/worker/mine", mine, ""},
+		{"count", "POST", "/v1/worker/count", count, ""},
 		{"push of a held digest", "PUT", push, []byte("not gzip"), ""},
 	} {
 		if status, body := send(c); status >= 300 {

@@ -11,13 +11,15 @@
 // bodies name the shard by that digest alone, and a digest key cannot
 // hold other bytes, so a worker mines exactly the bytes the coordinator
 // split off, whichever coordinator pushed them. The mine and count
-// bodies embed the coordinator's shard.MineShardRequest and
-// shard.CountRequest whole, and the worker answers with the core.Result
-// or shard.CountResponse its LocalWorker computed. A worker therefore
-// computes exactly what a LocalWorker over the same sub-database would
-// compute, and the coordinator's merge — which is already proven
-// byte-identical to serial mining for local workers — cannot tell the
-// difference. Failover re-runs the same request on a
+// bodies carry the coordinator's shard.MineShardRequest and
+// shard.CountRequest field by field, and the worker answers with the
+// core.Result or shard.CountResponse its LocalWorker computed, in one
+// binary codec (wire.go) that holds every value exactly and refuses a
+// body of another format version or with a field this build lacks. A
+// worker therefore computes exactly what a LocalWorker over the same
+// sub-database would compute, and the coordinator's merge — which is
+// already proven byte-identical to serial mining for local workers —
+// cannot tell the difference. Failover re-runs the same request on a
 // LocalWorker over the same sub-database, so a mid-mine worker loss
 // changes latency, not results.
 package remote

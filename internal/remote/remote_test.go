@@ -460,6 +460,67 @@ func TestChaosFlakyWorkers(t *testing.T) {
 	}
 }
 
+// halvingHandler serves a worker but cuts every 200 mine reply in half,
+// as a broken worker, or one of another build, might answer.
+type halvingHandler struct{ inner http.Handler }
+
+func (h halvingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasSuffix(r.URL.Path, "/mine") {
+		h.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	h.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if rec.Code == http.StatusOK {
+		body = body[:len(body)/2]
+	}
+	w.WriteHeader(rec.Code)
+	_, _ = w.Write(body) // the client reports a short write as its own error
+}
+
+// TestUndecodableReplyFailsOver: a mine reply the coordinator cannot
+// decode is an RPCError with no status, which the client retries, and
+// the pool then re-mines the shard locally, exactly.
+func TestUndecodableReplyFailsOver(t *testing.T) {
+	ts := httptest.NewServer(halvingHandler{NewWorkerServer(WorkerConfig{}).Handler()})
+	defer ts.Close()
+	db := workertest.DB()
+	met := NewMetrics(obs.NewRegistry())
+	copt := ClientOptions{Retry: fastRetry, Metrics: met}
+	ctx := context.Background()
+	opt := core.Options{MinCount: 2}
+
+	w := NewRemoteWorker(ts.URL, NewShardData(ShardKey{Dataset: "d", Version: 1, Shard: 0}, db), copt)
+	_, err := w.Mine(ctx, &shard.MineShardRequest{Kind: core.KindTemporal, Opt: opt})
+	var rerr *RPCError
+	if !errors.As(err, &rerr) || rerr.Status != 0 || !IsUnavailable(err) {
+		t.Fatalf("undecodable reply: %v, want an RPCError with no status that reads unavailable", err)
+	}
+	if got, want := met.Retries.With(OpMine).Value(), uint64(fastRetry.MaxAttempts-1); got != want {
+		t.Errorf("undecodable reply retried %d times, want %d", got, want)
+	}
+
+	part := shard.New(db, 2, 1)
+	pool := NewPool([]string{ts.URL}, -1, copt, nil)
+	defer pool.Close()
+	got, err := pool.Coordinator("d", 1, db, part).Mine(ctx, core.KindTemporal, 0, opt)
+	if err != nil {
+		t.Fatalf("pool mine: %v", err)
+	}
+	if met.Failovers.Value() == 0 {
+		t.Fatal("no shard failed over")
+	}
+	want, err := shard.NewLocal(db, part).Mine(ctx, core.KindTemporal, 0, opt)
+	if err != nil {
+		t.Fatalf("local mine: %v", err)
+	}
+	got.Stats.Elapsed, want.Stats.Elapsed = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failed-over result differs from local:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
 // TestRPCErrorClassification pins the retry/failover dispatch surface.
 func TestRPCErrorClassification(t *testing.T) {
 	unreachable := &RPCError{Op: OpMine, Worker: "http://w", Err: errors.New("dial: connection refused")}

@@ -6,15 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"tpminer/internal/dataio"
 	"tpminer/internal/obs"
 	"tpminer/internal/shard"
 )
@@ -225,13 +226,17 @@ func (ws *WorkerServer) handleShardPush(w http.ResponseWriter, r *http.Request) 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleMine and handleCount decode their bodies strictly
-// (dataio.DecodeJSON) within MaxShardBytes: a field the coordinator
-// sends that this build lacks, as during a rolling deploy, is refused
-// rather than silently dropped from the mine.
+// handleMine and handleCount read at most MaxShardBytes and decode
+// their bodies exactly: a body of another format version, or one that
+// carries a field this build lacks, as during a rolling deploy, is
+// refused rather than mined without it.
 func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
-	var req mineWire
-	if err := dataio.DecodeJSON(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes), &req); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes))
+	var b mineBody
+	if err == nil {
+		b, err = decodeMineBody(data)
+	}
+	if err != nil {
 		ws.rpcs.With(OpMine, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed mine request: "+err.Error())
 		return
@@ -239,42 +244,46 @@ func (ws *WorkerServer) handleMine(w http.ResponseWriter, r *http.Request) {
 	// A parallel mine returns the same result at any worker count, so
 	// cap the request's at this machine's cores: asking for more would
 	// only allocate idle workers.
-	req.Opt.Parallel = min(req.Opt.Parallel, runtime.GOMAXPROCS(0))
-	cs := ws.loaded(w, OpMine, req.Digest)
+	b.req.Opt.Parallel = min(b.req.Opt.Parallel, runtime.GOMAXPROCS(0))
+	cs := ws.loaded(w, OpMine, b.digest)
 	if cs == nil {
 		return
 	}
-	ctx, cancel := ws.workContext(r.Context(), req.TimeoutMillis)
+	ctx, cancel := ws.workContext(r.Context(), b.timeoutMillis)
 	defer cancel()
-	resp, err := cs.worker.Mine(ctx, &req.MineShardRequest)
+	resp, err := cs.worker.Mine(ctx, &b.req)
 	if err != nil {
 		ws.writeWorkErr(w, OpMine, err)
 		return
 	}
 	ws.rpcs.With(OpMine, "ok").Inc()
-	ws.writeJSON(w, http.StatusOK, resp)
+	ws.writeBody(w, appendResult(nil, resp))
 }
 
 func (ws *WorkerServer) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req countWire
-	if err := dataio.DecodeJSON(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes), &req); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ws.cfg.MaxShardBytes))
+	var b countBody
+	if err == nil {
+		b, err = decodeCountBody(data)
+	}
+	if err != nil {
 		ws.rpcs.With(OpCount, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeBadRequest, "malformed count request: "+err.Error())
 		return
 	}
-	cs := ws.loaded(w, OpCount, req.Digest)
+	cs := ws.loaded(w, OpCount, b.digest)
 	if cs == nil {
 		return
 	}
 	ctx, cancel := ws.workContext(r.Context(), 0)
 	defer cancel()
-	resp, err := cs.worker.Count(ctx, &req.CountRequest)
+	resp, err := cs.worker.Count(ctx, &b.req)
 	if err != nil {
 		ws.writeWorkErr(w, OpCount, err)
 		return
 	}
 	ws.rpcs.With(OpCount, "ok").Inc()
-	ws.writeJSON(w, http.StatusOK, resp)
+	ws.writeBody(w, appendSupports(nil, resp))
 }
 
 // loaded returns the shard cached under digest. Otherwise it answers
@@ -321,6 +330,15 @@ func (ws *WorkerServer) writeWorkErr(w http.ResponseWriter, op string, err error
 	default:
 		ws.rpcs.With(op, "client_error").Inc()
 		ws.writeErr(w, http.StatusBadRequest, codeMineFailed, err.Error())
+	}
+}
+
+// writeBody answers 200 with an encoded reply.
+func (ws *WorkerServer) writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", wireContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		ws.logger.Warn("write response", "err", err)
 	}
 }
 

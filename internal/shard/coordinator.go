@@ -52,10 +52,11 @@ func NewLocal(db *interval.Database, p *Partition) *Coordinator {
 	return c
 }
 
-// NewWithWorkers builds a coordinator over explicit workers — the hook
-// for registry-aware construction, where a pool picks a remote or local
-// worker per shard. sizes must hold each worker's shard sequence count;
-// the slices are adopted, not copied.
+// NewWithWorkers builds a coordinator over explicit workers: the remote
+// pool's coordinators (remote.Pool.Coordinator), whose workers are
+// remote or local per shard, and the server's one-worker coordinator.
+// sizes must hold each worker's shard sequence count; the slices are
+// adopted, not copied.
 func NewWithWorkers(workers []Worker, sizes []int) *Coordinator {
 	if len(workers) != len(sizes) {
 		panic("shard: NewWithWorkers: workers and sizes length mismatch")

@@ -4,8 +4,8 @@
 // supports into a result byte-identical to the serial miner's. Requests
 // name the pattern kind with core.Kind, and a mine answers core.Result
 // (MineShardResponse is an alias of it): a LocalWorker's mine is one
-// call to core.Mine, and the request and response structs carry their
-// worker-wire JSON names, so package remote sends them as they are.
+// call to core.Mine, and package remote encodes the request and
+// response structs field by field, so a remote worker gets them whole.
 //
 // The split is sound because support counting is additive over disjoint
 // sequence partitions: a pattern's global support is the sum of its

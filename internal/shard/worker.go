@@ -14,13 +14,12 @@ import (
 
 // MineShardRequest asks a worker to mine its shard completely at the
 // coordinator-supplied local bound (carried in Opt.MinCount). TopK > 0
-// selects the top-k miner with Opt.MinCount as the support floor. The
-// JSON names are those of the worker wire's mine body.
+// selects the top-k miner with Opt.MinCount as the support floor.
 type MineShardRequest struct {
-	Shard int          `json:"shard"`
-	Kind  core.Kind    `json:"kind"`
-	TopK  int          `json:"topk,omitempty"`
-	Opt   core.Options `json:"opt"`
+	Shard int
+	Kind  core.Kind
+	TopK  int
+	Opt   core.Options
 }
 
 // MineShardResponse carries one shard's results. Temporal results are
@@ -31,21 +30,20 @@ type MineShardResponse = core.Result
 // CountRequest asks a worker for the exact local support of patterns it
 // did not report (they fell below its relaxed local bound). MaxSpan and
 // MaxGap replicate the mining constraints so the counted support equals
-// what the miner would have emitted. The JSON names are those of the
-// worker wire's count body.
+// what the miner would have emitted.
 type CountRequest struct {
-	Shard    int                `json:"shard"`
-	Kind     core.Kind          `json:"kind"`
-	Temporal []pattern.Temporal `json:"temporal,omitempty"`
-	Coinc    []pattern.Coinc    `json:"coinc,omitempty"`
-	MaxSpan  interval.Time      `json:"max_span,omitempty"`
-	MaxGap   interval.Time      `json:"max_gap,omitempty"`
+	Shard    int
+	Kind     core.Kind
+	Temporal []pattern.Temporal
+	Coinc    []pattern.Coinc
+	MaxSpan  interval.Time
+	MaxGap   interval.Time
 }
 
 // CountResponse holds per-pattern local supports, parallel to the
 // request's pattern slice.
 type CountResponse struct {
-	Supports []int `json:"supports"`
+	Supports []int
 }
 
 // Worker mines or counts over one shard. The interface is deliberately
