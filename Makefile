@@ -36,9 +36,11 @@ race:
 # Byte contract: mine responses (every mode, hit, miss, coalesced and
 # uncached) and a job's stored rows equal an independent encoding/json
 # rendering. Exposition contract: a fresh server's /v1/metrics carries
-# exactly the HELP and TYPE lines of a golden file, in order.
+# exactly the HELP and TYPE lines of a golden file, in order. Error
+# contract: every error class an in-memory server reaches answers with
+# the uniform envelope and its status, code, field and Retry-After.
 contract:
-	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle|TestMetricsExpositionGolden'
+	$(GO) test ./internal/server -run 'TestRoutesDocumentedInREADME|TestRouteTableIsServed|TestMineBytesMatchOracle|TestMetricsExpositionGolden|TestV1ErrorEnvelopeShape|TestErrorPaths'
 
 # Crash-recovery gate: the persist fault-injection tests (torn tail,
 # corrupt CRC mid-log, partial snapshot, crash during compaction), the

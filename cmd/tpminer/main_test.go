@@ -112,6 +112,7 @@ func TestRunErrors(t *testing.T) {
 	in := writeTemp(t, "data.csv", sampleCSV)
 	cases := [][]string{
 		{"-in", in}, // no threshold
+		{"-in", in, "-minsup", "NaN"},
 		{"-in", in, "-mincount", "2", "-type", "bogus"}, // bad type
 		{"-in", in, "-mincount", "2", "-algo", "bogus"}, // bad algo
 		{"-in", in, "-mincount", "2", "-format", "bogus"},

@@ -1,6 +1,7 @@
 // Package api is the wire contract of the tpmd HTTP service: the
 // request shapes shared by the batch mine family and the continuous
-// mining jobs, with one validation surface for both.
+// mining jobs, with one validation surface for both, and the error
+// envelope that the server and its workers answer every failure with.
 //
 // MineSpec is the one request shape of the mine family: an explicit Mode
 // field ("temporal", "coincidence", or "rules") selects what is mined,
@@ -47,6 +48,30 @@ func (e *FieldError) Error() string { return e.Msg }
 // fieldErrf builds a FieldError with a formatted message.
 func fieldErrf(field, format string, args ...any) *FieldError {
 	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
+// ErrorDetail is the error object of the uniform JSON error envelope.
+type ErrorDetail struct {
+	// Code is a stable, machine-readable error class. The server uses
+	// invalid_request (400), not_found (404), conflict (409),
+	// payload_too_large (413), unsupported_media_type (415),
+	// rate_limited (429), internal and persist_unavailable (500),
+	// degraded and shutting_down (503), and deadline_exceeded (504). A
+	// worker (tpmd -role=worker) uses invalid_request and
+	// invalid_shard_payload (400), shard_not_loaded (404), mine_failed
+	// (400 or 503) and mine_timeout (504).
+	Code string `json:"code"`
+	// Message is the human-readable description.
+	Message string `json:"message"`
+	// Field names the offending JSON request field on validation errors.
+	Field string `json:"field,omitempty"`
+}
+
+// ErrorEnvelope is the body of every non-2xx JSON response, on every
+// route of the server and of a worker.
+type ErrorEnvelope struct {
+	Error     ErrorDetail `json:"error"`
+	RequestID string      `json:"request_id,omitempty"`
 }
 
 // MiningOptions is the option block shared by every mining mode. It is

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,10 +22,11 @@ func mustMineT(t *testing.T, db *interval.Database, opt core.Options) []pattern.
 func TestOptionsValidation(t *testing.T) {
 	db := interval.NewDatabase([]interval.Interval{{Symbol: "A", Start: 0, End: 1}})
 	bad := []core.Options{
-		{},                 // no threshold
-		{MinSupport: -0.5}, // negative
-		{MinSupport: 1.5},  // > 1
-		{MinCount: -1},     // negative count
+		{},                       // no threshold
+		{MinSupport: -0.5},       // negative
+		{MinSupport: 1.5},        // > 1
+		{MinSupport: math.NaN()}, // fails every comparison
+		{MinCount: -1},           // negative count
 		{MinCount: 1, MaxSpan: -1},
 		{MinCount: 1, Parallel: -2},
 		{MinCount: 1, MaxElements: -1},
@@ -35,6 +37,9 @@ func TestOptionsValidation(t *testing.T) {
 		}
 		if _, _, err := core.MineCoincidence(db, opt); err == nil {
 			t.Errorf("case %d: MineCoincidence accepted %+v", i, opt)
+		}
+		if c, err := core.ResolveMinCount(opt, db.Len()); err == nil {
+			t.Errorf("case %d: ResolveMinCount accepted %+v, returning %d", i, opt, c)
 		}
 	}
 }

@@ -114,17 +114,8 @@ func ResolveMinCount(o Options, n int) (int, error) {
 	if err := o.validate(); err != nil {
 		return 0, err
 	}
-	return o.resolveMinCount(n)
-}
-
-// resolveMinCount converts the options' support threshold to an absolute
-// sequence count for a database of n sequences.
-func (o Options) resolveMinCount(n int) (int, error) {
 	if o.MinCount > 0 {
 		return o.MinCount, nil
-	}
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
-		return 0, fmt.Errorf("core: MinSupport %v outside (0,1] and no MinCount given", o.MinSupport)
 	}
 	c := int(math.Ceil(o.MinSupport * float64(n)))
 	if c < 1 {
@@ -138,7 +129,8 @@ func (o Options) validate() error {
 	if o.MinCount < 0 {
 		return fmt.Errorf("core: negative MinCount %d", o.MinCount)
 	}
-	if o.MinCount == 0 && (o.MinSupport <= 0 || o.MinSupport > 1) {
+	// Written so that NaN, which fails every comparison, is rejected.
+	if o.MinCount == 0 && !(o.MinSupport > 0 && o.MinSupport <= 1) {
 		return fmt.Errorf("core: MinSupport %v outside (0,1] and no MinCount given", o.MinSupport)
 	}
 	if o.MaxElements < 0 || o.MaxIntervals < 0 || o.MaxItemsPerElement < 0 {

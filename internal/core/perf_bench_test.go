@@ -37,7 +37,7 @@ func benchDB(b *testing.B) *interval.Database {
 func benchTemporalMiner(b *testing.B, opt Options) (*temporalMiner, []projEntry, []candidate) {
 	b.Helper()
 	db := benchDB(b)
-	minCount, err := opt.resolveMinCount(db.Len())
+	minCount, err := ResolveMinCount(opt, db.Len())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkCountTemporal(b *testing.B) {
 func BenchmarkProjectCoinc(b *testing.B) {
 	db := benchDB(b)
 	opt := Options{MinSupport: 0.04}
-	minCount, err := opt.resolveMinCount(db.Len())
+	minCount, err := ResolveMinCount(opt, db.Len())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,10 +28,7 @@ func mineKind[P pattern.Pattern, D interface{ FilterInfrequent(int) int }, J any
 	order func([]pattern.Result[P]) []pattern.Result[P],
 ) ([]pattern.Result[P], Stats, error) {
 	start := time.Now()
-	if err := opt.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	minCount, err := opt.resolveMinCount(db.Len())
+	minCount, err := ResolveMinCount(opt, db.Len())
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -99,8 +99,8 @@ func NewMiner(opt core.Options, bufferRatio float64) (*Miner, error) {
 		// the buffer and silently break the exactness guarantee.
 		return nil, fmt.Errorf("incremental: MaxPatterns/TimeBudget are not supported")
 	}
-	if opt.MinCount == 0 && (opt.MinSupport <= 0 || opt.MinSupport > 1) {
-		return nil, fmt.Errorf("incremental: MinSupport %v outside (0,1] and no MinCount given", opt.MinSupport)
+	if _, err := core.ResolveMinCount(opt, 0); err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
 	}
 	return &Miner{
 		opt:         opt,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ func TestNewMinerValidation(t *testing.T) {
 		{good, -0.5},
 		{good, 1.5},
 		{core.Options{}, 0.5},
+		{core.Options{MinSupport: math.NaN()}, 0.5},
 		{core.Options{MinSupport: 0.2, KeepOccurrences: true}, 0.5},
 		{core.Options{MinSupport: 0.2, Parallel: 2}, 0.5},
 		// Truncating budgets would break the exactness guarantee.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"tpminer/internal/api"
 	"tpminer/internal/obs"
 	"tpminer/internal/resilience"
 	"tpminer/internal/shard"
@@ -186,7 +187,7 @@ func (w *RemoteWorker) post(ctx context.Context, op string, timeout time.Duratio
 // retry (or the next request) re-pushes; 5xx stays transient; any other
 // 4xx is permanent — the request is at fault, not the worker.
 func (w *RemoteWorker) statusError(op string, status int, data []byte) error {
-	var ew errWire
+	var ew api.ErrorEnvelope
 	_ = json.Unmarshal(data, &ew) // a non-envelope body just leaves Code empty
 	msg := ew.Error.Message
 	if msg == "" {

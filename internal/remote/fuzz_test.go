@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tpminer/internal/api"
 	"tpminer/internal/core"
 	"tpminer/internal/dataio"
 	"tpminer/internal/shard"
@@ -39,7 +40,7 @@ func serveRPC(t *testing.T, h http.Handler, path string, body []byte) (int, []by
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
-		var e errWire
+		var e api.ErrorEnvelope
 		if err := dataio.DecodeJSON(bytes.NewReader(rec.Body.Bytes()), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 			t.Fatalf("%d reply is not an error envelope (%v): %s", rec.Code, err, rec.Body)
 		}

@@ -118,15 +118,8 @@ type countBody struct {
 	req    shard.CountRequest
 }
 
-// errWire mirrors the main server's uniform error envelope.
-type errWire struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// Worker-side error codes the client dispatches on.
+// Worker-side error codes of the api.ErrorEnvelope; the client
+// dispatches on shard_not_loaded.
 const (
 	codeShardNotLoaded = "shard_not_loaded"
 	codeBadRequest     = "invalid_request"

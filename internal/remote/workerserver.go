@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"tpminer/internal/api"
 	"tpminer/internal/obs"
 	"tpminer/internal/shard"
 )
@@ -351,8 +352,5 @@ func (ws *WorkerServer) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (ws *WorkerServer) writeErr(w http.ResponseWriter, status int, code, msg string) {
-	var e errWire
-	e.Error.Code = code
-	e.Error.Message = msg
-	ws.writeJSON(w, status, e)
+	ws.writeJSON(w, status, api.ErrorEnvelope{Error: api.ErrorDetail{Code: code, Message: msg}})
 }

@@ -434,31 +434,89 @@ func TestDeleteDuringInflightMine(t *testing.T) {
 	}
 }
 
-// TestV1ErrorEnvelopeShape: every error class carries the uniform
-// envelope with a stable code on the /v1 surface.
+// TestV1ErrorEnvelopeShape: every error class an in-memory server can
+// reach carries the uniform envelope on the /v1 surface, with its
+// status, stable code, field, and Retry-After hint. The 429, 503
+// degraded, 500 persist_unavailable, 504 and panic 500 classes are
+// pinned by their own tests.
 func TestV1ErrorEnvelopeShape(t *testing.T) {
-	ts := newTestServer(t)
+	s, ts := newHardenedServer(t, Config{MaxConcurrentMines: 32, MaxBodyBytes: 256})
 	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
+	const idleJob = `{"id":"idle","dataset":"absent","mine":{"min_count":1}}`
+	if resp, body := do(t, "POST", ts.URL+"/v1/jobs", "application/json", idleJob); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create job: %d %s", resp.StatusCode, body)
+	}
+
+	// leaderPanics makes the next mine of demo at min_count 2 a coalesced
+	// waiter on a flight whose leader's compute panics once the waiter
+	// has joined.
+	leaderPanics := func() {
+		joined := s.met.cache.Coalesced.Value() + 1
+		started, leader := make(chan struct{}), make(chan struct{})
+		s.testMineHook = func() {
+			close(started)
+			for deadline := time.Now().Add(5 * time.Second); s.met.cache.Coalesced.Value() < joined && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			panic("leader compute fails")
+		}
+		go func() {
+			defer close(leader)
+			resp, err := http.Post(ts.URL+"/v1/datasets/demo/mine", "application/json", strings.NewReader(`{"min_count":2}`))
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+		t.Cleanup(func() { <-leader })
+		<-started
+	}
+	const event = `{"seq":"s1","symbol":"A","start":0,"end":1}`
 
 	cases := []struct {
 		name         string
+		before       func() // runs just before the request
 		method, path string
-		body         string
+		ctype, body  string
 		wantStatus   int
 		wantCode     string
 		wantField    string
+		wantMessage  string // checked when set
+		wantRetry    bool   // whether Retry-After is set
 	}{
-		{"not found", "GET", "/v1/datasets/nope", "", 404, "not_found", ""},
-		{"bad field", "POST", "/v1/datasets/demo/mine", `{"min_support":-1}`, 400, "invalid_request", "min_support"},
-		{"bad mode", "POST", "/v1/datasets/demo/mine", `{"mode":"x","min_count":1}`, 400, "invalid_request", "mode"},
-		{"rules field", "POST", "/v1/datasets/demo/mine", `{"mode":"rules","min_count":1,"min_lift":-1}`, 400, "invalid_request", "min_lift"},
+		{name: "not found", method: "GET", path: "/v1/datasets/nope", wantStatus: 404, wantCode: "not_found"},
+		{name: "bad field", method: "POST", path: "/v1/datasets/demo/mine", ctype: "application/json", body: `{"min_support":-1}`,
+			wantStatus: 400, wantCode: "invalid_request", wantField: "min_support"},
+		{name: "bad mode", method: "POST", path: "/v1/datasets/demo/mine", ctype: "application/json", body: `{"mode":"x","min_count":1}`,
+			wantStatus: 400, wantCode: "invalid_request", wantField: "mode"},
+		{name: "rules field", method: "POST", path: "/v1/datasets/demo/mine", ctype: "application/json", body: `{"mode":"rules","min_count":1,"min_lift":-1}`,
+			wantStatus: 400, wantCode: "invalid_request", wantField: "min_lift"},
+		{name: "unknown job", method: "GET", path: "/v1/jobs/nope", wantStatus: 404, wantCode: "not_found"},
+		{name: "job with no run", method: "GET", path: "/v1/jobs/idle/result", wantStatus: 404, wantCode: "not_found"},
+		{name: "duplicate job", method: "POST", path: "/v1/jobs", ctype: "application/json", body: idleJob,
+			wantStatus: 409, wantCode: "conflict"},
+		{name: "oversized body", method: "PUT", path: "/v1/datasets/big", ctype: "text/csv", body: explosiveCSV(4, 8),
+			wantStatus: 413, wantCode: "payload_too_large"},
+		{name: "put media type", method: "PUT", path: "/v1/datasets/x", ctype: "application/xml", body: "<x/>",
+			wantStatus: 415, wantCode: "unsupported_media_type"},
+		{name: "mine media type", method: "POST", path: "/v1/datasets/demo/mine", ctype: "text/plain", body: `{"min_count":1}`,
+			wantStatus: 415, wantCode: "unsupported_media_type"},
+		{name: "coalesced on a panic", before: leaderPanics, method: "POST", path: "/v1/datasets/demo/mine", ctype: "application/json", body: `{"min_count":2}`,
+			wantStatus: 500, wantCode: "internal", wantMessage: "mining aborted; see server logs"},
+		{name: "closed ingest batcher", before: func() {
+			b, _ := s.ingest.batcher("shut") // the pool is still open
+			b.shutdown()
+		}, method: "POST", path: "/v1/datasets/shut/events", ctype: "application/x-ndjson", body: event,
+			wantStatus: 503, wantCode: "shutting_down", wantMessage: "server is shutting down"},
+		{name: "closed ingest pool", before: s.ingest.close, method: "POST", path: "/v1/datasets/demo/events", ctype: "application/x-ndjson", body: event,
+			wantStatus: 503, wantCode: "shutting_down", wantMessage: "server is shutting down"},
+		{name: "closed jobs manager", before: s.jobMgr.Close, method: "POST", path: "/v1/jobs", ctype: "application/json", body: `{"dataset":"demo","mine":{"min_count":1}}`,
+			wantStatus: 503, wantCode: "shutting_down", wantMessage: "server is shutting down"},
 	}
 	for _, c := range cases {
-		ctype := ""
-		if c.body != "" {
-			ctype = "application/json"
+		if c.before != nil {
+			c.before()
 		}
-		resp, body := do(t, c.method, ts.URL+c.path, ctype, c.body)
+		resp, body := do(t, c.method, ts.URL+c.path, c.ctype, c.body)
 		if resp.StatusCode != c.wantStatus {
 			t.Errorf("%s: status %d, want %d (%q)", c.name, resp.StatusCode, c.wantStatus, body)
 			continue
@@ -473,6 +531,12 @@ func TestV1ErrorEnvelopeShape(t *testing.T) {
 		}
 		if eb.Error.Field != c.wantField {
 			t.Errorf("%s: field %q, want %q", c.name, eb.Error.Field, c.wantField)
+		}
+		if c.wantMessage != "" && eb.Error.Message != c.wantMessage {
+			t.Errorf("%s: message %q, want %q", c.name, eb.Error.Message, c.wantMessage)
+		}
+		if got := resp.Header.Get("Retry-After") != ""; got != c.wantRetry {
+			t.Errorf("%s: Retry-After set %v, want %v", c.name, got, c.wantRetry)
 		}
 	}
 }

@@ -42,18 +42,18 @@ type ingestPool struct {
 	closed   bool
 }
 
-func (p *ingestPool) batcher(name string) (*ingestBatcher, bool) {
+func (p *ingestPool) batcher(name string) (*ingestBatcher, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, false
+		return nil, errShuttingDown
 	}
 	b, ok := p.batchers[name]
 	if !ok {
 		b = &ingestBatcher{pool: p, dataset: name}
 		p.batchers[name] = b
 	}
-	return b, true
+	return b, nil
 }
 
 // close stops age timers and flushes whatever is still buffered, so a
@@ -100,7 +100,7 @@ func (b *ingestBatcher) add(events []ingestEvent) (version uint64, pending int, 
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return 0, 0, b.flushes, fmt.Errorf("server is shutting down")
+		return 0, 0, b.flushes, errShuttingDown
 	}
 	held := len(b.pending)
 	b.pending = append(b.pending, events...)
@@ -271,27 +271,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		ev, err := decodeIngestLine(raw)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
+			s.writeError(w, r, fmt.Errorf("line %d: %w", line, err))
 			return
 		}
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
-		s.writeBodyError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if len(events) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("no events in request body"))
+		s.writeError(w, r, fmt.Errorf("no events in request body"))
 		return
 	}
-	b, ok := s.ingest.batcher(name)
-	if !ok {
-		s.writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
+	b, err := s.ingest.batcher(name)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	ver, pending, flushes, err := b.add(events)
 	if err != nil {
-		s.writeStoreError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, ingestResponse{

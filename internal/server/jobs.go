@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -60,38 +59,18 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec api.JobSpec
 	if err := s.decodeJSONBody(r, &spec); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.writeError(w, r, err)
 		return
 	}
 	st, err := s.jobMgr.Create(spec)
 	if err != nil {
-		s.writeJobError(w, r, spec.ID, err)
+		s.writeError(w, r, err)
 		return
 	}
 	s.logger.Info("job created", "request_id", requestID(r), "job", st.ID,
 		"dataset", spec.Dataset)
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	s.writeJSON(w, http.StatusCreated, st)
-}
-
-// writeJobError maps a jobs-manager error to a response.
-func (s *Server) writeJobError(w http.ResponseWriter, r *http.Request, id string, err error) {
-	var fe *api.FieldError
-	var je *journalError
-	switch {
-	case errors.Is(err, jobs.ErrNotFound):
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("job %q not found", id))
-	case errors.Is(err, jobs.ErrExists):
-		s.writeError(w, r, http.StatusConflict, fmt.Errorf("job %q already exists", id))
-	case errors.Is(err, jobs.ErrClosed):
-		s.writeError(w, r, http.StatusServiceUnavailable, errors.New("server is shutting down"))
-	case errors.As(err, &fe):
-		s.writeError(w, r, http.StatusBadRequest, err)
-	case errors.As(err, &je):
-		s.writeStoreError(w, r, err)
-	default:
-		s.writeError(w, r, http.StatusBadRequest, err)
-	}
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -102,7 +81,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, err := s.jobMgr.Get(id)
 	if err != nil {
-		s.writeJobError(w, r, id, err)
+		s.writeError(w, r, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, st)
@@ -111,7 +90,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.jobMgr.Delete(id); err != nil {
-		s.writeJobError(w, r, id, err)
+		s.writeError(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -124,12 +103,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, ok, err := s.jobMgr.Result(id)
 	if err != nil {
-		s.writeJobError(w, r, id, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound,
-			fmt.Errorf("job %q has not completed a run yet", id))
+		s.writeError(w, r, fmt.Errorf("job %q result %w: no run has completed yet", id, errNotFound))
 		return
 	}
 	etag := resultETag(cache.Key{Dataset: "job/" + id, Version: res.RunSeq, Options: "job-result"})
@@ -154,23 +132,21 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, r, http.StatusInternalServerError,
-			errors.New("streaming unsupported by this connection"))
+		s.writeError(w, r, fmt.Errorf("%w: streaming unsupported by this connection", errInternal))
 		return
 	}
 	var lastEventID *uint64
 	if h := r.Header.Get("Last-Event-ID"); h != "" {
 		v, err := strconv.ParseUint(h, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest,
-				fmt.Errorf("malformed Last-Event-ID %q", h))
+			s.writeError(w, r, fmt.Errorf("malformed Last-Event-ID %q", h))
 			return
 		}
 		lastEventID = &v
 	}
 	sub, backlog, err := s.jobMgr.Subscribe(id, lastEventID)
 	if err != nil {
-		s.writeJobError(w, r, id, err)
+		s.writeError(w, r, err)
 		return
 	}
 	defer sub.Close()

@@ -12,8 +12,8 @@ import (
 
 // errDegraded is returned by the resilient journal while the circuit
 // breaker is open: persistence is unavailable and mutations are being
-// rejected. Handlers map it to 503 with the stable "degraded" code and a
-// Retry-After hint; reads and cached mines keep serving throughout.
+// rejected. writeError maps it to 503 with the stable "degraded" code and
+// a Retry-After hint; reads and cached mines keep serving throughout.
 var errDegraded = errors.New("persistence degraded: server is read-only while the store recovers")
 
 // resilientJournal wraps the persist store's journal with a circuit

@@ -37,7 +37,9 @@
 // Errors use one JSON envelope on every route and status:
 // {"error":{"code","message","field"},"request_id":"..."} — code is a
 // stable machine-readable class, field names the offending request field
-// on validation errors.
+// on validation errors. Handlers pass errors, never statuses, to
+// writeError, the one mapping from an error's class to its status, code,
+// and Retry-After hint.
 //
 // # Result caching and request coalescing
 //
@@ -612,10 +614,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				// If the handler already started the response this
 				// write is a no-op on the status; the log above is the
 				// record either way.
-				s.writeJSON(sw, http.StatusInternalServerError, ErrorEnvelope{
-					Error:     ErrorDetail{Code: "internal", Message: "internal server error"},
-					RequestID: id,
-				})
+				s.writeError(sw, r, errInternal)
 			}
 			s.met.inFlight.Dec()
 			status := sw.status
@@ -639,52 +638,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 	})
 }
 
-// ErrorDetail is the error object of the uniform JSON error envelope.
-type ErrorDetail struct {
-	// Code is a stable, machine-readable error class: invalid_request,
-	// not_found, payload_too_large, rate_limited, deadline_exceeded, or
-	// internal.
-	Code string `json:"code"`
-	// Message is the human-readable description.
-	Message string `json:"message"`
-	// Field names the offending JSON request field on validation errors.
-	Field string `json:"field,omitempty"`
-}
-
-// ErrorEnvelope is the body of every non-2xx JSON response, on every
-// route.
-type ErrorEnvelope struct {
-	Error     ErrorDetail `json:"error"`
-	RequestID string      `json:"request_id,omitempty"`
-}
-
-// codeForStatus maps a response status to the envelope's error code.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "invalid_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusRequestEntityTooLarge:
-		return "payload_too_large"
-	case http.StatusUnsupportedMediaType:
-		return "unsupported_media_type"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusTooManyRequests:
-		return "rate_limited"
-	case http.StatusGatewayTimeout:
-		return "deadline_exceeded"
-	case http.StatusServiceUnavailable:
-		return "degraded"
-	default:
-		if status >= 500 {
-			return "internal"
-		}
-		return "invalid_request"
-	}
-}
-
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -693,25 +646,62 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// writeError sends the structured error envelope. A body-size overflow
-// (http.MaxBytesError anywhere in the chain) overrides the caller's
-// status with 413 so clients can tell "too large" from "malformed".
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		status = http.StatusRequestEntityTooLarge
-		err = fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-	}
-	s.writeErrorCode(w, r, status, codeForStatus(status), err)
-}
+// errShuttingDown refuses work once Close has begun: the ingest pool
+// and its batchers return it, and the jobs manager's jobs.ErrClosed is
+// the same class.
+var errShuttingDown = errors.New("server is shutting down")
 
-// writeErrorCode is writeError with an explicit envelope code, for the
-// few statuses whose code is not a pure function of the status (500
-// splits into internal vs persist_unavailable).
-func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	field := ""
-	var fe *api.FieldError
-	if errors.As(err, &fe) {
+// errInternal marks a fault of the server rather than the request: a
+// recovered panic, or a connection that cannot stream.
+var errInternal = errors.New("internal server error")
+
+// writeError sends err as the uniform error envelope. It is the one
+// mapping from errors to responses: the error's class sets the status,
+// the stable code, the Retry-After hint, and the message where the
+// error's own text would not help the client. An error of no known class
+// is the request's fault: 400 invalid_request, naming the field of an
+// *api.FieldError.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
+	status, code, msg, field := http.StatusBadRequest, "invalid_request", err.Error(), ""
+	var (
+		mbe *http.MaxBytesError
+		mte *mediaTypeError
+		je  *journalError
+		fe  *api.FieldError
+	)
+	switch {
+	case errors.As(err, &mbe): // first, so "too large" is never reported as "malformed"
+		status, code, msg = http.StatusRequestEntityTooLarge, "payload_too_large", fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
+	case errors.As(err, &mte):
+		status, code = http.StatusUnsupportedMediaType, "unsupported_media_type"
+	case errors.Is(err, errNotFound):
+		status, code = http.StatusNotFound, "not_found"
+	case errors.Is(err, jobs.ErrNotFound):
+		status, code, msg = http.StatusNotFound, "not_found", fmt.Sprintf("job %q not found", r.PathValue("id"))
+	case errors.Is(err, jobs.ErrExists):
+		status, code = http.StatusConflict, "conflict"
+	case errors.Is(err, errMineBusy):
+		status, code, msg = http.StatusTooManyRequests, "rate_limited", fmt.Sprintf("all %d mining slots busy; retry later", cap(s.mineSem))
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	case errors.Is(err, errDegraded): // before *journalError, which wraps it: retry later, here
+		status, code = http.StatusServiceUnavailable, "degraded"
+		msg = "persistence degraded: mutations are temporarily rejected while the store recovers; reads and mining remain available"
+		w.Header().Set("Retry-After", strconv.Itoa(s.degradedRetryAfterSeconds()))
+	case errors.As(err, &je): // the mutation was vetoed to protect durability
+		status, code = http.StatusInternalServerError, "persist_unavailable"
+	case errors.Is(err, cache.ErrComputeAborted):
+		status, code, msg = http.StatusInternalServerError, "internal", "mining aborted; see server logs"
+	case errors.Is(err, errInternal):
+		status, code = http.StatusInternalServerError, "internal"
+	case errors.Is(err, errShuttingDown), errors.Is(err, jobs.ErrClosed): // no Retry-After: this process will not serve it
+		status, code, msg = http.StatusServiceUnavailable, "shutting_down", errShuttingDown.Error()
+	case errors.Is(err, context.DeadlineExceeded):
+		status, code, msg = http.StatusGatewayTimeout, "deadline_exceeded", "mining exceeded its deadline; lower min support, add constraints, or raise timeout_ms"
+	case errors.Is(err, context.Canceled): // the client went away; there is nobody to respond to
+		s.logger.Info("request abandoned by client",
+			"request_id", requestID(r), "method", r.Method, "path", r.URL.Path)
+		return
+	case errors.As(err, &fe):
 		field = fe.Field
 	}
 	id := requestID(r)
@@ -721,37 +711,9 @@ func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status i
 			"status", status, "code", code, "error", err.Error())
 	}
 	s.writeJSON(w, status, ErrorEnvelope{
-		Error:     ErrorDetail{Code: code, Message: err.Error(), Field: field},
+		Error:     ErrorDetail{Code: code, Message: msg, Field: field},
 		RequestID: id,
 	})
-}
-
-// writeStoreError maps a failed store mutation to a response:
-//
-//   - no such dataset → 404;
-//   - breaker open → 503, stable code "degraded", Retry-After derived
-//     from the recovery-probe cadence — the client should retry, later,
-//     here;
-//   - any other journal failure → 500, stable code "persist_unavailable"
-//     — the mutation was vetoed to protect durability;
-//   - anything else → plain 500 "internal".
-func (s *Server) writeStoreError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, errNotFound) {
-		s.writeError(w, r, http.StatusNotFound, err)
-		return
-	}
-	if errors.Is(err, errDegraded) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.degradedRetryAfterSeconds()))
-		s.writeErrorCode(w, r, http.StatusServiceUnavailable, "degraded",
-			errors.New("persistence degraded: mutations are temporarily rejected while the store recovers; reads and mining remain available"))
-		return
-	}
-	var je *journalError
-	if errors.As(err, &je) {
-		s.writeErrorCode(w, r, http.StatusInternalServerError, "persist_unavailable", err)
-		return
-	}
-	s.writeError(w, r, http.StatusInternalServerError, err)
 }
 
 // degradedRetryAfterSeconds derives the 503 Retry-After hint while
@@ -843,7 +805,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	db, ver, ok := s.store.snapshot(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
+		s.writeError(w, r, fmt.Errorf("dataset %q %w", name, errNotFound))
 		return
 	}
 	part := s.partition(db)
@@ -899,8 +861,7 @@ func (s *Server) requireContentType(w http.ResponseWriter, r *http.Request, want
 			return true
 		}
 	}
-	s.writeError(w, r, http.StatusUnsupportedMediaType,
-		&mediaTypeError{fmt.Sprintf("unsupported Content-Type %q (want %s)", ct, strings.Join(want, " or "))})
+	s.writeError(w, r, &mediaTypeError{fmt.Sprintf("unsupported Content-Type %q (want %s)", ct, strings.Join(want, " or "))})
 	return false
 }
 
@@ -926,17 +887,6 @@ func (s *Server) readDatasetBody(r *http.Request) (*interval.Database, error) {
 	}
 }
 
-// writeBodyError maps a failed body parse: unsupported media type → 415,
-// anything else (malformed payload, overflow) → 400/413 via writeError.
-func (s *Server) writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
-	var mte *mediaTypeError
-	if errors.As(err, &mte) {
-		s.writeError(w, r, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	s.writeError(w, r, http.StatusBadRequest, err)
-}
-
 // datasetCommitted is the store's onCommit hook, run after every
 // dataset mutation (PUT, append, ingest flush, DELETE) commits. It drops
 // the dataset's cached results — correctness does not depend on it, the
@@ -954,12 +904,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	db, err := s.readDatasetBody(r)
 	if err != nil {
-		s.writeBodyError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	sum, ver, existed, err := s.store.put(name, db)
 	if err != nil {
-		s.writeStoreError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	s.logger.Info("dataset stored",
@@ -977,17 +927,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	add, err := s.readDatasetBody(r)
 	if err != nil {
-		s.writeBodyError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	sum, ver, err := s.store.append(name, add, false)
-	var je *journalError
-	switch {
-	case errors.As(err, &je), errors.Is(err, errNotFound):
-		s.writeStoreError(w, r, err)
-		return
-	case err != nil: // the increment failed validation: the client's fault
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	w.Header().Set("ETag", datasetETag(name, ver))
@@ -998,7 +943,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sum, ver, ok := s.store.stat(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
+		s.writeError(w, r, fmt.Errorf("dataset %q %w", name, errNotFound))
 		return
 	}
 	etag := datasetETag(name, ver)
@@ -1013,7 +958,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.store.delete(r.PathValue("name")); err != nil {
-		s.writeStoreError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -1062,7 +1007,7 @@ func etagMatches(header, etag string) bool {
 // ----------------------------------------------------------- mine slots
 
 // errMineBusy signals that every mining slot was occupied for as long
-// as this request could afford to wait; the handler maps it to 429 with
+// as this request could afford to wait; writeError maps it to 429 with
 // a Retry-After hint.
 var errMineBusy = errors.New("all mining slots busy")
 
@@ -1112,13 +1057,6 @@ func (s *Server) parkBudget(ctx context.Context) time.Duration {
 	return time.Until(dl) - median
 }
 
-// writeBusy sends the 429 backpressure response.
-func (s *Server) writeBusy(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	s.writeError(w, r, http.StatusTooManyRequests,
-		fmt.Errorf("all %d mining slots busy; retry later", cap(s.mineSem)))
-}
-
 // Bounds on the derived Retry-After hint: at least one second (clients
 // should never hot-loop), at most thirty (mining slots churn within the
 // 60s default deadline; suggesting more than half a minute just parks
@@ -1166,45 +1104,17 @@ func (s *Server) mineContext(base context.Context, timeoutMillis int64) (context
 	return context.WithTimeout(base, d)
 }
 
-// writeMineError maps a mining error to a response: context deadline →
-// 504, client gone → nothing to send (logged), anything else → 400.
-func (s *Server) writeMineError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, r, http.StatusGatewayTimeout,
-			errors.New("mining exceeded its deadline; lower min support, add constraints, or raise timeout_ms"))
-	case errors.Is(err, context.Canceled):
-		// The client went away; there is nobody to respond to.
-		s.logger.Info("mine abandoned by client",
-			"request_id", requestID(r), "method", r.Method, "path", r.URL.Path)
-	default:
-		s.writeError(w, r, http.StatusBadRequest, err)
-	}
-}
-
-// writeComputeError maps the result of a cached/coalesced compute to a
-// response, covering the sentinels the cache layer can add on top of
-// plain mining errors.
-func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, errMineBusy):
-		s.writeBusy(w, r)
-	case errors.Is(err, cache.ErrComputeAborted):
-		s.writeError(w, r, http.StatusInternalServerError,
-			errors.New("mining aborted; see server logs"))
-	default:
-		s.writeMineError(w, r, err)
-	}
-}
-
 // ----------------------------------------------------------- wire types
 
 // The request shape of the mine family lives in internal/api, shared
 // with the jobs subsystem: one struct with an explicit "mode" field
-// ("temporal", "coincidence", or "rules").
+// ("temporal", "coincidence", or "rules"). So does the error envelope,
+// which the worker role writes too.
 type (
 	MiningOptions = api.MiningOptions
 	MineSpec      = api.MineSpec
+	ErrorDetail   = api.ErrorDetail
+	ErrorEnvelope = api.ErrorEnvelope
 )
 
 // MinedPattern is one result row of the mine endpoint.
@@ -1388,16 +1298,16 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var spec MineSpec
 	if err := s.decodeJSONBody(r, &spec); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.writeError(w, r, err)
 		return
 	}
 	db, ver, ok := s.store.snapshot(name)
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
+		s.writeError(w, r, fmt.Errorf("dataset %q %w", name, errNotFound))
 		return
 	}
 
@@ -1413,7 +1323,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	e, outcome, err := s.cachedMine(r.Context(), key, db, spec)
 	if err != nil {
-		s.writeComputeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if outcome != "" {

@@ -10,7 +10,8 @@ import (
 )
 
 // journalError marks a failure in the durability layer (as opposed to
-// client-attributable validation), so handlers map it to a 500.
+// client-attributable validation), so writeError maps it to a 500, or
+// to a 503 while the breaker is open.
 type journalError struct{ err error }
 
 func (e *journalError) Error() string { return e.err.Error() }
