@@ -15,16 +15,17 @@ vet:
 test:
 	$(GO) test ./...
 
-# Unchecked-error lint over the durability layers, where a dropped
-# error result means silent data loss, plus the server and jobs
+# Unchecked-error lint over the durability layers (persist, and
+# resilience, which classifies and retries their failures), where a
+# dropped error result means silent data loss, plus the server and jobs
 # packages, where a dropped error can lose an ingest batch or a job
-# journal entry, the shard coordinator and request contract that every
-# mine runs through, core, which holds the one mining entry point, and
-# tpmd, which opens, inspects and closes the store. vet plus the repo's
-# own errcheck-style checker (cmd/errlint); assign to _ to mark a
-# deliberately best-effort call.
+# journal entry, the result cache, shard coordinator and request
+# contract that every mine runs through, core, which holds the one
+# mining entry point, and tpmd, which opens, inspects and closes the
+# store. vet plus the repo's own errcheck-style checker (cmd/errlint);
+# assign to _ to mark a deliberately best-effort call.
 lint: vet
-	$(GO) run ./cmd/errlint ./internal/persist ./internal/server ./internal/jobs ./internal/remote ./internal/shard ./internal/core ./internal/api ./cmd/tpmd
+	$(GO) run ./cmd/errlint ./internal/persist ./internal/resilience ./internal/server ./internal/jobs ./internal/cache ./internal/remote ./internal/shard ./internal/core ./internal/api ./cmd/tpmd
 
 # Race-enabled run; the cancellation/backpressure tests exercise real
 # concurrency, so this is the form CI should run.
@@ -53,12 +54,16 @@ recovery:
 	$(GO) test -race ./internal/persist -run 'TestRecovery|TestCrash|TestClean|TestFiles|TestConformanceFaultStore|TestSetMetricsWiresBlobOps'
 	$(GO) test -race ./internal/server -run 'TestRestart|TestPersisted'
 
-# Chaos gate: the randomized fault-schedule suite plus the persist
-# fault-injection tests, under the race detector. The headline test
-# draws a fresh seed each run and logs it; replay a failure exactly
-# with TPMD_CHAOS_SEED=<seed> make chaos.
+# Chaos gate: the randomized fault-schedule suite, the step-by-step
+# degraded-mode tests that drive a server over a faulted store (failure
+# scores, trips, probes and the breaker-state gauge in resilience;
+# degraded cache hits in cache), and the persist fault-injection tests,
+# under the race detector. The headline test draws a fresh seed each
+# run and logs it; replay a failure exactly with
+# TPMD_CHAOS_SEED=<seed> make chaos.
 chaos:
 	$(GO) test -race ./internal/server -run 'TestChaos' -count=1
+	$(GO) test -race ./internal/resilience ./internal/cache -run 'TestBreaker|TestDegradedHitAccounting' -count=1
 	$(GO) test -race ./internal/persist -run 'TestBootRemoves|TestWALWriteRetries|TestTornWALWrite|TestPermanentFailure|TestFsyncFailure|TestSnapshotFault' -count=1
 
 # Streaming gate: the NDJSON-ingest + continuous-job end-to-end test

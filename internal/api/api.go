@@ -298,7 +298,8 @@ func (req MineSpec) Validate() error {
 // parallel — are deliberately excluded: they change how long the search
 // may run, never what a complete run returns (parallel runs are
 // result-equivalent, and truncated runs are never cached), so requests
-// differing only in those share one entry. max_patterns is included
+// differing only in those share one stored entry. They do not share a
+// run: ExecOptions keys the flight. max_patterns is included
 // because a complete run under a cap is only known equivalent to an
 // uncapped one at the same cap. The window is included: a windowed mine
 // is a different result than a whole-dataset one at the same version.
@@ -313,6 +314,13 @@ func (req MineSpec) ResultOptions() string {
 		mode, req.MinSupport, req.MinCount, req.MaxIntervals, req.MaxElements,
 		req.MaxItemsPerElement, req.MaxSpan, req.MaxGap, req.TopK, req.Filter,
 		req.MaxPatterns, req.Window.key())
+}
+
+// ExecOptions canonicalizes the execution knobs ResultOptions leaves
+// out. A mine joins a concurrent identical run only when these match
+// too, so no request inherits another's deadline, budget or parallelism.
+func (req MineSpec) ExecOptions() string {
+	return fmt.Sprintf("timeout=%d|budget=%d|par=%d", req.TimeoutMillis, req.TimeBudgetMillis, req.Parallel)
 }
 
 // Options converts the spec to miner options, capping the requested

@@ -12,10 +12,10 @@
 //   - A byte-budgeted LRU: entries carry their resident size as the
 //     caller reports it; inserting past the budget evicts from the cold
 //     end. An entry larger than the whole budget is not admitted at all.
-//   - A single-flight group: N concurrent Do calls for the same key
-//     collapse into one compute whose result fans out to all waiters.
-//     Under a thundering herd of identical requests exactly one miner
-//     run executes.
+//   - A single-flight group: N concurrent Do calls for the same key,
+//     execution knobs included, collapse into one compute whose result
+//     fans out to all waiters. Under a thundering herd of identical
+//     requests exactly one miner run executes.
 //
 // The caller decides cacheability per result (compute returns a
 // cacheable flag): truncated or otherwise non-deterministic results must
@@ -57,9 +57,6 @@ type Metrics struct {
 	Coalesced *obs.Counter
 	Evictions *obs.Counter
 	Resident  *obs.Gauge
-	// DegradedHits counts the hits served while the owner reported
-	// itself degraded (see Cache.SetDegraded).
-	DegradedHits *obs.Counter
 }
 
 // NewMetrics registers the cache's families on reg.
@@ -75,19 +72,21 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Result-cache entries evicted to stay within the byte budget."),
 		Resident: reg.NewGauge("tpmd_cache_resident_bytes",
 			"Approximate bytes of mine/rules results currently cached."),
-		DegradedHits: reg.NewCounter("tpmd_cache_degraded_hits_total",
-			"Cache hits served while persistence was degraded (read-only mode)."),
 	}
 }
 
-// Key identifies one memoizable result. Options must be a canonical
-// encoding of every result-determining option (and nothing else, so
-// requests differing only in execution knobs — timeouts, parallelism —
-// share an entry).
+// Key identifies one memoizable result and the run that computes it.
+// Options must be a canonical encoding of every result-determining
+// option and nothing else: requests that differ only in Exec share a
+// stored entry. Exec encodes the execution knobs (deadline, soft time
+// budget, parallelism), which decide whether a run completes in time:
+// a flight is shared only by callers whose whole key matches, so no
+// caller waits on a run under another's deadline.
 type Key struct {
 	Dataset string
 	Version uint64
 	Options string
+	Exec    string
 }
 
 // entryOverhead approximates the per-entry bookkeeping cost (key
@@ -118,7 +117,6 @@ type Cache struct {
 	items    map[Key]*list.Element // element value: *entry
 	flights  map[Key]*flight
 	resident int64
-	degraded func() bool // nil = never degraded
 }
 
 // New creates a cache holding at most budget bytes of results (plus a
@@ -136,20 +134,10 @@ func New(budget int64, met *Metrics) *Cache {
 	}
 }
 
-// SetDegraded installs a probe the cache consults on every hit: when it
-// reports true the hit is additionally counted in Metrics.DegradedHits. The
-// server wires this to its breaker so operators can see how much read
-// traffic the cache absorbed while persistence was down. fn must be safe
-// for concurrent use; nil (the default) disables the accounting.
-func (c *Cache) SetDegraded(fn func() bool) {
-	c.mu.Lock()
-	c.degraded = fn
-	c.mu.Unlock()
-}
-
 // Get returns the cached value for key, if present, marking it recently
 // used. It does not join or start a flight.
 func (c *Cache) Get(key Key) (any, bool) {
+	key.Exec = ""
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -163,28 +151,29 @@ func (c *Cache) Get(key Key) (any, bool) {
 // Do returns the value for key, computing it at most once across all
 // concurrent callers:
 //
-//   - cached → (value, Hit, nil) immediately;
-//   - another call is already computing key → block until it finishes
-//     (or ctx is done) and share its value and error, outcome Coalesced;
+//   - cached under key's result part (Exec ignored) → (value, Hit, nil)
+//     immediately;
+//   - another call is already computing the whole key → block until it
+//     finishes (or ctx is done) and share its value and error, outcome
+//     Coalesced;
 //   - otherwise run compute, fan the result out to any waiters that
 //     arrived meanwhile, and — iff err is nil and cacheable is true —
-//     store it under key, evicting cold entries past the byte budget.
+//     store it under key's result part, evicting cold entries past the
+//     byte budget.
 //
 // compute reports the value, its resident size in bytes, whether it may
 // be cached, and an error. Compute errors are returned to every caller
 // of the flight but never cached. ctx only bounds the wait of a
 // coalesced caller; the leader's compute governs its own lifetime.
 func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size int64, cacheable bool, err error)) (any, Outcome, error) {
+	stored := key
+	stored.Exec = ""
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[stored]; ok {
 		c.ll.MoveToFront(el)
 		val := el.Value.(*entry).val
-		degraded := c.degraded
 		c.mu.Unlock()
 		c.met.Hits.Inc()
-		if degraded != nil && degraded() {
-			c.met.DegradedHits.Inc()
-		}
 		return val, Hit, nil
 	}
 	if f, ok := c.flights[key]; ok {
@@ -221,7 +210,7 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func() (val any, size i
 	c.mu.Lock()
 	delete(c.flights, key)
 	if err == nil && cacheable {
-		c.insertLocked(key, val, size+entryOverhead)
+		c.insertLocked(stored, val, size+entryOverhead)
 	}
 	c.mu.Unlock()
 

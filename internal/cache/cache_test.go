@@ -45,40 +45,6 @@ func TestHitAfterMiss(t *testing.T) {
 	}
 }
 
-// TestDegradedHitAccounting: hits served while the degraded probe
-// reports true are additionally counted in DegradedHits; hits while
-// healthy, and misses at any time, are not.
-func TestDegradedHitAccounting(t *testing.T) {
-	met := NewMetrics(obs.NewRegistry())
-	c := New(1<<20, met)
-	var degraded atomic.Bool
-	c.SetDegraded(degraded.Load)
-	k := key("d", 1, "o")
-	fill(t, c, k, "v", 10)
-
-	hit := func() {
-		t.Helper()
-		if _, outcome, err := c.Do(context.Background(), k, func() (any, int64, bool, error) {
-			return nil, 0, false, errors.New("compute ran on a hit")
-		}); err != nil || outcome != Hit {
-			t.Fatalf("outcome %v err %v, want hit", outcome, err)
-		}
-	}
-	hit() // healthy hit
-	degraded.Store(true)
-	hit() // degraded hit
-	hit() // degraded hit
-	degraded.Store(false)
-	hit() // healthy again
-
-	if got := met.Hits.Value(); got != 4 {
-		t.Errorf("hits = %d, want 4", got)
-	}
-	if got := met.DegradedHits.Value(); got != 2 {
-		t.Errorf("degraded hits = %d, want 2", got)
-	}
-}
-
 // TestVersionBumpChangesKey: the same dataset+options at a new version
 // is a distinct key — exact invalidation without any explicit purge.
 func TestVersionBumpChangesKey(t *testing.T) {
@@ -171,6 +137,43 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("failed compute left a cache entry")
+	}
+}
+
+// TestExecSharesEntryNotFlight: keys differing only in Exec run their
+// own flights, but a stored result serves both.
+func TestExecSharesEntryNotFlight(t *testing.T) {
+	c := New(1<<20, nil)
+	slow, fast := key("d", 1, "o"), key("d", 1, "o")
+	slow.Exec, fast.Exec = "timeout=100", "timeout=0"
+
+	leaderIn, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), slow, func() (any, int64, bool, error) {
+			close(leaderIn)
+			<-release
+			return nil, 0, false, context.DeadlineExceeded
+		})
+		done <- err
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, outcome, err := c.Do(ctx, fast, func() (any, int64, bool, error) {
+		return "v", 10, true, nil
+	})
+	if err != nil || got != "v" || outcome != Miss {
+		t.Fatalf("other exec: got %v outcome %v err %v, want its own miss", got, outcome, err)
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("leader err %v, want its own deadline", err)
+	}
+	if _, outcome, err := c.Do(ctx, slow, func() (any, int64, bool, error) {
+		return nil, 0, false, errors.New("compute ran on a hit")
+	}); err != nil || outcome != Hit {
+		t.Errorf("stored entry under the other exec: outcome %v err %v, want hit", outcome, err)
 	}
 }
 

@@ -525,7 +525,7 @@ func (s *Store) Snapshot() error {
 }
 
 // Probe attempts to restore a store whose write path has been failing
-// — the recovery path the server's circuit breaker drives while in
+// — the recovery path the server's resilient journal drives while in
 // degraded mode. It clears any sticky failure and re-journals the full
 // in-memory mirror: a fresh snapshot (the mirror always equals the
 // acknowledged visible state, because mutations commit here before

@@ -72,11 +72,11 @@ type RPCError struct {
 	Err    error
 
 	// permanent marks failures the retry policy must not retry (4xx,
-	// unmarshalable requests); resilience.Classify sees it via Is.
+	// unmarshalable requests); resilience.IsPermanent sees it via Is.
 	permanent bool
 }
 
-// Is classifies permanent RPC failures for resilience.Classify without
+// Is classifies permanent RPC failures for resilience.IsPermanent without
 // polluting the error chain or message.
 func (e *RPCError) Is(target error) bool {
 	return e.permanent && target == resilience.ErrPermanent

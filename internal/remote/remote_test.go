@@ -527,18 +527,18 @@ func TestRPCErrorClassification(t *testing.T) {
 	if !IsUnavailable(unreachable) {
 		t.Error("network error not classified unavailable")
 	}
-	if resilience.Classify(unreachable) != resilience.ClassTransient {
+	if resilience.IsPermanent(unreachable) {
 		t.Error("network error classified permanent")
 	}
 	badReq := &RPCError{Op: OpMine, Worker: "http://w", Status: 400, Err: errors.New("bad"), permanent: true}
 	if IsUnavailable(badReq) {
 		t.Error("400 classified unavailable; failover would mask a request bug")
 	}
-	if resilience.Classify(badReq) != resilience.ClassPermanent {
+	if !resilience.IsPermanent(badReq) {
 		t.Error("400 not classified permanent; retrying would be useless")
 	}
 	notLoaded := &RPCError{Op: OpMine, Worker: "http://w", Status: 404, Code: codeShardNotLoaded, Err: errors.New("missing")}
-	if resilience.Classify(notLoaded) != resilience.ClassTransient {
+	if resilience.IsPermanent(notLoaded) {
 		t.Error("shard_not_loaded not retryable; recovery after worker restart depends on it")
 	}
 }

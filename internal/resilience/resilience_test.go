@@ -9,27 +9,28 @@ import (
 	"time"
 )
 
+// TestClassify pins IsPermanent's split of I/O errors into permanent
+// (never retried, weighted double toward degraded mode) and transient.
 func TestClassify(t *testing.T) {
 	cases := []struct {
-		err  error
-		want Class
+		err       error
+		permanent bool
 	}{
-		{syscall.ENOSPC, ClassPermanent},
-		{syscall.EROFS, ClassPermanent},
-		{os.ErrPermission, ClassPermanent},
-		{fmt.Errorf("persist: WAL append: %w", syscall.ENOSPC), ClassPermanent},
-		{syscall.EIO, ClassTransient},
-		{syscall.EINTR, ClassTransient},
-		{os.ErrDeadlineExceeded, ClassTransient},
-		{errors.New("mystery"), ClassTransient},
+		{syscall.ENOSPC, true},
+		{syscall.EROFS, true},
+		{os.ErrPermission, true},
+		{fmt.Errorf("persist: WAL append: %w", syscall.ENOSPC), true},
+		{fmt.Errorf("wal rollback: %w", ErrPermanent), true},
+		{syscall.EIO, false},
+		{syscall.EINTR, false},
+		{os.ErrDeadlineExceeded, false},
+		{errors.New("mystery"), false},
+		{nil, false},
 	}
 	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
+		if got := IsPermanent(c.err); got != c.permanent {
+			t.Errorf("IsPermanent(%v) = %v, want %v", c.err, got, c.permanent)
 		}
-	}
-	if IsPermanent(nil) {
-		t.Error("IsPermanent(nil) = true")
 	}
 }
 
@@ -83,70 +84,6 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 	if slept[1] <= 0 || slept[1] > 6*time.Millisecond {
 		t.Errorf("second backoff %v outside (0, 6ms] (cap)", slept[1])
-	}
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(3)
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("new breaker not closed")
-	}
-	// Two transient failures: score 2, still closed.
-	if b.Failure(false) || b.Failure(false) {
-		t.Fatal("tripped below threshold")
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker refused work")
-	}
-	// Success resets the score.
-	b.Success()
-	if b.Failure(false) || b.Failure(false) {
-		t.Fatal("score not reset by success")
-	}
-	// Third consecutive failure trips.
-	if !b.Failure(false) {
-		t.Fatal("threshold failure did not trip")
-	}
-	if b.Allow() || b.State() != BreakerOpen {
-		t.Fatal("open breaker admitted work")
-	}
-	// Failures while open are no-ops and never re-trip.
-	if b.Failure(true) {
-		t.Error("open breaker reported a fresh trip")
-	}
-
-	// Probe: open -> half-open (still refusing) -> closed on success.
-	if !b.BeginProbe() {
-		t.Fatal("BeginProbe refused on open breaker")
-	}
-	if b.Allow() || b.State() != BreakerHalfOpen {
-		t.Fatal("half-open breaker admitted work")
-	}
-	b.ProbeResult(false)
-	if b.State() != BreakerOpen {
-		t.Fatal("failed probe did not re-open")
-	}
-	b.BeginProbe()
-	b.ProbeResult(true)
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("successful probe did not close")
-	}
-	// BeginProbe on a closed breaker is refused.
-	if b.BeginProbe() {
-		t.Error("BeginProbe ran on closed breaker")
-	}
-}
-
-func TestBreakerPermanentWeighsDouble(t *testing.T) {
-	b := NewBreaker(3)
-	b.Failure(true) // score 2
-	if !b.Failure(false) {
-		t.Fatal("permanent(2) + transient(1) should reach threshold 3")
-	}
-	b2 := NewBreaker(0) // default threshold 3
-	b2.Failure(true)
-	if !b2.Failure(true) {
-		t.Fatal("two permanent failures should trip the default breaker")
 	}
 }
 

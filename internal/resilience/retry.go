@@ -13,7 +13,7 @@ const (
 )
 
 // RetryPolicy retries an operation on transient failure with capped
-// exponential backoff and full jitter. Permanent failures (Classify)
+// exponential backoff and full jitter. Permanent failures (IsPermanent)
 // abort immediately: retrying a full disk only delays the error the
 // caller needs to see. The zero value selects the defaults.
 type RetryPolicy struct {
@@ -55,7 +55,7 @@ func (p RetryPolicy) Do(op func() error, onRetry func(err error, attempt int)) e
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		err := op()
-		if err == nil || Classify(err) == ClassPermanent || attempt >= p.MaxAttempts {
+		if err == nil || IsPermanent(err) || attempt >= p.MaxAttempts {
 			return err
 		}
 		if onRetry != nil {

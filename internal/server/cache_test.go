@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,6 +124,48 @@ func TestMineSingleFlight(t *testing.T) {
 	}
 	if s.met.cache.Misses.Value() != 1 {
 		t.Errorf("cache misses = %d, want 1", s.met.cache.Misses.Value())
+	}
+}
+
+// TestMineFlightMatchesExecOptions: a mine joins a concurrent run only
+// when its execution knobs match too. A leader's timeout_ms expires
+// while the hook holds its run; a waiter with the same result options
+// but no timeout must not inherit that 504. It mines on its own.
+func TestMineFlightMatchesExecOptions(t *testing.T) {
+	s := NewWithConfig(nil, Config{MaxConcurrentMines: 4})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
+
+	var runs atomic.Int32
+	leaderIn := make(chan struct{})
+	s.testMineHook = func() {
+		if runs.Add(1) == 1 {
+			close(leaderIn)
+			time.Sleep(400 * time.Millisecond) // outlives the leader's timeout_ms
+		}
+	}
+	mineURL := ts.URL + "/v1/datasets/demo/mine"
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := doNoFatal(mineURL, `{"min_count":2,"timeout_ms":100}`)
+		if resp == nil {
+			leader <- -1
+			return
+		}
+		leader <- resp.StatusCode
+	}()
+	<-leaderIn
+
+	resp, body := do(t, "POST", mineURL, "application/json", `{"min_count":2}`)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Errorf("waiter: %d X-Cache %q %q, want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if status := <-leader; status != http.StatusGatewayTimeout {
+		t.Errorf("leader: %d, want 504", status)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("miner ran %d times, want 2 (one per execution knob set)", n)
 	}
 }
 

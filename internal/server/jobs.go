@@ -31,7 +31,7 @@ func (jr jobRunner) RunJob(ctx context.Context, spec api.JobSpec) (jobs.RunOutpu
 	}
 	// Identical key to a batch mine with this spec: a job run right after
 	// a client's own mine (or vice versa) is a cache hit, not a re-mine.
-	key := cache.Key{Dataset: spec.Dataset, Version: ver, Options: spec.Mine.ResultOptions()}
+	key := cache.Key{Dataset: spec.Dataset, Version: ver, Options: spec.Mine.ResultOptions(), Exec: spec.Mine.ExecOptions()}
 	e, _, err := s.cachedMine(ctx, key, db, spec.Mine)
 	if err != nil {
 		return jobs.RunOutput{}, err

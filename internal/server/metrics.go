@@ -26,7 +26,8 @@ import (
 //     counters.
 //   - tpmd_cache_* (cache.Metrics): the mine-result cache — hits,
 //     misses, coalesced (single-flight) waiters, evictions, and
-//     resident bytes.
+//     resident bytes — then the server's own count of the hits it
+//     served while degraded.
 //   - tpmd_mine_*: mining-job telemetry — runs by type and outcome,
 //     truncations by cause, deadline aborts, and the job-duration
 //     histogram that also drives the 429 Retry-After hint.
@@ -44,10 +45,10 @@ import (
 //     included; the backend label is always "file".
 //     All zero when the server runs without persistence.
 //   - tpmd_resilience_*: the fault-handling layer — persistence retries
-//     by operation (registered and fed by persist.Metrics),
-//     circuit-breaker state/trips, recovery probes by outcome, requests
-//     shed by deadline-aware admission, and total seconds spent in
-//     read-only degraded mode.
+//     by operation (registered and fed by persist.Metrics), the
+//     journal's breaker state and trips, recovery probes by outcome,
+//     requests shed by deadline-aware admission, and total seconds
+//     spent in read-only degraded mode.
 //   - tpmd_shard_*: sharded mining — fan-outs issued, per-shard mine
 //     duration, the most recent partition's load-skew ratio, and
 //     patterns merged / support-completed at the coordinator. All zero
@@ -74,7 +75,8 @@ type serverMetrics struct {
 	inFlight  *obs.Gauge
 	throttled *obs.Counter
 
-	cache *cache.Metrics
+	cache        *cache.Metrics
+	degradedHits *obs.Counter
 
 	mineRuns      *obs.CounterVec // type, outcome
 	mineTruncated *obs.CounterVec // cause
@@ -120,11 +122,11 @@ func (m *shardMetrics) Merged(patterns, counted int) {
 	m.counted.Add(uint64(counted))
 }
 
-// resilienceMetrics covers the fault-handling layer: the circuit breaker
-// guarding persistence I/O and the admission controller. Its retries
+// resilienceMetrics covers the fault-handling layer: the resilient
+// journal's degraded episodes and the admission controller. Its retries
 // family belongs to persist.Metrics, which feeds it.
 type resilienceMetrics struct {
-	breakerState    *obs.Gauge // 0 closed, 1 open, 2 half-open
+	breakerState    *obs.Gauge // 0 read-write, 1 degraded, 2 probing
 	breakerTrips    *obs.Counter
 	probes          *obs.CounterVec // outcome: ok, fail
 	shed            *obs.Counter
@@ -145,6 +147,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Requests rejected with 429 because every mining slot was busy."),
 
 		cache: cache.NewMetrics(reg),
+		degradedHits: reg.NewCounter("tpmd_cache_degraded_hits_total",
+			"Cache hits served while persistence was degraded (read-only mode)."),
 
 		mineRuns: reg.NewCounterVec("tpmd_mine_runs_total",
 			"Mining jobs by pattern type and outcome (ok, truncated, deadline, canceled, invalid).",

@@ -10,38 +10,54 @@ import (
 	"tpminer/internal/resilience"
 )
 
-// errDegraded is returned by the resilient journal while the circuit
-// breaker is open: persistence is unavailable and mutations are being
-// rejected. writeError maps it to 503 with the stable "degraded" code and
-// a Retry-After hint; reads and cached mines keep serving throughout.
+// errDegraded is returned by the resilient journal while it is
+// degraded: persistence is unavailable and mutations are being
+// rejected. writeError maps it to 503 with the stable "degraded" code
+// and a Retry-After hint; reads and cached mines keep serving
+// throughout.
 var errDegraded = errors.New("persistence degraded: server is read-only while the store recovers")
 
-// resilientJournal wraps the persist store's journal with a circuit
-// breaker and a background recovery probe, turning persistent disk
-// trouble into graceful read-only degradation instead of an unbounded
-// stream of failing writes:
+// defaultBreakerThreshold is the failure score that trips the journal
+// into degraded mode when Config.BreakerFailureThreshold is 0.
+const defaultBreakerThreshold = 3
+
+// The values of the tpmd_resilience_breaker_state gauge.
+const (
+	stateReadWrite = 0
+	stateDegraded  = 1
+	stateProbing   = 2
+)
+
+// resilientJournal wraps the persist store's journal and is the one
+// owner of read-only degraded mode, turning persistent disk trouble
+// into graceful degradation instead of an unbounded stream of failing
+// writes. One mutex guards its state: a failure score and the time the
+// current degraded episode began.
 //
-//   - While the breaker is closed every mutation journals as before (the
-//     store itself retries transient I/O internally).
-//   - Repeated journal failures trip the breaker open. From then on
+//   - While read-write every mutation journals as before (the store
+//     itself retries transient I/O internally). A failure adds to the
+//     score — a permanent one (ENOSPC, EROFS) 2, a transient one 1 —
+//     and any success clears it.
+//   - A score at the threshold starts a degraded episode. From then on
 //     mutations fail fast with errDegraded — no disk I/O at all — while
 //     reads, cached mines, and fresh mines over resident datasets keep
 //     serving.
-//   - A background prober periodically moves the breaker to half-open
-//     and asks the store to prove itself (persist.Store.Probe re-commits
-//     the acknowledged state as a snapshot). The first success closes
-//     the breaker and the server returns to read-write on its own; no
-//     operator action or restart is needed.
+//   - The episode's one prober periodically asks the store to prove
+//     itself (persist.Store.Probe re-commits the acknowledged state as
+//     a snapshot). Its first success ends the episode, under the mutex,
+//     and the server returns to read-write on its own; no operator
+//     action or restart is needed. Client writes stay refused until
+//     then, so they never race a probe.
 type resilientJournal struct {
 	inner      *persist.Store
-	br         *resilience.Breaker
+	threshold  int
 	met        *resilienceMetrics
 	logger     *slog.Logger
 	probeEvery time.Duration
 
 	mu        sync.Mutex
-	probing   bool      // a probeLoop goroutine is live
-	trippedAt time.Time // when the current degraded episode began
+	failures  int       // weighted failure score since the last success
+	trippedAt time.Time // when the degraded episode began; zero while read-write
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -51,7 +67,7 @@ type resilientJournal struct {
 func newResilientJournal(inner *persist.Store, threshold int, probeEvery time.Duration, met *resilienceMetrics, logger *slog.Logger) *resilientJournal {
 	return &resilientJournal{
 		inner:      inner,
-		br:         resilience.NewBreaker(threshold),
+		threshold:  threshold,
 		met:        met,
 		logger:     logger,
 		probeEvery: probeEvery,
@@ -59,51 +75,61 @@ func newResilientJournal(inner *persist.Store, threshold int, probeEvery time.Du
 	}
 }
 
-// write journals one record under version through the breaker; the
-// store's commit sends every record here. Only the closed state admits
-// writes; half-open is reserved for the background prober, so client
-// traffic never races the recovery check.
+// write journals one record under version; the store's commit sends
+// every record here. A degraded journal refuses it without I/O.
 func (j *resilientJournal) write(version uint64, record func(*persist.Store, uint64) error) error {
-	if !j.br.Allow() {
+	if j.degraded() {
 		return errDegraded
 	}
 	err := record(j.inner, version)
-	if err == nil {
-		j.br.Success()
-		return nil
-	}
-	if j.br.Failure(resilience.IsPermanent(err)) {
-		j.met.breakerTrips.Inc()
-		j.met.breakerState.Set(int64(resilience.BreakerOpen))
+	if j.score(err) {
 		j.logger.Warn("persistence breaker tripped; entering read-only degraded mode",
 			"error", err.Error(), "probe_interval", j.probeEvery.String())
-		j.startProber()
 	}
 	return err
 }
 
-// degraded reports whether the server should be refusing mutations.
-func (j *resilientJournal) degraded() bool {
-	return j.br.State() != resilience.BreakerClosed
-}
-
-// startProber launches the recovery probe goroutine for this degraded
-// episode, exactly once per episode.
-func (j *resilientJournal) startProber() {
+// score takes in one write's outcome: a success clears the failure
+// score, and a failure that brings it to the threshold starts a
+// degraded episode and its prober, and reports true.
+func (j *resilientJournal) score(err error) (tripped bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.probing {
-		return
+	if err == nil {
+		j.failures = 0
+		return false
 	}
-	j.probing = true
+	if !j.trippedAt.IsZero() {
+		return false // a concurrent write tripped first; its episode runs
+	}
+	j.failures++
+	if resilience.IsPermanent(err) {
+		j.failures++
+	}
+	if j.failures < j.threshold {
+		return false
+	}
 	j.trippedAt = time.Now()
+	j.met.breakerTrips.Inc()
+	j.met.breakerState.Set(stateDegraded)
 	j.wg.Add(1)
 	go j.probeLoop()
+	return true
 }
 
-// probeLoop periodically asks the persist store to prove it can write
-// again, closing the breaker on the first success. It exits when the
-// breaker closes or the journal shuts down.
+// degraded reports whether the server should be refusing mutations.
+func (j *resilientJournal) degraded() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.trippedAt.IsZero()
+}
+
+// probeLoop is the episode's prober: every probeEvery it asks the
+// persist store to prove it can write again, and ends the episode on
+// the first success. It exits then, or when the journal closes. Only
+// this goroutine sets the gauge during its episode, and it sets it last
+// under the lock that ends the episode, so a write tripping the next
+// episode right after finds the gauge its own.
 func (j *resilientJournal) probeLoop() {
 	defer j.wg.Done()
 	t := time.NewTicker(j.probeEvery)
@@ -114,58 +140,38 @@ func (j *resilientJournal) probeLoop() {
 			return
 		case <-t.C:
 		}
-		if !j.br.BeginProbe() {
-			// Not open: either we already closed it (done) or a probe is
-			// somehow mid-flight; only this goroutine probes, so treat a
-			// closed breaker as the end of the episode.
-			if j.br.State() == resilience.BreakerClosed {
-				j.finishEpisode()
-				return
-			}
-			continue
-		}
-		j.met.breakerState.Set(int64(resilience.BreakerHalfOpen))
-		err := j.inner.Probe()
-		if err != nil {
+		j.met.breakerState.Set(stateProbing)
+		if err := j.inner.Probe(); err != nil {
+			j.met.breakerState.Set(stateDegraded)
 			j.met.probes.With("fail").Inc()
-			j.br.ProbeResult(false)
-			j.met.breakerState.Set(int64(resilience.BreakerOpen))
 			j.logger.Warn("persistence recovery probe failed; staying degraded", "error", err.Error())
 			continue
 		}
 		j.met.probes.With("ok").Inc()
-		// Clear the episode bookkeeping *before* closing the breaker: the
-		// instant ProbeResult(true) lands, a mutation can fail and trip
-		// the breaker again, and that new episode must be able to start
-		// its own prober.
-		dur := j.finishEpisode()
-		j.br.ProbeResult(true)
-		j.met.breakerState.Set(int64(resilience.BreakerClosed))
+		j.mu.Lock()
+		dur := time.Since(j.trippedAt)
+		j.trippedAt, j.failures = time.Time{}, 0
+		j.met.degradedSeconds.Add(dur.Seconds())
+		j.met.breakerState.Set(stateReadWrite)
+		j.mu.Unlock()
 		j.logger.Info("persistence recovered; resuming read-write",
 			"degraded_for", dur.String())
 		return
 	}
 }
 
-// finishEpisode closes out the current degraded episode's bookkeeping
-// and returns how long it lasted.
-func (j *resilientJournal) finishEpisode() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.probing {
-		return 0
-	}
-	j.probing = false
-	dur := time.Since(j.trippedAt)
-	j.met.degradedSeconds.Add(dur.Seconds())
-	return dur
-}
-
-// close stops the prober and accounts any still-open degraded episode.
-// Idempotent; the underlying persist store is owned by the caller of
-// NewWithConfig and is not closed here.
+// close stops the prober and accounts a still-open degraded episode,
+// which stays open: nothing probes the store after close. Idempotent;
+// the underlying persist store is owned by the caller of NewWithConfig
+// and is not closed here.
 func (j *resilientJournal) close() {
-	j.stopOnce.Do(func() { close(j.stop) })
-	j.wg.Wait()
-	j.finishEpisode()
+	j.stopOnce.Do(func() {
+		close(j.stop)
+		j.wg.Wait()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if !j.trippedAt.IsZero() {
+			j.met.degradedSeconds.Add(time.Since(j.trippedAt).Seconds())
+		}
+	})
 }

@@ -78,13 +78,14 @@
 //
 // # Graceful degradation
 //
-// With persistence enabled, journal I/O runs behind a circuit breaker
-// (internal/resilience): repeated persistence failures trip it open and
-// the server degrades to read-only — mutations fail fast with 503,
-// stable code "degraded", and a Retry-After hint, while reads, cached
-// results, and fresh mines over resident datasets keep serving. A
-// background prober periodically asks the store to prove itself again
-// (persist.Store.Probe); the first success closes the breaker and
+// With persistence enabled, journal I/O runs through the resilient
+// journal (resilience.go), the one owner of degraded mode: it scores
+// persistence failures, and when the score trips it the server degrades
+// to read-only — mutations fail fast with 503, stable code "degraded",
+// and a Retry-After hint, while reads, cached results, and fresh mines
+// over resident datasets keep serving. The episode's one background
+// prober periodically asks the store to prove itself again
+// (persist.Store.Probe); the first success ends the episode and
 // restores read-write automatically. GET /v1/healthz stays 200
 // throughout (the process is alive; restarting would not help) while
 // GET /v1/readyz turns 503 so load balancers can steer writes away.
@@ -132,7 +133,7 @@
 // consecutive results over SSE at GET /v1/jobs/{id}/events; clients
 // resume with Last-Event-ID and cumulative delta application is
 // byte-identical to a fresh batch mine. Jobs and their latest results
-// journal through the same store (and circuit breaker) as datasets,
+// journal through the same store (and resilient journal) as datasets,
 // surviving restarts. See DESIGN.md "Continuous mining".
 package server
 
@@ -237,9 +238,9 @@ type Config struct {
 	Persist *persist.Store
 
 	// BreakerFailureThreshold is the weighted failure score at which the
-	// persistence circuit breaker trips into read-only degraded mode
-	// (permanent failures such as ENOSPC count double). 0 means
-	// resilience.DefaultBreakerThreshold. Only meaningful with Persist.
+	// resilient journal trips into read-only degraded mode (permanent
+	// failures such as ENOSPC count double). 0 means the journal's
+	// default, defaultBreakerThreshold (3). Only meaningful with Persist.
 	BreakerFailureThreshold int
 
 	// RecoveryProbeInterval is how often, while degraded, the background
@@ -311,6 +312,9 @@ func (c Config) withDefaults() Config {
 	if c.CacheBudgetBytes == 0 {
 		c.CacheBudgetBytes = DefaultCacheBudgetBytes
 	}
+	if c.BreakerFailureThreshold <= 0 {
+		c.BreakerFailureThreshold = defaultBreakerThreshold
+	}
 	if c.RecoveryProbeInterval <= 0 {
 		c.RecoveryProbeInterval = time.Second
 	}
@@ -348,8 +352,9 @@ type Server struct {
 	reg *obs.Registry
 	met *serverMetrics
 
-	// journal wraps the persist store's journal with the circuit
-	// breaker and background recovery probe. nil without persistence.
+	// journal wraps the persist store's journal and owns degraded
+	// mode: the failure score, the episode and its recovery probe. nil
+	// without persistence.
 	journal *resilientJournal
 
 	// jobMgr owns the continuous-mining jobs (/v1/jobs); it mines
@@ -413,9 +418,6 @@ func NewWithConfig(logger *slog.Logger, cfg Config) *Server {
 			cfg.RecoveryProbeInterval, met.resilience, logger)
 		s.store.journal = s.journal
 		cfg.Persist.SetMetrics(met.persist)
-		if s.results != nil {
-			s.results.SetDegraded(s.journal.degraded)
-		}
 	}
 	if len(cfg.Workers) > 0 {
 		s.pool = remote.NewPool(cfg.Workers, cfg.WorkerProbeInterval, remote.ClientOptions{Metrics: met.remote}, logger)
@@ -1311,7 +1313,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := cache.Key{Dataset: name, Version: ver, Options: spec.ResultOptions()}
+	key := cache.Key{Dataset: name, Version: ver, Options: spec.ResultOptions(), Exec: spec.ExecOptions()}
 	etag := resultETag(key)
 	// A matching If-None-Match short-circuits before any mining: the
 	// version in the ETag proves the dataset has not changed, and
@@ -1343,6 +1345,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // single-flight cache.Do (or directly with caching disabled). The mine
 // handler and continuous job runs both call it, so a job run and an
 // identical batch mine share one cache entry and one miner execution.
+// A hit served while degraded is also counted as a degraded hit.
 // outcome is "" with caching disabled.
 func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Database, spec MineSpec) (*mineEntry, cache.Outcome, error) {
 	if s.results == nil {
@@ -1358,6 +1361,9 @@ func (s *Server) cachedMine(ctx context.Context, key cache.Key, db *interval.Dat
 	})
 	if err != nil {
 		return nil, outcome, err
+	}
+	if outcome == cache.Hit && s.degraded() {
+		s.met.degradedHits.Inc()
 	}
 	return v.(*mineEntry), outcome, nil
 }

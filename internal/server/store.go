@@ -11,7 +11,7 @@ import (
 
 // journalError marks a failure in the durability layer (as opposed to
 // client-attributable validation), so writeError maps it to a 500, or
-// to a 503 while the breaker is open.
+// to a 503 while the journal is degraded.
 type journalError struct{ err error }
 
 func (e *journalError) Error() string { return e.err.Error() }
@@ -143,8 +143,8 @@ type change struct {
 // commit is the store's one write path. Under the store lock it asks
 // decide for the change against the current entries (an error commits
 // nothing), draws the next store-wide version, journals the change
-// under it through the breaker, and only then installs it and advances
-// the counter: commit-before-visible, so a journal error leaves the
+// under it through the resilient journal, and only then installs it and
+// advances the counter: commit-before-visible, so a journal error leaves the
 // store untouched. Without a journal the record is skipped. A dataset
 // change then runs onCommit once the lock is released — the hook
 // notifies jobs, and the jobs manager journals through this store while
