@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race lint contract recovery chaos stream dist perfbench verify fuzz bench bench-all profile
+.PHONY: build fmt vet test race lint contract recovery chaos stream dist sched perfbench verify fuzz bench bench-all profile
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,20 @@ dist:
 	$(GO) test -race ./internal/shard -run 'WorkerConformance|FanOutError|WorkerAddr|TestShardedMatchesSerial|TestShardedTopKMatchesSerial|TestShardedClosedMaximal|TestPrunedCandidatesNeverQualify|TestTruncatedShardPrunesNothing'
 	$(GO) test -race ./internal/server -run 'TestRemoteMineMatchesLocal|TestRemoteRestartAfterAppend|TestRemoteRestartWithNewShardCount|TestRemoteCoordinatorsShareWorker|TestRemoteCoordinatorsInterleave' -count=1
 
+# Scheduler gate: the work-stealing search is the serving default (a
+# mine without "parallel" takes -max-parallel, GOMAXPROCS by default),
+# so a scheduling race reaches every multi-core mine. It runs the
+# parallel-equals-serial suites (plain and top-k, at several worker
+# counts), the forced-steal suites (a tiny cutoff makes every subtree a
+# steal; results and search counters must equal serial ones), the
+# cancel-mid-steal goroutine-leak test, the steal cutoff and dense-
+# search split tests, the scheduler's own tests, and the server's
+# parallel-field and default-parallel tests, three times each under the
+# race detector.
+sched:
+	$(GO) test -race -count=3 ./internal/core -run 'TestParallel|TestForcedSteal|TestCancelMidSteal|TestStealCutoffFor|TestDenseHighSupportSearchSplits|TestSched'
+	$(GO) test -race -count=3 ./internal/server -run 'TestMineParallelField|TestMineRequestParallelCap'
+
 # perfbench is its own Go module that imports internal/ APIs, so the
 # root build never sees a change that breaks it; vet and test it here.
 perfbench:
@@ -121,9 +135,10 @@ perfbench:
 # crash-recovery suite by name; chaos re-rolls the randomized fault
 # schedule with a fresh seed; stream re-runs the streaming/SSE/
 # job-durability suite by name; dist re-runs the remote-worker/failover
-# suite by name; perfbench vets and tests the benchmark module against
-# the current internal/ APIs.
-verify: build fmt vet lint race contract recovery chaos stream dist perfbench
+# suite by name; sched re-runs the work-stealing scheduler's suites by
+# name, three times each; perfbench vets and tests the benchmark module
+# against the current internal/ APIs.
+verify: build fmt vet lint race contract recovery chaos stream dist sched perfbench
 
 # Runs every Fuzz* target in the module for FUZZTIME each, one at a time
 # (go test -fuzz takes a single target per run). Not part of verify:

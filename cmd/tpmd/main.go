@@ -24,11 +24,11 @@
 //
 // The server is resource-bounded: -max-mines caps concurrent mining
 // jobs (excess requests get 429), -mine-timeout is the hard per-job
-// deadline (requests may lower it via timeout_ms), -max-parallel caps
-// the per-request worker count (requests ask via "parallel"), and
-// -max-body caps request bodies. On SIGINT or SIGTERM the server stops
-// accepting connections and drains in-flight requests — mining jobs
-// finish within their deadline — for up to -grace before exiting.
+// deadline (requests may lower it via timeout_ms), -max-parallel sets
+// the per-request worker count (requests may lower it via "parallel"),
+// and -max-body caps request bodies. On SIGINT or SIGTERM the server
+// stops accepting connections and drains in-flight requests — mining
+// jobs finish within their deadline — for up to -grace before exiting.
 //
 // Sharded mining: a whole-dataset mine partitions the dataset's current
 // snapshot into up to -shards size-balanced sequence shards
@@ -173,7 +173,7 @@ func run(args []string) error {
 	maxMines := fs.Int("max-mines", 0, "max concurrent mining jobs (0 = GOMAXPROCS); excess requests get 429")
 	mineTimeout := fs.Duration("mine-timeout", server.DefaultMaxMineDuration, "hard per-job mining deadline")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
-	maxParallel := fs.Int("max-parallel", 0, "ceiling on per-request mining parallelism (0 = GOMAXPROCS)")
+	maxParallel := fs.Int("max-parallel", 0, "mining parallelism of a request without \"parallel\", and its ceiling (0 = GOMAXPROCS, 1 = serial)")
 	cacheBudget := fs.Int64("cache-budget", server.DefaultCacheBudgetBytes, "byte budget for the mine-result cache")
 	noCache := fs.Bool("no-cache", false, "disable result caching and single-flight request coalescing")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight requests")

@@ -182,7 +182,9 @@ type MineSpec struct {
 	MaxPatterns      int   `json:"max_patterns,omitempty"`
 
 	// Parallel requests worker goroutines for the search, capped at the
-	// server's MaxParallel ceiling. Absent or 0 mines serially.
+	// server's MaxParallel ceiling. Absent or 0 takes the ceiling, so a
+	// mine uses every core the server allows unless it asks for fewer;
+	// 1 mines serially.
 	Parallel int `json:"parallel,omitempty"`
 
 	// Rule thresholds (rules mode only).
@@ -324,11 +326,12 @@ func (req MineSpec) ExecOptions() string {
 }
 
 // Options converts the spec to miner options, capping the requested
-// parallelism at the server ceiling.
+// parallelism at the server ceiling; an absent or zero request takes
+// the ceiling.
 func (req MineSpec) Options(maxParallel int) core.Options {
-	par := req.Parallel
-	if par > maxParallel {
-		par = maxParallel
+	par := maxParallel
+	if req.Parallel > 0 && req.Parallel < maxParallel {
+		par = req.Parallel
 	}
 	return core.Options{
 		Parallel:           par,

@@ -58,7 +58,9 @@ func Mine(ctx context.Context, db *interval.Database, kind Kind, k int, opt Opti
 	)
 	switch kind {
 	case KindTemporal:
-		order := pattern.NormalizeTemporalResults
+		// Workers emit normalized patterns unless occurrences are kept,
+		// so distinct labelings of one pattern only need merging.
+		order := pattern.MergeResults[pattern.Temporal]
 		if opt.KeepOccurrences {
 			order = pattern.SortResults[pattern.Temporal]
 		}

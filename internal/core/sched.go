@@ -30,30 +30,29 @@ import (
 // Determinism: the complete search visits exactly the same nodes as the
 // serial miner (prunings P1–P4 depend only on per-node state), so the
 // union of per-worker result buffers equals the serial result multiset;
-// mineKind's final order (normalize or sort) makes output
-// byte-identical to serial runs. Top-k runs share one topKState whose
-// threshold only ever rises toward the true kth-best support, which
-// never prunes a top-k pattern — see topk.go.
+// mineKind's final order (merge or sort) makes output byte-identical to
+// serial runs. Top-k runs share one topKState whose threshold only ever
+// rises toward the true kth-best support, which never prunes a top-k
+// pattern — see topk.go.
 
 // defaultStealCutoff floors the steal cutoff: subtrees whose projected
 // database is smaller than this are never worth a queue round-trip.
 const defaultStealCutoff = 16
 
 // stealCutoffFor picks the minimum projected-database size at which a
-// subtree is offered to other workers. Options.stealCutoff (tests)
-// overrides it. A serial mine has no other workers and never reads it.
+// subtree is offered to other workers: an eighth of one worker's share
+// of the database, floored at defaultStealCutoff and at minCount, since
+// P4 prunes a smaller subtree at its root. The floor is minCount, not a
+// multiple of it: a projection never holds more than nSeqs sequences,
+// so a multiple above nSeqs would keep a dense high-support search,
+// whose subtrees are the deepest, from spawning past the root.
+// Options.stealCutoff (tests) overrides it. A serial mine has no other
+// workers and never reads it.
 func stealCutoffFor(opt Options, nSeqs, minCount int) int {
 	if opt.stealCutoff > 0 {
 		return opt.stealCutoff
 	}
-	c := nSeqs / (8 * max(opt.Parallel, 1))
-	if c < 2*minCount {
-		c = 2 * minCount
-	}
-	if c < defaultStealCutoff {
-		c = defaultStealCutoff
-	}
-	return c
+	return max(nSeqs/(8*max(opt.Parallel, 1)), minCount, defaultStealCutoff)
 }
 
 // rootSpawner marks the run's seed job, which no worker spawned. Seeds

@@ -27,10 +27,25 @@ func TestStealCutoffFor(t *testing.T) {
 	if got := stealCutoffFor(Options{Parallel: 4}, 32000, 1); got != 1000 {
 		t.Errorf("large-db cutoff = %d, want 1000", got)
 	}
-	// minCount dominates when the threshold is high: subtrees barely
-	// above it are close to dying anyway.
-	if got := stealCutoffFor(Options{Parallel: 2}, 1600, 500); got != 1000 {
-		t.Errorf("high-threshold cutoff = %d, want 1000", got)
+	// minCount floors it when the threshold is high: P4 prunes a
+	// smaller subtree at its root.
+	if got := stealCutoffFor(Options{Parallel: 2}, 1600, 500); got != 500 {
+		t.Errorf("high-threshold cutoff = %d, want 500", got)
+	}
+}
+
+// TestDenseHighSupportSearchSplits: a search whose minimum count is the
+// whole database still splits past the root. explosiveDB's projections
+// all hold every sequence, so a cutoff above the database size would
+// leave the root as the run's only job.
+func TestDenseHighSupportSearchSplits(t *testing.T) {
+	db := explosiveDB(48, 9)
+	r, err := Mine(context.Background(), db, KindTemporal, 0, Options{MinCount: db.Len(), Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.JobsSpawned <= 1 {
+		t.Errorf("JobsSpawned = %d, want more than the root", r.Stats.JobsSpawned)
 	}
 }
 

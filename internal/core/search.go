@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"tpminer/internal/interval"
@@ -130,6 +131,8 @@ type dfs struct {
 	// whole search; collect clears it.
 	countsS, countsI   []int32
 	touchedS, touchedI []seqdb.Item
+	// candPool holds one candidate buffer per prefix length (collect).
+	candPool [][]candidate
 
 	// stealCutoff is the projected-database size from which a parallel
 	// worker offers a subtree to the shared queue instead of recursing.
@@ -201,9 +204,18 @@ type candidate struct {
 
 // collect turns the node's tally into its frequent candidates,
 // deterministically ordered (S before I, then by item id), and clears the
-// tally for the next node.
+// tally for the next node. The candidates stay live while the node's
+// subtrees are searched, whose prefixes are longer, so each prefix length
+// has one reusable buffer.
 func (d *dfs) collect() []candidate {
-	cands := make([]candidate, 0, len(d.touchedS)+len(d.touchedI))
+	depth := 0
+	for _, el := range d.elems {
+		depth += len(el)
+	}
+	for len(d.candPool) <= depth {
+		d.candPool = append(d.candPool, nil)
+	}
+	cands := d.candPool[depth][:0]
 	for _, it := range d.touchedS {
 		if c := d.countsS[it]; int(c) >= d.minCount {
 			cands = append(cands, candidate{item: it, isI: false, count: c})
@@ -218,12 +230,16 @@ func (d *dfs) collect() []candidate {
 	}
 	d.touchedS = d.touchedS[:0]
 	d.touchedI = d.touchedI[:0]
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].isI != cands[j].isI {
-			return !cands[i].isI
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if a.isI != b.isI {
+			if a.isI {
+				return 1
+			}
+			return -1
 		}
-		return cands[i].item < cands[j].item
+		return cmp.Compare(a.item, b.item)
 	})
+	d.candPool[depth] = cands
 	return cands
 }
 

@@ -324,24 +324,30 @@ func (m *temporalMiner) runJob(j temporalJob) {
 	m.mine(j.proj, j.depth)
 }
 
-// emit records the current (complete) prefix as a result.
+// emit records the current (complete) prefix as a result, normalized
+// unless Options.KeepOccurrences is set, so each worker pays for the
+// normalization of what it finds and the final order only merges.
 func (m *temporalMiner) emit(proj []projEntry) {
-	els := make([][]endpoint.Endpoint, len(m.elems))
-	for i, el := range m.elems {
-		eps := make([]endpoint.Endpoint, len(el))
-		for j, it := range el {
-			eps[j] = m.db.Table.Endpoint(it)
-		}
-		els[i] = eps
+	n := 0
+	for _, el := range m.elems {
+		n += len(el)
 	}
-	p := pattern.NewTemporal(els...)
+	eps := make([]endpoint.Endpoint, n)
+	p := pattern.Temporal{Elements: make([][]endpoint.Endpoint, len(m.elems))}
+	k := 0
+	for i, el := range m.elems {
+		start := k
+		for _, it := range el {
+			eps[k] = m.db.Table.Endpoint(it)
+			k++
+		}
+		p.Elements[i] = eps[start:k:k]
+	}
+	p.Canonicalize(!m.opt.KeepOccurrences)
 	m.results = append(m.results, pattern.TemporalResult{Pattern: p, Support: len(proj)})
 	m.emitted()
 	if m.topk != nil {
 		// Top-k counts distinct patterns as the final order reports them.
-		if !m.opt.KeepOccurrences {
-			p = p.Normalize()
-		}
 		m.minCount = m.topk.observe(p.Key(), len(proj), m.minCount)
 	}
 }

@@ -55,10 +55,19 @@ type Endpoint struct {
 // String renders the endpoint as "A+" / "A-" for occurrence 1 and
 // "A.2+" / "A.2-" for later occurrences. Parse inverts this rendering.
 func (e Endpoint) String() string {
-	if e.Occ <= 1 {
-		return e.Symbol + e.Kind.String()
+	var buf [32]byte
+	return string(e.Append(buf[:0]))
+}
+
+// Append appends the endpoint's String rendering to b, for callers
+// that render many endpoints into one buffer.
+func (e Endpoint) Append(b []byte) []byte {
+	b = append(b, e.Symbol...)
+	if e.Occ > 1 {
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(e.Occ), 10)
 	}
-	return e.Symbol + "." + strconv.Itoa(e.Occ) + e.Kind.String()
+	return append(b, e.Kind.String()...)
 }
 
 // Pair returns the endpoint at the other end of the same interval.
@@ -130,15 +139,22 @@ type Slice struct {
 
 // String renders the slice as "(A+ B-)" or a bare endpoint when the slice
 // holds a single point.
-func (sl Slice) String() string {
+func (sl Slice) String() string { return string(sl.Append(nil)) }
+
+// Append appends the slice's String rendering to b, for callers that
+// render many slices into one buffer.
+func (sl Slice) Append(b []byte) []byte {
 	if len(sl.Points) == 1 {
-		return sl.Points[0].String()
+		return sl.Points[0].Append(b)
 	}
-	parts := make([]string, len(sl.Points))
+	b = append(b, '(')
 	for i, p := range sl.Points {
-		parts[i] = p.String()
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = p.Append(b)
 	}
-	return "(" + strings.Join(parts, " ") + ")"
+	return append(b, ')')
 }
 
 // timed is an endpoint tagged with its emission time, the intermediate

@@ -72,19 +72,36 @@ func (s *resultSorter[P]) Swap(i, j int) {
 // occurrence labels, see Temporal.Normalize) and merges duplicates,
 // keeping the maximum support. The result is sorted.
 func NormalizeTemporalResults(rs []TemporalResult) []TemporalResult {
-	best := make(map[string]TemporalResult, len(rs))
+	out := make([]TemporalResult, len(rs))
+	for i, r := range rs {
+		out[i] = TemporalResult{Pattern: r.Pattern.Normalize(), Support: r.Support}
+	}
+	return MergeResults(out)
+}
+
+// MergeResults merges results whose patterns share a key, keeping the
+// maximum support, and sorts them as SortResults does. It computes each
+// pattern's key once and reuses rs's array: the merged, sorted results
+// are a prefix of it, which it returns.
+func MergeResults[P Pattern](rs []Result[P]) []Result[P] {
+	at := make(map[string]int, len(rs))
+	ks := make([]resultOrder, 0, len(rs))
+	out := rs[:0]
 	for _, r := range rs {
-		n := r.Pattern.Normalize()
-		k := n.Key()
-		if prev, ok := best[k]; !ok || r.Support > prev.Support {
-			best[k] = TemporalResult{Pattern: n, Support: r.Support}
+		k := r.Pattern.Key()
+		if i, ok := at[k]; ok {
+			if r.Support > out[i].Support {
+				out[i].Support = r.Support
+				ks[i].support = r.Support
+			}
+			continue
 		}
-	}
-	out := make([]TemporalResult, 0, len(best))
-	for _, r := range best {
+		at[k] = len(out)
 		out = append(out, r)
+		ks = append(ks, resultOrder{r.Support, r.Pattern.Size(), k})
 	}
-	return SortResults(out)
+	sort.Sort(&resultSorter[P]{out, ks})
+	return out
 }
 
 // ResultsEqual reports whether two result sets are identical: the same

@@ -8,6 +8,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,14 +33,84 @@ type Temporal struct {
 // NewTemporal builds a pattern from elements, canonicalizing the order of
 // endpoints inside each element. The input slices are copied.
 func NewTemporal(elements ...[]endpoint.Endpoint) Temporal {
+	p := copyElements(elements)
+	p.Canonicalize(false)
+	return p
+}
+
+// copyElements copies elements into a pattern whose elements share one
+// endpoint array, each capped at its own length.
+func copyElements(elements [][]endpoint.Endpoint) Temporal {
+	n := 0
+	for _, el := range elements {
+		n += len(el)
+	}
+	eps := make([]endpoint.Endpoint, n)
 	p := Temporal{Elements: make([][]endpoint.Endpoint, len(elements))}
+	k := 0
 	for i, el := range elements {
-		cp := make([]endpoint.Endpoint, len(el))
-		copy(cp, el)
-		sort.Slice(cp, func(a, b int) bool { return cp[a].Less(cp[b]) })
-		p.Elements[i] = cp
+		copy(eps[k:], el)
+		p.Elements[i] = eps[k : k+len(el) : k+len(el)]
+		k += len(el)
 	}
 	return p
+}
+
+// Canonicalize puts p in canonical form in place, in the slices it
+// holds: with normalize it first renumbers occurrence indices as
+// Normalize does, and then it sorts every element into canonical
+// endpoint order. NewTemporal and Normalize apply it to a copy; the
+// miner applies it to the patterns it has just built.
+func (p Temporal) Canonicalize(normalize bool) {
+	if normalize {
+		p.renumber()
+	}
+	for _, el := range p.Elements {
+		slices.SortFunc(el, compareEndpoints)
+	}
+}
+
+func compareEndpoints(a, b endpoint.Endpoint) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
+}
+
+// renumber rewrites occurrence indices in place: each symbol's interval
+// instances are numbered 1, 2, ... in order of first appearance. A
+// pattern names few instances, so a linear scan of those seen so far
+// is cheaper than a map.
+func (p Temporal) renumber() {
+	type seen struct {
+		sym      string
+		old, occ int
+	}
+	var buf [16]seen
+	insts := buf[:0]
+	for _, el := range p.Elements {
+		for j := range el {
+			e := &el[j]
+			occ, found := 1, false
+			for i := range insts {
+				if insts[i].sym != e.Symbol {
+					continue
+				}
+				if insts[i].old == e.Occ {
+					occ, found = insts[i].occ, true
+					break
+				}
+				occ++
+			}
+			if !found {
+				insts = append(insts, seen{sym: e.Symbol, old: e.Occ, occ: occ})
+			}
+			e.Occ = occ
+		}
+	}
 }
 
 // Len returns the number of elements (time points) in the pattern.
@@ -72,24 +143,27 @@ type instKey struct {
 }
 
 // Clone returns a deep copy.
-func (p Temporal) Clone() Temporal {
-	out := Temporal{Elements: make([][]endpoint.Endpoint, len(p.Elements))}
-	for i, el := range p.Elements {
-		cp := make([]endpoint.Endpoint, len(el))
-		copy(cp, el)
-		out.Elements[i] = cp
-	}
-	return out
-}
+func (p Temporal) Clone() Temporal { return copyElements(p.Elements) }
 
 // String renders the pattern as "A+ (A- B+) B-": single-endpoint elements
-// bare, multi-endpoint elements parenthesized.
+// bare, multi-endpoint elements parenthesized. Every mined row renders
+// its pattern, so it writes into one sized buffer.
 func (p Temporal) String() string {
-	parts := make([]string, len(p.Elements))
-	for i, el := range p.Elements {
-		parts[i] = endpoint.Slice{Points: el}.String()
+	n := 0
+	for _, el := range p.Elements {
+		n += 3 // separator and parentheses
+		for _, e := range el {
+			n += len(e.Symbol) + 5 // '.', up to 2 occ digits, kind, space
+		}
 	}
-	return strings.Join(parts, " ")
+	b := make([]byte, 0, n)
+	for i, el := range p.Elements {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = endpoint.Slice{Points: el}.Append(b)
+	}
+	return string(b)
 }
 
 // Key returns a canonical string key usable for dedup maps. Unlike
@@ -211,26 +285,8 @@ func (p Temporal) Complete() bool {
 // their start endpoints. Two patterns that differ only in which concrete
 // occurrences they name normalize to the same pattern.
 func (p Temporal) Normalize() Temporal {
-	next := make(map[string]int)
-	remap := make(map[instKey]int)
-	for _, el := range p.Elements {
-		for _, e := range el {
-			k := instKey{e.Symbol, e.Occ}
-			if _, ok := remap[k]; !ok {
-				next[e.Symbol]++
-				remap[k] = next[e.Symbol]
-			}
-		}
-	}
-	out := Temporal{Elements: make([][]endpoint.Endpoint, len(p.Elements))}
-	for i, el := range p.Elements {
-		cp := make([]endpoint.Endpoint, len(el))
-		for j, e := range el {
-			cp[j] = endpoint.Endpoint{Symbol: e.Symbol, Occ: remap[instKey{e.Symbol, e.Occ}], Kind: e.Kind}
-		}
-		sort.Slice(cp, func(a, b int) bool { return cp[a].Less(cp[b]) })
-		out.Elements[i] = cp
-	}
+	out := p.Clone()
+	out.Canonicalize(true)
 	return out
 }
 
@@ -293,48 +349,62 @@ func ParseTemporal(s string) (Temporal, error) {
 // RelationSummary recovers the pairwise Allen relations among the
 // intervals of a complete temporal pattern and renders them as
 // "A overlaps B; A before C". Interval instances are named by symbol,
-// with ".k" occurrence suffixes for repeated symbols.
+// with ".k" occurrence suffixes for repeated symbols. Every mined row
+// carries a summary, so instances are found by a linear scan, not a
+// map, and the text is written into one buffer.
 func (p Temporal) RelationSummary() string {
 	type inst struct {
+		sym        string
+		occ        int
 		name       string
 		start, end int
 	}
-	pos := make(map[instKey]*inst)
-	var order []*inst
+	var buf [8]inst
+	insts := buf[:0]
 	for i, el := range p.Elements {
 		for _, e := range el {
-			k := instKey{e.Symbol, e.Occ}
-			in, ok := pos[k]
-			if !ok {
+			k := 0
+			for k < len(insts) && (insts[k].sym != e.Symbol || insts[k].occ != e.Occ) {
+				k++
+			}
+			if k == len(insts) {
 				name := e.Symbol
 				if e.Occ > 1 {
-					name = fmt.Sprintf("%s.%d", e.Symbol, e.Occ)
+					name = e.Symbol + "." + strconv.Itoa(e.Occ)
 				}
-				in = &inst{name: name, start: -1, end: -1}
-				pos[k] = in
-				order = append(order, in)
+				insts = append(insts, inst{sym: e.Symbol, occ: e.Occ, name: name, start: -1, end: -1})
 			}
 			if e.Kind == endpoint.Start {
-				in.start = i
+				insts[k].start = i
 			} else {
-				in.end = i
+				insts[k].end = i
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].name < order[j].name })
-	var parts []string
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			a, b := order[i], order[j]
-			if a.start < 0 || a.end < 0 || b.start < 0 || b.end < 0 {
-				continue // incomplete pattern: skip unpaired instances
+	slices.SortFunc(insts, func(a, b inst) int { return strings.Compare(a.name, b.name) })
+	var b []byte
+	for i := range insts {
+		a := &insts[i]
+		if a.start < 0 || a.end < 0 {
+			continue // incomplete pattern: skip unpaired instances
+		}
+		for j := i + 1; j < len(insts); j++ {
+			c := &insts[j]
+			if c.start < 0 || c.end < 0 {
+				continue
 			}
-			rel := interval.RelateEndpoints(a.start, a.end, b.start, b.end)
-			parts = append(parts, fmt.Sprintf("%s %s %s", a.name, rel, b.name))
+			if len(b) > 0 {
+				b = append(b, "; "...)
+			}
+			b = append(b, a.name...)
+			b = append(b, ' ')
+			b = append(b, interval.RelateEndpoints(a.start, a.end, c.start, c.end).String()...)
+			b = append(b, ' ')
+			b = append(b, c.name...)
 		}
 	}
-	if len(parts) == 0 && len(order) == 1 && order[0].start >= 0 && order[0].end >= 0 {
-		return order[0].name
+	if len(b) == 0 && len(insts) == 1 && insts[0].start >= 0 && insts[0].end >= 0 {
+		return insts[0].name
 	}
-	return strings.Join(parts, "; ")
+	return string(b)
 }

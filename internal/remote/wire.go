@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"regexp"
 	"sync"
 	"time"
@@ -185,13 +186,33 @@ func (s *symbols) coinc(buf []byte, p pattern.Coinc) []byte {
 
 // body appends a body that carries patterns: the version byte, the
 // symbol table, and rest, the remainder of the body, encoded through s.
+// It grows buf once, to the body's size.
 func (s *symbols) body(buf, rest []byte) []byte {
+	n := 1 + uvarintLen(uint64(len(s.names))) + len(rest)
+	for _, name := range s.names {
+		n += uvarintLen(uint64(len(name))) + len(name)
+	}
+	if cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
 	buf = append(buf, wireVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(s.names)))
 	for _, name := range s.names {
 		buf = persist.AppendString(buf, name)
 	}
 	return append(buf, rest...)
+}
+
+// uvarintLen is the encoded size of the uvarint x, and varintLen that
+// of the zig-zag varint v.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
 }
 
 func appendMineBody(buf []byte, b *mineBody) []byte {
@@ -240,9 +261,14 @@ func appendCountBody(buf []byte, b *countBody) []byte {
 	return s.body(buf, rest)
 }
 
+// appendResult appends a result body. It writes the rows and stats into
+// a buffer of their size, counting one byte per symbol index (exact for
+// bodies that name fewer than 128 symbols), and body then copies them
+// once behind the symbol table.
 func appendResult(buf []byte, r *core.Result) []byte {
 	var s symbols
-	rest := binary.AppendUvarint(nil, uint64(len(r.Temporal)))
+	rest := make([]byte, 0, resultRestSize(r))
+	rest = binary.AppendUvarint(rest, uint64(len(r.Temporal)))
 	for _, pr := range r.Temporal {
 		rest = s.temporal(rest, pr.Pattern)
 		rest = appendInt(rest, pr.Support)
@@ -255,6 +281,32 @@ func appendResult(buf []byte, r *core.Result) []byte {
 	rest = appendStats(rest, &r.Stats)
 	return s.body(buf, rest)
 }
+
+// resultRestSize is the size appendResult's rows and stats take with
+// one-byte symbol indices.
+func resultRestSize(r *core.Result) int {
+	n := uvarintLen(uint64(len(r.Temporal))) + uvarintLen(uint64(len(r.Coinc))) + maxStatsSize + len(r.Stats.TruncatedBy)
+	for _, pr := range r.Temporal {
+		n += uvarintLen(uint64(len(pr.Pattern.Elements))) + varintLen(int64(pr.Support))
+		for _, el := range pr.Pattern.Elements {
+			n += uvarintLen(uint64(len(el)))
+			for _, e := range el {
+				n += 2 + varintLen(int64(e.Occ)) // index, occurrence, kind
+			}
+		}
+	}
+	for _, pr := range r.Coinc {
+		n += uvarintLen(uint64(len(pr.Pattern.Elements))) + varintLen(int64(pr.Support))
+		for _, el := range pr.Pattern.Elements {
+			n += uvarintLen(uint64(len(el))) + len(el)
+		}
+	}
+	return n
+}
+
+// maxStatsSize bounds appendStats's output but for the truncation
+// reason's bytes: thirteen varints, a bool and the reason's length.
+const maxStatsSize = 13*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64
 
 func appendStats(buf []byte, st *core.Stats) []byte {
 	buf = appendInt(buf, st.Sequences)
@@ -286,6 +338,11 @@ type decoder struct {
 	c    *persist.Cursor
 	syms []string
 	err  error
+
+	// Reused buffers that temporal and coinc decode a pattern's
+	// elements into.
+	eps    []endpoint.Endpoint
+	elSyms []string
 }
 
 // newDecoder starts a body, reading and checking its version byte.
@@ -426,17 +483,22 @@ func (d *decoder) endpoint() endpoint.Endpoint {
 	return e
 }
 
+// temporal and coinc decode a pattern's elements into the decoder's
+// reused buffer and then give the pattern one array of its own.
 func (d *decoder) temporal() pattern.Temporal {
 	var p pattern.Temporal
 	if n := d.count(1); n > 0 {
 		p.Elements = make([][]endpoint.Endpoint, n)
+		eps := d.eps[:0]
 		for i := range p.Elements {
-			el := make([]endpoint.Endpoint, d.count(minEndpointBytes))
-			for j := range el {
-				el[j] = d.endpoint()
+			start := len(eps)
+			for m := d.count(minEndpointBytes); m > 0; m-- {
+				eps = append(eps, d.endpoint())
 			}
-			p.Elements[i] = el
+			p.Elements[i] = eps[start:]
 		}
+		d.eps = eps
+		adopt(p.Elements, eps)
 	}
 	return p
 }
@@ -445,15 +507,31 @@ func (d *decoder) coinc() pattern.Coinc {
 	var p pattern.Coinc
 	if n := d.count(1); n > 0 {
 		p.Elements = make([][]string, n)
+		syms := d.elSyms[:0]
 		for i := range p.Elements {
-			el := make([]string, d.count(1))
-			for j := range el {
-				el[j] = d.symbol()
+			start := len(syms)
+			for m := d.count(1); m > 0; m-- {
+				syms = append(syms, d.symbol())
 			}
-			p.Elements[i] = el
+			p.Elements[i] = syms[start:]
 		}
+		d.elSyms = syms
+		adopt(p.Elements, syms)
 	}
 	return p
+}
+
+// adopt moves els, decoded in order into buf, onto one new array: the
+// elements share it, each capped at its own length.
+func adopt[T any](els [][]T, buf []T) {
+	backing := make([]T, len(buf))
+	copy(backing, buf)
+	off := 0
+	for i, el := range els {
+		end := off + len(el)
+		els[i] = backing[off:end:end]
+		off = end
+	}
 }
 
 func (d *decoder) options() core.Options {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,6 +188,46 @@ func TestWireCarriesEveryField(t *testing.T) {
 		t.Fatalf("mine result: %v", err)
 	}
 	sameExported(t, &got.Stats, &r.Stats)
+}
+
+// TestResultCodecAllocations pins what a mine reply costs to write and
+// to read, on 1,000 three-element patterns over 20 symbols. The writer
+// sizes its buffers once, so it allocates a bounded number of times and
+// at most three times the reply's bytes, however many patterns the
+// reply holds. The reader gives each pattern one endpoint array: two
+// allocations per pattern, whatever its element count.
+func TestResultCodecAllocations(t *testing.T) {
+	const n = 1000
+	r := &core.Result{Temporal: make([]pattern.TemporalResult, n)}
+	for i := range r.Temporal {
+		a, b := fmt.Sprintf("S%02d", i%20), fmt.Sprintf("S%02d", (i/20)%20)
+		r.Temporal[i] = pattern.TemporalResult{Support: 1 + i%300, Pattern: pattern.Temporal{Elements: [][]endpoint.Endpoint{
+			{ep(a, 1, endpoint.Start)}, {ep(b, 2, endpoint.Start), ep(a, 1, endpoint.Finish)}, {ep(b, 2, endpoint.Finish)}}}}
+	}
+	data := appendResult(nil, r)
+	if got := testing.AllocsPerRun(20, func() { appendResult(nil, r) }); got > 24 {
+		t.Errorf("appendResult: %v allocs per reply, want at most 24", got)
+	}
+	// Bytes are averaged over runs at GOMAXPROCS 1, as AllocsPerRun
+	// counts allocations, so that other goroutines' allocations barely
+	// register.
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := allocated(func() {
+		for i := 0; i < runs; i++ {
+			appendResult(nil, r)
+		}
+	}) / runs
+	if limit := uint64(3 * len(data)); got > limit {
+		t.Errorf("appendResult: %d bytes allocated for a %d-byte reply, want at most %d", got, len(data), limit)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := decodeResult(data); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2*n+64 {
+		t.Errorf("decodeResult: %v allocs for %d patterns, want at most %d", got, n, 2*n+64)
+	}
 }
 
 // The fuzz seeds of the worker body targets, which the worker built by

@@ -217,11 +217,13 @@ type Config struct {
 	// 413. 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
-	// MaxParallel is the ceiling on per-request mining parallelism:
-	// requests may ask for worker goroutines via the mine request's
+	// MaxParallel is the ceiling on per-request mining parallelism,
+	// and the parallelism of a mine request that names none: requests
+	// may ask for fewer worker goroutines via the mine request's
 	// "parallel" field, capped at this value — like timeout_ms, a
-	// request can spend less than the ceiling, never more. 0 means
-	// GOMAXPROCS.
+	// request can spend less than the ceiling, never more. A fan-out
+	// splits it across its shards. 1 mines every request serially; 0
+	// means GOMAXPROCS.
 	MaxParallel int
 
 	// CacheBudgetBytes caps the resident bytes of memoized mine

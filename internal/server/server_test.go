@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tpminer/internal/jobs"
 )
 
 const csvBody = `sequence_id,symbol,start,end
@@ -173,7 +175,8 @@ func TestMineVariants(t *testing.T) {
 
 // TestMineParallelField: the "parallel" request field is honored —
 // results match a serial mine exactly — and the server ceiling caps it
-// rather than rejecting the request, mirroring timeout_ms semantics.
+// rather than rejecting the request, mirroring timeout_ms semantics. A
+// mine without the field takes the ceiling.
 func TestMineParallelField(t *testing.T) {
 	srv := NewWithConfig(nil, Config{MaxConcurrentMines: 32, MaxParallel: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -181,7 +184,7 @@ func TestMineParallelField(t *testing.T) {
 	do(t, "PUT", ts.URL+"/v1/datasets/demo", "text/csv", csvBody)
 
 	_, serialBody := do(t, "POST", ts.URL+"/v1/datasets/demo/mine", "application/json",
-		`{"min_count":2}`)
+		`{"min_count":2,"parallel":1}`)
 	var serial MineResponse
 	if err := json.Unmarshal([]byte(serialBody), &serial); err != nil {
 		t.Fatal(err)
@@ -209,13 +212,78 @@ func TestMineParallelField(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative parallel: %d %q", resp.StatusCode, body)
 	}
+
+	// One-worker mines without the field: a windowed mine and a job run
+	// over identical sequences, whose every projection passes the steal
+	// cutoff. Under a ceiling of 2 they split the search, under a
+	// ceiling of 1 they mine serially, and either way they return the
+	// patterns of "parallel":1. Caching is off so that every mine runs.
+	const window = `"min_count":32,"window":{"kind":"sliding","count":32}`
+	for _, c := range []struct {
+		ceiling int
+		split   bool
+	}{{2, true}, {1, false}} {
+		srv := NewWithConfig(nil, Config{MaxConcurrentMines: 32, MaxParallel: c.ceiling, CacheBudgetBytes: -1})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		do(t, "PUT", ts.URL+"/v1/datasets/big", "text/csv", explosiveCSV(40, 7))
+		spawned := func() float64 {
+			_, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
+			return parseMetrics(t, body)["tpmd_miner_sched_jobs_spawned_total"]
+		}
+		mine := func(req string) (string, MineResponse) {
+			resp, body := do(t, "POST", ts.URL+"/v1/datasets/big/mine", "application/json", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ceiling %d: mine %s: %d %q", c.ceiling, req, resp.StatusCode, body)
+			}
+			var mr MineResponse
+			if err := json.Unmarshal([]byte(body), &mr); err != nil {
+				t.Fatal(err)
+			}
+			return body, mr
+		}
+		serialBody, serial := mine(`{"parallel":1,` + window + `}`)
+		if serial.Stats.JobsSpawned != 0 {
+			t.Errorf("ceiling %d: parallel 1 spawned %d jobs", c.ceiling, serial.Stats.JobsSpawned)
+		}
+		// split reports whether a counter moved by a genuine split: more
+		// jobs than the root, which a parallel run always spawns.
+		split := func(what string, jobs float64) {
+			if got := jobs > 1; got != c.split {
+				t.Errorf("ceiling %d: %s spawned %v jobs, want a split = %v", c.ceiling, what, jobs, c.split)
+			}
+		}
+
+		before := spawned()
+		_, def := mine(`{` + window + `}`)
+		split("windowed mine", float64(def.Stats.JobsSpawned))
+		split("windowed mine's metric", spawned()-before)
+		if !reflect.DeepEqual(def.Patterns, serial.Patterns) {
+			t.Errorf("ceiling %d: windowed mine without parallel differs from parallel 1", c.ceiling)
+		}
+
+		before = spawned()
+		resp, body := do(t, "POST", ts.URL+"/v1/jobs", "application/json",
+			`{"id":"live","dataset":"big","mine":{`+window+`}}`)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("ceiling %d: create job: %d %q", c.ceiling, resp.StatusCode, body)
+		}
+		waitJobVersion(t, ts.URL, 1)
+		split("job run's metric", spawned()-before)
+		_, body = do(t, "GET", ts.URL+"/v1/jobs/live/result", "", "")
+		var res jobs.Result
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatal(err)
+		}
+		expectSamePatterns(t, fmt.Sprintf("ceiling %d: job run", c.ceiling), res.Patterns, jobPatternsOf(t, serialBody))
+	}
 }
 
 // TestMineRequestParallelCap: the option conversion clamps at the
 // configured ceiling.
 func TestMineRequestParallelCap(t *testing.T) {
 	cases := []struct{ req, ceil, want int }{
-		{0, 4, 0}, {3, 4, 3}, {4, 4, 4}, {9, 4, 4},
+		{0, 4, 4}, {3, 4, 3}, {4, 4, 4}, {9, 4, 4},
 	}
 	for _, c := range cases {
 		opt := MineSpec{MiningOptions: MiningOptions{MinCount: 1}, Parallel: c.req}.Options(c.ceil)
